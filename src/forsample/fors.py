@@ -6,12 +6,17 @@ W in [-B, B] and E[W | x] = log(target(x)/q(x)) + const, each loop attempt
     draws x ~ q, J ~ Poisson(2B), W_1..W_J iid from the source at x,
     and accepts x with probability  prod_j (B + W_j) / (2B),
 
-which is an unbiased coin for exp(E[W|x] - B), so accepted points follow the
-density proportional to q(x) * exp(E[W|x]) exactly.  The module provides the
-exact scalar loop (``fors_sample``), a law-equivalent vectorized collector
-for iid batches (``fors_sample_many``), a slot engine used by the chain
-runner (``fors_accept_rows``), and the diagnostic helpers the test suite
-builds on.
+which is an unbiased coin for exp(E[W|x] - B) (the Poisson estimator and
+Bernoulli factory of Beskos, Papaspiliopoulos & Roberts 2006 and Fearnhead,
+Papaspiliopoulos & Roberts 2008), so accepted points follow the density
+proportional to q(x) * exp(E[W|x]) exactly.
+
+``fors_sample`` is the scalar loop; it draws W lazily and rejects once the
+running product falls below the coin.  One coin kernel, ``_coin_rounds``,
+draws every J of a round at once under the three row engines:
+``fors_accept_rows`` (one acceptance per chain slot), ``fors_sample_many``
+(iid collector for one target) and ``fors_attempt_batch`` (fixed attempt
+count, for the acceptance-law diagnostic).
 """
 
 from __future__ import annotations
@@ -173,6 +178,51 @@ def segment_prod(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
+                 ledger: QueryLedger, w_cap: int | None = None, n_slots: int = 1):
+    """The row engines' acceptance coin, as a generator of round masks.
+
+    Prime with ``next``, then ``send((xs, slots))`` per round: the (k, d)
+    proposals and the (k,) slot of each row.  Per row it draws J ~
+    Poisson(2B) and the coin u; it raises BudgetExhaustedError before any W
+    is drawn if a slot would pass ``w_cap`` draws; it draws all J estimators
+    in one call, validates them (shape, finiteness, range) and yields the
+    mask u < prod_j (B + W_j)/(2B).  As a generator it keeps a round's
+    arrays alive until the next round replaces them, as an inline loop
+    does, so the next round does not page-fault them in again.
+    """
+    mask = None
+    w_spent = np.zeros(n_slots)
+    while True:
+        xs, slots = yield mask
+        k = xs.shape[0]
+        js = poisson_inversion(2 * b, rng, size=k)
+        u = rng.random(k)
+        ledger.fors_attempts += k
+        if w_cap is not None:
+            # per row: its slot's draws so far plus this round's (slots may repeat)
+            after = w_spent[slots] + np.bincount(slots, js)[slots]
+            over = after > w_cap
+            if over.any():
+                slot = int(slots[np.argmax(over)])
+                raise BudgetExhaustedError("W-draw budget exhausted", chain=slot,
+                                           w_draws=int(w_spent[slot]))
+            w_spent[slots] = after
+        total = int(js.sum())
+        if total:
+            reps = np.repeat(np.arange(k), js)
+            ws = np.asarray(source.draw_w_rows(slots[reps], xs[reps], rng))
+            ledger.w_draws += total
+            if ws.shape != (total,):
+                raise EstimatorRangeError(f"row source returned shape {ws.shape}")
+            if not np.all(np.abs(ws) <= b + 1e-12):
+                raise EstimatorRangeError("row estimator draw outside [-B, B]")
+            prods = segment_prod((b + ws) / (2 * b), js)
+        else:
+            prods = np.ones(k)
+        mask = u < prods
+
+
 def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                      source: RowEstimatorSource, cfg: FORSConfig, n_slots: int,
                      rng: np.random.Generator,
@@ -182,15 +232,16 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     Each slot owns its own (possibly distinct) target; ``propose_rows`` and
     the source receive the slot indices so heterogeneous problems (one per
     chain) batch together.  Law-equivalent to calling ``fors_sample`` per
-    slot; all J estimator draws of an attempt are materialized at once.
+    slot, including both budget caps; all J estimator draws of an attempt
+    are materialized at once.
     """
-    b = cfg.b
     ledger = ledger if ledger is not None else QueryLedger()
     out: np.ndarray | None = None
     active = np.arange(n_slots)
     attempts = np.zeros(n_slots, dtype=np.int64)
+    coin = _coin_rounds(source, cfg.b, rng, ledger, cfg.max_w_per_call, n_slots)
+    next(coin)
     while active.size:
-        k = active.size
         attempts[active] += 1
         over = attempts[active] > cfg.max_attempts
         if over.any():
@@ -201,22 +252,7 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         xs = propose_rows(active, rng)
         if out is None:
             out = np.empty((n_slots, xs.shape[1]))
-        js = poisson_inversion(2 * b, rng, size=k)
-        u = rng.random(k)
-        ledger.fors_attempts += k
-        total = int(js.sum())
-        if total:
-            reps = np.repeat(np.arange(k), js)
-            ws = source.draw_w_rows(active[reps], xs[reps], rng)
-            ledger.w_draws += total
-            if ws.shape != (total,):
-                raise EstimatorRangeError("row source returned a bad shape")
-            if np.any(~np.isfinite(ws)) or np.any(np.abs(ws) > b + 1e-12):
-                raise EstimatorRangeError("row estimator draw outside [-B, B]")
-            prods = segment_prod((b + ws) / (2 * b), js)
-        else:
-            prods = np.ones(k)
-        acc = u < prods
+        acc = coin.send((xs, active))
         out[active[acc]] = xs[acc]
         active = active[~acc]
     assert out is not None
@@ -231,7 +267,8 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
 
     ``proposal_rows(k, rng)`` returns a (k, d) batch from q.  Attempts are
     simulated in adaptive batches until enough are accepted; output order is
-    acceptance order, which for iid attempts is itself iid.
+    acceptance order, which for iid attempts is itself iid.  The caps of
+    ``cfg`` hold as totals over the ``n_samples`` calls this stands for.
     """
     ledger = ledger if ledger is not None else QueryLedger()
     b = cfg.b
@@ -242,6 +279,8 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
     attempt_cap = cfg.max_attempts * n_samples
     # keep the expected 2B * k estimator rows per batch within memory bounds
     row_cap = max(int(2_000_000 / max(2.0 * b, 1.0)), 1024)
+    coin = _coin_rounds(source, b, rng, ledger, cfg.max_w_per_call * n_samples)
+    next(coin)
     while n_got < n_samples:
         need = n_samples - n_got
         k = int(min(max(1.5 * need / max(acc_est, 1e-6), 1024), row_cap))
@@ -252,21 +291,7 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
                     "attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
         xs = proposal_rows(k, rng)
-        js = poisson_inversion(2 * b, rng, size=k)
-        u = rng.random(k)
-        ledger.fors_attempts += k
-        total = int(js.sum())
-        if total:
-            reps = np.repeat(np.arange(k), js)
-            slots = np.zeros(total, dtype=np.int64)  # shared target: slot 0
-            ws = source.draw_w_rows(slots, xs[reps], rng)
-            ledger.w_draws += total
-            if np.any(~np.isfinite(ws)) or np.any(np.abs(ws) > b + 1e-12):
-                raise EstimatorRangeError("row estimator draw outside [-B, B]")
-            prods = segment_prod((b + ws) / (2 * b), js)
-        else:
-            prods = np.ones(k)
-        acc = u < prods
+        acc = coin.send((xs, np.zeros(k, dtype=np.int64)))  # one shared slot
         n_acc = int(acc.sum())
         if n_acc:
             got.append(xs[acc])
@@ -287,27 +312,17 @@ def fors_attempt_batch(proposal_rows: Callable[[int, np.random.Generator], np.nd
 
     Returns the boolean acceptance mask, one entry per attempt, for checking
     the per-attempt acceptance law against exp(E[W] - B).  No points are
-    collected.
+    collected.  No budget cap applies: the attempt count is the argument.
     """
     ledger = ledger if ledger is not None else QueryLedger()
-    b = cfg.b
     mask = np.empty(n_attempts, dtype=bool)
+    coin = _coin_rounds(source, cfg.b, rng, ledger)
+    next(coin)
     done = 0
     while done < n_attempts:
         k = min(n_attempts - done, 4_000_000)
         xs = proposal_rows(k, rng)
-        js = poisson_inversion(2 * b, rng, size=k)
-        u = rng.random(k)
-        ledger.fors_attempts += k
-        total = int(js.sum())
-        if total:
-            reps = np.repeat(np.arange(k), js)
-            ws = source.draw_w_rows(np.zeros(total, dtype=np.int64), xs[reps], rng)
-            ledger.w_draws += total
-            prods = segment_prod((b + ws) / (2 * b), js)
-        else:
-            prods = np.ones(k)
-        mask[done:done + k] = u < prods
+        mask[done:done + k] = coin.send((xs, np.zeros(k, dtype=np.int64)))
         done += k
     return mask
 

@@ -73,17 +73,11 @@ def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
 
     Consumes exactly cfg.n_batch * cfg.k_iters gradient queries (metered by
     the oracle's ledger).  Raises InfeasibleScheduleError if the step-size
-    condition fails and NumericError on a non-finite iterate.
+    condition fails and NumericError on a non-finite iterate.  The one-row
+    case of ``approx_prox_rows``.
     """
-    _check_step(potential, cfg.eta)
-    x0 = as_vector(x0, potential.dim)
-    x = x0
-    for k in range(cfg.k_iters):
-        g = oracle.draw_batch(x, cfg.n_batch)
-        x = (x - cfg.eta * g + x0) / 2.0
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite prox iterate at step {k + 1}")
-    return x
+    return approx_prox_rows(potential, oracle, as_vector(x0, potential.dim)[None],
+                            cfg, rng)[0]
 
 
 def approx_prox_rows(potential: Potential, oracle: GradientOracle,

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, Potential, as_vector
-from .errors import DimensionError
 from .fors import FORSConfig, EstimatorSource, FORSResult, fors_sample, fors_sample_many
 from .oracles import GradientOracle, QueryLedger, ValueOracle
 
@@ -36,25 +35,31 @@ def pclip(w: float, b: float) -> float:
     return max(-b, min(b, w))
 
 
+def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
+               r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and velocities of the interpolation path, one row per time r."""
+    a = np.sin(np.pi * r / 2)[:, None]
+    c = np.cos(np.pi * r / 2)[:, None]
+    gamma = a * xs + (1 - a) * xh + c * z
+    gamma_dot = (np.pi / 2) * (c * (xs - xh) - a * z)
+    return gamma, gamma_dot
+
+
 def path_gamma(x: Array, xhat: Array, z: Array, r: float) -> tuple[Array, Array]:
     """Point and velocity of the interpolation path at time r in [0, 1].
 
     gamma(r) = a_r x + (1 - a_r) xhat + b_r z with a_r = sin(pi r / 2) and
     b_r = cos(pi r / 2); the velocity is the literal r-derivative
     a'_r (x - xhat) + b'_r z.  Endpoints: gamma(0) = xhat + z, gamma(1) = x.
+    This is the one-row case of the formula every first-order W draw uses.
     """
     if not (0.0 <= r <= 1.0):
         raise ValueError("path time r must lie in [0, 1]")
     x = as_vector(x)
     xhat = as_vector(xhat, x.shape[0])
     z = as_vector(z, x.shape[0])
-    a = math.sin(math.pi * r / 2)
-    b = math.cos(math.pi * r / 2)
-    da = (math.pi / 2) * math.cos(math.pi * r / 2)
-    db = -(math.pi / 2) * math.sin(math.pi * r / 2)
-    gamma = a * x + (1 - a) * xhat + b * z
-    gamma_dot = da * (x - xhat) + db * z
-    return gamma, gamma_dot
+    gamma, gamma_dot = _path_rows(x[None], xhat[None], z[None], np.array([r]))
+    return gamma[0], gamma_dot[0]
 
 
 @dataclass(frozen=True)
@@ -101,36 +106,15 @@ class RGOContext:
         return (self.problem.x0 - self.xhat) / self.problem.eta
 
 
-def first_order_w(ctx: RGOContext, x: Array, oracle: GradientOracle,
-                  b: float, rng: np.random.Generator) -> float:
-    """One clipped first-order estimator draw at the proposal point x."""
-    pot = ctx.problem.potential
-    x = as_vector(x, pot.dim)
-    eta = ctx.problem.eta
-    r = rng.random()
-    z = math.sqrt(eta) * rng.standard_normal(pot.dim)
-    gamma, gamma_dot = path_gamma(x, ctx.xhat, z, r)
-    g = oracle.draw_batch(gamma, ctx.n_batch)
-    return pclip(float(gamma_dot @ (ctx.u - g)), b)
+class _RowEstimator:
+    """Per-slot proposal centers and tilt vectors shared by both estimators.
 
+    ``draw_w_rows(slots, xs, rng)`` returns one clipped W per row of the
+    (k, d) stack ``xs``, row i drawn for the target of slot ``slots[i]``.
+    """
 
-def zeroth_order_w(ctx: RGOContext, x: Array, oracle: ValueOracle,
-                   b: float, rng: np.random.Generator) -> float:
-    """One clipped zeroth-order estimator draw at the proposal point x."""
-    pot = ctx.problem.potential
-    x = as_vector(x, pot.dim)
-    eta = ctx.problem.eta
-    z = ctx.xhat + math.sqrt(eta) * rng.standard_normal(pot.dim)
-    v = oracle.draw_batch(x, ctx.n_batch)
-    v_prime = oracle.draw_batch(z, ctx.n_batch)
-    return pclip(v_prime - v + float(ctx.u @ (x - z)), b)
-
-
-class _FirstOrderRows:
-    """Row-vectorized first-order estimator over per-slot contexts."""
-
-    def __init__(self, oracle: GradientOracle, xhat_rows: np.ndarray,
-                 u_rows: np.ndarray, eta: float, b: float, n_batch: int):
+    def __init__(self, oracle, xhat_rows: np.ndarray, u_rows: np.ndarray,
+                 eta: float, b: float, n_batch: int):
         self.oracle = oracle
         self.xhat_rows = xhat_rows
         self.u_rows = u_rows
@@ -138,32 +122,22 @@ class _FirstOrderRows:
         self.b = b
         self.n_batch = n_batch
 
+
+class _FirstOrderRows(_RowEstimator):
+    """Row-vectorized first-order estimator over per-slot contexts."""
+
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        k = xs.shape[0]
-        xh = self.xhat_rows[slots]
-        r = rng.random(k)
+        r = rng.random(xs.shape[0])
         z = math.sqrt(self.eta) * rng.standard_normal(xs.shape)
-        a = np.sin(np.pi * r / 2)[:, None]
-        c = np.cos(np.pi * r / 2)[:, None]
-        gamma = a * xs + (1 - a) * xh + c * z
-        gamma_dot = (np.pi / 2) * (c * (xs - xh) - a * z)
+        gamma, gamma_dot = _path_rows(xs, self.xhat_rows[slots], z, r)
         g = self.oracle.draw_batch_rows(gamma, self.n_batch)
         w = np.einsum("kd,kd->k", gamma_dot, self.u_rows[slots] - g)
         return np.clip(w, -self.b, self.b)
 
 
-class _ZerothOrderRows:
+class _ZerothOrderRows(_RowEstimator):
     """Row-vectorized zeroth-order estimator over per-slot contexts."""
-
-    def __init__(self, oracle: ValueOracle, xhat_rows: np.ndarray,
-                 u_rows: np.ndarray, eta: float, b: float, n_batch: int):
-        self.oracle = oracle
-        self.xhat_rows = xhat_rows
-        self.u_rows = u_rows
-        self.eta = eta
-        self.b = b
-        self.n_batch = n_batch
 
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
@@ -175,14 +149,35 @@ class _ZerothOrderRows:
         return np.clip(w, -self.b, self.b)
 
 
-def _scalar_source(ctx: RGOContext, mode: str, oracle, b: float) -> EstimatorSource:
-    if mode == "first":
-        return EstimatorSource(lambda x, rng: first_order_w(ctx, x, oracle, b, rng),
-                               ledger=oracle.ledger)
-    if mode == "zeroth":
-        return EstimatorSource(lambda x, rng: zeroth_order_w(ctx, x, oracle, b, rng),
-                               ledger=oracle.ledger)
-    raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
+_ESTIMATORS = {"first": _FirstOrderRows, "zeroth": _ZerothOrderRows}
+
+# the one slot of a single tilt problem
+_SLOT0 = np.zeros(1, dtype=np.int64)
+
+
+def _estimator(ctx: RGOContext, mode: str, oracle, b: float) -> _RowEstimator:
+    """The row estimator of ``mode`` for the single slot of ``ctx``."""
+    if mode not in _ESTIMATORS:
+        raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
+    return _ESTIMATORS[mode](oracle, ctx.xhat[None], ctx.u[None], ctx.problem.eta,
+                             b, ctx.n_batch)
+
+
+def _draw_one(rows: _RowEstimator, x: Array, rng: np.random.Generator) -> float:
+    x = as_vector(x, rows.xhat_rows.shape[1])
+    return float(rows.draw_w_rows(_SLOT0, x[None], rng)[0])
+
+
+def first_order_w(ctx: RGOContext, x: Array, oracle: GradientOracle,
+                  b: float, rng: np.random.Generator) -> float:
+    """One clipped first-order estimator draw at the proposal point x."""
+    return _draw_one(_estimator(ctx, "first", oracle, b), x, rng)
+
+
+def zeroth_order_w(ctx: RGOContext, x: Array, oracle: ValueOracle,
+                   b: float, rng: np.random.Generator) -> float:
+    """One clipped zeroth-order estimator draw at the proposal point x."""
+    return _draw_one(_estimator(ctx, "zeroth", oracle, b), x, rng)
 
 
 def sample_tilt(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
@@ -199,7 +194,8 @@ def sample_tilt(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
     eta = ctx.problem.eta
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += 1
-    source = _scalar_source(ctx, mode, oracle, cfg.b)
+    rows = _estimator(ctx, mode, oracle, cfg.b)
+    source = EstimatorSource(lambda x, r: _draw_one(rows, x, r), ledger=oracle.ledger)
 
     def proposal(r: np.random.Generator) -> Array:
         return ctx.xhat + math.sqrt(eta) * r.standard_normal(pot.dim)
@@ -215,14 +211,7 @@ def sample_tilt_many(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
     eta = ctx.problem.eta
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
-    xh = np.tile(ctx.xhat, (1, 1))
-    uu = np.tile(ctx.u, (1, 1))
-    if mode == "first":
-        rows = _FirstOrderRows(oracle, xh, uu, eta, cfg.b, ctx.n_batch)
-    elif mode == "zeroth":
-        rows = _ZerothOrderRows(oracle, xh, uu, eta, cfg.b, ctx.n_batch)
-    else:
-        raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
+    rows = _estimator(ctx, mode, oracle, cfg.b)
 
     def proposal_rows(k: int, r: np.random.Generator) -> np.ndarray:
         return ctx.xhat + math.sqrt(eta) * r.standard_normal((k, pot.dim))

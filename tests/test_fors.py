@@ -323,12 +323,6 @@ def test_sample_many_budget_error():
     assert exc.value.attempts == 2_000
 
 
-def test_sample_many_rejects_out_of_range_rows():
-    with pytest.raises(EstimatorRangeError):
-        fors_sample_many(lambda k, rng: np.zeros((k, 1)), _ConstantRows(1.5),
-                         FORSConfig(b=1.0), 100, make_rng(36))
-
-
 # ---------------------------------------------------------------------------
 # slot engine
 # ---------------------------------------------------------------------------
@@ -373,12 +367,6 @@ def test_accept_rows_budget_error_names_slot():
     assert exc.value.chain is not None
 
 
-def test_accept_rows_rejects_out_of_range_rows():
-    with pytest.raises(EstimatorRangeError):
-        fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
-                         _ConstantRows(-1.5), FORSConfig(b=1.0), 8, make_rng(0))
-
-
 def test_accept_rows_ledger_accounting():
     ledger = QueryLedger()
     fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
@@ -386,6 +374,64 @@ def test_accept_rows_ledger_accounting():
                      ledger=ledger)
     assert ledger.fors_attempts == 500  # W = +B accepts every slot first try
     assert ledger.w_draws > 0
+
+
+# ---------------------------------------------------------------------------
+# checks every row engine makes
+# ---------------------------------------------------------------------------
+
+_ROW_ENGINES = {
+    "accept_rows": lambda source, cfg, rng: fors_accept_rows(
+        lambda active, r: np.zeros((active.size, 1)), source, cfg, 64, rng),
+    "sample_many": lambda source, cfg, rng: fors_sample_many(
+        lambda k, r: np.zeros((k, 1)), source, cfg, 100, rng),
+    "attempt_batch": lambda source, cfg, rng: fors_attempt_batch(
+        lambda k, r: np.zeros((k, 1)), source, cfg, 2_000, rng),
+}
+
+_BAD_DRAWS = {
+    "above_b": lambda n: np.full(n, 1.5),
+    "below_b": lambda n: np.full(n, -1.5),
+    "nan": lambda n: np.full(n, np.nan),
+    "column": lambda n: np.zeros((n, 1)),
+}
+
+
+class _BadRows:
+    def __init__(self, make):
+        self.make = make
+
+    def draw_w_rows(self, slots, xs, rng):
+        return self.make(slots.size)
+
+
+@pytest.mark.parametrize("engine", sorted(_ROW_ENGINES))
+@pytest.mark.parametrize("draws", sorted(_BAD_DRAWS))
+def test_row_engines_reject_bad_draws(engine, draws):
+    with pytest.raises(EstimatorRangeError):
+        _ROW_ENGINES[engine](_BadRows(_BAD_DRAWS[draws]), FORSConfig(b=1.0),
+                             make_rng(40))
+
+
+def test_accept_rows_w_draw_budget_names_slot():
+    # W = -B rejects every attempt with J >= 1, so some slot needs more than
+    # three draws long before every slot has drawn J = 0.
+    cfg = FORSConfig(b=1.0, max_w_per_call=3)
+    with pytest.raises(BudgetExhaustedError) as exc:
+        fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
+                         _ConstantRows(-1.0), cfg, 64, make_rng(41))
+    assert exc.value.chain is not None
+    assert 0 <= exc.value.w_draws <= 3
+
+
+def test_sample_many_w_draw_budget_is_a_total():
+    cfg = FORSConfig(b=1.0, max_w_per_call=3)
+    ledger = QueryLedger()
+    with pytest.raises(BudgetExhaustedError) as exc:
+        fors_sample_many(lambda k, rng: np.zeros((k, 1)), _ConstantRows(-1.0),
+                         cfg, 100, make_rng(42), ledger=ledger)
+    assert exc.value.w_draws <= 300
+    assert ledger.w_draws == exc.value.w_draws
 
 
 # ---------------------------------------------------------------------------

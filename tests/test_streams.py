@@ -1,0 +1,169 @@
+"""Pins the random streams of the sampling engines.
+
+Each case runs a small fixed-seed call and compares a SHA-256 digest of its
+outputs and ledger (or the exact floats, for the scalar estimators) with
+the value recorded when the test was written.  A refactor that keeps every
+stream passes unchanged.  A change to how random numbers are consumed fails
+here on purpose: such a change reruns the acceptance gate at the documented
+seeds, and the new digests are recorded together with its verdicts.
+"""
+
+import hashlib
+from functools import partial
+
+import numpy as np
+import pytest
+
+from forsample.constants import DEFAULT_CONSTANTS
+from forsample.core import AssumptionCase, make_gaussian_potential
+from forsample.fors import (FORSConfig, fors_accept_rows, fors_attempt_batch,
+                            fors_sample_many)
+from forsample.harness import discrete_instances
+from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
+from forsample.prox import ProxConfig, approx_prox, approx_prox_rows
+from forsample.rgo import (RGOContext, TiltProblem, first_order_w, sample_tilt,
+                           sample_tilt_many, zeroth_order_w)
+from forsample.sampler import Schedule, gaussian_initializer, run_proximal_sampler
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, QueryLedger):
+            part = sorted(part.as_dict().items())
+        if isinstance(part, np.ndarray):
+            h.update(str((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _spread():
+    # four support points, two-valued W: every draw consumes the source's rng
+    return discrete_instances()[3]
+
+
+def _tilt(noise_sigma: float = 0.5):
+    pot = make_gaussian_potential([0.3, -0.2])
+    ctx = RGOContext(TiltProblem(pot, [1.0, 0.5], 0.25), [0.6, 0.2], n_batch=3)
+    noise = NoiseModel.subgaussian(noise_sigma)
+    return pot, ctx, noise
+
+
+def _accept_rows():
+    inst = _spread()
+    ledger = QueryLedger()
+    out = fors_accept_rows(lambda active, rng: inst.proposal_rows(active.size, rng),
+                           inst, FORSConfig(b=inst.b), 257, make_rng(5, 1),
+                           ledger=ledger)
+    return _digest(out, ledger)
+
+
+def _sample_many():
+    inst = _spread()
+    ledger = QueryLedger()
+    out = fors_sample_many(inst.proposal_rows, inst, FORSConfig(b=inst.b), 3_000,
+                           make_rng(5, 2), ledger=ledger)
+    return _digest(out, ledger)
+
+
+def _attempt_batch():
+    inst = _spread()
+    ledger = QueryLedger()
+    mask = fors_attempt_batch(inst.proposal_rows, inst, FORSConfig(b=inst.b), 5_000,
+                              make_rng(5, 3), ledger=ledger)
+    return _digest(mask, ledger)
+
+
+def _sample_tilt(mode: str, oracle_cls):
+    pot, ctx, noise = _tilt()
+    oracle = oracle_cls(pot, noise, make_rng(5, 4))
+    ledger = QueryLedger()
+    rng = make_rng(5, 5)
+    results = [sample_tilt(ctx, mode, oracle, FORSConfig(b=2.0), rng, ledger=ledger)
+               for _ in range(40)]
+    return _digest(np.stack([r.point for r in results]),
+                   [(r.attempts, r.w_draws) for r in results], ledger, oracle.ledger)
+
+
+def _sample_tilt_many(mode: str, oracle_cls):
+    pot, ctx, noise = _tilt()
+    oracle = oracle_cls(pot, noise, make_rng(5, 6))
+    ledger = QueryLedger()
+    out = sample_tilt_many(ctx, mode, oracle, FORSConfig(b=2.0), 2_000,
+                           make_rng(5, 7), ledger=ledger)
+    return _digest(out, ledger, oracle.ledger)
+
+
+def _sampler():
+    pot = make_gaussian_potential([0.0])
+    sched = Schedule(mode="first_order", eta=0.05, n_steps=6, m_trunc=0.5,
+                     n_batch=4, eps_prox=0.1, g_bound=10.0, k_iters=5, b=1.0,
+                     delta=0.05, case=AssumptionCase("LSI", constant=1.0),
+                     constants=DEFAULT_CONSTANTS, planned_queries=0)
+    oracle = GradientOracle(pot, NoiseModel.subgaussian(0.5), make_rng(5, 8))
+    x, ledger = run_proximal_sampler(pot, oracle, sched, gaussian_initializer([2.0]),
+                                     64, make_rng(5, 9))
+    return _digest(x, ledger)
+
+
+def _prox_rows():
+    pot, _, noise = _tilt()
+    cfg = ProxConfig(eta=0.25, m_trunc=0.5, n_batch=3, g_bound=10.0, k_iters=7)
+    oracle = GradientOracle(pot, noise, make_rng(5, 10))
+    x0 = make_rng(5, 11).standard_normal((9, 2))
+    return _digest(approx_prox_rows(pot, oracle, x0, cfg, make_rng(5, 12)), oracle.ledger)
+
+
+PINNED = {
+    "fors_accept_rows": (_accept_rows, "37dd493b740870c0"),
+    "fors_sample_many": (_sample_many, "9d444ad6361f4aa1"),
+    "fors_attempt_batch": (_attempt_batch, "3f3a6cf3d72179fc"),
+    "sample_tilt_first": (partial(_sample_tilt, "first", GradientOracle),
+                          "6f41a05c1bcf933a"),
+    "sample_tilt_zeroth": (partial(_sample_tilt, "zeroth", ValueOracle),
+                           "1a838e5b750059ab"),
+    "sample_tilt_many_first": (partial(_sample_tilt_many, "first", GradientOracle),
+                               "260e4fcc45927e01"),
+    "sample_tilt_many_zeroth": (partial(_sample_tilt_many, "zeroth", ValueOracle),
+                                "f900569d3e05c8ed"),
+    "run_proximal_sampler": (_sampler, "1610e3c02a52b6e5"),
+    "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_stream_digest_is_pinned(name):
+    run, want = PINNED[name]
+    assert run() == want
+
+
+def test_scalar_estimator_draws_are_pinned():
+    # The random numbers each draw consumes are pinned exactly, through the
+    # generators' states afterwards.  The values are pinned to 1e-12: two
+    # algebraically equal forms of the same estimator (a dot product against
+    # a row-wise sum, say) round differently in the last few bits.
+    pot, ctx, noise = _tilt()
+    g_oracle = GradientOracle(pot, noise, make_rng(5, 13))
+    v_oracle = ValueOracle(pot, noise, make_rng(5, 14))
+    rng = make_rng(5, 15)
+    points = ([0.1, 0.4], [0.9, -0.3], [-0.5, 0.7])
+    first = [first_order_w(ctx, x, g_oracle, 2.0, rng) for x in points]
+    zeroth = [zeroth_order_w(ctx, x, v_oracle, 2.0, rng) for x in points]
+    assert first == pytest.approx(
+        [0.11741641532112121, -0.8746173843389878, -1.8944420225265846], rel=1e-12)
+    assert zeroth == pytest.approx(
+        [0.5863611163640727, -0.07590968748857058, -1.0679938600775043], rel=1e-12)
+    assert (g_oracle.ledger.grad_queries, v_oracle.ledger.value_queries) == (9, 18)
+    states = [r.bit_generator.state for r in (g_oracle.rng, v_oracle.rng, rng)]
+    assert _digest(states) == "6711215a9e5d0934"
+
+
+def test_scalar_prox_is_pinned():
+    pot, _, noise = _tilt()
+    cfg = ProxConfig(eta=0.25, m_trunc=0.5, n_batch=3, g_bound=10.0, k_iters=7)
+    oracle = GradientOracle(pot, noise, make_rng(5, 16))
+    xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg, make_rng(5, 17))
+    assert xhat.tolist() == [0.6867241840363064, -0.3748813715609144]
+    assert oracle.ledger.grad_queries == 21
