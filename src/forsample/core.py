@@ -38,7 +38,7 @@ def as_vector(x, dim: int | None = None) -> Array:
         raise DimensionError(f"expected a 1-D vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError("vector has non-finite entries")
     return arr
 
@@ -50,7 +50,7 @@ def as_rows(x, dim: int | None = None) -> Array:
         raise DimensionError(f"expected a (k, d) array, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionError(f"expected row dimension {dim}, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionError("row array has non-finite entries")
     return arr
 
@@ -261,13 +261,19 @@ class Potential:
         return as_vector(g, self.dim)
 
     def value_at_rows(self, xs: Array) -> Array:
-        xs = as_rows(xs, self.dim)
+        return self._value_at_valid_rows(as_rows(xs, self.dim))
+
+    def grad_at_rows(self, xs: Array) -> Array:
+        return self._grad_at_valid_rows(as_rows(xs, self.dim))
+
+    # the row forms on a stack the caller has already passed through as_rows
+
+    def _value_at_valid_rows(self, xs: Array) -> Array:
         if self.value_rows is not None:
             return np.asarray(self.value_rows(xs), dtype=np.float64)
         return np.array([self.value(row) for row in xs], dtype=np.float64)
 
-    def grad_at_rows(self, xs: Array) -> Array:
-        xs = as_rows(xs, self.dim)
+    def _grad_at_valid_rows(self, xs: Array) -> Array:
         if self.grad_rows is not None:
             return np.asarray(self.grad_rows(xs), dtype=np.float64)
         return np.stack([np.asarray(self.grad(row), dtype=np.float64) for row in xs])

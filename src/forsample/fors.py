@@ -11,12 +11,16 @@ Bernoulli factory of Beskos, Papaspiliopoulos & Roberts 2006 and Fearnhead,
 Papaspiliopoulos & Roberts 2008), so accepted points follow the density
 proportional to q(x) * exp(E[W|x]) exactly.
 
-``fors_sample`` is the scalar loop; it draws W lazily and rejects once the
-running product falls below the coin.  One coin kernel, ``_coin_rounds``,
-draws every J of a round at once under the three row engines:
-``fors_accept_rows`` (one acceptance per chain slot), ``fors_sample_many``
-(iid collector for one target) and ``fors_attempt_batch`` (fixed attempt
-count, for the acceptance-law diagnostic).
+Each factor (B + W_j)/(2B) is at most 1, so the running product only
+decreases and an attempt can be rejected as soon as it falls below the
+coin; its remaining W are never drawn.  Both kernels reject this way.
+``fors_sample`` is the scalar loop.  The row kernel, ``_coin_rounds``, runs
+the attempts of a round together: it draws the n-th W, in one call, for
+the attempts still alive after n - 1 draws.  It serves the three row
+engines: ``fors_accept_rows`` (one acceptance per chain slot),
+``fors_sample_many`` (iid collector for one target) and
+``fors_attempt_batch`` (fixed attempt count, for the acceptance-law
+diagnostic).
 """
 
 from __future__ import annotations
@@ -161,65 +165,70 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
         attempts=cfg.max_attempts, w_draws=w_draws_this_call)
 
 
-def segment_prod(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Product of consecutive segments of ``factors`` with given lengths.
-
-    Zero-length segments yield 1.  Equivalent to a per-segment python loop;
-    implemented with multiply.reduceat over the nonempty segments.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.sum() != factors.size:
-        raise ValueError("segment lengths do not match the factor array")
-    out = np.ones(counts.size)
-    nz = counts > 0
-    if factors.size:
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        out[nz] = np.multiply.reduceat(factors, starts[nz])
-    return out
-
-
 def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
                  ledger: QueryLedger, w_cap: int | None = None, n_slots: int = 1):
     """The row engines' acceptance coin, as a generator of round masks.
 
     Prime with ``next``, then ``send((xs, slots))`` per round: the (k, d)
-    proposals and the (k,) slot of each row.  Per row it draws J ~
-    Poisson(2B) and the coin u; it raises BudgetExhaustedError before any W
-    is drawn if a slot would pass ``w_cap`` draws; it draws all J estimators
-    in one call, validates them (shape, finiteness, range) and yields the
-    mask u < prod_j (B + W_j)/(2B).  As a generator it keeps a round's
+    proposals and the (k,) slot of each row.  The slots of a round are
+    distinct, or all 0 with ``n_slots == 1`` (one shared target).  Per row
+    it draws J ~ Poisson(2B) and the coin u, then runs sub-rounds
+    n = 1, 2, ...: sub-round n draws the n-th W, in one call, for each row
+    still alive (J >= n and running product >= u), validates it (shape,
+    finiteness, range) and multiplies (B + W)/(2B) into the row's product.
+    Each factor is at most 1, so a row whose product fell below u is
+    rejected without its remaining draws; the mask u < prod is the one the
+    full product gives.  Before a sub-round it raises BudgetExhaustedError
+    if a slot would pass ``w_cap`` draws.  As a generator it keeps a round's
     arrays alive until the next round replaces them, as an inline loop
     does, so the next round does not page-fault them in again.
     """
     mask = None
-    w_spent = np.zeros(n_slots)
+    w_spent = np.zeros(n_slots, dtype=np.int64)
     while True:
         xs, slots = yield mask
         k = xs.shape[0]
         js = poisson_inversion(2 * b, rng, size=k)
         u = rng.random(k)
         ledger.fors_attempts += k
-        if w_cap is not None:
-            # per row: its slot's draws so far plus this round's (slots may repeat)
-            after = w_spent[slots] + np.bincount(slots, js)[slots]
-            over = after > w_cap
-            if over.any():
-                slot = int(slots[np.argmax(over)])
-                raise BudgetExhaustedError("W-draw budget exhausted", chain=slot,
-                                           w_draws=int(w_spent[slot]))
-            w_spent[slots] = after
-        total = int(js.sum())
-        if total:
-            reps = np.repeat(np.arange(k), js)
-            ws = np.asarray(source.draw_w_rows(slots[reps], xs[reps], rng))
-            ledger.w_draws += total
-            if ws.shape != (total,):
+        prods = np.ones(k)
+        per_slot = w_cap is not None and n_slots > 1
+        if per_slot:
+            # room: the draws each row's slot has left.  A row about to make
+            # its n-th draw of the round passes the cap when n > room, which
+            # no row does while n <= tight.
+            room = w_cap - w_spent[slots]
+            tight = int(room.min())
+            drawn = np.zeros(k, dtype=np.int64)
+        live = np.flatnonzero(js)
+        n = 1
+        while live.size:
+            if per_slot:
+                if n > tight:
+                    over = room[live] < n
+                    if over.any():
+                        raise BudgetExhaustedError(
+                            "W-draw budget exhausted",
+                            chain=int(slots[live[np.argmax(over)]]), w_draws=w_cap)
+                drawn[live] = n
+            elif w_cap is not None:
+                # one shared slot: the live rows' draws add up
+                if w_spent[0] + live.size > w_cap:
+                    raise BudgetExhaustedError("W-draw budget exhausted", chain=0,
+                                               w_draws=int(w_spent[0]))
+                w_spent[0] += live.size
+            ws = np.asarray(source.draw_w_rows(slots[live], xs[live], rng))
+            ledger.w_draws += live.size
+            if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
-            if not np.all(np.abs(ws) <= b + 1e-12):
+            if not (np.abs(ws) <= b + 1e-12).all():
                 raise EstimatorRangeError("row estimator draw outside [-B, B]")
-            prods = segment_prod((b + ws) / (2 * b), js)
-        else:
-            prods = np.ones(k)
+            p = prods[live] * ((b + ws) / (2 * b))
+            prods[live] = p
+            n += 1
+            live = live[(js[live] >= n) & (p >= u[live])]
+        if per_slot:
+            w_spent[slots] += drawn
         mask = u < prods
 
 
@@ -232,8 +241,8 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     Each slot owns its own (possibly distinct) target; ``propose_rows`` and
     the source receive the slot indices so heterogeneous problems (one per
     chain) batch together.  Law-equivalent to calling ``fors_sample`` per
-    slot, including both budget caps; all J estimator draws of an attempt
-    are materialized at once.
+    slot, including both budget caps; W draws stop at the rejection, as in
+    ``fors_sample``, and count against the slot's ``max_w_per_call``.
     """
     ledger = ledger if ledger is not None else QueryLedger()
     out: np.ndarray | None = None
@@ -277,7 +286,9 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
     total_attempts = 0
     acc_est = math.exp(-b)  # pessimistic-ish initial guess, refined as we go
     attempt_cap = cfg.max_attempts * n_samples
-    # keep the expected 2B * k estimator rows per batch within memory bounds
+    # attempts per round: at most 2e6 / 2B, which keeps a round's expected
+    # J total near 2e6; a W call holds one row per live attempt, at most k.
+    # The value fixes how many rounds run, and so the random streams.
     row_cap = max(int(2_000_000 / max(2.0 * b, 1.0)), 1024)
     coin = _coin_rounds(source, b, rng, ledger, cfg.max_w_per_call * n_samples)
     next(coin)

@@ -186,7 +186,7 @@ class NoiseModel:
             hi = min(k, lo + rows_per_chunk)
             kk = hi - lo
             dirs = rng.standard_normal((kk, n, dim))
-            norms = np.linalg.norm(dirs, axis=2, keepdims=True)
+            norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
             np.divide(dirs, norms, out=dirs, where=norms > 0)
             radii = self._radii(kk * n, rng).reshape(kk, n, 1)
             out[lo:hi] = (dirs * radii).mean(axis=1)
@@ -354,7 +354,7 @@ class GradientOracle:
             raise ValueError("batch size must be >= 1")
         self.ledger.grad_queries += n * xs.shape[0]
         noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
-        return self.potential.grad_at_rows(xs) + noise
+        return self.potential._grad_at_valid_rows(xs) + noise
 
 
 class ValueOracle:
@@ -388,4 +388,4 @@ class ValueOracle:
             raise ValueError("batch size must be >= 1")
         self.ledger.value_queries += n * xs.shape[0]
         noise = self.noise.sample_value_batch(xs.shape[0], n, self.rng)
-        return self.potential.value_at_rows(xs) + noise
+        return self.potential._value_at_valid_rows(xs) + noise

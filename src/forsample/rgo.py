@@ -38,8 +38,9 @@ def pclip(w: float, b: float) -> float:
 def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
                r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points and velocities of the interpolation path, one row per time r."""
-    a = np.sin(np.pi * r / 2)[:, None]
-    c = np.cos(np.pi * r / 2)[:, None]
+    t = (np.pi / 2) * r
+    a = np.sin(t)[:, None]
+    c = np.cos(t)[:, None]
     gamma = a * xs + (1 - a) * xh + c * z
     gamma_dot = (np.pi / 2) * (c * (xs - xh) - a * z)
     return gamma, gamma_dot

@@ -213,10 +213,20 @@ def _n_zeroth_order(pot: Potential, case: AssumptionCase, delta: float,
     return max(int(math.ceil(constants.c_n * val)), 1)
 
 
+def _estimator_draws_per_call(b: float) -> float:
+    """Expected W draws of one acceptance call when W is identically 0.
+
+    An attempt draws its n-th W when J >= n and the first n - 1 factors
+    (each 1/2) stay above the coin: sum_n P(J >= n) 2^(1-n) = 2(1 - e^-B)
+    draws per attempt, and a call takes e^B attempts on average.
+    """
+    return 2.0 * math.expm1(b)
+
+
 def _first_order_cost(n_steps: int, n_batch: int, k_iters: int, b: float) -> int:
-    # per outer step: k_iters prox batches plus roughly 2B e^B estimator
-    # batches through the rejection loop, each of size n_batch
-    per_step = n_batch * (k_iters + 2.0 * b * math.exp(b))
+    # per outer step: k_iters prox batches plus the rejection loop's
+    # estimator batches, each of size n_batch
+    per_step = n_batch * (k_iters + _estimator_draws_per_call(b))
     return int(math.ceil(n_steps * per_step))
 
 
@@ -293,7 +303,8 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
         raise InfeasibleScheduleError(
             f"zeroth-order batch size infeasible at delta={delta:g}: {err}") from err
     g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
-    per_step = n_batch * 2.0 * (2.0 * constants.b_zeroth * math.exp(constants.b_zeroth))
+    # two value batches per estimator draw
+    per_step = n_batch * 2.0 * _estimator_draws_per_call(constants.b_zeroth)
     return Schedule(
         mode="zeroth_order", eta=eta, n_steps=n_steps, m_trunc=m_level,
         n_batch=n_batch, eps_prox=g_bound, g_bound=g_bound, k_iters=0,

@@ -2,15 +2,14 @@
 
 Covers the exact inversion Poisson draws, the scalar acceptance loop and its
 short-circuit, the vectorized engines (law equivalence to the exact discrete
-law, heterogeneous slots), budget accounting, and the W-draw tail diagnostic.
+law, heterogeneous slots, lazy W draws), budget accounting, and the W-draw
+tail diagnostic.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from forsample.errors import BudgetExhaustedError, EstimatorRangeError
@@ -23,9 +22,9 @@ from forsample.fors import (
     fors_sample,
     fors_sample_many,
     poisson_inversion,
-    segment_prod,
     wdraw_tail_check,
 )
+from forsample.harness import discrete_instances
 from forsample.oracles import QueryLedger, make_rng
 from forsample.verify import chi2_discrete, discrete_law_oracle
 
@@ -202,6 +201,24 @@ def test_acceptance_rate_w_minus_b_is_exp_minus_2b():
     assert abs(mask.mean() - p) <= 3 * se
 
 
+def test_row_coin_draws_lazily_on_the_flat_instance():
+    # W = 0 makes every factor 1/2, so an attempt draws its n-th W only when
+    # J >= n and u <= 2^(1-n): P(D >= n) = P(J >= n) 2^(1-n), and
+    # E[D] = 2(1 - e^-B).  Drawing all J would give E[D] = 2B.
+    flat = discrete_instances()[0]
+    ledger = QueryLedger()
+    n = 100_000
+    fors_attempt_batch(flat.proposal_rows, flat, FORSConfig(b=flat.b), n,
+                       make_rng(23), ledger=ledger)
+    steps = np.arange(1, 60)
+    tail = stats.poisson.sf(steps - 1, 2 * flat.b) * 0.5 ** (steps - 1)
+    mean = float(tail.sum())
+    assert mean == pytest.approx(2 * (1 - math.exp(-flat.b)), rel=1e-12)
+    var = float(((2 * steps - 1) * tail).sum()) - mean ** 2
+    assert ledger.fors_attempts == n
+    assert abs(ledger.w_draws / n - mean) <= 4 * math.sqrt(var / n)
+
+
 def test_acceptance_probability_closed_form():
     assert acceptance_probability([0.0], [1.0], 1.0) == pytest.approx(math.exp(-1.0))
     assert acceptance_probability([1.0], [1.0], 1.0) == pytest.approx(1.0)
@@ -219,32 +236,6 @@ def test_acceptance_probability_validation():
         acceptance_probability([0.0, 0.5], [1.2, -0.2], 1.0)
     with pytest.raises(EstimatorRangeError):
         acceptance_probability([1.5], [1.0], 1.0)
-
-
-# ---------------------------------------------------------------------------
-# segment products
-# ---------------------------------------------------------------------------
-
-def test_segment_prod_explicit():
-    out = segment_prod(np.array([2.0, 3.0, 4.0, 5.0]), np.array([2, 0, 1, 1]))
-    assert np.array_equal(out, [6.0, 1.0, 4.0, 5.0])
-    assert np.array_equal(segment_prod(np.array([]), np.array([0, 0])), [1.0, 1.0])
-    with pytest.raises(ValueError):
-        segment_prod(np.array([1.0, 2.0]), np.array([1]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(counts=st.lists(st.integers(0, 5), min_size=1, max_size=20),
-       seed=st.integers(0, 2 ** 16))
-def test_segment_prod_matches_sequential_loop(counts, seed):
-    counts = np.array(counts, dtype=np.int64)
-    factors = make_rng(seed).uniform(0.25, 1.75, size=int(counts.sum()))
-    out = segment_prod(factors, counts)
-    pos = 0
-    for i, c in enumerate(counts):
-        expect = math.prod(factors[pos:pos + c].tolist()) if c else 1.0
-        assert out[i] == pytest.approx(expect, rel=1e-12)
-        pos += int(c)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +404,30 @@ def test_row_engines_reject_bad_draws(engine, draws):
                              make_rng(40))
 
 
+class _CountingRows(_ConstantRows):
+    """Constant W that counts the draws made for each slot."""
+
+    def __init__(self, w, n_slots):
+        super().__init__(w)
+        self.drawn = np.zeros(n_slots, dtype=np.int64)
+
+    def draw_w_rows(self, slots, xs, rng):
+        np.add.at(self.drawn, slots, 1)
+        return super().draw_w_rows(slots, xs, rng)
+
+
 def test_accept_rows_w_draw_budget_names_slot():
-    # W = -B rejects every attempt with J >= 1, so some slot needs more than
-    # three draws long before every slot has drawn J = 0.
+    # W = -B rejects every attempt with J >= 1 after one draw, so some slot
+    # is about to draw its fourth W long before every slot has drawn J = 0;
+    # the error carries exactly the three draws that slot made.
+    source = _CountingRows(-1.0, 64)
     cfg = FORSConfig(b=1.0, max_w_per_call=3)
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
-                         _ConstantRows(-1.0), cfg, 64, make_rng(41))
+                         source, cfg, 64, make_rng(41))
     assert exc.value.chain is not None
-    assert 0 <= exc.value.w_draws <= 3
+    assert exc.value.w_draws == 3
+    assert source.drawn[exc.value.chain] == 3
 
 
 def test_sample_many_w_draw_budget_is_a_total():

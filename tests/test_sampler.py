@@ -110,7 +110,7 @@ def test_exact_first_order_plan_frozen_values():
     assert sched.eps_prox == pytest.approx(10.0)  # 10 (m_s + M) with M = 0
     assert sched.k_iters == 48
     assert sched.eta == pytest.approx(0.14468309118251618)
-    assert sched.planned_queries == 1657
+    assert sched.planned_queries == 1595
 
 
 def test_exact_zeroth_order_plan_frozen_values():
@@ -122,7 +122,7 @@ def test_exact_zeroth_order_plan_frozen_values():
     assert sched.k_iters == 0
     assert sched.eps_prox == sched.g_bound
     assert sched.eta == pytest.approx(0.013671140698334158)
-    assert sched.planned_queries == 24344
+    assert sched.planned_queries == 7711
 
 
 def test_first_order_eta_formula():
@@ -179,10 +179,10 @@ def test_zeroth_batch_grows_as_delta_shrinks():
 
 def test_planned_query_formulas():
     first = plan_first_order(_POT, NoiseModel.subgaussian(0.5), _LSI, _DELTA)
-    per_step = first.n_batch * (first.k_iters + 2 * first.b * math.exp(first.b))
+    per_step = first.n_batch * (first.k_iters + 2 * (math.exp(first.b) - 1))
     assert first.planned_queries == int(math.ceil(first.n_steps * per_step))
     zeroth = plan_zeroth_order(_POT, NoiseModel.subgaussian(0.5), _LSI, _DELTA)
-    per_step = zeroth.n_batch * 2 * (2 * zeroth.b * math.exp(zeroth.b))
+    per_step = zeroth.n_batch * 2 * (2 * (math.exp(zeroth.b) - 1))
     assert zeroth.planned_queries == int(math.ceil(zeroth.n_steps * per_step))
 
 

@@ -117,18 +117,18 @@ def _prox_rows():
 
 
 PINNED = {
-    "fors_accept_rows": (_accept_rows, "37dd493b740870c0"),
-    "fors_sample_many": (_sample_many, "9d444ad6361f4aa1"),
-    "fors_attempt_batch": (_attempt_batch, "3f3a6cf3d72179fc"),
+    "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
+    "fors_sample_many": (_sample_many, "f862ea0cc2216a03"),
+    "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
     "sample_tilt_first": (partial(_sample_tilt, "first", GradientOracle),
                           "6f41a05c1bcf933a"),
     "sample_tilt_zeroth": (partial(_sample_tilt, "zeroth", ValueOracle),
                            "1a838e5b750059ab"),
     "sample_tilt_many_first": (partial(_sample_tilt_many, "first", GradientOracle),
-                               "260e4fcc45927e01"),
+                               "ef0da1592ecefbeb"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, "zeroth", ValueOracle),
-                                "f900569d3e05c8ed"),
-    "run_proximal_sampler": (_sampler, "1610e3c02a52b6e5"),
+                                "bb5431aeccecc7eb"),
+    "run_proximal_sampler": (_sampler, "151fd17ad2cfe539"),
     "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
 }
 
