@@ -255,6 +255,7 @@ def discrete_instances() -> list[DiscreteWInstance]:
 
 def _fors_unit_seed(seed: int, samples: int) -> dict:
     result = {"seed": seed, "instances": []}
+    merged = QueryLedger()
     for inst in discrete_instances():
         ledger = QueryLedger()
         rng = make_rng(seed, 100 + len(result["instances"]))
@@ -278,6 +279,8 @@ def _fors_unit_seed(seed: int, samples: int) -> dict:
             "attempts": ledger.fors_attempts,
             "w_draws": ledger.w_draws,
         })
+        merged.merge(ledger)
+    result["ledger"] = merged.as_dict()
     return result
 
 
@@ -323,6 +326,9 @@ def run_fors_unit(cfg: ExperimentConfig,
                  "acceptance_exact": i["acceptance_exact"]}
                 for r in per_seed for i in r["instances"])
     merged = QueryLedger()
+    for r in per_seed:
+        merged.merge(QueryLedger(**r["ledger"]))
+    merged.merge(ledger)
     return ExperimentReport(
         experiment="fors_unit", config=_echo(cfg), constants=cfg.constants.as_dict(),
         per_seed=per_seed + [{"wdraw_check": {
@@ -436,6 +442,8 @@ def run_prox_check(cfg: ExperimentConfig,
     pcfg = ProxConfig(eta=eta, m_trunc=1e-9, n_batch=1, g_bound=10.0, k_iters=20)
     xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg, make_rng(0, 1))[0]
     exact_err = abs(float(xhat[0]) - fixed_point)
+    merged = QueryLedger().merge(exact.ledger)
+    merged.prox_iters += pcfg.k_iters
 
     # stochastic residual guarantee over independent trials
     noise = NoiseModel.subgaussian(0.2)
@@ -448,6 +456,8 @@ def run_prox_check(cfg: ExperimentConfig,
                           k_iters=25)
         starts = np.zeros((cfg.trials, 1))
         ends = approx_prox_rows(pot, oracle, starts, ncfg, make_rng(seed, 3))
+        merged.merge(oracle.ledger)
+        merged.prox_iters += ncfg.k_iters * cfg.trials
         residuals = np.abs(ends + eta * pot.grad_at_rows(ends) - starts)[:, 0]
         fail_rate = float((residuals > bound).mean())
         eps = eps_tail(noise, ncfg.n_batch, m_trunc)
@@ -470,7 +480,6 @@ def run_prox_check(cfg: ExperimentConfig,
     rows.extend({"seed": r["seed"], "failure_rate": r["failure_rate"],
                  "allowed": r["allowed"], "max_residual": r["max_residual"]}
                 for r in per_seed)
-    merged = QueryLedger()
     return ExperimentReport(
         experiment="prox_check", config=_echo(cfg),
         constants=cfg.constants.as_dict(),

@@ -11,9 +11,11 @@ noise family the module provides:
 * ``phi(noise, M, delta)`` : the smallest batch size n whose tail bound is
   at most delta / 10.
 
-Randomness is hierarchical: an experiment seed spawns per-chain streams,
-and each stream's draw counter advances deterministically, so identical
-seeds reproduce identical draw sequences bit for bit.
+Randomness comes from ``make_rng(seed, *path)``: one stream per (seed,
+path), consumed in a fixed order, so identical seeds reproduce identical
+draw sequences bit for bit.  Streams are not per chain: a sampler run draws
+all its chains from one Generator (and its oracle from one more), so the
+chain count shifts every stream.
 """
 
 from __future__ import annotations
@@ -166,7 +168,10 @@ class NoiseModel:
 
         Every one of the k rows averages n independent draws; heavy-tailed
         families materialize all k*n draws (chunked), the Gaussian family
-        uses the exact stability shortcut N(0, sigma^2/n).
+        uses the exact stability shortcut N(0, sigma^2/n).  A norm-radius
+        draw is a radius from the family law times a uniform direction on
+        the unit sphere; in one dimension the direction is a fair sign,
+        drawn from one uniform per draw.
         """
         if self.family == "exact":
             return np.zeros((k, dim))
@@ -185,6 +190,15 @@ class NoiseModel:
         for lo in range(0, k, rows_per_chunk):
             hi = min(k, lo + rows_per_chunk)
             kk = hi - lo
+            if dim == 1:
+                # the unit sphere of R^1 is {-1, +1}: a fair sign from one
+                # uniform, exact since P(u >= 1/2) = 1/2 on numpy's 2^-53 grid
+                radii = self._radii(kk * n, rng).reshape(kk, n)
+                signs = rng.random((kk, n))
+                signs -= 0.5
+                np.copysign(radii, signs, out=radii)
+                out[lo:hi] = radii if n == 1 else radii.mean(axis=1, keepdims=True)
+                continue
             dirs = rng.standard_normal((kk, n, dim))
             norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
             np.divide(dirs, norms, out=dirs, where=norms > 0)

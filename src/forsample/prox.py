@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, Potential, as_rows, as_vector
-from .errors import InfeasibleScheduleError, NumericError
+from .errors import DimensionError, InfeasibleScheduleError, NumericError
 from .oracles import GradientOracle
 
 
@@ -83,15 +83,25 @@ def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
 def approx_prox_rows(potential: Potential, oracle: GradientOracle,
                      x0_rows: np.ndarray, cfg: ProxConfig,
                      rng: np.random.Generator) -> np.ndarray:
-    """Row-vectorized approx_prox: one independent proximal run per row."""
+    """Row-vectorized approx_prox: one independent proximal run per row.
+
+    Each iterate is checked for finiteness once: by the oracle's row
+    validation when it is queried at the next step, and after the loop for
+    the last one.
+    """
     _check_step(potential, cfg.eta)
     x0_rows = as_rows(x0_rows, potential.dim)
     x = x0_rows.copy()
     for k in range(cfg.k_iters):
-        g = oracle.draw_batch_rows(x, cfg.n_batch)
+        try:
+            g = oracle.draw_batch_rows(x, cfg.n_batch)
+        except DimensionError as err:
+            if np.isfinite(x).all():
+                raise  # a shape error, not a blow-up
+            raise NumericError(f"non-finite prox iterate at step {k}") from err
         x = (x - cfg.eta * g + x0_rows) / 2.0
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite prox iterate at step {k + 1}")
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite prox iterate at step {cfg.k_iters}")
     return x
 
 

@@ -5,13 +5,20 @@ acceptance engines, the row estimators' ``draw_w_rows``, the prox
 iteration, ...) with counting wrappers.  Building a ``Tracer`` looks every
 wrap point up without applying any, and raises KeyError or AttributeError
 for one the package no longer has, so a refactor that renames a layer
-fails here and not only in the traced benchmark.
+fails here and not only in the traced benchmark.  A short traced run checks
+that the oracle counts at the wrap points equal the query ledger, so a
+query path that goes around ``GradientOracle.draw_batch_rows`` fails here
+too.
 """
 
 import importlib.util
 from pathlib import Path
 
-from forsample import fors, rgo
+from forsample import fors, rgo, sampler
+from forsample.constants import DEFAULT_CONSTANTS
+from forsample.core import AssumptionCase, make_gaussian_potential
+from forsample.oracles import GradientOracle, NoiseModel, make_rng
+from forsample.sampler import Schedule
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -37,3 +44,27 @@ def test_tracer_finds_every_wrap_point():
     # building the tracer patches nothing
     assert (fors.fors_accept_rows, rgo._FirstOrderRows.draw_w_rows,
             rgo._ZerothOrderRows.draw_w_rows) == before
+
+
+def test_traced_oracle_counts_match_the_ledger():
+    # every gradient query goes through GradientOracle.draw_batch_rows, the
+    # traced wrap point: a path around it would leave these counts short
+    pot = make_gaussian_potential([0.0])
+    sched = Schedule(mode="first_order", eta=0.05, n_steps=4, m_trunc=0.5,
+                     n_batch=3, eps_prox=0.1, g_bound=10.0, k_iters=5, b=1.0,
+                     delta=0.05, case=AssumptionCase("LSI", constant=1.0),
+                     constants=DEFAULT_CONSTANTS, planned_queries=0)
+    oracle = GradientOracle(pot, NoiseModel.subweibull(zeta=1.0, sigma_g=0.5),
+                            make_rng(3, 1))
+    tracer = _tracing().Tracer()
+    tracer.enable()
+    try:
+        _, ledger = sampler.run_proximal_sampler(
+            pot, oracle, sched, sampler.gaussian_initializer([1.0]), 8, make_rng(3, 2))
+    finally:
+        tracer.disable()
+    _, counts, _ = tracer.collect()
+    assert ledger.grad_queries > 0
+    assert counts["oracles.queries"] == ledger.grad_queries
+    assert counts["oracles.noise_draws"] == ledger.grad_queries  # d = 1
+    assert counts["sampler.outer_steps"] == sched.n_steps

@@ -141,6 +141,14 @@ def test_fors_unit_smoke(tmp_path):
     # per_seed carries the two seed entries plus the W-draw tail summary
     assert len(report.per_seed) == 3
     assert "wdraw_check" in report.per_seed[-1]
+    # the merged ledger holds every seed's instances and the W-draw check's
+    # scalar calls, at least one attempt each
+    instances = [i for r in report.per_seed[:-1] for i in r["instances"]]
+    led = report.merged_ledger
+    assert (led["fors_attempts"] - sum(i["attempts"] for i in instances)
+            >= report.per_seed[-1]["wdraw_check"]["calls"])
+    assert led["w_draws"] > sum(i["w_draws"] for i in instances) > 0
+    assert led["grad_queries"] == led["value_queries"] == 0
     assert (tmp_path / "fors_unit_report.json").exists()
     assert (tmp_path / "fors_unit_rows.csv").exists()
     payload = json.loads((tmp_path / "fors_unit_report.json").read_text())
@@ -165,6 +173,10 @@ def test_prox_check_runs_without_sink():
     assert report.verdicts["exact_convergence"]
     assert report.per_seed[0]["exact_error"] < 1e-10
     assert len(report.rows) == 2
+    # 20 exact iterations, then 300 rows x 25 iterations per seed
+    led = report.merged_ledger
+    assert led["grad_queries"] == led["prox_iters"] == 20 + 2 * 300 * 25
+    assert led["grad_queries"] == 20 + sum(r["grad_queries"] for r in report.per_seed[1:])
 
 
 def test_lower_bound_budget_rule_smoke():

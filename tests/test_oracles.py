@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from forsample import oracles
 from forsample.core import make_gaussian_potential
 from forsample.errors import DimensionError, UnsupportedCombinationError
 from forsample.oracles import (GradientOracle, NOISE_FAMILIES, NoiseModel,
@@ -57,25 +59,79 @@ def test_noise_validation_errors():
         NoiseModel.twopoint(p=0.5, m_shift=-1.0)
 
 
-@pytest.mark.parametrize("label", sorted(FAMILIES))
-def test_first_moment_matches_monte_carlo(label):
+# (label, dim) cases; the original ids are kept for the default dimension
+def _moment_cases(labels, default_dim):
+    cases = [pytest.param(label, 1 if label == "twopoint" else default_dim, id=label)
+             for label in labels]
+    cases += [pytest.param(label, 1, id=f"{label}-d1")
+              for label in ("subweibull", "polymoment")]
+    return cases
+
+
+@pytest.mark.parametrize("label,dim", _moment_cases(sorted(FAMILIES), 3))
+def test_first_moment_matches_monte_carlo(label, dim):
     noise = FAMILIES[label]
-    dim = 1 if label == "twopoint" else 3
     draws = noise.sample_batch_rows(200_000, 1, dim, make_rng(0, 5))
     norms = np.linalg.norm(draws, axis=1)
     se = norms.std() / math.sqrt(norms.size)
     assert abs(norms.mean() - noise.m1(dim)) <= 5 * se + 1e-12
 
 
-@pytest.mark.parametrize("label", ["subgaussian", "subweibull", "polymoment",
-                                   "twopoint"])
-def test_second_moment_matches_monte_carlo(label):
+@pytest.mark.parametrize("label,dim", _moment_cases(
+    ["subgaussian", "subweibull", "polymoment", "twopoint"], 2))
+def test_second_moment_matches_monte_carlo(label, dim):
     noise = FAMILIES[label]
-    dim = 1 if label == "twopoint" else 2
     draws = noise.sample_batch_rows(200_000, 1, dim, make_rng(1, 5))
     sq = np.sum(draws ** 2, axis=1)
     se = sq.std() / math.sqrt(sq.size)
     assert abs(sq.mean() - noise.second_moment(dim)) <= 5 * se
+
+
+# radius CDFs: Pareto(a = 2k + 1, x_m) and sigma_g * (E / 2)^(1 / zeta)
+def _radius_cdf(noise):
+    if noise.family == "polymoment":
+        return stats.pareto(noise._pareto_index, scale=noise._pareto_xm).cdf
+    return lambda r: -np.expm1(-2.0 * (r / noise.sigma_g) ** noise.zeta)
+
+
+_RADIUS_FAMILIES = ["subweibull", "polymoment"]
+
+
+@pytest.mark.parametrize("label", _RADIUS_FAMILIES)
+def test_one_dimensional_radius_law(label):
+    noise = FAMILIES[label]
+    draws = noise.sample_batch_rows(100_000, 1, 1, make_rng(10, 5))[:, 0]
+    assert stats.kstest(np.abs(draws), _radius_cdf(noise)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("label", _RADIUS_FAMILIES)
+def test_one_dimensional_sign_is_fair(label):
+    noise = FAMILIES[label]
+    draws = noise.sample_batch_rows(200_000, 1, 1, make_rng(11, 5))[:, 0]
+    assert not np.any(draws == 0.0)
+    assert stats.binomtest(int((draws > 0).sum()), draws.size).pvalue > 1e-3
+    # and independent of the radius: fair again among the larger half
+    big = draws[np.abs(draws) > np.median(np.abs(draws))]
+    assert stats.binomtest(int((big > 0).sum()), big.size).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("label", _RADIUS_FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_radius_draws_chunk_the_row_axis(monkeypatch, label, dim):
+    # a chunk of at most 900 draws: several chunks per call, one of them short
+    monkeypatch.setattr(oracles, "_CHUNK", 900)
+    noise = FAMILIES[label]
+    rng = make_rng(12, 5)
+    single = noise.sample_batch_rows(10_007, 1, dim, rng)
+    batched = noise.sample_batch_rows(10_007, 4, dim, rng)
+    assert single.shape == batched.shape == (10_007, dim)
+    assert np.all(np.isfinite(batched))
+    assert stats.kstest(np.linalg.norm(single, axis=1),
+                        _radius_cdf(noise)).pvalue > 1e-3
+    # the batch mean of 4 mean-zero draws has E||.||^2 = E||noise||^2 / 4
+    sq = np.sum(batched ** 2, axis=1)
+    se = sq.std() / math.sqrt(sq.size)
+    assert abs(sq.mean() - noise.second_moment(dim) / 4) <= 5 * se
 
 
 def test_polymoment_declared_2k_moment():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from forsample.core import Potential, make_gaussian_potential
-from forsample.errors import InfeasibleScheduleError, NumericError
+from forsample.errors import DimensionError, InfeasibleScheduleError, NumericError
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, make_rng
 from forsample.prox import (
     ProxConfig,
@@ -154,5 +154,37 @@ def test_non_finite_iterate_raises():
     pot = Potential(dim=1, value=lambda x: 0.0,
                     grad=lambda x: np.array([-1.7e308]),
                     holder_s=1.0, holder_beta=1.0, name="blowup")
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="at step 1$"):
         approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3), make_rng(0))
+
+
+def _flat_overflow(x):
+    return np.array([-1.7e308])
+
+
+def _steep(x):
+    # each step multiplies x by about 2.5e99: from x0 = 1 the iterates are
+    # finite up to step 3 and overflow at step 4
+    return -1e100 * x
+
+
+@pytest.mark.parametrize("grad,start,k_iters,step", [
+    (_flat_overflow, 9.5e307, 1, 1),  # the last iterate: the check after the loop
+    (_steep, 1.0, 6, 4),              # mid-loop: the oracle's row check finds it
+    (_steep, 1.0, 4, 4),              # the same blow-up on the last iterate
+])
+def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
+    pot = Potential(dim=1, value=lambda x: 0.0, grad=grad,
+                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericError, match=f"at step {step}$"):
+        approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters), make_rng(0))
+
+
+def test_oracle_shape_error_is_not_a_blow_up():
+    # an oracle built on a potential of another dimension rejects the finite
+    # iterate by its shape; that error is passed on as it is
+    pot = _quad()
+    oracle = _exact_oracle(make_gaussian_potential([0.0, 0.0]))
+    with pytest.raises(DimensionError, match="row dimension"):
+        approx_prox(pot, oracle, [0.0], _cfg(3), make_rng(0))

@@ -96,13 +96,13 @@ def _sample_tilt_many(mode: str, oracle_cls):
     return _digest(out, ledger, oracle.ledger)
 
 
-def _sampler():
+def _sampler(noise=NoiseModel.subgaussian(0.5)):
     pot = make_gaussian_potential([0.0])
     sched = Schedule(mode="first_order", eta=0.05, n_steps=6, m_trunc=0.5,
                      n_batch=4, eps_prox=0.1, g_bound=10.0, k_iters=5, b=1.0,
                      delta=0.05, case=AssumptionCase("LSI", constant=1.0),
                      constants=DEFAULT_CONSTANTS, planned_queries=0)
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(0.5), make_rng(5, 8))
+    oracle = GradientOracle(pot, noise, make_rng(5, 8))
     x, ledger = run_proximal_sampler(pot, oracle, sched, gaussian_initializer([2.0]),
                                      64, make_rng(5, 9))
     return _digest(x, ledger)
@@ -115,6 +115,16 @@ def _prox_rows():
     x0 = make_rng(5, 11).standard_normal((9, 2))
     return _digest(approx_prox_rows(pot, oracle, x0, cfg, make_rng(5, 12)), oracle.ledger)
 
+
+def _noise_rows(noise, dim):
+    # batch means (n = 5) and single draws (n = 1), one stream
+    rng = make_rng(5, 18)
+    return _digest(noise.sample_batch_rows(6, 5, dim, rng),
+                   noise.sample_batch_rows(4, 1, dim, rng))
+
+
+_POLYMOMENT = NoiseModel.polymoment(k=1, sigma_2k=0.5)
+_SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
 
 PINNED = {
     "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
@@ -130,6 +140,18 @@ PINNED = {
                                 "bb5431aeccecc7eb"),
     "run_proximal_sampler": (_sampler, "151fd17ad2cfe539"),
     "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
+    # radius noise in one dimension: a fair sign per draw
+    "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
+                            "491c93810fcfb58b"),
+    "noise_subweibull_d1": (partial(_noise_rows, _SUBWEIBULL, 1),
+                            "f3c58c6e5df0d75f"),
+    "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
+                                           "49e57d03df336b78"),
+    # radius noise in d >= 2: a normal divided by its norm per draw
+    "noise_polymoment_d3": (partial(_noise_rows, _POLYMOMENT, 3),
+                            "2aecae1878d334c7"),
+    "noise_subweibull_d3": (partial(_noise_rows, _SUBWEIBULL, 3),
+                            "29e6e5e3af4e917a"),
 }
 
 
