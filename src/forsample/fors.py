@@ -26,6 +26,7 @@ diagnostic).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Protocol
@@ -52,14 +53,24 @@ def _poisson_cdf_table(lam: float) -> np.ndarray:
     return np.cumsum(pmf)
 
 
+@lru_cache(maxsize=64)
+def _poisson_cdf_list(lam: float) -> list[float]:
+    return _poisson_cdf_table(lam).tolist()
+
+
 def poisson_inversion(lam: float, rng: np.random.Generator,
                       size: int | None = None):
-    """Exact Poisson(lam) draws by CDF inversion of one uniform each."""
+    """Exact Poisson(lam) draws by CDF inversion of one uniform each.
+
+    ``size=None`` returns one int; ``bisect_left`` on the table's float list
+    is ``searchsorted(side="left")``, so n scalar draws equal one size-n draw.
+    """
+    if size is None:
+        cdf = _poisson_cdf_list(float(lam))
+        return min(bisect_left(cdf, rng.random()), len(cdf) - 1)
     cdf = _poisson_cdf_table(float(lam))
-    u = rng.random(size if size is not None else 1)
-    j = np.searchsorted(cdf, u, side="left")
-    j = np.minimum(j, len(cdf) - 1)
-    return j if size is not None else int(j[0])
+    j = np.searchsorted(cdf, rng.random(size), side="left")
+    return np.minimum(j, len(cdf) - 1)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import time
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,6 +192,7 @@ class DiscreteWInstance:
         assert self.w_values.shape == self.w_probs.shape
         assert np.allclose(self.w_probs.sum(axis=1), 1.0)
         assert np.all(np.abs(self.w_values) <= self.b)
+        object.__setattr__(self, "_q_cdf", np.cumsum(self.q))
 
     @property
     def n_points(self) -> int:
@@ -207,14 +209,17 @@ class DiscreteWInstance:
         return float(np.sum(self.q * np.exp(self.w_means() - self.b)))
 
     def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        idx = np.searchsorted(np.cumsum(self.q), rng.random(k))
+        idx = np.searchsorted(self._q_cdf, rng.random(k))
         return idx.astype(float)[:, None]
 
     def scalar_source(self, ledger: QueryLedger | None = None) -> EstimatorSource:
+        cdfs = [np.cumsum(row).tolist() for row in self.w_probs]
+        values = self.w_values.tolist()
+        last = self.w_probs.shape[1] - 1
+
         def draw_w(x, rng):
             i = int(x[0])
-            j = int(np.searchsorted(np.cumsum(self.w_probs[i]), rng.random()))
-            return float(self.w_values[i, min(j, self.w_probs.shape[1] - 1)])
+            return values[i][min(bisect_left(cdfs[i], rng.random()), last)]
         return EstimatorSource(draw_w, ledger=ledger)
 
     def draw_w_rows(self, slots, xs, rng) -> np.ndarray:
@@ -650,9 +655,11 @@ def run_lower_bound(cfg: ExperimentConfig,
     verdicts = {"f_psi_closed_form": grid_ok}
     rows = sink.rows
     rows.extend(f_rows)
+    merged = QueryLedger()
     for name, adapter in (("sgld", sgld_adapter(step=0.1)),
                           ("proximal", proximal_adapter(eta=0.25, b=1.0))):
         res = coupled_run(adapter, pair, budget, trials, cfg.seeds[0])
+        merged.grad_queries += res.queries
         tv_arms = empirical_tv_two_sample(res.outputs_base, res.outputs_shifted)
         tv0 = empirical_tv_1d(res.outputs_base, target0)
         tv1 = empirical_tv_1d(res.outputs_shifted, target1)
@@ -662,6 +669,7 @@ def run_lower_bound(cfg: ExperimentConfig,
             "corrupted_fraction": res.corrupted_fraction,
             "coupling_bound": res.coupling_tv_bound,
             "clean_mismatches": res.clean_mismatches,
+            "grad_queries": res.queries,
             "tv_between_arms": tv_arms.value,
             "tv_arm0_vs_target": tv0.value, "tv_arm1_vs_target": tv1.value,
             "target_tv_exact": gaussian_tv_exact(0.0, delta),
@@ -680,7 +688,6 @@ def run_lower_bound(cfg: ExperimentConfig,
         verdicts[f"separation_{name}"] = bool(
             max(tv0.value, tv1.value) > delta / 8.0)
 
-    merged = QueryLedger()
     return ExperimentReport(
         experiment="lower_bound", config=_echo(cfg),
         constants=cfg.constants.as_dict(), per_seed=per_seed,

@@ -20,6 +20,13 @@ A query budget T below F_psi(delta)/10 therefore forces at least one arm's
 output law to be far from its own target: exact targets differ by
 TV(N(0,1), N(delta,1)) = 2 Phi(delta/2) - 1 >= delta/3 while the arms'
 outputs are within Tp <= delta/10 of each other.
+
+All of a coupled run's randomness comes from one tape generator,
+``make_rng(seed)``, read one fixed-width row per trial: the trial's
+max(T, 1) coupling uniforms, then four raw 64-bit words that seed the
+algorithm's stream.  Trial t's row starts at raw word t (max(T, 1) + 4), so
+a trial's draws depend only on the seed and t, never on how many random
+numbers earlier trials spent.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .fors import poisson_inversion
 from .oracles import make_rng
 
 _F_PSI_CAP = 1e12
+_MASK_128 = (1 << 128) - 1
 
 Adapter = Callable[[Callable[[float], float], int, np.random.Generator], float]
 
@@ -190,6 +198,7 @@ class CoupledRunResult:
     coupling_tv_bound: float
     clean_mismatches: int
     trials: int
+    queries: int       # answered oracle queries, both arms, all trials
 
     @property
     def corrupted_se(self) -> float:
@@ -201,27 +210,40 @@ def coupled_run(alg: Adapter, pair: AdversarialOraclePair, t_budget: int,
                 trials: int, seed: int) -> CoupledRunResult:
     """Run the algorithm against both arms with shared randomness per trial.
 
-    Each trial spawns one stream for the algorithm's internal randomness
-    (instantiated identically for both arms) and one stream of t_budget
-    coupling uniforms consumed query-by-query.  Outputs must agree exactly
-    on trials with zero corruptions; the count of violations of that
-    invariant is reported (it must be zero for a sound adapter).
+    Trial t reads one row of the tape ``make_rng(seed)`` when it starts:
+    max(t_budget, 1) coupling uniforms, consumed query by query, and four
+    raw words w0..w3.  The words set the algorithm's PCG64 stream for the
+    trial, state w0 2^64 + w1 and odd increment 2 (w2 2^64 + w3) + 1 mod
+    2^128, and both arms start from that same state.  Outputs must agree
+    exactly on trials with zero corruptions; the count of violations of
+    that invariant is reported (it must be zero for a sound adapter).
     """
     if t_budget < 0 or trials < 1:
         raise ValueError("need t_budget >= 0 and trials >= 1")
+    width = max(t_budget, 1)
+    tape = make_rng(seed)
+    words = tape.bit_generator
+    alg_rng = np.random.Generator(np.random.PCG64())
+    alg_bits = alg_rng.bit_generator
+    state = alg_bits.state
     out0 = np.empty(trials)
     out1 = np.empty(trials)
     corrupted = 0
     clean_mismatches = 0
+    queries = 0
     for trial in range(trials):
-        uniforms = make_rng(seed, trial, 1).random(max(t_budget, 1))
+        uniforms = tape.random(width)
+        w0, w1, w2, w3 = words.random_raw(4).tolist()
+        state["state"] = {"state": w0 << 64 | w1,
+                          "inc": ((w2 << 64 | w3) << 1 | 1) & _MASK_128}
         arms = []
         for shifted in (False, True):
             oracle = _MeteredOracle(pair, uniforms, t_budget, shifted)
-            alg_rng = make_rng(seed, trial, 0)
+            alg_bits.state = state
             arms.append((alg(oracle, t_budget, alg_rng), oracle))
         out0[trial], oracle0 = arms[0]
         out1[trial], oracle1 = arms[1]
+        queries += oracle0.queries + oracle1.queries
         if oracle1.corruptions > 0:
             corrupted += 1
         elif out0[trial] != out1[trial] or oracle0.queries != oracle1.queries:
@@ -230,7 +252,7 @@ def coupled_run(alg: Adapter, pair: AdversarialOraclePair, t_budget: int,
     return CoupledRunResult(
         outputs_base=out0, outputs_shifted=out1, corrupted_fraction=frac,
         coupling_tv_bound=min(t_budget * pair.p, 1.0),
-        clean_mismatches=clean_mismatches, trials=trials)
+        clean_mismatches=clean_mismatches, trials=trials, queries=queries)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,9 @@ class _FixedUniform:
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self, size):
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
         return np.array([self._values.pop(0) for _ in range(size)])
 
 

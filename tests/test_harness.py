@@ -190,6 +190,10 @@ def test_lower_bound_budget_rule_smoke():
     assert report.verdicts["f_psi_closed_form"]
     assert report.verdicts["coupling_sgld"]
     assert report.verdicts["coupling_proximal"]
+    # two adapters x two arms x 2000 trials, each arm answering T = 4 queries
+    led = report.merged_ledger
+    assert led["grad_queries"] == 2 * 2 * 2000 * 4
+    assert led["grad_queries"] == sum(e["grad_queries"] for e in report.per_seed)
 
 
 # ---------------------------------------------------------------------------

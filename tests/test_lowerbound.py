@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from forsample.core import GaussianReference
 from forsample.errors import BudgetViolationError
@@ -191,7 +192,7 @@ def test_coupled_run_validation():
 
 
 def test_corrupted_se():
-    res = CoupledRunResult(np.zeros(1), np.zeros(1), 0.2, 0.5, 0, 100)
+    res = CoupledRunResult(np.zeros(1), np.zeros(1), 0.2, 0.5, 0, 100, queries=0)
     assert res.corrupted_se == pytest.approx(math.sqrt(0.2 * 0.8 / 100))
 
 
@@ -259,3 +260,79 @@ def test_starved_budget_leaves_an_arm_far_from_its_target():
                                  GaussianReference([delta], [1.0]))
     worst = max(tv_base.value, tv_shifted.value)
     assert worst > delta / 8.0
+
+
+# ---------------------------------------------------------------------------
+# the randomness tape
+# ---------------------------------------------------------------------------
+
+def _starved_pair():
+    return AdversarialOraclePair.from_psi(PsiFunction.power(2.0), 0.02)
+
+
+def test_coupled_run_counts_both_arms_queries():
+    # both adapters spend exactly T answered queries per arm and trial
+    pair = _starved_pair()
+    for adapter in (sgld_adapter(0.1), proximal_adapter(0.25, 1.0)):
+        result = coupled_run(adapter, pair, 4, 300, seed=18)
+        assert result.queries == 2 * 4 * 300
+
+
+@pytest.mark.parametrize("adapter", [sgld_adapter(0.1), proximal_adapter(0.25, 1.0)],
+                         ids=["sgld", "proximal"])
+def test_fewer_trials_are_a_prefix_of_more(adapter):
+    pair = _starved_pair()
+    short = coupled_run(adapter, pair, 4, 200, seed=19)
+    long = coupled_run(adapter, pair, 4, 500, seed=19)
+    assert np.array_equal(short.outputs_base, long.outputs_base[:200])
+    assert np.array_equal(short.outputs_shifted, long.outputs_shifted[:200])
+
+
+def test_extra_draws_do_not_carry_over_to_the_next_trial():
+    # one adapter spends a trial-dependent number of extra draws after its
+    # first; the next trial's first draw must not move
+    pair = _starved_pair()
+
+    def first_draw(oracle, budget, rng):
+        return rng.random()
+
+    def greedy(oracle, budget, rng):
+        first = rng.random()
+        rng.standard_normal(int(first * 50))
+        return first
+
+    plain = coupled_run(first_draw, pair, 3, 400, seed=20)
+    spent = coupled_run(greedy, pair, 3, 400, seed=20)
+    assert np.array_equal(plain.outputs_base, spent.outputs_base)
+    assert np.array_equal(plain.outputs_shifted, spent.outputs_shifted)
+
+
+def test_each_trial_gets_a_fresh_stream():
+    # the first normal of every trial's stream: N(0, 1) and uncorrelated
+    # from one trial to the next
+    pair = _starved_pair()
+    trials = 20_000
+    result = coupled_run(lambda oracle, budget, rng: rng.standard_normal(),
+                         pair, 4, trials, seed=21)
+    first = result.outputs_base
+    assert np.array_equal(first, result.outputs_shifted)
+    assert stats.kstest(first, "norm").pvalue > 1e-4
+    lag1 = np.corrcoef(first[:-1], first[1:])[0, 1]
+    assert abs(lag1) < 4.0 / math.sqrt(trials - 1)
+
+
+def test_coupled_run_builds_one_generator(monkeypatch):
+    # the tape is the only generator a coupled run seeds, whatever the
+    # number of trials
+    from forsample import lowerbound
+    calls = []
+
+    def counting(*key):
+        calls.append(key)
+        return make_rng(*key)
+
+    monkeypatch.setattr(lowerbound, "make_rng", counting)
+    pair = _starved_pair()
+    coupled_run(sgld_adapter(0.1), pair, 4, 50, seed=22)
+    coupled_run(proximal_adapter(0.25, 1.0), pair, 4, 70, seed=23)
+    assert calls == [(22,), (23,)]

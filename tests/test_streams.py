@@ -17,8 +17,10 @@ import pytest
 from forsample.constants import DEFAULT_CONSTANTS
 from forsample.core import AssumptionCase, make_gaussian_potential
 from forsample.fors import (FORSConfig, fors_accept_rows, fors_attempt_batch,
-                            fors_sample_many)
+                            fors_sample_many, poisson_inversion)
 from forsample.harness import discrete_instances
+from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
+                                  proximal_adapter, sgld_adapter)
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
 from forsample.prox import ProxConfig, approx_prox, approx_prox_rows
 from forsample.rgo import (RGOContext, TiltProblem, first_order_w, sample_tilt,
@@ -123,6 +125,14 @@ def _noise_rows(noise, dim):
                    noise.sample_batch_rows(4, 1, dim, rng))
 
 
+def _coupled(adapter):
+    # delta = 0.02 and T = 4, the lower bound's starved budget
+    pair = AdversarialOraclePair.from_psi(PsiFunction.power(2.0), 0.02)
+    res = coupled_run(adapter, pair, 4, 300, seed=5)
+    return _digest(res.outputs_base, res.outputs_shifted, res.corrupted_fraction,
+                   res.clean_mismatches, res.queries)
+
+
 _POLYMOMENT = NoiseModel.polymoment(k=1, sigma_2k=0.5)
 _SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
 
@@ -147,6 +157,10 @@ PINNED = {
                             "f3c58c6e5df0d75f"),
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
                                            "49e57d03df336b78"),
+    # the lower bound: one tape row per trial
+    "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
+    "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
+                             "e6d3339c3d952313"),
     # radius noise in d >= 2: a normal divided by its norm per draw
     "noise_polymoment_d3": (partial(_noise_rows, _POLYMOMENT, 3),
                             "2aecae1878d334c7"),
@@ -189,3 +203,12 @@ def test_scalar_prox_is_pinned():
     xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg, make_rng(5, 17))
     assert xhat.tolist() == [0.6867241840363064, -0.3748813715609144]
     assert oracle.ledger.grad_queries == 21
+
+
+@pytest.mark.parametrize("lam", [2.0, 6.0, 30.0])
+def test_scalar_poisson_draws_equal_one_row_draw(lam):
+    # the scalar form bisects the same table with the same uniforms
+    rng = make_rng(5, 19)
+    scalar = [poisson_inversion(lam, rng) for _ in range(2_000)]
+    assert all(type(j) is int for j in scalar)
+    assert scalar == poisson_inversion(lam, make_rng(5, 19), size=2_000).tolist()
