@@ -8,6 +8,10 @@ and optionally a strong-log-concavity constant, a log-Sobolev constant,
 and a Poincaré constant.  Catalog constructors return well-known families
 with exact metadata and, where available, analytic 1-D reference
 densities used by the statistical verification tools.
+
+The reference laws take their normal CDF, gamma functions and root finder
+from scipy, imported inside the methods that call them: importing this
+module loads no scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
-from scipy import optimize, special, stats
 
 from .errors import DimensionError
 
@@ -61,6 +64,7 @@ def as_rows(x, dim: int | None = None) -> Array:
 
 def _ppf_from_cdf(cdf: Callable[[float], float], q: float,
                   lo: float, hi: float) -> float:
+    from scipy import optimize
     # expand the bracket until it contains q, then invert by brentq
     while cdf(lo) > q:
         lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
@@ -92,6 +96,7 @@ class GaussianReference:
     def _frozen(self):
         if self.dim != 1:
             raise DimensionError("pdf/cdf/ppf are 1-D operations; use marginal(i)")
+        from scipy import stats
         return stats.norm(self.mean[0], math.sqrt(self.variances[0]))
 
     def pdf(self, t):
@@ -120,6 +125,7 @@ class HuberReference:
 
     @property
     def _z(self) -> float:
+        from scipy import stats
         c = self.threshold
         core = math.sqrt(2 * math.pi) * (2 * stats.norm.cdf(c) - 1)
         tails = (2.0 / c) * math.exp(-c * c / 2)
@@ -132,6 +138,7 @@ class HuberReference:
         return np.exp(-f) / self._z
 
     def cdf(self, t):
+        from scipy import stats
         t = np.asarray(t, dtype=float)
         c, z = self.threshold, self._z
         tail = np.exp(-c * c / 2) / c          # mass of one exponential tail
@@ -164,10 +171,12 @@ class PowerReference:
 
     @property
     def _half_z(self) -> float:
+        from scipy import special
         p = self.p
         return (p ** (1.0 / p) / p) * special.gamma(1.0 / p)
 
     def variance(self) -> float:
+        from scipy import special
         p = self.p
         return p ** (2.0 / p) * special.gamma(3.0 / p) / special.gamma(1.0 / p)
 
@@ -176,6 +185,7 @@ class PowerReference:
         return np.exp(-np.abs(t) ** self.p / self.p) / (2 * self._half_z)
 
     def cdf(self, t):
+        from scipy import special
         t = np.asarray(t, dtype=float)
         g = special.gammainc(1.0 / self.p, np.abs(t) ** self.p / self.p)
         return 0.5 + 0.5 * np.sign(t) * g

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .core import Array, Potential, as_rows, as_vector
 from .errors import DimensionError, UnsupportedCombinationError
@@ -119,11 +118,13 @@ class NoiseModel:
         if self.family == "exact":
             return 0.0
         if self.family == "subgaussian":
+            from scipy import special
             # iid N(0, sigma_g^2/dim) coordinates; E||.|| via chi distribution
             chi_mean = math.sqrt(2.0) * math.exp(
                 special.gammaln((dim + 1) / 2.0) - special.gammaln(dim / 2.0))
             return self.sigma_g / math.sqrt(dim) * chi_mean
         if self.family == "subweibull":
+            from scipy import special
             # radius sigma_g * (E/2)^(1/zeta), E ~ Exp(1)
             return self.sigma_g * 2.0 ** (-1.0 / self.zeta) * special.gamma(1.0 + 1.0 / self.zeta)
         if self.family == "polymoment":
@@ -139,6 +140,7 @@ class NoiseModel:
         if self.family == "subgaussian":
             return self.sigma_g ** 2
         if self.family == "subweibull":
+            from scipy import special
             return self.sigma_g ** 2 * 2.0 ** (-2.0 / self.zeta) * special.gamma(1.0 + 2.0 / self.zeta)
         if self.family == "polymoment":
             a = self._pareto_index
@@ -197,18 +199,35 @@ class NoiseModel:
                 signs = rng.random((kk, n))
                 signs -= 0.5
                 np.copysign(radii, signs, out=radii)
-                out[lo:hi] = radii if n == 1 else radii.mean(axis=1, keepdims=True)
-                continue
-            dirs = rng.standard_normal((kk, n, dim))
-            norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
-            np.divide(dirs, norms, out=dirs, where=norms > 0)
-            radii = self._radii(kk * n, rng).reshape(kk, n, 1)
-            out[lo:hi] = (dirs * radii).mean(axis=1)
+                dirs = None
+            else:
+                dirs = rng.standard_normal((kk, n, dim))
+                norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
+                np.divide(dirs, norms, out=dirs, where=norms > 0)
+                radii = self._radii(kk * n, rng).reshape(kk, n, 1)
+            out[lo:hi] = _row_means(radii, dirs)
+            if self.family == "polymoment" and not np.isfinite(out[lo:hi]).all():
+                # a uniform of exactly 0.0 (probability 2^-53 a draw) gives the
+                # infinite radius x_m * 0^(-1/a); give it the radius of u = 1,
+                # x_m, so that u is uniform on numpy's grid in (0, 1]
+                np.copysign(self._pareto_xm, radii, out=radii, where=np.isinf(radii))
+                out[lo:hi] = _row_means(radii, dirs)
         return out
 
     def sample_value_batch(self, k: int, n: int, rng: np.random.Generator) -> Array:
         """(k,) scalar batch-mean noise draws for value oracles."""
         return self.sample_batch_rows(k, n, 1, rng)[:, 0]
+
+
+def _row_means(radii: Array, dirs: Array | None) -> Array:
+    """Batch means of one chunk of norm-radius draws.
+
+    In one dimension ``radii`` is (kk, n) and already signed; otherwise it is
+    (kk, n, 1) and scales the unit directions ``dirs`` of shape (kk, n, dim).
+    """
+    if dirs is None:
+        return radii if radii.shape[1] == 1 else radii.mean(axis=1, keepdims=True)
+    return (dirs * radii).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ so every cell holds exactly 1/bins of the analytic mass and the estimate is
 half the L1 error of the empirical cell masses.  The plug-in estimator is
 upward biased by at most sqrt(bins / (2 n)) in expectation, which reports
 carry alongside the point estimate.
+
+The KS and chi-square tests and the exact Gaussian TV come from
+``scipy.stats``, imported on first use inside those functions: importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DimensionError
 
@@ -121,12 +124,14 @@ def gaussian_tv_exact(mean1: float, mean2: float, sigma: float = 1.0) -> float:
     """Exact TV between two equal-variance 1-D Gaussians: 2 Phi(|dm|/2s) - 1."""
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
+    from scipy import stats
     gap = abs(mean1 - mean2) / (2.0 * sigma)
     return float(2.0 * stats.norm.cdf(gap) - 1.0)
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    from scipy import stats
     arr = _as_1d_samples(samples)
     result = stats.kstest(arr, cdf)
     return float(result.statistic), float(result.pvalue)
@@ -171,6 +176,7 @@ def chi2_discrete(counts, probs) -> tuple[float, float]:
         raise ValueError("counts and probs must be matching 1-D arrays")
     if not math.isclose(probs.sum(), 1.0, abs_tol=1e-9):
         raise ValueError("probs must sum to 1")
+    from scipy import stats
     expected = counts.sum() * probs
     result = stats.chisquare(counts, expected)
     return float(result.statistic), float(result.pvalue)
@@ -183,6 +189,7 @@ def chi2_uniformity(values, bins: int = 10) -> float:
         raise ValueError("need a 1-D array with at least 2 samples per bin")
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("values must lie in [0, 1]")
+    from scipy import stats
     counts, _ = np.histogram(arr, bins=bins, range=(0.0, 1.0))
     return float(stats.chisquare(counts).pvalue)
 

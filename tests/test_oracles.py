@@ -142,6 +142,43 @@ def test_polymoment_declared_2k_moment():
     assert second == pytest.approx(1.0, rel=0.05)
 
 
+class _PatchedUniform:
+    """A real generator whose first ``random`` call has one entry replaced."""
+
+    def __init__(self, seed, index, value):
+        self._rng = make_rng(seed, 5)
+        self._patch = (index, value)
+
+    def random(self, size=None):
+        u = self._rng.random(size)
+        if self._patch is not None:
+            index, value = self._patch
+            u.flat[index] = value
+            self._patch = None
+        return u
+
+    def standard_normal(self, size=None):
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in power")
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("n", [1, 4])
+def test_polymoment_zero_uniform_gets_the_radius_of_one(dim, n):
+    # rng.random() returns exactly 0.0 with probability 2^-53; the Pareto
+    # radius x_m * u^(-1/a) is then infinite.  The draw takes the radius of
+    # u = 1, so the output equals the run whose uniform was 1.0 bit for bit.
+    noise = FAMILIES["polymoment"]
+    zero = noise.sample_batch_rows(5, n, dim, _PatchedUniform(4, 2 * n, 0.0))
+    one = noise.sample_batch_rows(5, n, dim, _PatchedUniform(4, 2 * n, 1.0))
+    clean = noise.sample_batch_rows(5, n, dim, make_rng(4, 5))
+    assert np.all(np.isfinite(zero))
+    assert np.array_equal(zero, one)
+    # only the row that held the patched draw moves
+    assert np.array_equal(np.delete(zero, 2, axis=0), np.delete(clean, 2, axis=0))
+    assert not np.array_equal(zero[2], clean[2])
+
+
 def test_twopoint_draw_support_and_mean():
     noise = NoiseModel.twopoint(p=0.25, m_shift=2.0)
     draws = noise.sample_batch_rows(100_000, 1, 1, make_rng(3, 5))[:, 0]
