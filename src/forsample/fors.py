@@ -211,7 +211,7 @@ def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
             room = w_cap - w_spent[slots]
             tight = int(room.min())
             drawn = np.zeros(k, dtype=np.int64)
-        live = np.flatnonzero(js)
+        live = js.nonzero()[0]
         n = 1
         while live.size:
             if per_slot:
@@ -232,7 +232,7 @@ def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
             ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
-            if not (np.abs(ws) <= b + 1e-12).all():
+            if not np.logical_and.reduce(np.abs(ws) <= b + 1e-12):
                 raise EstimatorRangeError("row estimator draw outside [-B, B]")
             p = prods[live] * ((b + ws) / (2 * b))
             prods[live] = p

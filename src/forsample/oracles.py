@@ -16,6 +16,16 @@ path), consumed in a fixed order, so identical seeds reproduce identical
 draw sequences bit for bit.  Streams are not per chain: a sampler run draws
 all its chains from one Generator (and its oracle from one more), so the
 chain count shifts every stream.
+
+The proximal stage reads its noise in blocks: ``GradientOracle.noise_block``
+draws the noise of the next m iterations of k rows in one
+``sample_batch_rows`` call, with m = max(1, _BLOCK // (k * n * d)) capped
+by the iterations left, and each iteration hands its slice to
+``draw_batch_rows(xs, n, noise=...)``, which validates and meters the query
+as before.  Exact, subgaussian and twopoint noise read the generator one
+value at a time, so a block gives the same numbers as m separate calls; the
+norm-radius families draw all radii of a chunk before its signs or
+directions, so their streams depend on m whenever m > 1.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ _FAMILIES = NOISE_FAMILIES
 
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
+# most noise draws in one prox block (GradientOracle.noise_block)
+_BLOCK = 8192
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
@@ -124,9 +136,8 @@ class NoiseModel:
                 special.gammaln((dim + 1) / 2.0) - special.gammaln(dim / 2.0))
             return self.sigma_g / math.sqrt(dim) * chi_mean
         if self.family == "subweibull":
-            from scipy import special
             # radius sigma_g * (E/2)^(1/zeta), E ~ Exp(1)
-            return self.sigma_g * 2.0 ** (-1.0 / self.zeta) * special.gamma(1.0 + 1.0 / self.zeta)
+            return self.sigma_g * 2.0 ** (-1.0 / self.zeta) * math.gamma(1.0 + 1.0 / self.zeta)
         if self.family == "polymoment":
             a = self._pareto_index
             return self._pareto_xm * a / (a - 1.0)
@@ -140,8 +151,7 @@ class NoiseModel:
         if self.family == "subgaussian":
             return self.sigma_g ** 2
         if self.family == "subweibull":
-            from scipy import special
-            return self.sigma_g ** 2 * 2.0 ** (-2.0 / self.zeta) * special.gamma(1.0 + 2.0 / self.zeta)
+            return self.sigma_g ** 2 * 2.0 ** (-2.0 / self.zeta) * math.gamma(1.0 + 2.0 / self.zeta)
         if self.family == "polymoment":
             a = self._pareto_index
             if a <= 2:
@@ -152,12 +162,19 @@ class NoiseModel:
     # -- sampling ------------------------------------------------------------
 
     def _radii(self, size: int, rng: np.random.Generator) -> Array:
+        # in place, in the order sigma_g * (E / 2)^(1/zeta) and x_m * U^(-1/a)
         if self.family == "subweibull":
-            return self.sigma_g * (rng.exponential(1.0, size) / 2.0) ** (1.0 / self.zeta)
+            r = rng.exponential(1.0, size)
+            r /= 2.0
+            r **= 1.0 / self.zeta
+            r *= self.sigma_g
+            return r
         if self.family == "polymoment":
             # Pareto tail index a = 2k+1: R = x_m * U^(-1/a)
-            u = rng.random(size)
-            return self._pareto_xm * u ** (-1.0 / self._pareto_index)
+            r = rng.random(size)
+            r **= -1.0 / self._pareto_index
+            r *= self._pareto_xm
+            return r
         raise AssertionError("radii only defined for norm-radius families")
 
     def sample(self, dim: int, rng: np.random.Generator) -> Array:
@@ -184,11 +201,11 @@ class NoiseModel:
             if dim != 1:
                 raise DimensionError("twopoint noise is one-dimensional")
             draws = self.m_shift * (self.p - (rng.random((k, n)) < self.p))
-            return draws.mean(axis=1, keepdims=True)
+            return _mean_rows(draws)
         # norm-radius families: direction uniform on the sphere, radius from
         # the family law; average n draws per row, chunking the k axis
-        out = np.empty((k, dim))
         rows_per_chunk = max(1, _CHUNK // max(1, n * dim))
+        out = None if 0 < k <= rows_per_chunk else np.empty((k, dim))
         for lo in range(0, k, rows_per_chunk):
             hi = min(k, lo + rows_per_chunk)
             kk = hi - lo
@@ -205,18 +222,28 @@ class NoiseModel:
                 norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
                 np.divide(dirs, norms, out=dirs, where=norms > 0)
                 radii = self._radii(kk * n, rng).reshape(kk, n, 1)
-            out[lo:hi] = _row_means(radii, dirs)
-            if self.family == "polymoment" and not np.isfinite(out[lo:hi]).all():
+            means = _row_means(radii, dirs)
+            if self.family == "polymoment" and not np.isfinite(means).all():
                 # a uniform of exactly 0.0 (probability 2^-53 a draw) gives the
                 # infinite radius x_m * 0^(-1/a); give it the radius of u = 1,
                 # x_m, so that u is uniform on numpy's grid in (0, 1]
                 np.copysign(self._pareto_xm, radii, out=radii, where=np.isinf(radii))
-                out[lo:hi] = _row_means(radii, dirs)
+                means = _row_means(radii, dirs)
+            if out is None:
+                return means  # one chunk: its means are the rows
+            out[lo:hi] = means
         return out
 
     def sample_value_batch(self, k: int, n: int, rng: np.random.Generator) -> Array:
         """(k,) scalar batch-mean noise draws for value oracles."""
         return self.sample_batch_rows(k, n, 1, rng)[:, 0]
+
+
+def _mean_rows(draws: Array, keepdims: bool = True) -> Array:
+    """Means over axis 1: the sum and divide of ``draws.mean(axis=1)``."""
+    means = np.add.reduce(draws, axis=1, keepdims=keepdims)
+    means /= draws.shape[1]
+    return means
 
 
 def _row_means(radii: Array, dirs: Array | None) -> Array:
@@ -226,8 +253,8 @@ def _row_means(radii: Array, dirs: Array | None) -> Array:
     (kk, n, 1) and scales the unit directions ``dirs`` of shape (kk, n, dim).
     """
     if dirs is None:
-        return radii if radii.shape[1] == 1 else radii.mean(axis=1, keepdims=True)
-    return (dirs * radii).mean(axis=1)
+        return radii if radii.shape[1] == 1 else _mean_rows(radii)
+    return _mean_rows(dirs * radii, keepdims=False)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +407,34 @@ class GradientOracle:
         noise = self.noise.sample_batch_rows(1, n, self.potential.dim, self.rng)[0]
         return self.potential.grad_at(x) + noise
 
-    def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack; meters k*n queries."""
+    def noise_block(self, k: int, n: int, iters: int) -> Array:
+        """(m, k, d) batch-mean noise for the next m <= iters prox iterations.
+
+        m = max(1, _BLOCK // (k * n * d)), capped at ``iters``: one
+        ``sample_batch_rows`` call of m * k rows, iteration j owning rows
+        j*k to (j+1)*k.  Meters nothing; ``draw_batch_rows`` meters each
+        iteration's slice when it is used.
+        """
+        d = self.potential.dim
+        m = min(iters, max(1, _BLOCK // max(1, k * n * d)))
+        return self.noise.sample_batch_rows(m * k, n, d, self.rng).reshape(m, k, d)
+
+    def draw_batch_rows(self, xs: Array, n: int, noise: Array | None = None) -> Array:
+        """Row-wise batch means at a (k, d) stack; meters k*n queries.
+
+        ``noise``, when given, is the (k, d) batch-mean noise of these
+        queries (one iteration of a ``noise_block``); otherwise it is drawn.
+        """
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
+        if noise is None:
+            noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim,
+                                                 self.rng)
+        elif noise.shape != xs.shape:
+            raise DimensionError(f"noise block of shape {noise.shape} for queries "
+                                 f"of shape {xs.shape}")
         self.ledger.grad_queries += n * xs.shape[0]
-        noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
         return self.potential._grad_at_valid_rows(xs) + noise
 
 

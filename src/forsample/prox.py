@@ -74,7 +74,8 @@ def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
     Consumes exactly cfg.n_batch * cfg.k_iters gradient queries (metered by
     the oracle's ledger).  Raises InfeasibleScheduleError if the step-size
     condition fails and NumericError on a non-finite iterate.  The one-row
-    case of ``approx_prox_rows``.
+    case of ``approx_prox_rows``; ``rng`` is never read, the noise comes
+    from the oracle's own generator.
     """
     return approx_prox_rows(potential, oracle, as_vector(x0, potential.dim)[None],
                             cfg, rng)[0]
@@ -85,21 +86,30 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
                      rng: np.random.Generator) -> np.ndarray:
     """Row-vectorized approx_prox: one independent proximal run per row.
 
-    Each iterate is checked for finiteness once: by the oracle's row
-    validation when it is queried at the next step, and after the loop for
-    the last one.
+    ``rng`` is never read.  The gradient noise comes from the oracle's own
+    generator, in blocks of iterations (``GradientOracle.noise_block``);
+    every query still goes through ``draw_batch_rows``.  Each iterate is
+    checked for finiteness once: by the oracle's row validation when it is
+    queried at the next step, and after the loop for the last one.
     """
     _check_step(potential, cfg.eta)
     x0_rows = as_rows(x0_rows, potential.dim)
     x = x0_rows.copy()
-    for k in range(cfg.k_iters):
-        try:
-            g = oracle.draw_batch_rows(x, cfg.n_batch)
-        except DimensionError as err:
-            if np.isfinite(x).all():
-                raise  # a shape error, not a blow-up
-            raise NumericError(f"non-finite prox iterate at step {k}") from err
-        x = (x - cfg.eta * g + x0_rows) / 2.0
+    k = 0
+    while k < cfg.k_iters:
+        for noise in oracle.noise_block(x.shape[0], cfg.n_batch, cfg.k_iters - k):
+            try:
+                g = oracle.draw_batch_rows(x, cfg.n_batch, noise=noise)
+            except DimensionError as err:
+                if np.isfinite(x).all():
+                    raise  # a shape error, not a blow-up
+                raise NumericError(f"non-finite prox iterate at step {k}") from err
+            # x = (x - eta g + x0) / 2, in place, in that order
+            g *= cfg.eta
+            x -= g
+            x += x0_rows
+            x /= 2.0
+            k += 1
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite prox iterate at step {cfg.k_iters}")
     return x

@@ -107,6 +107,12 @@ class RGOContext:
         return (self.problem.x0 - self.xhat) / self.problem.eta
 
 
+def _clip(w: np.ndarray, b: float) -> np.ndarray:
+    """``np.clip(w, -b, b)``, in place on the fresh array w."""
+    np.maximum(w, -b, out=w)
+    return np.minimum(w, b, out=w)
+
+
 class _RowEstimator:
     """Per-slot proposal centers and tilt vectors shared by both estimators.
 
@@ -134,7 +140,7 @@ class _FirstOrderRows(_RowEstimator):
         gamma, gamma_dot = _path_rows(xs, self.xhat_rows[slots], z, r)
         g = self.oracle.draw_batch_rows(gamma, self.n_batch)
         w = np.einsum("kd,kd->k", gamma_dot, self.u_rows[slots] - g)
-        return np.clip(w, -self.b, self.b)
+        return _clip(w, self.b)
 
 
 class _ZerothOrderRows(_RowEstimator):
@@ -147,7 +153,7 @@ class _ZerothOrderRows(_RowEstimator):
         v = self.oracle.draw_batch_rows(xs, self.n_batch)
         v_prime = self.oracle.draw_batch_rows(z, self.n_batch)
         w = v_prime - v + np.einsum("kd,kd->k", self.u_rows[slots], xs - z)
-        return np.clip(w, -self.b, self.b)
+        return _clip(w, self.b)
 
 
 _ESTIMATORS = {"first": _FirstOrderRows, "zeroth": _ZerothOrderRows}

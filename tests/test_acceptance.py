@@ -22,6 +22,8 @@ from forsample.rgo import path_gamma
 from forsample.sampler import (gaussian_initializer, plan_first_order,
                                run_proximal_sampler)
 
+pytestmark = pytest.mark.gate
+
 
 def _verdict(number: int, ok: bool, detail: str) -> bool:
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}")

@@ -8,7 +8,7 @@ for one the package no longer has, so a refactor that renames a layer
 fails here and not only in the traced benchmark.  A short traced run checks
 that the oracle counts at the wrap points equal the query ledger, so a
 query path that goes around ``GradientOracle.draw_batch_rows`` fails here
-too.
+too, and so does a prox iteration that skips it.
 """
 
 import importlib.util
@@ -68,3 +68,8 @@ def test_traced_oracle_counts_match_the_ledger():
     assert counts["oracles.queries"] == ledger.grad_queries
     assert counts["oracles.noise_draws"] == ledger.grad_queries  # d = 1
     assert counts["sampler.outer_steps"] == sched.n_steps
+    # the prox stage draws its noise in blocks, yet each of its iterations is
+    # one draw_batch_rows call, beside one per first-order W call
+    assert counts["prox.iters"] == ledger.prox_iters == sched.n_steps * sched.k_iters * 8
+    assert counts["oracles.calls"] == (sched.n_steps * sched.k_iters
+                                       + counts["rgo.estimator_calls"])

@@ -1,7 +1,7 @@
 """scipy loads on first use, not when forsample is imported.
 
 scipy serves only the statistical checks, the reference laws and the
-noise-moment formulas; importing it costs about a second in a fresh
+subgaussian noise moments; importing it costs about a second in a fresh
 process.  Each test runs its script in a fresh interpreter, so that what
 this test process already imported cannot hide a module-level import.
 """
@@ -46,8 +46,12 @@ _NO_SCIPY_SCRIPT = """
                  cli.main(["list-noise"])]
     pot = make_gaussian_potential([0.0])
     case = AssumptionCase("LSI", constant=1.0, warm_start_delta=1.0)
-    for noise in (NoiseModel.exact(), NoiseModel.polymoment(k=2, sigma_2k=0.8)):
+    for noise in (NoiseModel.exact(), NoiseModel.polymoment(k=2, sigma_2k=0.8),
+                  NoiseModel.subweibull(zeta=1.0, sigma_g=0.2)):
         plan_first_order(pot, noise, case, 0.1)
+    for zeta in (0.5, 1.0, 2.0):
+        NoiseModel.subweibull(zeta=zeta, sigma_g=0.2).m1(3)
+        NoiseModel.subweibull(zeta=zeta, sigma_g=0.2).second_moment()
     before = scipy_modules()
     verify.ks_test([(i + 0.5) / 100 for i in range(100)], lambda t: t)
     print(json.dumps({"codes": codes, "before": before,

@@ -134,6 +134,15 @@ def test_radius_draws_chunk_the_row_axis(monkeypatch, label, dim):
     assert abs(sq.mean() - noise.second_moment(dim) / 4) <= 5 * se
 
 
+@pytest.mark.parametrize("label,dim", [(label, dim) for label in sorted(FAMILIES)
+                                       for dim in (1, 3)
+                                       if label != "twopoint" or dim == 1])
+def test_zero_rows_give_an_empty_stack(label, dim):
+    noise = FAMILIES[label]
+    for n in (1, 5):
+        assert noise.sample_batch_rows(0, n, dim, make_rng(13, 5)).shape == (0, dim)
+
+
 def test_polymoment_declared_2k_moment():
     # the Pareto radius is built so E R^{2k} equals sigma_2k^{2k} exactly
     noise = NoiseModel.polymoment(k=1, sigma_2k=1.0)
@@ -346,6 +355,43 @@ def test_single_draw_equals_batch_of_one():
     a = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
     b = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
     np.testing.assert_array_equal(a.draw([0.3]), b.draw_batch([0.3], 1))
+
+
+def test_supplied_noise_is_used_and_metered():
+    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
+    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 0))
+    state = oracle.rng.bit_generator.state
+    xs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    noise = np.arange(6.0).reshape(3, 2)
+    out = oracle.draw_batch_rows(xs, 4, noise=noise)
+    np.testing.assert_array_equal(out, pot.grad_at_rows(xs) + noise)
+    assert oracle.ledger.grad_queries == 3 * 4
+    # supplied noise reads nothing from the oracle's generator
+    assert oracle.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3, 2), (6,)])
+def test_supplied_noise_of_the_wrong_shape_is_rejected(shape):
+    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
+    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 1))
+    with pytest.raises(DimensionError, match="noise block"):
+        oracle.draw_batch_rows(np.zeros((3, 2)), 4, noise=np.zeros(shape))
+    assert oracle.ledger.grad_queries == 0
+
+
+@pytest.mark.parametrize("k,n,iters,m", [
+    (4, 1, 33, 33),          # the whole prox stage in one block
+    (4, 1, 5000, 2048),      # capped by _BLOCK // (k * n * d)
+    (100, 10, 25, 8),
+    (4, 1980, 33, 1),        # one iteration's draws already pass the cap
+])
+def test_noise_block_shape(k, n, iters, m):
+    pot = make_gaussian_potential([0.0], precision=1.0)
+    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 2))
+    assert oracles._BLOCK == 8192
+    block = oracle.noise_block(k, n, iters)
+    assert block.shape == (m, k, 1)
+    assert oracle.ledger.grad_queries == 0
 
 
 def test_twopoint_oracle_requires_1d():

@@ -155,8 +155,9 @@ PINNED = {
                             "491c93810fcfb58b"),
     "noise_subweibull_d1": (partial(_noise_rows, _SUBWEIBULL, 1),
                             "f3c58c6e5df0d75f"),
+    # the prox stage reads a block's radii before its signs
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
-                                           "49e57d03df336b78"),
+                                           "07a1915d1e3eaf4c"),
     # the lower bound: one tape row per trial
     "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
     "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
