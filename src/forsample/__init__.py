@@ -31,8 +31,8 @@ from .oracles import (NOISE_FAMILIES, GradientOracle, NoiseModel, QueryLedger,
                       ValueOracle, eps_tail, make_rng, phi)
 from .prox import (ProxConfig, approx_prox, approx_prox_rows, default_k_iters,
                    prox_residual, prox_residual_bound)
-from .rgo import (RGOContext, TiltProblem, first_order_w, path_gamma, pclip,
-                  sample_tilt, sample_tilt_many, tilt_eta_bound, zeroth_order_w)
+from .rgo import (RGOContext, TiltProblem, path_gamma, sample_tilt_many,
+                  tilt_eta_bound)
 from .sampler import (Schedule, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler,
                       schedule_from_dict, schedule_from_json,

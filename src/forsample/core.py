@@ -17,7 +17,7 @@ module loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -204,37 +204,36 @@ Reference = GaussianReference | HuberReference | PowerReference
 # potentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Potential:
     """A potential f with gradient access and smoothness metadata.
+
+    The potential is written once, as row formulas over a (k, dim) stack of
+    points; the single-point forms ``value_at``/``grad_at`` are their
+    one-row calls.
 
     Parameters
     ----------
     dim : int
         Ambient dimension; every vector passed in is validated against it.
-    value, grad : callables
-        f(x) -> float and grad f(x) -> (dim,) array for a single point.
+    value_rows, grad_rows : callables
+        (k, dim) -> (k,) values and (k, dim) gradients, one per row.
     holder_s, holder_beta : float
         Hölder-gradient parameters, s in [0, 1], beta > 0.
     slc_alpha, lsi_const, pi_const : optional floats
         Strong-log-concavity, log-Sobolev, and Poincaré constants when known.
         These are declared inputs, never estimated.
-    value_rows, grad_rows : optional vectorized callables
-        (k, dim) -> (k,) / (k, dim).  Used by the batched engines; a loop
-        fallback is installed when omitted.
     reference : optional analytic reference density for verification.
     """
 
     dim: int
-    value: Callable[[Array], float]
-    grad: Callable[[Array], Array]
+    value_rows: Callable[[Array], Array]
+    grad_rows: Callable[[Array], Array]
     holder_s: float
     holder_beta: float
     slc_alpha: float | None = None
     lsi_const: float | None = None
     pi_const: float | None = None
-    value_rows: Callable[[Array], Array] | None = None
-    grad_rows: Callable[[Array], Array] | None = None
     reference: Reference | None = None
     name: str = "custom"
 
@@ -264,29 +263,16 @@ class Potential:
         return self.holder_beta ** (1.0 / (1.0 + self.holder_s))
 
     def value_at(self, x) -> float:
-        return float(self.value(as_vector(x, self.dim)))
+        return float(self.value_at_rows(as_vector(x, self.dim)[None])[0])
 
     def grad_at(self, x) -> Array:
-        g = np.asarray(self.grad(as_vector(x, self.dim)), dtype=np.float64)
-        return as_vector(g, self.dim)
+        return self.grad_at_rows(as_vector(x, self.dim)[None])[0]
 
     def value_at_rows(self, xs: Array) -> Array:
-        return self._value_at_valid_rows(as_rows(xs, self.dim))
+        return np.asarray(self.value_rows(as_rows(xs, self.dim)), dtype=np.float64)
 
     def grad_at_rows(self, xs: Array) -> Array:
-        return self._grad_at_valid_rows(as_rows(xs, self.dim))
-
-    # the row forms on a stack the caller has already passed through as_rows
-
-    def _value_at_valid_rows(self, xs: Array) -> Array:
-        if self.value_rows is not None:
-            return np.asarray(self.value_rows(xs), dtype=np.float64)
-        return np.array([self.value(row) for row in xs], dtype=np.float64)
-
-    def _grad_at_valid_rows(self, xs: Array) -> Array:
-        if self.grad_rows is not None:
-            return np.asarray(self.grad_rows(xs), dtype=np.float64)
-        return np.stack([np.asarray(self.grad(row), dtype=np.float64) for row in xs])
+        return np.asarray(self.grad_rows(as_rows(xs, self.dim)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -328,24 +314,15 @@ def make_gaussian_potential(mean, precision: float = 1.0) -> Potential:
         raise ValueError("precision must be positive")
     lam = float(precision)
 
-    def value(x: Array) -> float:
-        d = x - mean
-        return 0.5 * lam * float(d @ d)
-
-    def grad(x: Array) -> Array:
-        return lam * (x - mean)
-
     return Potential(
         dim=mean.shape[0],
-        value=value,
-        grad=grad,
+        value_rows=lambda xs: 0.5 * lam * np.sum((xs - mean) ** 2, axis=1),
+        grad_rows=lambda xs: lam * (xs - mean),
         holder_s=1.0,
         holder_beta=lam,
         slc_alpha=lam,
         lsi_const=1.0 / lam,
         pi_const=1.0 / lam,
-        value_rows=lambda xs: 0.5 * lam * np.sum((xs - mean) ** 2, axis=1),
-        grad_rows=lambda xs: lam * (xs - mean),
         reference=GaussianReference(mean, np.full(mean.shape[0], 1.0 / lam)),
         name="gaussian",
     )
@@ -360,15 +337,13 @@ def make_aniso_gaussian_potential(mean, precisions) -> Potential:
 
     return Potential(
         dim=mean.shape[0],
-        value=lambda x: 0.5 * float(np.sum(lam * (x - mean) ** 2)),
-        grad=lambda x: lam * (x - mean),
+        value_rows=lambda xs: 0.5 * np.sum(lam * (xs - mean) ** 2, axis=1),
+        grad_rows=lambda xs: lam * (xs - mean),
         holder_s=1.0,
         holder_beta=float(lam.max()),
         slc_alpha=float(lam.min()),
         lsi_const=1.0 / float(lam.min()),
         pi_const=1.0 / float(lam.min()),
-        value_rows=lambda xs: 0.5 * np.sum(lam * (xs - mean) ** 2, axis=1),
-        grad_rows=lambda xs: lam * (xs - mean),
         reference=GaussianReference(mean, 1.0 / lam),
         name="aniso_gaussian",
     )
@@ -384,22 +359,13 @@ def make_huber_potential(threshold: float = 0.5, dim: int = 1) -> Potential:
     if not (c > 0):
         raise ValueError("threshold must be positive")
 
-    def value(x: Array) -> float:
-        a = np.abs(x)
-        return float(np.sum(np.where(a <= c, x * x / 2, c * a - c * c / 2)))
-
-    def grad(x: Array) -> Array:
-        return np.clip(x, -c, c)
-
     return Potential(
         dim=dim,
-        value=value,
-        grad=grad,
-        holder_s=0.0,
-        holder_beta=2.0 * c * math.sqrt(dim),
         value_rows=lambda xs: np.sum(
             np.where(np.abs(xs) <= c, xs * xs / 2, c * np.abs(xs) - c * c / 2), axis=1),
         grad_rows=lambda xs: np.clip(xs, -c, c),
+        holder_s=0.0,
+        holder_beta=2.0 * c * math.sqrt(dim),
         reference=HuberReference(c) if dim == 1 else None,
         name="huber",
     )
@@ -418,20 +384,12 @@ def make_power_potential(p: float = 1.5, dim: int = 1) -> Potential:
         raise ValueError("p must lie in (1, 2]")
     s = p - 1.0
 
-    def value(x: Array) -> float:
-        return float(np.sum(np.abs(x) ** p) / p)
-
-    def grad(x: Array) -> Array:
-        return np.abs(x) ** s * np.sign(x)
-
     return Potential(
         dim=dim,
-        value=value,
-        grad=grad,
-        holder_s=s,
-        holder_beta=2.0 ** (1.0 - s) * dim ** ((1.0 - s) / 2.0),
         value_rows=lambda xs: np.sum(np.abs(xs) ** p, axis=1) / p,
         grad_rows=lambda xs: np.abs(xs) ** s * np.sign(xs),
+        holder_s=s,
+        holder_beta=2.0 ** (1.0 - s) * dim ** ((1.0 - s) / 2.0),
         reference=PowerReference(p) if dim == 1 else None,
         name="power",
     )

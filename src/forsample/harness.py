@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PlanConstants
-from .core import AssumptionCase, Potential, potential_from_config
+from .core import AssumptionCase, GaussianReference, Potential, potential_from_config
 from .errors import ConfigError
 from .fors import (FORSConfig, EstimatorSource, fors_attempt_batch,
                    fors_sample, fors_sample_many, wdraw_tail_check)
@@ -356,7 +356,6 @@ TILT_M = 1.0
 
 def tilt_reference():
     """Analytic tilt law for f = x^2/2, x0 = 1, eta = 1/2: N(2/3, 1/3)."""
-    from .core import GaussianReference
     return GaussianReference(np.array([2.0 / 3.0]), np.array([1.0 / 3.0]))
 
 
@@ -647,7 +646,6 @@ def run_lower_bound(cfg: ExperimentConfig,
     budget = max(math.ceil(f_psi(psi, delta) / 10.0) - 1, 1)
     trials = min(cfg.trials if cfg.trials > 1000 else LB_TRIALS, LB_TRIALS)
 
-    from .core import GaussianReference
     target0 = GaussianReference(np.array([0.0]), np.array([1.0]))
     target1 = GaussianReference(np.array([delta]), np.array([1.0]))
 

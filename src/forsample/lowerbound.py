@@ -297,6 +297,7 @@ def proximal_adapter(eta: float = 0.25, b: float = 1.0) -> Adapter:
                 y = x + math.sqrt(eta) * rng.standard_normal()
                 xhat = y - eta * oracle(y) / 2.0    # one prox iteration from x0=y
                 u = (y - xhat) / eta
+                # inline: fors_sample's per-attempt checks and objects cost about 2x
                 while True:                          # rejection loop for this tilt
                     cand = xhat + math.sqrt(eta) * rng.standard_normal()
                     j = poisson_inversion(2.0 * b, rng)

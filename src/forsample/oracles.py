@@ -39,7 +39,6 @@ from .core import Array, Potential, as_rows, as_vector
 from .errors import DimensionError, UnsupportedCombinationError
 
 NOISE_FAMILIES = ("exact", "subgaussian", "subweibull", "polymoment", "twopoint")
-_FAMILIES = NOISE_FAMILIES
 
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
@@ -73,7 +72,7 @@ class NoiseModel:
     c_rate: float = 0.25
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.family in ("subgaussian", "subweibull") and not (self.sigma_g > 0):
             raise ValueError("sigma_g must be positive")
@@ -177,10 +176,6 @@ class NoiseModel:
             return r
         raise AssertionError("radii only defined for norm-radius families")
 
-    def sample(self, dim: int, rng: np.random.Generator) -> Array:
-        """One noise vector."""
-        return self.sample_batch_rows(1, 1, dim, rng)[0]
-
     def sample_batch_rows(self, k: int, n: int, dim: int,
                           rng: np.random.Generator) -> Array:
         """(k, dim) array of n-sample batch-mean noise draws.
@@ -233,10 +228,6 @@ class NoiseModel:
                 return means  # one chunk: its means are the rows
             out[lo:hi] = means
         return out
-
-    def sample_value_batch(self, k: int, n: int, rng: np.random.Generator) -> Array:
-        """(k,) scalar batch-mean noise draws for value oracles."""
-        return self.sample_batch_rows(k, n, 1, rng)[:, 0]
 
 
 def _mean_rows(draws: Array, keepdims: bool = True) -> Array:
@@ -395,17 +386,9 @@ class GradientOracle:
         """Analytic E||g - grad f|| of a single draw."""
         return self.noise.m1(self.potential.dim)
 
-    def draw(self, x) -> Array:
-        return self.draw_batch(x, 1)
-
     def draw_batch(self, x, n: int) -> Array:
-        """Mean of n independent draws at x; meters n gradient queries."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        x = as_vector(x, self.potential.dim)
-        self.ledger.grad_queries += n
-        noise = self.noise.sample_batch_rows(1, n, self.potential.dim, self.rng)[0]
-        return self.potential.grad_at(x) + noise
+        """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
+        return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
 
     def noise_block(self, k: int, n: int, iters: int) -> Array:
         """(m, k, d) batch-mean noise for the next m <= iters prox iterations.
@@ -435,7 +418,7 @@ class GradientOracle:
             raise DimensionError(f"noise block of shape {noise.shape} for queries "
                                  f"of shape {xs.shape}")
         self.ledger.grad_queries += n * xs.shape[0]
-        return self.potential._grad_at_valid_rows(xs) + noise
+        return self.potential.grad_rows(xs) + noise
 
 
 class ValueOracle:
@@ -452,21 +435,14 @@ class ValueOracle:
     def m1(self) -> float:
         return self.noise.m1(1)
 
-    def draw(self, x) -> float:
-        return self.draw_batch(x, 1)
-
     def draw_batch(self, x, n: int) -> float:
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        x = as_vector(x, self.potential.dim)
-        self.ledger.value_queries += n
-        noise = self.noise.sample_value_batch(1, n, self.rng)[0]
-        return self.potential.value_at(x) + float(noise)
+        """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
+        return float(self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0])
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         self.ledger.value_queries += n * xs.shape[0]
-        noise = self.noise.sample_value_batch(xs.shape[0], n, self.rng)
-        return self.potential._value_at_valid_rows(xs) + noise
+        noise = self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0]
+        return self.potential.value_rows(xs) + noise

@@ -123,7 +123,7 @@ def prox_residual(potential: Potential, xhat: Array, x0: Array,
     """
     xhat = as_vector(xhat, potential.dim)
     x0 = as_vector(x0, potential.dim)
-    return float(np.linalg.norm(xhat + eta * potential.grad(xhat) - x0))
+    return float(np.linalg.norm(xhat + eta * potential.grad_at(xhat) - x0))
 
 
 def prox_residual_bound(eta: float, m_s: float, m_trunc: float) -> float:

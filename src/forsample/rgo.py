@@ -9,10 +9,10 @@ and two clipped unbiased estimators of it drive the rejection loop:
 
 * first order: draw r ~ U[0,1], z ~ N(0, eta I), follow the trigonometric
   path gamma(r) = a_r x + (1 - a_r) xhat + b_r z with a_r = sin(pi r / 2),
-  b_r = cos(pi r / 2), and return pclip(<gamma'(r), u - g>, B) where g is a
-  stochastic gradient at gamma(r);
+  b_r = cos(pi r / 2), and return <gamma'(r), u - g> clipped to [-B, B],
+  where g is a stochastic gradient at gamma(r);
 * zeroth order: draw z ~ q and stochastic values v at x, v' at z, and return
-  pclip(v' - v + <u, x - z>, B).
+  v' - v + <u, x - z> clipped to [-B, B].
 
 Both have E[W | x] = log nu(x) - log q(x) + const up to the clipping
 residual, which the step-size conditions make negligible.
@@ -26,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Array, Potential, as_vector
-from .fors import FORSConfig, EstimatorSource, FORSResult, fors_sample, fors_sample_many
-from .oracles import GradientOracle, QueryLedger, ValueOracle
-
-
-def pclip(w: float, b: float) -> float:
-    """Clip a scalar to [-B, B]."""
-    return max(-b, min(b, w))
+from .fors import FORSConfig, fors_sample_many
+from .oracles import QueryLedger
 
 
 def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
@@ -158,67 +153,22 @@ class _ZerothOrderRows(_RowEstimator):
 
 _ESTIMATORS = {"first": _FirstOrderRows, "zeroth": _ZerothOrderRows}
 
-# the one slot of a single tilt problem
-_SLOT0 = np.zeros(1, dtype=np.int64)
-
-
-def _estimator(ctx: RGOContext, mode: str, oracle, b: float) -> _RowEstimator:
-    """The row estimator of ``mode`` for the single slot of ``ctx``."""
-    if mode not in _ESTIMATORS:
-        raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
-    return _ESTIMATORS[mode](oracle, ctx.xhat[None], ctx.u[None], ctx.problem.eta,
-                             b, ctx.n_batch)
-
-
-def _draw_one(rows: _RowEstimator, x: Array, rng: np.random.Generator) -> float:
-    x = as_vector(x, rows.xhat_rows.shape[1])
-    return float(rows.draw_w_rows(_SLOT0, x[None], rng)[0])
-
-
-def first_order_w(ctx: RGOContext, x: Array, oracle: GradientOracle,
-                  b: float, rng: np.random.Generator) -> float:
-    """One clipped first-order estimator draw at the proposal point x."""
-    return _draw_one(_estimator(ctx, "first", oracle, b), x, rng)
-
-
-def zeroth_order_w(ctx: RGOContext, x: Array, oracle: ValueOracle,
-                   b: float, rng: np.random.Generator) -> float:
-    """One clipped zeroth-order estimator draw at the proposal point x."""
-    return _draw_one(_estimator(ctx, "zeroth", oracle, b), x, rng)
-
-
-def sample_tilt(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
-                rng: np.random.Generator,
-                ledger: QueryLedger | None = None) -> FORSResult:
-    """Draw one sample from the Gaussian tilt via the FORS loop.
-
-    ``mode`` selects the estimator ("first" needs a GradientOracle, "zeroth"
-    a ValueOracle).  The proposal is N(xhat, eta I).  The output law equals
-    the clipped tilt exactly; it is within the stated total-variation bound
-    of nu whenever eta satisfies the relevant step condition.
-    """
-    pot = ctx.problem.potential
-    eta = ctx.problem.eta
-    ledger = ledger if ledger is not None else QueryLedger()
-    ledger.rgo_calls += 1
-    rows = _estimator(ctx, mode, oracle, cfg.b)
-    source = EstimatorSource(lambda x, r: _draw_one(rows, x, r), ledger=oracle.ledger)
-
-    def proposal(r: np.random.Generator) -> Array:
-        return ctx.xhat + math.sqrt(eta) * r.standard_normal(pot.dim)
-
-    return fors_sample(proposal, source, cfg, rng, ledger=ledger)
-
 
 def sample_tilt_many(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
                      n_samples: int, rng: np.random.Generator,
                      ledger: QueryLedger | None = None) -> np.ndarray:
-    """Vectorized iid tilt sampling: (n_samples, d) accepted points."""
+    """Vectorized iid tilt sampling: (n_samples, d) accepted points.
+
+    ``mode`` selects the estimator ("first" needs a GradientOracle, "zeroth"
+    a ValueOracle); the proposal is N(xhat, eta I).
+    """
+    if mode not in _ESTIMATORS:
+        raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
     pot = ctx.problem.potential
     eta = ctx.problem.eta
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
-    rows = _estimator(ctx, mode, oracle, cfg.b)
+    rows = _ESTIMATORS[mode](oracle, ctx.xhat[None], ctx.u[None], eta, cfg.b, ctx.n_batch)
 
     def proposal_rows(k: int, r: np.random.Generator) -> np.ndarray:
         return ctx.xhat + math.sqrt(eta) * r.standard_normal((k, pot.dim))

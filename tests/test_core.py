@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 
 from forsample.core import (AssumptionCase, CATALOG, GaussianReference,
-                            HuberReference, PowerReference, as_rows, as_vector,
-                            holder_spot_check, make_aniso_gaussian_potential,
+                            HuberReference, Potential, PowerReference, as_rows,
+                            as_vector, holder_spot_check,
+                            make_aniso_gaussian_potential,
                             make_gaussian_potential, make_huber_potential,
                             make_power_potential, potential_from_config)
 from forsample.errors import DimensionError
@@ -104,16 +105,62 @@ def test_potential_validation_errors():
         replace(pot, slc_alpha=2.0, lsi_const=1.0)
 
 
-def test_rows_match_scalar_loops():
-    rng = np.random.default_rng(3)
-    xs = rng.standard_normal((50, 2))
-    for pot in (make_gaussian_potential([0.1, -0.2], 1.5),
-                make_huber_potential(0.5, dim=2),
-                make_power_potential(1.5, dim=2)):
-        vals = np.array([pot.value_at(row) for row in xs])
-        grads = np.stack([pot.grad_at(row) for row in xs])
-        np.testing.assert_allclose(pot.value_at_rows(xs), vals, rtol=1e-12)
-        np.testing.assert_allclose(pot.grad_at_rows(xs), grads, rtol=1e-12)
+# closed forms at hand-picked rows: (factory, kwargs, rows, values, gradients)
+_CLOSED_FORMS = [
+    # the Huber core, the kink at c = 0.5, and tails on both sides
+    (make_huber_potential, {"threshold": 0.5, "dim": 2},
+     [[0.3, -0.2], [0.5, -0.7], [0.49, 0.51], [1.5, -2.0]],
+     [0.065, 0.35, 0.25005, 1.5],
+     [[0.3, -0.2], [0.5, -0.5], [0.49, 0.5], [0.5, -0.5]]),
+    # |t|^1.5 / 1.5 near 0 and in a tail
+    (make_power_potential, {"p": 1.5, "dim": 2},
+     [[0.0, 0.25], [1e-8, -4.0]],
+     [0.125 / 1.5, (1e-12 + 8.0) / 1.5],
+     [[0.0, 0.5], [1e-4, -2.0]]),
+    # per-axis weights 1 and 3 around the mean (0.5, -0.5)
+    (make_aniso_gaussian_potential, {"mean": [0.5, -0.5], "precisions": [1.0, 3.0]},
+     [[1.5, 0.5], [0.5, -1.5], [0.5, -0.5]],
+     [2.0, 1.5, 0.0],
+     [[1.0, 3.0], [0.0, -3.0], [0.0, 0.0]]),
+    (make_gaussian_potential, {"mean": [0.1, -0.2], "precision": 1.5},
+     [[1.1, 0.8], [0.1, -0.2]],
+     [1.5, 0.0],
+     [[1.5, 1.5], [0.0, 0.0]]),
+]
+_CLOSED_FORM_IDS = ["huber", "power", "aniso_gaussian", "gaussian"]
+
+
+@pytest.mark.parametrize("factory,kwargs,rows,values,grads", _CLOSED_FORMS,
+                         ids=_CLOSED_FORM_IDS)
+def test_rows_match_closed_forms(factory, kwargs, rows, values, grads):
+    pot = factory(**kwargs)
+    np.testing.assert_allclose(pot.value_at_rows(np.array(rows)), values,
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(pot.grad_at_rows(np.array(rows)), grads,
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("factory,kwargs", [(f, kw) for f, kw, *_ in _CLOSED_FORMS],
+                         ids=_CLOSED_FORM_IDS)
+def test_single_point_forms_are_one_row_of_a_stack(factory, kwargs):
+    pot = factory(**kwargs)
+    xs = np.random.default_rng(3).standard_normal((20, pot.dim))
+    values, grads = pot.value_at_rows(xs), pot.grad_at_rows(xs)
+    for i, row in enumerate(xs):
+        assert pot.value_at(row) == values[i]
+        np.testing.assert_array_equal(pot.grad_at(row), grads[i])
+
+
+def test_potential_takes_only_row_formulas_by_keyword():
+    rows = {"value_rows": lambda xs: np.zeros(len(xs)), "grad_rows": np.zeros_like}
+    pot = Potential(dim=1, holder_s=1.0, holder_beta=1.0, **rows)
+    assert pot.value_at([0.4]) == 0.0
+    with pytest.raises(TypeError):
+        # the scalar value/grad fields are gone
+        Potential(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros(1),
+                  holder_s=1.0, holder_beta=1.0)
+    with pytest.raises(TypeError):
+        Potential(1, rows["value_rows"], rows["grad_rows"], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -351,10 +351,18 @@ def test_gradient_oracle_determinism():
 
 
 def test_single_draw_equals_batch_of_one():
-    pot = make_gaussian_potential([0.0], precision=1.0)
-    a = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
-    b = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
-    np.testing.assert_array_equal(a.draw([0.3]), b.draw_batch([0.3], 1))
+    # the single-point draw is the one-row draw: same noise, same value,
+    # same ledger
+    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
+    x = np.array([0.3, -1.2])
+    for oracle_cls in (GradientOracle, ValueOracle):
+        a = oracle_cls(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
+        b = oracle_cls(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
+        for n in (1, 1, 5):
+            np.testing.assert_array_equal(a.draw_batch(x, n),
+                                          b.draw_batch_rows(x[None], n)[0])
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_supplied_noise_is_used_and_metered():
@@ -403,7 +411,7 @@ def test_twopoint_oracle_requires_1d():
 def test_value_oracle_exact_and_noisy():
     pot = make_gaussian_potential([0.0], precision=1.0)
     oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(0, 2))
-    assert oracle.draw([1.0]) == pytest.approx(0.5)
+    assert oracle.draw_batch([1.0], 1) == pytest.approx(0.5)
     assert oracle.draw_batch([1.0], 4) == pytest.approx(0.5)
     assert oracle.ledger.value_queries == 5
 

@@ -63,8 +63,9 @@ def test_exact_contraction_ratio():
 
 
 def test_flat_potential_keeps_x0():
-    pot = Potential(dim=2, value=lambda x: 0.0, grad=lambda x: np.zeros(2),
-                    holder_s=1.0, holder_beta=1.0, name="flat")
+    pot = Potential(dim=2, value_rows=lambda xs: np.zeros(len(xs)),
+                    grad_rows=np.zeros_like, holder_s=1.0, holder_beta=1.0,
+                    name="flat")
     xhat = approx_prox(pot, _exact_oracle(pot), [0.4, -0.6], _cfg(10), make_rng(0))
     assert np.array_equal(xhat, [0.4, -0.6])
 
@@ -158,24 +159,27 @@ def test_config_validation():
         ProxConfig(eta=0.5, m_trunc=0.0, n_batch=1, g_bound=0.0, k_iters=1)
 
 
+def _zero_values(xs):
+    return np.zeros(len(xs))
+
+
+def _flat_overflow(xs):
+    return np.full_like(xs, -1.7e308)
+
+
+def _steep(xs):
+    # each step multiplies x by about 2.5e99: from x0 = 1 the iterates are
+    # finite up to step 3 and overflow at step 4
+    return -1e100 * xs
+
+
 def test_non_finite_iterate_raises():
     # the gradient itself is finite, but x - eta * g overflows the float
     # range on the first step, which the iterate guard must catch
-    pot = Potential(dim=1, value=lambda x: 0.0,
-                    grad=lambda x: np.array([-1.7e308]),
+    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_flat_overflow,
                     holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="at step 1$"):
         approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3), make_rng(0))
-
-
-def _flat_overflow(x):
-    return np.array([-1.7e308])
-
-
-def _steep(x):
-    # each step multiplies x by about 2.5e99: from x0 = 1 the iterates are
-    # finite up to step 3 and overflow at step 4
-    return -1e100 * x
 
 
 @pytest.mark.parametrize("grad,start,k_iters,step", [
@@ -184,7 +188,7 @@ def _steep(x):
     (_steep, 1.0, 4, 4),              # the same blow-up on the last iterate
 ])
 def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
-    pot = Potential(dim=1, value=lambda x: 0.0, grad=grad,
+    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=grad,
                     holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore"), \
             pytest.raises(NumericError, match=f"at step {step}$"):
@@ -196,9 +200,8 @@ def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
     2731,  # blocks of 3: found mid-block
 ])
 def test_non_finite_iterate_names_the_step_across_blocks(rows):
-    pot = Potential(dim=1, value=lambda x: 0.0, grad=_steep,
-                    holder_s=1.0, holder_beta=1.0, name="blowup",
-                    grad_rows=_steep)
+    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_steep,
+                    holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="at step 4$"):
         approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6),

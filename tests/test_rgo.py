@@ -18,27 +18,23 @@ from scipy import stats
 from forsample.core import Potential, make_gaussian_potential, make_power_potential
 from forsample.errors import DimensionError
 from forsample.fors import FORSConfig, fors_sample_many
-from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
+from forsample.oracles import GradientOracle, NoiseModel, ValueOracle, make_rng
 from forsample.rgo import (
     RGOContext,
     TiltProblem,
     _FirstOrderRows,
     _ZerothOrderRows,
-    first_order_w,
     path_gamma,
-    pclip,
-    sample_tilt,
     sample_tilt_many,
     tilt_eta_bound,
-    zeroth_order_w,
 )
 from forsample.verify import ks_test
 
 
 def _flat_potential(dim: int = 1) -> Potential:
-    return Potential(dim=dim, value=lambda x: 0.0,
-                     grad=lambda x: np.zeros(dim),
-                     holder_s=1.0, holder_beta=1.0, name="flat")
+    return Potential(dim=dim, value_rows=lambda xs: np.zeros(len(xs)),
+                     grad_rows=np.zeros_like, holder_s=1.0, holder_beta=1.0,
+                     name="flat")
 
 
 def _quadratic_setup():
@@ -47,12 +43,6 @@ def _quadratic_setup():
     problem = TiltProblem(pot, [1.0], 0.5)
     ctx = RGOContext(problem, [0.2])
     return pot, problem, ctx
-
-
-def test_pclip():
-    assert pclip(2.5, 1.0) == 1.0
-    assert pclip(-3.0, 1.0) == -1.0
-    assert pclip(0.3, 1.0) == 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +158,12 @@ def test_flat_potential_centered_context_gives_zero_w():
     ctx = RGOContext(problem, [0.0])
     g_oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(64, 0))
     v_oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(64, 1))
-    for x in (-2.0, 0.0, 3.5):
-        assert first_order_w(ctx, [x], g_oracle, 1.0, make_rng(64, 2)) == 0.0
-        assert zeroth_order_w(ctx, [x], v_oracle, 1.0, make_rng(64, 3)) == 0.0
+    first = _FirstOrderRows(g_oracle, ctx.xhat[None], ctx.u[None], problem.eta, 1.0, 1)
+    zeroth = _ZerothOrderRows(v_oracle, ctx.xhat[None], ctx.u[None], problem.eta, 1.0, 1)
+    slots = np.zeros(3, dtype=np.int64)
+    xs = np.array([[-2.0], [0.0], [3.5]])
+    np.testing.assert_array_equal(first.draw_w_rows(slots, xs, make_rng(64, 2)), 0.0)
+    np.testing.assert_array_equal(zeroth.draw_w_rows(slots, xs, make_rng(64, 3)), 0.0)
 
 
 def test_heavy_noise_drives_clipping():
@@ -248,24 +241,9 @@ def test_zeroth_order_sign_flip_breaks_the_law():
     assert p < 1e-6
 
 
-def test_scalar_tilt_sampler_agrees():
-    pot, ctx = _centered_ctx()
-    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(70, 0))
-    ledger = QueryLedger()
-    rng = make_rng(70, 1)
-    cfg = FORSConfig(b=3.0)
-    draws = np.array([
-        sample_tilt(ctx, "first", oracle, cfg, rng, ledger=ledger).point[0]
-        for _ in range(300)])
-    assert ledger.rgo_calls == 300
-    assert abs(draws.mean() - _TILT_MEAN) <= 4 * _TILT_SD / math.sqrt(300)
-
-
 def test_mode_validation():
     pot, ctx = _centered_ctx()
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(0))
-    with pytest.raises(ValueError):
-        sample_tilt(ctx, "second", oracle, FORSConfig(b=3.0), make_rng(1))
     with pytest.raises(ValueError):
         sample_tilt_many(ctx, "second", oracle, FORSConfig(b=3.0), 10, make_rng(1))
 

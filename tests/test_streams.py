@@ -23,8 +23,8 @@ from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_ru
                                   proximal_adapter, sgld_adapter)
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
 from forsample.prox import ProxConfig, approx_prox, approx_prox_rows
-from forsample.rgo import (RGOContext, TiltProblem, first_order_w, sample_tilt,
-                           sample_tilt_many, zeroth_order_w)
+from forsample.rgo import (RGOContext, TiltProblem, _FirstOrderRows, _ZerothOrderRows,
+                           sample_tilt_many)
 from forsample.sampler import Schedule, gaussian_initializer, run_proximal_sampler
 
 
@@ -78,17 +78,6 @@ def _attempt_batch():
     return _digest(mask, ledger)
 
 
-def _sample_tilt(mode: str, oracle_cls):
-    pot, ctx, noise = _tilt()
-    oracle = oracle_cls(pot, noise, make_rng(5, 4))
-    ledger = QueryLedger()
-    rng = make_rng(5, 5)
-    results = [sample_tilt(ctx, mode, oracle, FORSConfig(b=2.0), rng, ledger=ledger)
-               for _ in range(40)]
-    return _digest(np.stack([r.point for r in results]),
-                   [(r.attempts, r.w_draws) for r in results], ledger, oracle.ledger)
-
-
 def _sample_tilt_many(mode: str, oracle_cls):
     pot, ctx, noise = _tilt()
     oracle = oracle_cls(pot, noise, make_rng(5, 6))
@@ -140,10 +129,6 @@ PINNED = {
     "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
     "fors_sample_many": (_sample_many, "f862ea0cc2216a03"),
     "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
-    "sample_tilt_first": (partial(_sample_tilt, "first", GradientOracle),
-                          "6f41a05c1bcf933a"),
-    "sample_tilt_zeroth": (partial(_sample_tilt, "zeroth", ValueOracle),
-                           "1a838e5b750059ab"),
     "sample_tilt_many_first": (partial(_sample_tilt_many, "first", GradientOracle),
                                "ef0da1592ecefbeb"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, "zeroth", ValueOracle),
@@ -177,7 +162,8 @@ def test_stream_digest_is_pinned(name):
 
 
 def test_scalar_estimator_draws_are_pinned():
-    # The random numbers each draw consumes are pinned exactly, through the
+    # One-row draws of the row estimators, the single-point W draws.  The
+    # random numbers each draw consumes are pinned exactly, through the
     # generators' states afterwards.  The values are pinned to 1e-12: two
     # algebraically equal forms of the same estimator (a dot product against
     # a row-wise sum, say) round differently in the last few bits.
@@ -186,8 +172,12 @@ def test_scalar_estimator_draws_are_pinned():
     v_oracle = ValueOracle(pot, noise, make_rng(5, 14))
     rng = make_rng(5, 15)
     points = ([0.1, 0.4], [0.9, -0.3], [-0.5, 0.7])
-    first = [first_order_w(ctx, x, g_oracle, 2.0, rng) for x in points]
-    zeroth = [zeroth_order_w(ctx, x, v_oracle, 2.0, rng) for x in points]
+    slot = np.zeros(1, dtype=np.int64)
+    args = (ctx.xhat[None], ctx.u[None], ctx.problem.eta, 2.0, ctx.n_batch)
+    first_rows = _FirstOrderRows(g_oracle, *args)
+    zeroth_rows = _ZerothOrderRows(v_oracle, *args)
+    first = [float(first_rows.draw_w_rows(slot, np.array([x]), rng)[0]) for x in points]
+    zeroth = [float(zeroth_rows.draw_w_rows(slot, np.array([x]), rng)[0]) for x in points]
     assert first == pytest.approx(
         [0.11741641532112121, -0.8746173843389878, -1.8944420225265846], rel=1e-12)
     assert zeroth == pytest.approx(
