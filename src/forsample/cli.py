@@ -15,6 +15,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,17 +23,17 @@ import sys
 import yaml
 
 from .constants import DEFAULT_CONSTANTS, PlanConstants
-from .core import CATALOG
+from .core import CASE_TAGS, CATALOG
 from .errors import ConfigError, ForsampleError
-from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
+from .harness import EXPERIMENTS, SUITES, ExperimentConfig, run_experiment
 from .oracles import NOISE_FAMILIES
+from .sampler import MODES
 
-_CASE_TAGS = ("LSI", "PI", "LC")
-_MODES = ("first_order", "zeroth_order")
+_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def _check_number(errors, raw, path, *, positive=False, nonneg=False):
-    value = raw
+def _check_number(errors, value, path, *, positive=False, nonneg=False,
+                  below_one=False):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{path}: expected a number, got {value!r}")
         return None
@@ -41,6 +42,9 @@ def _check_number(errors, raw, path, *, positive=False, nonneg=False):
         return None
     if nonneg and value < 0:
         errors.append(f"{path}: must be nonnegative, got {value!r}")
+        return None
+    if below_one and value >= 1:
+        errors.append(f"{path}: must be in (0, 1), got {float(value)!r}")
         return None
     return float(value)
 
@@ -53,8 +57,6 @@ def _check_int(errors, raw, path, *, minimum=1):
 
 
 def _validate_potential(errors, raw):
-    if raw is None:
-        return {"name": "gaussian", "params": {"mean": [0.0], "precision": 1.0}}
     if not isinstance(raw, dict):
         errors.append("potential: expected a mapping with name/params")
         return None
@@ -71,8 +73,6 @@ def _validate_potential(errors, raw):
 
 
 def _validate_noise(errors, raw):
-    if raw is None:
-        return {"family": "subgaussian", "sigma_g": 0.5}
     if not isinstance(raw, dict):
         errors.append("noise: expected a mapping with a family field")
         return None
@@ -103,28 +103,24 @@ def _validate_noise(errors, raw):
         if sig is not None:
             out["sigma_2k"] = sig
     elif family == "twopoint":
-        p = _check_number(errors, raw.get("p"), "noise.p", positive=True)
+        p = _check_number(errors, raw.get("p"), "noise.p", positive=True,
+                          below_one=True)
         m = _check_number(errors, raw.get("m_shift"), "noise.m_shift",
                           positive=True)
         if p is not None:
-            if p >= 1:
-                errors.append(f"noise.p: must be in (0, 1), got {p!r}")
-            else:
-                out["p"] = p
+            out["p"] = p
         if m is not None:
             out["m_shift"] = m
     return out
 
 
 def _validate_case(errors, raw):
-    if raw is None:
-        return {"tag": "LSI", "constant": 1.0, "warm_start_delta": 1.0}
     if not isinstance(raw, dict):
         errors.append("case: expected a mapping with a tag field")
         return None
     tag = raw.get("tag")
-    if tag not in _CASE_TAGS:
-        errors.append(f"case.tag: expected one of {_CASE_TAGS}, got {tag!r}")
+    if tag not in CASE_TAGS:
+        errors.append(f"case.tag: expected one of {CASE_TAGS}, got {tag!r}")
         return None
     out = {"tag": tag}
     if tag in ("LSI", "PI"):
@@ -145,8 +141,6 @@ def _validate_case(errors, raw):
 
 
 def _validate_constants(errors, raw):
-    if raw is None:
-        return DEFAULT_CONSTANTS
     if not isinstance(raw, dict):
         errors.append("constants: expected a mapping of named overrides")
         return None
@@ -169,73 +163,79 @@ def _validate_constants(errors, raw):
         return None
 
 
+def _validate_mode(errors, raw):
+    if raw not in MODES:
+        errors.append(f"mode: expected one of {MODES}, got {raw!r}")
+        return None
+    return raw
+
+
+def _check_list(errors, raw, path, expected, min_len, check):
+    if not isinstance(raw, (list, tuple)) or len(raw) < min_len:
+        errors.append(f"{path}: expected {expected}")
+        return None
+    checked = [check(errors, v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    return None if None in checked else tuple(checked)
+
+
+def _validate_output_dir(errors, raw):
+    if raw is not None and not isinstance(raw, str):
+        errors.append(f"output_dir: expected a string path, got {raw!r}")
+        return None
+    return raw
+
+
+_VALIDATORS = {
+    "potential": _validate_potential,
+    "noise": _validate_noise,
+    "case": _validate_case,
+    "mode": _validate_mode,
+    "delta": lambda errors, raw: _check_number(errors, raw, "delta", positive=True,
+                                               below_one=True),
+    "delta_grid": lambda errors, raw: _check_list(
+        errors, raw, "delta_grid", "a list of at least 4 accuracies", 4,
+        lambda e, v, path: _check_number(e, v, path, positive=True)),
+    "seeds": lambda errors, raw: _check_list(
+        errors, raw, "seeds", "a nonempty list of integers", 1,
+        lambda e, v, path: _check_int(e, v, path, minimum=0)),
+    "chains": lambda errors, raw: _check_int(errors, raw, "chains"),
+    "samples": lambda errors, raw: _check_int(errors, raw, "samples"),
+    "trials": lambda errors, raw: _check_int(errors, raw, "trials"),
+    "output_dir": _validate_output_dir,
+    "constants": _validate_constants,
+}
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping; raise ConfigError listing every problem found."""
+    """Validate a raw mapping; raise ConfigError listing every problem found.
+
+    Only the keys present are checked and passed on; the config fills the
+    rest from the suite's defaults.  A key the suite does not read is an
+    error.
+    """
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(["config: expected a mapping at the top level"])
+    if "output_dir" not in raw and "FORSAMPLE_OUT" in os.environ:
+        raw = {**raw, "output_dir": os.environ["FORSAMPLE_OUT"]}
 
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         errors.append(f"experiment: expected one of {sorted(EXPERIMENTS)}, "
                       f"got {experiment!r}")
+    values = {key: _VALIDATORS[key](errors, value)
+              for key, value in raw.items() if key in _VALIDATORS}
 
-    mode = raw.get("mode", "first_order")
-    if mode not in _MODES:
-        errors.append(f"mode: expected one of {_MODES}, got {mode!r}")
-
-    potential = _validate_potential(errors, raw.get("potential"))
-    noise = _validate_noise(errors, raw.get("noise"))
-    case = _validate_case(errors, raw.get("case"))
-    constants = _validate_constants(errors, raw.get("constants"))
-
-    delta = _check_number(errors, raw.get("delta", 0.05), "delta", positive=True)
-    if delta is not None and delta >= 1:
-        errors.append(f"delta: must be in (0, 1), got {delta!r}")
-        delta = None
-
-    grid_raw = raw.get("delta_grid", [0.2, 0.1, 0.05, 0.025])
-    grid = None
-    if not isinstance(grid_raw, (list, tuple)) or len(grid_raw) < 4:
-        errors.append("delta_grid: expected a list of at least 4 accuracies")
-    else:
-        checked = [_check_number(errors, d, f"delta_grid[{i}]", positive=True)
-                   for i, d in enumerate(grid_raw)]
-        if all(c is not None for c in checked):
-            grid = tuple(checked)
-
-    seeds_raw = raw.get("seeds", list(range(20)))
-    seeds = None
-    if not isinstance(seeds_raw, (list, tuple)) or not seeds_raw:
-        errors.append("seeds: expected a nonempty list of integers")
-    else:
-        checked = [_check_int(errors, s, f"seeds[{i}]", minimum=0)
-                   for i, s in enumerate(seeds_raw)]
-        if all(c is not None for c in checked):
-            seeds = tuple(checked)
-
-    chains = _check_int(errors, raw.get("chains", 10_000), "chains")
-    samples = _check_int(errors, raw.get("samples", 100_000), "samples")
-    trials = _check_int(errors, raw.get("trials", 1000), "trials")
-
-    out_dir = raw.get("output_dir", os.environ.get("FORSAMPLE_OUT"))
-    if out_dir is not None and not isinstance(out_dir, str):
-        errors.append(f"output_dir: expected a string path, got {out_dir!r}")
-        out_dir = None
-
-    known_keys = {"experiment", "potential", "noise", "case", "mode", "delta",
-                  "delta_grid", "seeds", "chains", "samples", "trials",
-                  "output_dir", "constants"}
-    extras = sorted(set(raw) - known_keys)
+    extras = sorted(set(raw) - set(_FIELDS))
     if extras:
         errors.append(f"config: unrecognized keys {extras}")
-
+    if experiment in EXPERIMENTS:
+        used = ("experiment", "output_dir") + SUITES[experiment].reads
+        errors.extend(f"{key}: {experiment} does not read this field"
+                      for key in _FIELDS if key in raw and key not in used)
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        experiment=experiment, potential=potential, noise=noise, case=case,
-        mode=mode, delta=delta, delta_grid=grid, seeds=seeds, chains=chains,
-        samples=samples, trials=trials, output_dir=out_dir, constants=constants)
+    return ExperimentConfig(experiment=experiment, **values)
 
 
 def _load_yaml(path: str) -> dict:
@@ -252,14 +252,9 @@ def _load_yaml(path: str) -> dict:
 
 
 def _apply_overrides(raw: dict, args) -> dict:
-    out = dict(raw)
-    if args.seed_override is not None:
-        out["seeds"] = args.seed_override
-    if args.chains is not None:
-        out["chains"] = args.chains
-    if args.out is not None:
-        out["output_dir"] = args.out
-    return out
+    flags = {"seeds": args.seed_override, "chains": args.chains,
+             "output_dir": args.out}
+    return {**raw, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def build_parser() -> argparse.ArgumentParser:

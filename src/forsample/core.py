@@ -58,6 +58,14 @@ def as_rows(x, dim: int | None = None) -> Array:
     return arr
 
 
+def check_shape(arr, shape: tuple, what: str) -> Array:
+    """``arr`` as a float64 array of ``shape``; a wrong one would broadcast silently."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.shape != shape:
+        raise DimensionError(f"{what} returned shape {arr.shape}, expected {shape}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # reference densities (1-D analytic forms with pdf/cdf/ppf)
 # ---------------------------------------------------------------------------
@@ -269,10 +277,15 @@ class Potential:
         return self.grad_at_rows(as_vector(x, self.dim)[None])[0]
 
     def value_at_rows(self, xs: Array) -> Array:
-        return np.asarray(self.value_rows(as_rows(xs, self.dim)), dtype=np.float64)
+        xs = as_rows(xs, self.dim)
+        return check_shape(self.value_rows(xs), xs.shape[:1], "value_rows")
 
     def grad_at_rows(self, xs: Array) -> Array:
-        return np.asarray(self.grad_rows(as_rows(xs, self.dim)), dtype=np.float64)
+        xs = as_rows(xs, self.dim)
+        return check_shape(self.grad_rows(xs), xs.shape, "grad_rows")
+
+
+CASE_TAGS = ("LSI", "PI", "LC")
 
 
 @dataclass(frozen=True)
@@ -291,7 +304,7 @@ class AssumptionCase:
     w2_bound: float | None = None
 
     def __post_init__(self):
-        if self.tag not in ("LSI", "PI", "LC"):
+        if self.tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.tag!r}")
         if self.tag in ("LSI", "PI"):
             if self.constant is None or not (self.constant > 0):

@@ -17,6 +17,7 @@ from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                       eps_tail, make_rng, phi)
 from .prox import ProxConfig, approx_prox_rows, prox_residual_bound
 from .rgo import RGOContext, TiltProblem, sample_tilt_many
-from .sampler import (Schedule, gaussian_initializer, plan_first_order,
+from .sampler import (gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler, schedule_to_dict)
 from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
@@ -39,30 +40,45 @@ from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("tilt_exactness", "prox_check", "fors_unit", "sampler_e2e",
-               "delta_scaling", "lower_bound")
+# defaults of the fields a suite may declare its own defaults for
+_COMMON_DEFAULTS = {"delta": 0.05, "seeds": tuple(range(20)), "chains": 10_000,
+                    "trials": 1000}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated harness configuration; built by the CLI's validator."""
+    """Validated harness configuration; built by the CLI's validator.
+
+    ``delta``, ``seeds``, ``chains`` and ``trials`` left at None take the
+    suite's declared default, or else the common one.  A suite whose default
+    is one seed rejects more seeds.
+    """
 
     experiment: str
-    potential: dict = field(default_factory=lambda: {"name": "gaussian",
-                                                     "params": {"mean": [0.0]}})
+    potential: dict = field(default_factory=lambda: {
+        "name": "gaussian", "params": {"mean": [0.0], "precision": 1.0}})
     noise: dict = field(default_factory=lambda: {"family": "subgaussian",
                                                  "sigma_g": 0.5})
     case: dict = field(default_factory=lambda: {"tag": "LSI", "constant": 1.0,
                                                 "warm_start_delta": 1.0})
     mode: str = "first_order"
-    delta: float = 0.05
+    delta: float | None = None
     delta_grid: tuple = (0.2, 0.1, 0.05, 0.025)
-    seeds: tuple = tuple(range(20))
-    chains: int = 10_000
+    seeds: tuple | None = None
+    chains: int | None = None
     samples: int = 100_000
-    trials: int = 1000
+    trials: int | None = None
     output_dir: str | None = None
     constants: PlanConstants = DEFAULT_CONSTANTS
+
+    def __post_init__(self):
+        declared = SUITES[self.experiment].defaults if self.experiment in SUITES else {}
+        for name, value in {**_COMMON_DEFAULTS, **declared}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if len(declared.get("seeds", ())) == 1 and len(self.seeds) > 1:
+            raise ConfigError([f"seeds: {self.experiment} runs one seed, "
+                               f"got {list(self.seeds)}"])
 
     def make_potential(self) -> Potential:
         return potential_from_config(self.potential["name"],
@@ -96,17 +112,9 @@ class ExperimentReport:
         return all(self.verdicts.values())
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "experiment": self.experiment,
-            "config": self.config,
-            "constants": self.constants,
-            "per_seed": self.per_seed,
-            "merged_ledger": self.merged_ledger,
-            "verdicts": self.verdicts,
-            "all_pass": self.all_pass,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        """Every field but the rows, which go to the CSV, plus ``all_pass``."""
+        payload = {k: v for k, v in vars(self).items() if k != "rows"}
+        payload["all_pass"] = self.all_pass
         return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
 
 
@@ -169,6 +177,51 @@ def write_partial(cfg: ExperimentConfig, sink: PartialSink,
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                default=_json_default) + "\n")
     return path
+
+
+class Suite(NamedTuple):
+    """A registered experiment: its runner, the fields it reads, its defaults."""
+
+    run: Callable[..., ExperimentReport]
+    reads: tuple[str, ...]
+    defaults: dict
+
+
+SUITES: dict[str, Suite] = {}
+
+
+def _suite(*reads: str, **defaults):
+    """Register ``run_<name>(cfg, sink, merged) -> (per_seed, verdicts)``.
+
+    The public ``run_<name>(cfg, sink=None)`` it returns times the body,
+    hands it the sink (a fresh one by default) and a ledger to merge its
+    queries into, and assembles the report from them.
+    """
+    def register(body):
+        name = body.__name__.removeprefix("run_")
+
+        def run(cfg: ExperimentConfig, sink: PartialSink | None = None) -> ExperimentReport:
+            start = time.perf_counter()
+            sink = sink if sink is not None else PartialSink()
+            merged = QueryLedger()
+            per_seed, verdicts = body(cfg, sink, merged)
+            return ExperimentReport(
+                experiment=name, config=_echo(cfg),
+                constants=cfg.constants.as_dict(), per_seed=per_seed,
+                merged_ledger=merged.as_dict(), verdicts=verdicts,
+                rows=sink.rows, wall_clock_seconds=time.perf_counter() - start)
+
+        run.__name__ = run.__qualname__ = body.__name__
+        SUITES[name] = Suite(run, reads, defaults)
+        return run
+    return register
+
+
+def _echo(cfg: ExperimentConfig) -> dict:
+    """The fields the suite reads, as they ran; constants have their own key."""
+    return {name: getattr(cfg, name)
+            for name in ("experiment",) + SUITES[cfg.experiment].reads
+            if name != "constants"}
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +342,8 @@ def _fors_unit_seed(seed: int, samples: int) -> dict:
     return result
 
 
-def run_fors_unit(cfg: ExperimentConfig,
-                  sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("seeds", "samples")
+def run_fors_unit(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     per_seed = sink.per_seed
     with ThreadPoolExecutor(max_workers=4) as pool:
         for res in pool.map(lambda s: _fors_unit_seed(s, cfg.samples),
@@ -306,12 +357,11 @@ def run_fors_unit(cfg: ExperimentConfig,
     n_calls = 10_000
     rng = make_rng(cfg.seeds[0], 999)
     draw_counts = []
-    ledger = QueryLedger()
-    source = flat.scalar_source(ledger)
+    source = flat.scalar_source(merged)
     fors_cfg = FORSConfig(b=flat.b)
     for _ in range(n_calls):
         res = fors_sample(lambda r: flat.proposal_rows(1, r)[0], source,
-                          fors_cfg, rng, ledger=ledger)
+                          fors_cfg, rng, ledger=merged)
         draw_counts.append(res.w_draws)
     tail = wdraw_tail_check(flat.b, delta, draw_counts)
 
@@ -325,22 +375,16 @@ def run_fors_unit(cfg: ExperimentConfig,
             r["instances"][idx]["acceptance_within_3se"] for r in per_seed)
     verdicts["wdraw_quantile"] = tail.passed
 
-    rows = sink.rows
-    rows.extend({"seed": r["seed"], "instance": i["name"], "chi2_p": i["chi2_p"],
-                 "acceptance_freq": i["acceptance_freq"],
-                 "acceptance_exact": i["acceptance_exact"]}
-                for r in per_seed for i in r["instances"])
-    merged = QueryLedger()
+    sink.rows.extend(
+        {"seed": r["seed"], "instance": i["name"], "chi2_p": i["chi2_p"],
+         "acceptance_freq": i["acceptance_freq"],
+         "acceptance_exact": i["acceptance_exact"]}
+        for r in per_seed for i in r["instances"])
     for r in per_seed:
         merged.merge(QueryLedger(**r["ledger"]))
-    merged.merge(ledger)
-    return ExperimentReport(
-        experiment="fors_unit", config=_echo(cfg), constants=cfg.constants.as_dict(),
-        per_seed=per_seed + [{"wdraw_check": {
-            "quantile": tail.quantile, "bound": tail.bound,
-            "calls": tail.calls, "aggregate_constant": tail.aggregate_constant}}],
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    return per_seed + [{"wdraw_check": {
+        "quantile": tail.quantile, "bound": tail.bound,
+        "calls": tail.calls, "aggregate_constant": tail.aggregate_constant}}], verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +431,9 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
             "ks_stat": stat, "ks_p": p_value, "ledger": ledger.as_dict()}
 
 
-def run_tilt_exactness(cfg: ExperimentConfig,
-                       sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("seeds", "samples")
+def run_tilt_exactness(cfg: ExperimentConfig, sink: PartialSink,
+                       merged: QueryLedger):
     noisy = NoiseModel.subgaussian(TILT_SIGMA)
     # batch size from the tail-bound inversion at the pinned truncation level
     n_noisy = phi(noisy, TILT_M, 0.01)
@@ -414,27 +457,19 @@ def run_tilt_exactness(cfg: ExperimentConfig,
         verdicts[f"ks_{mode}_{noise.family}"] = seeds_pass_rule(
             ps, alpha=0.01, min_pass=need)
 
-    merged = QueryLedger()
     for r in per_seed:
         merged.merge(QueryLedger(**r["ledger"]))
-    rows = sink.rows
-    rows.extend({"seed": r["seed"], "mode": r["mode"], "noise": r["noise"],
-                 "ks_stat": r["ks_stat"], "ks_p": r["ks_p"]} for r in per_seed)
-    return ExperimentReport(
-        experiment="tilt_exactness", config=_echo(cfg),
-        constants=cfg.constants.as_dict(), per_seed=per_seed,
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    sink.rows.extend({"seed": r["seed"], "mode": r["mode"], "noise": r["noise"],
+                      "ks_stat": r["ks_stat"], "ks_p": r["ks_p"]} for r in per_seed)
+    return per_seed, verdicts
 
 
 # ---------------------------------------------------------------------------
 # experiment: prox_check
 # ---------------------------------------------------------------------------
 
-def run_prox_check(cfg: ExperimentConfig,
-                   sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("seeds", "trials")
+def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     theta = 1.0
     pot = potential_from_config("gaussian", {"mean": [theta], "precision": 1.0})
     eta = 0.5
@@ -446,7 +481,7 @@ def run_prox_check(cfg: ExperimentConfig,
     pcfg = ProxConfig(eta=eta, m_trunc=1e-9, n_batch=1, g_bound=10.0, k_iters=20)
     xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg, make_rng(0, 1))[0]
     exact_err = abs(float(xhat[0]) - fixed_point)
-    merged = QueryLedger().merge(exact.ledger)
+    merged.merge(exact.ledger)
     merged.prox_iters += pcfg.k_iters
 
     # stochastic residual guarantee over independent trials
@@ -480,26 +515,19 @@ def run_prox_check(cfg: ExperimentConfig,
         "query_accounting": all(
             r["grad_queries"] == cfg.trials * 25 for r in per_seed),
     }
-    rows = sink.rows
-    rows.extend({"seed": r["seed"], "failure_rate": r["failure_rate"],
-                 "allowed": r["allowed"], "max_residual": r["max_residual"]}
-                for r in per_seed)
-    return ExperimentReport(
-        experiment="prox_check", config=_echo(cfg),
-        constants=cfg.constants.as_dict(),
-        per_seed=[{"exact_error": exact_err, "fixed_point": fixed_point}] + per_seed,
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    sink.rows.extend({"seed": r["seed"], "failure_rate": r["failure_rate"],
+                      "allowed": r["allowed"], "max_residual": r["max_residual"]}
+                     for r in per_seed)
+    return [{"exact_error": exact_err, "fixed_point": fixed_point}] + per_seed, verdicts
 
 
 # ---------------------------------------------------------------------------
 # experiment: sampler_e2e
 # ---------------------------------------------------------------------------
 
-def run_sampler_e2e(cfg: ExperimentConfig,
-                    sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("potential", "noise", "case", "mode", "delta", "seeds", "chains",
+        "constants")
+def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     pot = cfg.make_potential()
     case = cfg.make_case()
     mu0_mean = math.sqrt(case.warm_start_delta)  # N(m,1) start has Delta = m^2
@@ -507,8 +535,6 @@ def run_sampler_e2e(cfg: ExperimentConfig,
     arms = [NoiseModel.exact(), cfg.make_noise()]
 
     per_seed = sink.per_seed
-    rows = sink.rows
-    merged = QueryLedger()
     for seed in cfg.seeds:
         for arm_idx, noise in enumerate(arms):
             if cfg.mode == "first_order":
@@ -531,22 +557,18 @@ def run_sampler_e2e(cfg: ExperimentConfig,
                 "ledger": ledger.as_dict(),
             }
             per_seed.append(entry)
-            rows.append({"seed": seed, "noise": noise.family, "tv": tv.value,
-                         "threshold": cfg.delta + tv.bias_bound,
-                         "n_steps": sched.n_steps, "eta": sched.eta,
-                         "n_batch": sched.n_batch,
-                         "grad_queries": ledger.grad_queries,
-                         "value_queries": ledger.value_queries})
+            sink.rows.append({"seed": seed, "noise": noise.family, "tv": tv.value,
+                              "threshold": cfg.delta + tv.bias_bound,
+                              "n_steps": sched.n_steps, "eta": sched.eta,
+                              "n_batch": sched.n_batch,
+                              "grad_queries": ledger.grad_queries,
+                              "value_queries": ledger.value_queries})
 
     verdicts = {}
     for noise in arms:
         entries = [r for r in per_seed if r["noise"] == noise.family]
         verdicts[f"tv_{noise.family}"] = all(r["tv_pass"] for r in entries)
-    return ExperimentReport(
-        experiment="sampler_e2e", config=_echo(cfg),
-        constants=cfg.constants.as_dict(), per_seed=per_seed,
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    return per_seed, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -568,36 +590,32 @@ SCALING_FAMILIES = {
 SCALING_WARM_START = 10.0
 
 
-def run_delta_scaling(cfg: ExperimentConfig,
-                      sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("delta_grid", "seeds", "chains", "constants", chains=4, seeds=(0,))
+def run_delta_scaling(cfg: ExperimentConfig, sink: PartialSink,
+                      merged: QueryLedger):
     pot = potential_from_config("gaussian", {"mean": [0.0], "precision": 1.0})
     case = AssumptionCase("LSI", constant=1.0,
                           warm_start_delta=SCALING_WARM_START ** 2)
     mu0 = gaussian_initializer(np.array([SCALING_WARM_START]), 1.0)
-    chains = min(cfg.chains, 4)
-    seed = cfg.seeds[0]
+    (seed,) = cfg.seeds
 
-    rows = sink.rows
     slopes = {}
     per_seed = sink.per_seed
-    merged = QueryLedger()
     for label, noise in SCALING_FAMILIES.items():
         measured = []
         for j, delta in enumerate(cfg.delta_grid):
             sched = plan_first_order(pot, noise, case, delta, cfg.constants)
             oracle = GradientOracle(pot, noise, make_rng(seed, 6, j))
-            xs, ledger = run_proximal_sampler(pot, oracle, sched, mu0, chains,
+            xs, ledger = run_proximal_sampler(pot, oracle, sched, mu0, cfg.chains,
                                               make_rng(seed, 6, j, 1))
-            per_chain = ledger.grad_queries / chains
+            per_chain = ledger.grad_queries / cfg.chains
             measured.append(per_chain)
             merged.merge(ledger)
-            rows.append({"family": label, "delta": delta,
-                         "grad_queries_per_chain": per_chain,
-                         "planned_queries": sched.planned_queries,
-                         "n_steps": sched.n_steps, "n_batch": sched.n_batch,
-                         "m_trunc": sched.m_trunc, "eta": sched.eta})
+            sink.rows.append({"family": label, "delta": delta,
+                              "grad_queries_per_chain": per_chain,
+                              "planned_queries": sched.planned_queries,
+                              "n_steps": sched.n_steps, "n_batch": sched.n_batch,
+                              "m_trunc": sched.m_trunc, "eta": sched.eta})
         slope = scaling_slope(1.0 / np.asarray(cfg.delta_grid), measured)
         slopes[label] = slope
         per_seed.append({"family": label, "slope": slope,
@@ -608,25 +626,15 @@ def run_delta_scaling(cfg: ExperimentConfig,
         "slope_subgaussian": bool(slopes["subgaussian"] <= 0.3),
         "slope_subexponential": bool(slopes["subexponential"] <= 0.3),
     }
-    return ExperimentReport(
-        experiment="delta_scaling", config=_echo(cfg),
-        constants=cfg.constants.as_dict(), per_seed=per_seed,
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    return per_seed, verdicts
 
 
 # ---------------------------------------------------------------------------
 # experiment: lower_bound
 # ---------------------------------------------------------------------------
 
-LB_DELTA = 0.02
-LB_TRIALS = 100_000
-
-
-def run_lower_bound(cfg: ExperimentConfig,
-                    sink: PartialSink | None = None) -> ExperimentReport:
-    start = time.perf_counter()
-    sink = sink if sink is not None else PartialSink()
+@_suite("delta", "seeds", "trials", delta=0.02, trials=100_000, seeds=(0,))
+def run_lower_bound(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     psi = PsiFunction.power(2.0)
 
     # rate functional against the closed form 1/delta - delta
@@ -640,23 +648,21 @@ def run_lower_bound(cfg: ExperimentConfig,
         f_rows.append({"delta": delta, "f_psi": numeric, "closed_form": closed,
                        "rel_err": rel})
 
-    delta = cfg.delta if cfg.experiment == "lower_bound" and cfg.delta != 0.05 else LB_DELTA
+    delta = cfg.delta
+    (seed,) = cfg.seeds
     pair = AdversarialOraclePair.from_psi(psi, delta)
     # largest integer budget strictly below F_psi(delta)/10
     budget = max(math.ceil(f_psi(psi, delta) / 10.0) - 1, 1)
-    trials = min(cfg.trials if cfg.trials > 1000 else LB_TRIALS, LB_TRIALS)
 
     target0 = GaussianReference(np.array([0.0]), np.array([1.0]))
     target1 = GaussianReference(np.array([delta]), np.array([1.0]))
 
     per_seed = sink.per_seed
     verdicts = {"f_psi_closed_form": grid_ok}
-    rows = sink.rows
-    rows.extend(f_rows)
-    merged = QueryLedger()
+    sink.rows.extend(f_rows)
     for name, adapter in (("sgld", sgld_adapter(step=0.1)),
                           ("proximal", proximal_adapter(eta=0.25, b=1.0))):
-        res = coupled_run(adapter, pair, budget, trials, cfg.seeds[0])
+        res = coupled_run(adapter, pair, budget, cfg.trials, seed)
         merged.grad_queries += res.queries
         tv_arms = empirical_tv_two_sample(res.outputs_base, res.outputs_shifted)
         tv0 = empirical_tv_1d(res.outputs_base, target0)
@@ -674,53 +680,25 @@ def run_lower_bound(cfg: ExperimentConfig,
             "target_tv_third": delta / 3.0,
         }
         per_seed.append(entry)
-        rows.append({"adapter": name, "delta": delta,
-                     "corrupted_fraction": res.corrupted_fraction,
-                     "tv_between_arms": tv_arms.value,
-                     "tv_arm0_vs_target": tv0.value,
-                     "tv_arm1_vs_target": tv1.value})
+        sink.rows.append({"adapter": name, "delta": delta,
+                          "corrupted_fraction": res.corrupted_fraction,
+                          "tv_between_arms": tv_arms.value,
+                          "tv_arm0_vs_target": tv0.value,
+                          "tv_arm1_vs_target": tv1.value})
         se3 = 3.0 * res.corrupted_se
         verdicts[f"coupling_{name}"] = bool(res.clean_mismatches == 0)
         verdicts[f"tv_chain_{name}"] = bool(
             tv_arms.value <= budget * pair.p + se3 + tv_arms.bias_bound)
         verdicts[f"separation_{name}"] = bool(
             max(tv0.value, tv1.value) > delta / 8.0)
-
-    return ExperimentReport(
-        experiment="lower_bound", config=_echo(cfg),
-        constants=cfg.constants.as_dict(), per_seed=per_seed,
-        merged_ledger=merged.as_dict(), verdicts=verdicts, rows=rows,
-        wall_clock_seconds=time.perf_counter() - start)
+    return per_seed, verdicts
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "fors_unit": run_fors_unit,
-    "tilt_exactness": run_tilt_exactness,
-    "prox_check": run_prox_check,
-    "sampler_e2e": run_sampler_e2e,
-    "delta_scaling": run_delta_scaling,
-    "lower_bound": run_lower_bound,
-}
-
-
-def _echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "potential": cfg.potential,
-        "noise": cfg.noise,
-        "case": cfg.case,
-        "mode": cfg.mode,
-        "delta": cfg.delta,
-        "delta_grid": list(cfg.delta_grid),
-        "seeds": list(cfg.seeds),
-        "chains": cfg.chains,
-        "samples": cfg.samples,
-        "trials": cfg.trials,
-    }
+EXPERIMENTS = tuple(SUITES)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -730,11 +708,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     completed so far are flushed to <experiment>_partial.json before the
     exception propagates.
     """
-    if cfg.experiment not in _RUNNERS:
+    if cfg.experiment not in SUITES:
         raise ConfigError([f"experiment: unknown suite {cfg.experiment!r}"])
     sink = PartialSink()
     try:
-        report = _RUNNERS[cfg.experiment](cfg, sink=sink)
+        report = SUITES[cfg.experiment].run(cfg, sink=sink)
     except Exception as err:
         if cfg.output_dir:
             write_partial(cfg, sink, err, cfg.output_dir)

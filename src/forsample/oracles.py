@@ -31,11 +31,11 @@ directions, so their streams depend on m whenever m > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, Potential, as_rows, as_vector
+from .core import Array, Potential, as_rows, as_vector, check_shape
 from .errors import DimensionError, UnsupportedCombinationError
 
 NOISE_FAMILIES = ("exact", "subgaussian", "subweibull", "polymoment", "twopoint")
@@ -418,7 +418,7 @@ class GradientOracle:
             raise DimensionError(f"noise block of shape {noise.shape} for queries "
                                  f"of shape {xs.shape}")
         self.ledger.grad_queries += n * xs.shape[0]
-        return self.potential.grad_rows(xs) + noise
+        return check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows") + noise
 
 
 class ValueOracle:
@@ -445,4 +445,4 @@ class ValueOracle:
             raise ValueError("batch size must be >= 1")
         self.ledger.value_queries += n * xs.shape[0]
         noise = self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0]
-        return self.potential.value_rows(xs) + noise
+        return check_shape(self.potential.value_rows(xs), xs.shape[:1], "value_rows") + noise

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PlanConstants
-from .core import AssumptionCase, Array, Potential
+from .core import AssumptionCase, Potential
 from .errors import BudgetExhaustedError, InfeasibleScheduleError, UnsupportedCombinationError
 from .fors import FORSConfig, fors_accept_rows
 from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
@@ -74,36 +74,12 @@ class Schedule:
 
 
 def schedule_to_dict(sched: Schedule) -> dict:
-    case = sched.case
-    return {
-        "mode": sched.mode,
-        "eta": sched.eta,
-        "n_steps": sched.n_steps,
-        "m_trunc": sched.m_trunc,
-        "n_batch": sched.n_batch,
-        "eps_prox": sched.eps_prox,
-        "g_bound": sched.g_bound,
-        "k_iters": sched.k_iters,
-        "b": sched.b,
-        "delta": sched.delta,
-        "case": {
-            "tag": case.tag,
-            "constant": case.constant,
-            "warm_start_delta": case.warm_start_delta,
-            "w2_bound": case.w2_bound,
-        },
-        "constants": sched.constants.as_dict(),
-        "planned_queries": sched.planned_queries,
-    }
+    return asdict(sched)
 
 
 def schedule_from_dict(data: dict) -> Schedule:
-    case = AssumptionCase(**data["case"])
-    constants = PlanConstants(**data["constants"])
-    fields = {k: data[k] for k in ("mode", "eta", "n_steps", "m_trunc", "n_batch",
-                                   "eps_prox", "g_bound", "k_iters", "b", "delta",
-                                   "planned_queries")}
-    return Schedule(case=case, constants=constants, **fields)
+    return Schedule(**{**data, "case": AssumptionCase(**data["case"]),
+                       "constants": PlanConstants(**data["constants"])})
 
 
 def schedule_to_json(sched: Schedule) -> str:

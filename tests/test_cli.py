@@ -81,7 +81,7 @@ def test_seed_entries_validated():
 
 
 def test_constants_override_merges_and_keeps_types():
-    cfg = validate_config({"experiment": "fors_unit",
+    cfg = validate_config({"experiment": "sampler_e2e",
                            "constants": {"c_n": 3, "m_grid_points": 7}})
     merged = cfg.constants.as_dict()
     assert merged["c_n"] == 3.0
@@ -89,6 +89,22 @@ def test_constants_override_merges_and_keeps_types():
     assert isinstance(merged["m_grid_points"], int)
     # untouched names keep their defaults
     assert merged["b_first"] == DEFAULT_CONSTANTS.b_first
+
+
+def test_keys_a_suite_does_not_read_are_rejected():
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"experiment": "fors_unit", "chains": 5,
+                         "mode": "first_order", "seeds": [0]})
+    assert exc.value.errors == ["mode: fors_unit does not read this field",
+                                "chains: fors_unit does not read this field"]
+    cfg = validate_config({"experiment": "delta_scaling", "chains": 8})
+    assert (cfg.chains, cfg.seeds) == (8, (0,))
+
+
+def test_one_seed_suite_rejects_a_seed_list():
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"experiment": "lower_bound", "seeds": [0, 1]})
+    assert exc.value.errors == ["seeds: lower_bound runs one seed, got [0, 1]"]
 
 
 def test_unknown_constant_rejected():
@@ -215,6 +231,13 @@ def test_seed_and_chain_overrides(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seeds"] == [7, 9]
+
+
+def test_chain_override_rejected_where_unread(tmp_path, capsys):
+    path = _write_config(tmp_path, "experiment: tilt_exactness\n")
+    assert main(["validate", "--config", path, "--chains", "500"]) == 1
+    assert ("error: chains: tilt_exactness does not read this field"
+            in capsys.readouterr().err)
 
 
 def test_env_output_dir_used_by_run(tmp_path, capsys, monkeypatch):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from forsample.errors import ConfigError, DimensionError
-from forsample.harness import (DiscreteWInstance, ExperimentConfig,
-                               ExperimentReport, PartialSink, _json_default,
-                               discrete_instances, run_experiment,
+from forsample.harness import (SUITES, DiscreteWInstance, ExperimentConfig,
+                               ExperimentReport, PartialSink, _echo,
+                               _json_default, discrete_instances, run_experiment,
                                run_fors_unit, run_lower_bound, run_prox_check,
                                tilt_reference, write_report)
 from forsample.verify import discrete_law_oracle
@@ -194,6 +194,53 @@ def test_lower_bound_budget_rule_smoke():
     led = report.merged_ledger
     assert led["grad_queries"] == 2 * 2 * 2000 * 4
     assert led["grad_queries"] == sum(e["grad_queries"] for e in report.per_seed)
+
+
+# ---------------------------------------------------------------------------
+# suite defaults: every config field runs as given
+# ---------------------------------------------------------------------------
+
+def test_lower_bound_runs_the_configured_delta():
+    cfg = ExperimentConfig(experiment="lower_bound", delta=0.05, trials=500)
+    report = run_lower_bound(cfg)
+    # F = 1/0.05 - 0.05 = 19.95, so the largest budget under F/10 is 1
+    assert [(e["delta"], e["t_budget"]) for e in report.per_seed] == [(0.05, 1)] * 2
+
+
+def test_lower_bound_runs_the_configured_trials():
+    report = run_lower_bound(ExperimentConfig(experiment="lower_bound", trials=500))
+    # two adapters x two arms x 500 trials x T = 4 queries
+    assert report.merged_ledger["grad_queries"] == 2 * 2 * 500 * 4
+
+
+@pytest.mark.parametrize("experiment", ["delta_scaling", "lower_bound"])
+def test_one_seed_suites_reject_more_seeds(experiment):
+    assert ExperimentConfig(experiment=experiment).seeds == (0,)
+    assert ExperimentConfig(experiment=experiment, seeds=(7,)).seeds == (7,)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(experiment=experiment, seeds=(0, 1))
+    assert exc.value.errors == [f"seeds: {experiment} runs one seed, got [0, 1]"]
+
+
+def test_echo_shows_the_suite_defaults_that_ran():
+    echo = json.loads(json.dumps(_echo(ExperimentConfig(experiment="lower_bound"))))
+    assert echo == {"experiment": "lower_bound", "delta": 0.02,
+                    "seeds": [0], "trials": 100_000}
+    echo = _echo(ExperimentConfig(experiment="delta_scaling"))
+    assert (echo["chains"], echo["seeds"]) == (4, (0,))
+    # common defaults elsewhere
+    cfg = ExperimentConfig(experiment="sampler_e2e")
+    assert (cfg.delta, cfg.seeds, cfg.chains) == (0.05, tuple(range(20)), 10_000)
+
+
+def test_echo_lists_only_the_fields_a_suite_reads():
+    fields = set(ExperimentConfig.__dataclass_fields__)
+    for name, suite in SUITES.items():
+        assert set(suite.reads) <= fields
+        echo = _echo(ExperimentConfig(experiment=name))
+        assert set(echo) == {"experiment"} | set(suite.reads) - {"constants"}
+    assert set(_echo(ExperimentConfig(experiment="tilt_exactness"))) == {
+        "experiment", "seeds", "samples"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from forsample import oracles
-from forsample.core import make_gaussian_potential
+from forsample.core import Potential, make_gaussian_potential
 from forsample.errors import DimensionError, UnsupportedCombinationError
 from forsample.oracles import (GradientOracle, NOISE_FAMILIES, NoiseModel,
                                QueryLedger, ValueOracle, eps_tail, make_rng,
@@ -436,3 +436,28 @@ def test_ledger_merge_adds_counters():
     assert a.w_draws == 2
     assert a.fors_attempts == 7
     assert a.as_dict()["grad_queries"] == 8
+
+
+def test_row_formulas_of_the_wrong_shape_are_rejected():
+    # a (k,) gradient or a (k, 1) value would broadcast against the (k, 1)
+    # rows or the (k,) noise into a (k, k) array
+    pot = Potential(dim=1, value_rows=lambda xs: xs.copy(),
+                    grad_rows=lambda xs: xs[:, 0], holder_s=1.0, holder_beta=1.0)
+    xs = np.zeros((3, 1))
+    for call in (lambda: pot.grad_at([0.0]),
+                 lambda: pot.grad_at_rows(xs),
+                 lambda: GradientOracle(pot, NoiseModel.exact(),
+                                        make_rng(0)).draw_batch_rows(xs, 1)):
+        with pytest.raises(DimensionError, match="grad_rows returned shape"):
+            call()
+    for call in (lambda: pot.value_at_rows(xs),
+                 lambda: ValueOracle(pot, NoiseModel.subgaussian(0.5),
+                                     make_rng(0)).draw_batch_rows(xs, 1)):
+        with pytest.raises(DimensionError, match="value_rows returned shape"):
+            call()
+    # row formulas may return array-likes of the right shape
+    lists = Potential(dim=1, value_rows=lambda xs: [0.0] * len(xs),
+                      grad_rows=lambda xs: xs.tolist(), holder_s=1.0, holder_beta=1.0)
+    assert GradientOracle(lists, NoiseModel.exact(), make_rng(0)).draw_batch_rows(
+        xs, 1).shape == (3, 1)
+    assert lists.value_at_rows(xs).dtype == np.float64
