@@ -45,14 +45,15 @@ class PlanConstants:
     phi_cap: int = 10 ** 9
 
     def __post_init__(self):
-        if min(self.c_eta_first, self.c_eta_zeroth, self.c_n, self.c_step) <= 0:
-            raise ValueError("planner constants must be positive")
-        if self.b_first <= 0 or self.b_zeroth <= 0:
-            raise ValueError("estimator ranges must be positive")
-        if self.m_grid_ratio <= 1.0 or self.m_grid_points < 1:
-            raise ValueError("M grid must be a growing geometric sequence")
-        if self.phi_cap < 1:
-            raise ValueError("the batch-size cap must be positive")
+        for name in ("c_eta_first", "c_eta_zeroth", "c_n", "c_step", "b_first",
+                     "b_zeroth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
+        if self.m_grid_ratio <= 1.0:
+            raise ValueError(f"m_grid_ratio: must be > 1, got {self.m_grid_ratio!r}")
+        for name in ("m_grid_points", "phi_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -247,7 +247,7 @@ class Potential:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ValueError(f"dim: must be >= 1, got {self.dim!r}")
         if not (0.0 <= self.holder_s <= 1.0):
             raise ValueError("holder_s must lie in [0, 1]")
         if not (self.holder_beta > 0):
@@ -305,15 +305,18 @@ class AssumptionCase:
 
     def __post_init__(self):
         if self.tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.tag!r}")
+            raise ValueError(f"tag: expected one of {CASE_TAGS}, got {self.tag!r}")
         if self.tag in ("LSI", "PI"):
             if self.constant is None or not (self.constant > 0):
-                raise ValueError(f"{self.tag} case needs a positive constant")
+                raise ValueError(f"constant: must be positive for the {self.tag} "
+                                 f"case, got {self.constant!r}")
         if self.tag == "LC":
             if self.w2_bound is None or not (self.w2_bound > 0):
-                raise ValueError("LC case needs a positive w2_bound")
+                raise ValueError(f"w2_bound: must be positive for the LC case, "
+                                 f"got {self.w2_bound!r}")
         if self.warm_start_delta < 0:
-            raise ValueError("warm_start_delta must be nonnegative")
+            raise ValueError(f"warm_start_delta: must be nonnegative, "
+                             f"got {self.warm_start_delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,7 @@ def make_gaussian_potential(mean, precision: float = 1.0) -> Potential:
     """Isotropic Gaussian: f(x) = (precision/2) * ||x - mean||^2."""
     mean = as_vector(mean)
     if not (precision > 0):
-        raise ValueError("precision must be positive")
+        raise ValueError(f"precision: must be positive, got {precision!r}")
     lam = float(precision)
 
     return Potential(
@@ -346,7 +349,7 @@ def make_aniso_gaussian_potential(mean, precisions) -> Potential:
     mean = as_vector(mean)
     lam = as_vector(precisions, mean.shape[0])
     if np.any(lam <= 0):
-        raise ValueError("precisions must be positive")
+        raise ValueError(f"precisions: must be positive, got {lam.tolist()!r}")
 
     return Potential(
         dim=mean.shape[0],
@@ -370,7 +373,7 @@ def make_huber_potential(threshold: float = 0.5, dim: int = 1) -> Potential:
     """
     c = float(threshold)
     if not (c > 0):
-        raise ValueError("threshold must be positive")
+        raise ValueError(f"threshold: must be positive, got {threshold!r}")
 
     return Potential(
         dim=dim,
@@ -392,9 +395,9 @@ def make_power_potential(p: float = 1.5, dim: int = 1) -> Potential:
     the Poincaré-case planner.  The gradient |t|^(p-1) sgn(t) is Hölder with
     s = p - 1 and beta = 2^(1-s) * dim^((1-s)/2).
     """
-    p = float(p)
     if not (1.0 < p <= 2.0):
-        raise ValueError("p must lie in (1, 2]")
+        raise ValueError(f"p: must be in (1, 2], got {p!r}")
+    p = float(p)
     s = p - 1.0
 
     return Potential(
@@ -418,7 +421,8 @@ CATALOG: dict[str, Callable[..., Potential]] = {
 
 def potential_from_config(name: str, params: dict) -> Potential:
     if name not in CATALOG:
-        raise ValueError(f"unknown potential {name!r}; known: {sorted(CATALOG)}")
+        raise ValueError(f"name: unknown potential {name!r}; "
+                         f"choices are {sorted(CATALOG)}")
     return CATALOG[name](**params)
 
 

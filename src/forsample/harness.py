@@ -10,19 +10,22 @@ reports embed the exact planner constants used.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import math
+import numbers
 import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PlanConstants
-from .core import AssumptionCase, GaussianReference, Potential, potential_from_config
+from .core import CATALOG, AssumptionCase, GaussianReference, potential_from_config
 from .errors import ConfigError
 from .fors import (FORSConfig, EstimatorSource, fors_attempt_batch,
                    fors_sample, fors_sample_many, wdraw_tail_check)
@@ -32,7 +35,7 @@ from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                       eps_tail, make_rng, phi)
 from .prox import ProxConfig, approx_prox_rows, prox_residual_bound
 from .rgo import RGOContext, TiltProblem, sample_tilt_many
-from .sampler import (gaussian_initializer, plan_first_order,
+from .sampler import (MODES, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler, schedule_to_dict)
 from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
@@ -40,59 +43,210 @@ from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
 
 SCHEMA_VERSION = 1
 
-# defaults of the fields a suite may declare its own defaults for
-_COMMON_DEFAULTS = {"delta": 0.05, "seeds": tuple(range(20)), "chains": 10_000,
-                    "trials": 1000}
+# what a field the suite reads takes when it is not given; a suite's declared
+# defaults win over these
+_COMMON_DEFAULTS = {
+    "potential": {"name": "gaussian", "params": {"mean": [0.0], "precision": 1.0}},
+    "noise": {"family": "subgaussian", "sigma_g": 0.5},
+    "case": {"tag": "LSI", "constant": 1.0, "warm_start_delta": 1.0},
+    "mode": "first_order",
+    "delta": 0.05,
+    "delta_grid": (0.2, 0.1, 0.05, 0.025),
+    "seeds": tuple(range(20)),
+    "chains": 10_000,
+    "samples": 100_000,
+    "trials": 1000,
+    "constants": DEFAULT_CONSTANTS,
+}
+# what a given case section may leave out; AssumptionCase itself requires the
+# constant and starts from warm_start_delta 0
+_CASE_DEFAULTS = {"constant": 1.0, "warm_start_delta": 1.0}
+
+_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
+          str: (str, "a string")}
+
+
+def _leaf(errors, path, value, kind=float, low=None):
+    """``value`` as a float, int or str, or None after noting why not.
+
+    None and bools are never numbers; ``low`` bounds the value from below.
+    """
+    types, want = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (low is not None and value < low)):
+        errors.append(f"{path}: expected {want}{'' if low is None else f' >= {low}'}, "
+                      f"got {value!r}")
+        return None
+    return kind(value)
+
+
+def _fraction(errors, path, value):
+    value = _leaf(errors, path, value)
+    if value is not None and not 0 < value < 1:
+        errors.append(f"{path}: must be in (0, 1), got {value!r}")
+        return None
+    return value
+
+
+def _sequence(errors, path, value, min_len, expected, check):
+    if not isinstance(value, (list, tuple)) or len(value) < min_len:
+        errors.append(f"{path}: expected {expected}, got {value!r}")
+        return None
+    checked = tuple(check(errors, f"{path}[{i}]", v) for i, v in enumerate(value))
+    return None if None in checked else checked
+
+
+@functools.cache
+def _parameters(build) -> dict:
+    """The keyword parameters of a constructor, annotations evaluated."""
+    return dict(inspect.signature(build, eval_str=True).parameters)
+
+
+def _kwargs(errors, path, build, spec, defaults=None):
+    """The mapping ``spec`` over ``defaults`` as keyword arguments of ``build``.
+
+    Its keys are build's parameters; a leaf annotated as a float, an int or
+    a str must be one.  None after noting every problem.
+    """
+    if not isinstance(spec, dict):
+        errors.append(f"{path}: expected a mapping, got {spec!r}")
+        return None
+    params = _parameters(build)
+    start = len(errors)
+    kwargs = dict(defaults or {})
+    for key, value in spec.items():
+        if key not in params:
+            errors.append(f"{path}: unexpected key {key!r}")
+            continue
+        kinds = (params[key].annotation, *get_args(params[key].annotation))
+        kind = next((k for k in _KINDS if k in kinds), None)
+        kwargs[key] = value if kind is None else _leaf(errors, f"{path}.{key}", value, kind)
+    errors.extend(f"{path}: missing key {key!r}" for key, p in params.items()
+                  if p.default is p.empty and key not in kwargs)
+    return kwargs if len(errors) == start else None
+
+
+def _section(errors, path, build, spec, defaults=None):
+    """(kwargs, build(**kwargs)), or (None, None) after noting every problem.
+
+    The constructor's own ValueError or TypeError, of the form
+    ``<field>: <problem>``, gets the section's path as prefix.
+    """
+    kwargs = _kwargs(errors, path, build, spec, defaults)
+    if kwargs is None:
+        return None, None
+    try:
+        return kwargs, build(**kwargs)
+    except (ValueError, TypeError) as exc:
+        field = str(exc).partition(": ")[0]
+        errors.append(f"{path}.{exc}" if field in _parameters(build) else f"{path}: {exc}")
+        return None, None
+
+
+def _potential(errors, path, spec):
+    """potential_from_config's keys; params are those of the entry named."""
+    spec = _kwargs(errors, path, potential_from_config, spec, {"params": {}})
+    if spec is None:
+        return None
+    if spec["name"] not in CATALOG:
+        _section(errors, path, potential_from_config, spec)  # names the problem
+        return None
+    params, _ = _section(errors, f"{path}.params", CATALOG[spec["name"]], spec["params"])
+    return None if params is None else {**spec, "params": params}
+
+
+def _mode(errors, path, value):
+    if value not in MODES:
+        errors.append(f"{path}: expected one of {MODES}, got {value!r}")
+        return None
+    return value
+
+
+def _constants(errors, path, spec):
+    if isinstance(spec, PlanConstants):
+        return spec
+    return _section(errors, path, PlanConstants, spec, DEFAULT_CONSTANTS.as_dict())[1]
+
+
+_count = functools.partial(_leaf, kind=int, low=1)
+
+# the check of each field a suite may read, in field order
+_CHECKS = {
+    "potential": _potential,
+    "noise": lambda errors, path, spec: _section(errors, path, NoiseModel, spec)[0],
+    "case": lambda errors, path, spec: _section(errors, path, AssumptionCase, spec,
+                                                _CASE_DEFAULTS)[0],
+    "mode": _mode,
+    "delta": _fraction,
+    "delta_grid": lambda errors, path, value: _sequence(
+        errors, path, value, 4, "a list of at least 4 accuracies", _fraction),
+    "seeds": lambda errors, path, value: _sequence(
+        errors, path, value, 1, "a nonempty list of integers",
+        functools.partial(_leaf, kind=int, low=0)),
+    "chains": _count,
+    "samples": _count,
+    "trials": _count,
+    "constants": _constants,
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated harness configuration; built by the CLI's validator.
+    """Harness configuration, checked in full when it is built.
 
-    ``delta``, ``seeds``, ``chains`` and ``trials`` left at None take the
-    suite's declared default, or else the common one.  A suite whose default
-    is one seed rejects more seeds.
+    Every field but ``experiment`` and ``output_dir`` is one a suite may
+    read, and None means not given.  A field the suite reads takes, when
+    not given, the suite's declared default or else the common one; a field
+    it does not read stays None, and giving it is an error.  A suite whose
+    default is one seed rejects more seeds.
+
+    ``potential``, ``noise`` and ``case`` are mappings of the keyword
+    arguments of ``potential_from_config`` (with the catalog entry's
+    ``params``), ``NoiseModel`` and ``AssumptionCase``; ``constants`` is a
+    PlanConstants or a mapping of overrides of the pinned ones.  Each is
+    built once here.  Every problem found, each with its field path, is
+    raised in one ConfigError.
     """
 
     experiment: str
-    potential: dict = field(default_factory=lambda: {
-        "name": "gaussian", "params": {"mean": [0.0], "precision": 1.0}})
-    noise: dict = field(default_factory=lambda: {"family": "subgaussian",
-                                                 "sigma_g": 0.5})
-    case: dict = field(default_factory=lambda: {"tag": "LSI", "constant": 1.0,
-                                                "warm_start_delta": 1.0})
-    mode: str = "first_order"
+    potential: dict | None = None
+    noise: dict | None = None
+    case: dict | None = None
+    mode: str | None = None
     delta: float | None = None
-    delta_grid: tuple = (0.2, 0.1, 0.05, 0.025)
+    delta_grid: tuple | None = None
     seeds: tuple | None = None
     chains: int | None = None
-    samples: int = 100_000
+    samples: int | None = None
     trials: int | None = None
     output_dir: str | None = None
-    constants: PlanConstants = DEFAULT_CONSTANTS
+    constants: PlanConstants | dict | None = None
 
     def __post_init__(self):
-        declared = SUITES[self.experiment].defaults if self.experiment in SUITES else {}
-        for name, value in {**_COMMON_DEFAULTS, **declared}.items():
-            if getattr(self, name) is None:
+        suite = SUITES.get(self.experiment) if isinstance(self.experiment, str) else None
+        errors = [] if suite else [f"experiment: expected one of {sorted(SUITES)}, "
+                                   f"got {self.experiment!r}"]
+        reads = suite.reads if suite else tuple(_CHECKS)
+        defaults = {**_COMMON_DEFAULTS, **(suite.defaults if suite else {})}
+        for name, check in _CHECKS.items():
+            given = getattr(self, name)
+            if name in reads or given is not None:
+                value = check(errors, name, defaults[name] if given is None else given)
                 object.__setattr__(self, name, value)
-        if len(declared.get("seeds", ())) == 1 and len(self.seeds) > 1:
-            raise ConfigError([f"seeds: {self.experiment} runs one seed, "
-                               f"got {list(self.seeds)}"])
+            if name not in reads and given is not None:
+                errors.append(f"{name}: {self.experiment} does not read this field")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            errors.append(f"output_dir: expected a string path, got {self.output_dir!r}")
+        if suite and len(suite.defaults.get("seeds", ())) == 1 and len(self.seeds or ()) > 1:
+            errors.append(f"seeds: {self.experiment} runs one seed, got {list(self.seeds)}")
+        if errors:
+            raise ConfigError(errors)
 
-    def make_potential(self) -> Potential:
-        return potential_from_config(self.potential["name"],
-                                     self.potential.get("params", {}))
-
-    def make_noise(self) -> NoiseModel:
-        spec = dict(self.noise)
-        family = spec.pop("family")
-        if family == "exact":
-            return NoiseModel.exact()
-        return NoiseModel(family, **spec)
-
-    def make_case(self) -> AssumptionCase:
-        return AssumptionCase(**self.case)
+    def echo(self) -> dict:
+        """The fields the suite reads, as they ran; constants have their own key."""
+        return {name: getattr(self, name)
+                for name in ("experiment",) + SUITES[self.experiment].reads
+                if name != "constants"}
 
 
 @dataclass
@@ -168,8 +322,8 @@ def write_partial(cfg: ExperimentConfig, sink: PartialSink,
         "experiment": cfg.experiment,
         "partial": True,
         "error": f"{type(err).__name__}: {err}",
-        "config": _echo(cfg),
-        "constants": cfg.constants.as_dict(),
+        "config": cfg.echo(),
+        "constants": (cfg.constants or DEFAULT_CONSTANTS).as_dict(),
         "per_seed": sink.per_seed,
         "rows": sink.rows,
     }
@@ -206,8 +360,9 @@ def _suite(*reads: str, **defaults):
             merged = QueryLedger()
             per_seed, verdicts = body(cfg, sink, merged)
             return ExperimentReport(
-                experiment=name, config=_echo(cfg),
-                constants=cfg.constants.as_dict(), per_seed=per_seed,
+                experiment=name, config=cfg.echo(),
+                constants=(cfg.constants or DEFAULT_CONSTANTS).as_dict(),
+                per_seed=per_seed,
                 merged_ledger=merged.as_dict(), verdicts=verdicts,
                 rows=sink.rows, wall_clock_seconds=time.perf_counter() - start)
 
@@ -215,13 +370,6 @@ def _suite(*reads: str, **defaults):
         SUITES[name] = Suite(run, reads, defaults)
         return run
     return register
-
-
-def _echo(cfg: ExperimentConfig) -> dict:
-    """The fields the suite reads, as they ran; constants have their own key."""
-    return {name: getattr(cfg, name)
-            for name in ("experiment",) + SUITES[cfg.experiment].reads
-            if name != "constants"}
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +563,14 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         oracle = GradientOracle(pot, noise, rng, ledger)
         # proposal centered at the proximal point of x0, found with the same
         # noisy oracle the estimator uses
-        prox_cfg = ProxConfig(eta=TILT_ETA, m_trunc=max(TILT_M, 1e-6),
-                              n_batch=n_batch, g_bound=10.0, k_iters=25)
+        prox_cfg = ProxConfig(eta=TILT_ETA, n_batch=n_batch, k_iters=25)
         xhat = approx_prox_rows(pot, oracle, np.array([[TILT_X0]]), prox_cfg, rng)[0]
         ledger.prox_iters += prox_cfg.k_iters
-        ctx = RGOContext(problem, xhat, n_batch=n_batch, m_trunc=TILT_M)
+        ctx = RGOContext(problem, xhat, n_batch=n_batch)
         pts = sample_tilt_many(ctx, "first", oracle, cfg, samples, rng, ledger=ledger)
     else:
         oracle = ValueOracle(pot, noise, rng, ledger)
-        ctx = RGOContext(problem, np.array([TILT_X0]), n_batch=n_batch,
-                         m_trunc=TILT_B / 3.0)
+        ctx = RGOContext(problem, np.array([TILT_X0]), n_batch=n_batch)
         pts = sample_tilt_many(ctx, "zeroth", oracle, cfg, samples, rng, ledger=ledger)
     stat, p_value = ks_test(pts[:, 0], tilt_reference().cdf)
     return {"seed": seed, "mode": mode, "noise": noise.family,
@@ -478,7 +624,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
 
     # deterministic convergence with the exact oracle
     exact = GradientOracle(pot, NoiseModel.exact(), make_rng(0, 0))
-    pcfg = ProxConfig(eta=eta, m_trunc=1e-9, n_batch=1, g_bound=10.0, k_iters=20)
+    pcfg = ProxConfig(eta=eta, n_batch=1, k_iters=20)
     xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg, make_rng(0, 1))[0]
     exact_err = abs(float(xhat[0]) - fixed_point)
     merged.merge(exact.ledger)
@@ -491,8 +637,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
     per_seed = sink.per_seed
     for seed in cfg.seeds:
         oracle = GradientOracle(pot, noise, make_rng(seed, 2))
-        ncfg = ProxConfig(eta=eta, m_trunc=m_trunc, n_batch=1, g_bound=10.0,
-                          k_iters=25)
+        ncfg = ProxConfig(eta=eta, n_batch=1, k_iters=25)
         starts = np.zeros((cfg.trials, 1))
         ends = approx_prox_rows(pot, oracle, starts, ncfg, make_rng(seed, 3))
         merged.merge(oracle.ledger)
@@ -528,11 +673,11 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
 @_suite("potential", "noise", "case", "mode", "delta", "seeds", "chains",
         "constants")
 def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
-    pot = cfg.make_potential()
-    case = cfg.make_case()
+    pot = potential_from_config(**cfg.potential)
+    case = AssumptionCase(**cfg.case)
     mu0_mean = math.sqrt(case.warm_start_delta)  # N(m,1) start has Delta = m^2
     mu0 = gaussian_initializer(np.full(pot.dim, mu0_mean), 1.0)
-    arms = [NoiseModel.exact(), cfg.make_noise()]
+    arms = [NoiseModel.exact(), NoiseModel(**cfg.noise)]
 
     per_seed = sink.per_seed
     for seed in cfg.seeds:
@@ -698,9 +843,6 @@ def run_lower_bound(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
 # dispatch
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS = tuple(SUITES)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Dispatch to the named suite and write reports if an output dir is set.
 
@@ -708,8 +850,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     completed so far are flushed to <experiment>_partial.json before the
     exception propagates.
     """
-    if cfg.experiment not in SUITES:
-        raise ConfigError([f"experiment: unknown suite {cfg.experiment!r}"])
     sink = PartialSink()
     try:
         report = SUITES[cfg.experiment].run(cfg, sink=sink)

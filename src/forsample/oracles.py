@@ -73,23 +73,25 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
+            raise ValueError(f"family: unknown family {self.family!r}; "
+                             f"choices are {sorted(NOISE_FAMILIES)}")
         if self.family in ("subgaussian", "subweibull") and not (self.sigma_g > 0):
-            raise ValueError("sigma_g must be positive")
+            raise ValueError(f"sigma_g: must be positive, got {self.sigma_g!r}")
         if self.family == "subweibull" and not (self.zeta > 0):
-            raise ValueError("zeta must be positive")
+            raise ValueError(f"zeta: must be positive, got {self.zeta!r}")
         if self.family == "polymoment":
             if self.k < 1:
-                raise ValueError("k must be a positive integer")
+                raise ValueError(f"k: must be a positive integer, got {self.k!r}")
             if not (self.sigma_2k > 0):
-                raise ValueError("sigma_2k must be positive")
+                raise ValueError(f"sigma_2k: must be positive, got {self.sigma_2k!r}")
         if self.family == "twopoint":
             if not (0.0 < self.p <= 1.0):
-                raise ValueError("p must lie in (0, 1]")
+                raise ValueError(f"p: must be in (0, 1], got {self.p!r}")
             if not (self.m_shift > 0):
-                raise ValueError("m_shift must be positive")
-        if not (self.c_tail > 0 and self.c_rate > 0):
-            raise ValueError("tail constants must be positive")
+                raise ValueError(f"m_shift: must be positive, got {self.m_shift!r}")
+        for name in ("c_tail", "c_rate"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
 
     # -- construction helpers ------------------------------------------------
 

@@ -37,27 +37,21 @@ def default_k_iters(g_bound: float, m_trunc: float, m_s: float) -> int:
 
 @dataclass(frozen=True)
 class ProxConfig:
-    """Step size, truncation level, batch size, gradient bound, iterations.
+    """Step size, batch size and iteration count of one proximal run.
 
     The step-size condition eta <= 1/(2 m_s) depends on the potential and is
     enforced by approx_prox, not here.
     """
 
     eta: float
-    m_trunc: float
     n_batch: int
-    g_bound: float
     k_iters: int
 
     def __post_init__(self):
         if not (self.eta > 0):
             raise ValueError("eta must be positive")
-        if self.m_trunc < 0:
-            raise ValueError("m_trunc must be nonnegative")
         if self.n_batch < 1 or self.k_iters < 1:
             raise ValueError("n_batch and k_iters must be positive")
-        if not (self.g_bound > 0):
-            raise ValueError("g_bound must be positive")
 
 
 def _check_step(potential: Potential, eta: float) -> None:

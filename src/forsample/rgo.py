@@ -78,24 +78,19 @@ class RGOContext:
 
     xhat is the proposal center (an approximate proximal point for the
     first-order mode, x0 itself for the zeroth-order default); u is the
-    induced linear-tilt vector (x0 - xhat)/eta.  m_trunc is the noise
-    truncation level the batch size n_batch was planned for, and eps_prox
-    bounds ||u - grad f(xhat)||.
+    induced linear-tilt vector (x0 - xhat)/eta.  n_batch is the oracle
+    batch size of each W draw.
     """
 
     problem: TiltProblem
     xhat: Array
     n_batch: int = 1
-    m_trunc: float = 0.0
-    eps_prox: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "xhat",
                            as_vector(self.xhat, self.problem.potential.dim))
         if self.n_batch < 1:
             raise ValueError("n_batch must be >= 1")
-        if self.m_trunc < 0 or self.eps_prox < 0:
-            raise ValueError("m_trunc and eps_prox must be nonnegative")
 
     @property
     def u(self) -> Array:

@@ -341,8 +341,7 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     d = pot.dim
     cfg = FORSConfig(b=sched.b, max_attempts=max_attempts)
     if first:
-        prox_cfg = ProxConfig(eta=eta, m_trunc=sched.m_trunc, n_batch=sched.n_batch,
-                              g_bound=sched.g_bound, k_iters=sched.k_iters)
+        prox_cfg = ProxConfig(eta=eta, n_batch=sched.n_batch, k_iters=sched.k_iters)
 
     x = np.asarray(mu0(chains, rng), dtype=float)
     if x.shape != (chains, d):

@@ -3,13 +3,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 from forsample.cli import main, validate_config
 from forsample.constants import DEFAULT_CONSTANTS
+from forsample.core import AssumptionCase, potential_from_config
 from forsample.errors import ConfigError
-from forsample.harness import ExperimentReport
+from forsample.harness import SUITES, ExperimentConfig, ExperimentReport
+from forsample.oracles import NoiseModel
 
 
 # ---------------------------------------------------------------------------
@@ -17,8 +22,8 @@ from forsample.harness import ExperimentReport
 # ---------------------------------------------------------------------------
 
 def test_minimal_config_gets_defaults():
-    cfg = validate_config({"experiment": "fors_unit"})
-    assert cfg.experiment == "fors_unit"
+    cfg = validate_config({"experiment": "sampler_e2e"})
+    assert cfg.experiment == "sampler_e2e"
     assert cfg.potential == {"name": "gaussian",
                              "params": {"mean": [0.0], "precision": 1.0}}
     assert cfg.noise == {"family": "subgaussian", "sigma_g": 0.5}
@@ -29,6 +34,10 @@ def test_minimal_config_gets_defaults():
     assert cfg.chains == 10_000
     assert cfg.constants is DEFAULT_CONSTANTS
     assert cfg.output_dir is None
+    # a field the suite does not read stays unset
+    cfg = validate_config({"experiment": "fors_unit"})
+    assert (cfg.samples, cfg.chains, cfg.potential, cfg.constants) == (
+        100_000, None, None, None)
 
 
 def test_unknown_potential_name():
@@ -60,7 +69,7 @@ def test_errors_are_aggregated_not_first_only():
     assert len(exc.value.errors) >= 5
     assert "experiment: expected one of" in joined
     assert "mode: expected one of" in joined
-    assert "delta: must be positive" in joined
+    assert "delta: must be in (0, 1), got -0.2" in exc.value.errors
     assert "seeds: expected a nonempty list" in joined
     assert "chains: expected an integer >= 1" in joined
     assert "config: unrecognized keys ['bogus_key']" in joined
@@ -111,21 +120,20 @@ def test_unknown_constant_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "fors_unit",
                          "constants": {"c_quantum": 2.0}})
-    assert any(e.startswith("constants: unknown names ['c_quantum']")
-               for e in exc.value.errors)
+    assert "constants: unexpected key 'c_quantum'" in exc.value.errors
 
 
 def test_noise_field_errors():
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e",
                          "noise": {"family": "subgaussian"}})
-    assert "noise.sigma_g: expected a number, got None" in exc.value.errors
+    assert "noise.sigma_g: must be positive, got 0.0" in exc.value.errors
 
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e",
                          "noise": {"family": "twopoint", "p": 1.2,
                                    "m_shift": 0.5}})
-    assert "noise.p: must be in (0, 1), got 1.2" in exc.value.errors
+    assert "noise.p: must be in (0, 1], got 1.2" in exc.value.errors
 
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e",
@@ -137,10 +145,77 @@ def test_noise_field_errors():
 def test_lc_case_requires_w2_bound():
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e", "case": {"tag": "LC"}})
-    assert "case.w2_bound: expected a number, got None" in exc.value.errors
+    assert "case.w2_bound: must be positive for the LC case, got None" in exc.value.errors
     cfg = validate_config({"experiment": "sampler_e2e",
                            "case": {"tag": "LC", "w2_bound": 2.0}})
-    assert cfg.case == {"tag": "LC", "warm_start_delta": 1.0, "w2_bound": 2.0}
+    assert cfg.case == {"tag": "LC", "constant": 1.0, "warm_start_delta": 1.0,
+                        "w2_bound": 2.0}
+
+
+_REJECTED = [
+    ({"experiment": "sampler_e2e", "case": {"tag": "LSI", "constnat": 5.0}},
+     "case: unexpected key 'constnat'"),
+    ({"experiment": "sampler_e2e",
+      "noise": {"family": "subgaussian", "sigma_g": 0.5, "sigma": 3}},
+     "noise: unexpected key 'sigma'"),
+    ({"experiment": "sampler_e2e",
+      "potential": {"name": "gaussian", "params": {"meen": [1.0]}}},
+     "potential.params: unexpected key 'meen'"),
+    ({"experiment": "sampler_e2e",
+      "potential": {"name": "gaussian", "params": {"mean": [1.0], "precision": -1}}},
+     "potential.params.precision: must be positive, got -1.0"),
+    ({"experiment": "sampler_e2e", "potential": {"name": "huber", "params": {"dim": 1.5}}},
+     "potential.params.dim: expected an integer, got 1.5"),
+    ({"experiment": "sampler_e2e", "noise": {"family": "subgaussian", "sigma_g": None}},
+     "noise.sigma_g: expected a number, got None"),
+    ({"experiment": "sampler_e2e", "case": {"tag": "PI", "constant": "2"}},
+     "case.constant: expected a number, got '2'"),
+    ({"experiment": "sampler_e2e", "constants": {"c_n": True}},
+     "constants.c_n: expected a number, got True"),
+    ({"experiment": "delta_scaling", "delta_grid": [0.2, 0.1, 0.05, 1.5]},
+     "delta_grid[3]: must be in (0, 1), got 1.5"),
+    ({"experiment": "fors_unit", "chains": 5}, "chains: fors_unit does not read this field"),
+    ({"experiment": "fors_unit", "chains": 0}, "chains: expected an integer >= 1, got 0"),
+    ({"experiment": "fors_unit", "seeds": (-1,)}, "seeds[0]: expected an integer >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("raw, message", _REJECTED,
+                         ids=[message.split(":")[0] for _, message in _REJECTED])
+def test_both_entry_points_reject_with_the_field_path(raw, message, monkeypatch):
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    for build in (validate_config, lambda raw: ExperimentConfig(**raw)):
+        with pytest.raises(ConfigError) as exc:
+            build(raw)
+        assert message in exc.value.errors
+
+
+def _readme_config() -> dict:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    return yaml.safe_load(block)
+
+
+def _potential_summary(pot):
+    xs = np.array([[-1.0], [0.5], [2.0]])
+    return (pot.name, pot.dim, pot.holder_s, pot.holder_beta, pot.lsi_const,
+            pot.value_at_rows(xs).tolist(), pot.grad_at_rows(xs).tolist())
+
+
+@pytest.mark.parametrize("raw", [_readme_config()]
+                         + [{"experiment": name} for name in SUITES],
+                         ids=lambda raw: raw["experiment"] + ("_readme" if len(raw) > 1 else ""))
+def test_yaml_and_python_configs_mean_the_same_run(raw, monkeypatch):
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    from_file, from_python = validate_config(raw), ExperimentConfig(**raw)
+    assert from_file == from_python
+    assert from_file.echo() == from_python.echo()
+    assert from_file.constants == from_python.constants
+    if "potential" in SUITES[raw["experiment"]].reads:
+        assert (_potential_summary(potential_from_config(**from_file.potential))
+                == _potential_summary(potential_from_config(**from_python.potential)))
+        assert NoiseModel(**from_file.noise) == NoiseModel(**from_python.noise)
+        assert AssumptionCase(**from_file.case) == AssumptionCase(**from_python.case)
 
 
 def test_output_dir_env_default(monkeypatch, tmp_path):
@@ -176,8 +251,8 @@ def test_validate_subcommand(tmp_path, capsys):
     path = _write_config(tmp_path, "experiment: fors_unit\nseeds: [1, 2]\n")
     assert main(["validate", "--config", path]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"experiment": "fors_unit", "seeds": [1, 2],
-                       "valid": True}
+    assert payload == {"experiment": "fors_unit", "samples": 100_000,
+                       "seeds": [1, 2], "valid": True}
 
 
 def test_validate_reports_errors_on_stderr(tmp_path, capsys):
@@ -185,6 +260,11 @@ def test_validate_reports_errors_on_stderr(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 1
     err = capsys.readouterr().err
     assert "error: delta: must be in (0, 1), got 1.5" in err
+
+    path = _write_config(tmp_path, "experiment: sampler_e2e\n"
+                                   "potential: {name: gaussian, params: {meen: [1.0]}}\n")
+    assert main(["validate", "--config", path]) == 1
+    assert "error: potential.params: unexpected key 'meen'" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from forsample.errors import ConfigError, DimensionError
 from forsample.harness import (SUITES, DiscreteWInstance, ExperimentConfig,
-                               ExperimentReport, PartialSink, _echo,
+                               ExperimentReport, PartialSink,
                                _json_default, discrete_instances, run_experiment,
                                run_fors_unit, run_lower_bound, run_prox_check,
                                tilt_reference, write_report)
@@ -121,10 +121,10 @@ def test_json_default_handles_numpy_scalars():
 # ---------------------------------------------------------------------------
 
 def test_unknown_experiment_raises_config_error():
-    cfg = ExperimentConfig(experiment="nonsense")
-    with pytest.raises(ConfigError, match="unknown suite 'nonsense'") as exc:
-        run_experiment(cfg)
-    assert exc.value.errors == ["experiment: unknown suite 'nonsense'"]
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(experiment="nonsense")
+    assert exc.value.errors == [f"experiment: expected one of {sorted(SUITES)}, "
+                                "got 'nonsense'"]
 
 
 def test_fors_unit_smoke(tmp_path):
@@ -223,10 +223,10 @@ def test_one_seed_suites_reject_more_seeds(experiment):
 
 
 def test_echo_shows_the_suite_defaults_that_ran():
-    echo = json.loads(json.dumps(_echo(ExperimentConfig(experiment="lower_bound"))))
+    echo = json.loads(json.dumps(ExperimentConfig(experiment="lower_bound").echo()))
     assert echo == {"experiment": "lower_bound", "delta": 0.02,
                     "seeds": [0], "trials": 100_000}
-    echo = _echo(ExperimentConfig(experiment="delta_scaling"))
+    echo = ExperimentConfig(experiment="delta_scaling").echo()
     assert (echo["chains"], echo["seeds"]) == (4, (0,))
     # common defaults elsewhere
     cfg = ExperimentConfig(experiment="sampler_e2e")
@@ -237,9 +237,9 @@ def test_echo_lists_only_the_fields_a_suite_reads():
     fields = set(ExperimentConfig.__dataclass_fields__)
     for name, suite in SUITES.items():
         assert set(suite.reads) <= fields
-        echo = _echo(ExperimentConfig(experiment=name))
+        echo = ExperimentConfig(experiment=name).echo()
         assert set(echo) == {"experiment"} | set(suite.reads) - {"constants"}
-    assert set(_echo(ExperimentConfig(experiment="tilt_exactness"))) == {
+    assert set(ExperimentConfig(experiment="tilt_exactness").echo()) == {
         "experiment", "seeds", "samples"}
 
 

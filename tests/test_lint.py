@@ -31,3 +31,19 @@ def test_sources_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_cli_knows_no_config_section():
+    # the config sections are checked by the classes that consume them; the
+    # CLI names no noise family, case tag or planner constant
+    from dataclasses import fields
+
+    from forsample.constants import PlanConstants
+    from forsample.core import CASE_TAGS
+    from forsample.oracles import NOISE_FAMILIES
+
+    names = set(NOISE_FAMILIES) | set(CASE_TAGS) | {f.name for f in fields(PlanConstants)}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = sorted({n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and n.value in names})
+    assert found == []

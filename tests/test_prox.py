@@ -39,8 +39,7 @@ def _exact_oracle(pot, *path):
 
 
 def _cfg(k_iters=20, n_batch=1):
-    return ProxConfig(eta=_ETA, m_trunc=0.0, n_batch=n_batch, g_bound=10.0,
-                      k_iters=k_iters)
+    return ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=k_iters)
 
 
 def test_exact_quadratic_converges_to_prox_point():
@@ -83,7 +82,7 @@ def test_residual_helper_values():
 
 def test_step_condition_enforced():
     pot = _quad()  # m_s = 1, so eta must stay at or below 0.5
-    bad = ProxConfig(eta=0.6, m_trunc=0.0, n_batch=1, g_bound=10.0, k_iters=5)
+    bad = ProxConfig(eta=0.6, n_batch=1, k_iters=5)
     with pytest.raises(InfeasibleScheduleError, match=r"1/\(2 m_s\)"):
         approx_prox(pot, _exact_oracle(pot), [0.0], bad, make_rng(0))
     with pytest.raises(InfeasibleScheduleError):
@@ -93,12 +92,12 @@ def test_step_condition_enforced():
 def test_noisy_runs_meet_residual_guarantee():
     pot = _quad()
     noise = NoiseModel.subgaussian(0.2)
-    cfg = ProxConfig(eta=_ETA, m_trunc=1.0, n_batch=4, g_bound=10.0, k_iters=25)
+    cfg = ProxConfig(eta=_ETA, n_batch=4, k_iters=25)
     oracle = GradientOracle(pot, noise, make_rng(82))
     x0_rows = np.zeros((1000, 1))
     xhat = approx_prox_rows(pot, oracle, x0_rows, cfg, make_rng(0))
     resid = np.abs(xhat[:, 0] + cfg.eta * (xhat[:, 0] - _THETA))
-    bound = prox_residual_bound(cfg.eta, pot.m_s, cfg.m_trunc)
+    bound = prox_residual_bound(cfg.eta, pot.m_s, 1.0)
     assert resid.mean() > 0.0
     assert np.all(resid <= bound)
 
@@ -148,15 +147,11 @@ def test_default_k_iters():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ProxConfig(eta=0.0, m_trunc=0.0, n_batch=1, g_bound=1.0, k_iters=1)
+        ProxConfig(eta=0.0, n_batch=1, k_iters=1)
     with pytest.raises(ValueError):
-        ProxConfig(eta=0.5, m_trunc=-0.1, n_batch=1, g_bound=1.0, k_iters=1)
+        ProxConfig(eta=0.5, n_batch=0, k_iters=1)
     with pytest.raises(ValueError):
-        ProxConfig(eta=0.5, m_trunc=0.0, n_batch=0, g_bound=1.0, k_iters=1)
-    with pytest.raises(ValueError):
-        ProxConfig(eta=0.5, m_trunc=0.0, n_batch=1, g_bound=1.0, k_iters=0)
-    with pytest.raises(ValueError):
-        ProxConfig(eta=0.5, m_trunc=0.0, n_batch=1, g_bound=0.0, k_iters=1)
+        ProxConfig(eta=0.5, n_batch=1, k_iters=0)
 
 
 def _zero_values(xs):
@@ -251,7 +246,7 @@ def test_blocked_prox_equals_per_iteration_loop(label, rows, n_batch, shared):
     # also where the oracle shares the caller's generator
     pot = _quad()
     noise = _STREAM_NOISE[label]
-    cfg = ProxConfig(eta=_ETA, m_trunc=1.0, n_batch=n_batch, g_bound=10.0, k_iters=25)
+    cfg = ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=25)
     x0 = make_rng(85, rows).standard_normal((rows, 1))
     outs = []
     for blocked in (True, False):
@@ -285,8 +280,7 @@ def test_noise_blocks_stay_under_the_cap(monkeypatch, rows, n_batch, k_iters):
     monkeypatch.setattr(NoiseModel, "sample_batch_rows", spy)
     pot = _quad()
     oracle = GradientOracle(pot, NoiseModel.subweibull(1.0, 0.2), make_rng(88))
-    cfg = ProxConfig(eta=_ETA, m_trunc=1.0, n_batch=n_batch, g_bound=10.0,
-                     k_iters=k_iters)
+    cfg = ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=k_iters)
     approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg, make_rng(0))
     per_iter = rows * n_batch
     assert oracles._BLOCK == 8192
@@ -311,7 +305,7 @@ def _prox_noise(monkeypatch, noise, rows, k_iters, calls):
     monkeypatch.setattr(GradientOracle, "draw_batch_rows", spy)
     pot = _quad()
     oracle = GradientOracle(pot, noise, make_rng(89))
-    cfg = ProxConfig(eta=_ETA, m_trunc=1.0, n_batch=1, g_bound=10.0, k_iters=k_iters)
+    cfg = ProxConfig(eta=_ETA, n_batch=1, k_iters=k_iters)
     for _ in range(calls):
         approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg, make_rng(0))
     monkeypatch.undo()

@@ -108,10 +108,6 @@ def test_context_u_and_validation():
     assert ctx.u == pytest.approx([(1.0 - 0.2) / 0.5])
     with pytest.raises(ValueError):
         RGOContext(problem, [0.2], n_batch=0)
-    with pytest.raises(ValueError):
-        RGOContext(problem, [0.2], m_trunc=-1.0)
-    with pytest.raises(ValueError):
-        RGOContext(problem, [0.2], eps_prox=-0.1)
 
 
 # ---------------------------------------------------------------------------

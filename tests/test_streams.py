@@ -101,7 +101,7 @@ def _sampler(noise=NoiseModel.subgaussian(0.5)):
 
 def _prox_rows():
     pot, _, noise = _tilt()
-    cfg = ProxConfig(eta=0.25, m_trunc=0.5, n_batch=3, g_bound=10.0, k_iters=7)
+    cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 10))
     x0 = make_rng(5, 11).standard_normal((9, 2))
     return _digest(approx_prox_rows(pot, oracle, x0, cfg, make_rng(5, 12)), oracle.ledger)
@@ -189,7 +189,7 @@ def test_scalar_estimator_draws_are_pinned():
 
 def test_scalar_prox_is_pinned():
     pot, _, noise = _tilt()
-    cfg = ProxConfig(eta=0.25, m_trunc=0.5, n_batch=3, g_bound=10.0, k_iters=7)
+    cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 16))
     xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg, make_rng(5, 17))
     assert xhat.tolist() == [0.6867241840363064, -0.3748813715609144]
