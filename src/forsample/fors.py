@@ -143,33 +143,36 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
     W draws are metered by the source's ledger and attempts by the ``ledger``
     argument; pass the same QueryLedger to both for unified accounting.
     """
-    b = cfg.b
+    b, w_cap = cfg.b, cfg.max_w_per_call
+    b2 = 2 * b
     ledger = ledger if ledger is not None else QueryLedger()
+    # poisson_inversion(2B, rng)'s scalar path, with its table bound once
+    cdf = _poisson_cdf_list(float(b2))
+    j_top = len(cdf) - 1
+    random, draw, isfinite = rng.random, source.draw, math.isfinite
     w_draws_this_call = 0
     for attempt in range(1, cfg.max_attempts + 1):
         ledger.fors_attempts += 1
         x = as_vector(proposal(rng))
-        j = poisson_inversion(2 * b, rng)
-        u = rng.random()
+        j = min(bisect_left(cdf, random()), j_top)
+        u = random()
         # running product of (B + W)/(2B) factors; each factor is in [0, 1]
         # so the product only decreases and the attempt can be rejected the
         # moment it falls below the acceptance uniform.
         product = 1.0
-        accepted = True
         for _ in range(j):
-            if w_draws_this_call >= cfg.max_w_per_call:
+            if w_draws_this_call >= w_cap:
                 raise BudgetExhaustedError(
                     "W-draw budget exhausted",
                     attempts=attempt, w_draws=w_draws_this_call)
-            w = source.draw(x, rng)
+            w = draw(x, rng)
             w_draws_this_call += 1
-            if not (-b <= w <= b) or not math.isfinite(w):
+            if not (-b <= w <= b) or not isfinite(w):
                 raise EstimatorRangeError(f"estimator draw {w} outside [-{b}, {b}]")
-            product *= (b + w) / (2 * b)
+            product *= (b + w) / b2
             if product < u:
-                accepted = False
                 break
-        if accepted and u < product:
+        if u < product:
             return FORSResult(point=x, attempts=attempt, w_draws=w_draws_this_call)
     raise BudgetExhaustedError(
         "attempt budget exhausted",

@@ -294,7 +294,9 @@ def write_report(report: ExperimentReport, out_dir) -> tuple[Path, Path | None]:
     if report.rows:
         csv_path = out / f"{report.experiment}_rows.csv"
         with csv_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(report.rows[0].keys()))
+            # rows of several kinds: every key, in first-seen order
+            keys = dict.fromkeys(key for row in report.rows for key in row)
+            writer = csv.DictWriter(fh, fieldnames=list(keys))
             writer.writeheader()
             writer.writerows(report.rows)
     return json_path, csv_path
@@ -394,6 +396,7 @@ class DiscreteWInstance:
         assert np.allclose(self.w_probs.sum(axis=1), 1.0)
         assert np.all(np.abs(self.w_values) <= self.b)
         object.__setattr__(self, "_q_cdf", np.cumsum(self.q))
+        object.__setattr__(self, "_w_cdf", np.cumsum(self.w_probs, axis=1))
 
     @property
     def n_points(self) -> int:
@@ -410,12 +413,11 @@ class DiscreteWInstance:
         return float(np.sum(self.q * np.exp(self.w_means() - self.b)))
 
     def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        idx = np.searchsorted(self._q_cdf, rng.random(k))
+        idx = self._q_cdf.searchsorted(rng.random(k))
         return idx.astype(float)[:, None]
 
     def scalar_source(self, ledger: QueryLedger | None = None) -> EstimatorSource:
-        cdfs = [np.cumsum(row).tolist() for row in self.w_probs]
-        values = self.w_values.tolist()
+        cdfs, values = self._w_cdf.tolist(), self.w_values.tolist()
         last = self.w_probs.shape[1] - 1
 
         def draw_w(x, rng):
@@ -425,9 +427,8 @@ class DiscreteWInstance:
 
     def draw_w_rows(self, slots, xs, rng) -> np.ndarray:
         idx = xs[:, 0].astype(int)
-        cum = np.cumsum(self.w_probs, axis=1)
         u = rng.random(idx.size)
-        choice = np.minimum((u[:, None] > cum[idx]).sum(axis=1),
+        choice = np.minimum((u[:, None] > self._w_cdf[idx]).sum(axis=1),
                             self.w_probs.shape[1] - 1)
         return self.w_values[idx, choice]
 

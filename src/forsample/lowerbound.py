@@ -22,8 +22,8 @@ TV(N(0,1), N(delta,1)) = 2 Phi(delta/2) - 1 >= delta/3 while the arms'
 outputs are within Tp <= delta/10 of each other.
 
 All of a coupled run's randomness comes from one tape generator,
-``make_rng(seed)``, read one fixed-width row per trial: the trial's
-max(T, 1) coupling uniforms, then four raw 64-bit words that seed the
+``make_rng(seed)``, read one fixed-width row of raw 64-bit words per trial:
+the trial's max(T, 1) coupling uniforms, then four words that seed the
 algorithm's stream.  Trial t's row starts at raw word t (max(T, 1) + 4), so
 a trial's draws depend only on the seed and t, never on how many random
 numbers earlier trials spent.
@@ -32,17 +32,19 @@ numbers earlier trials spent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetViolationError
-from .fors import poisson_inversion
+from .fors import _poisson_cdf_list
 from .oracles import make_rng
 
 _F_PSI_CAP = 1e12
 _MASK_128 = (1 << 128) - 1
+_TAPE_BLOCK_WORDS = 1 << 12    # tape words coupled_run reads per block of rows
 
 Adapter = Callable[[Callable[[float], float], int, np.random.Generator], float]
 
@@ -169,9 +171,12 @@ class _MeteredOracle:
     whenever no corruption fires.
     """
 
-    def __init__(self, pair: AdversarialOraclePair, uniforms: np.ndarray,
+    __slots__ = ("p", "m_shift", "uniforms", "budget", "shifted", "queries", "corruptions")
+
+    def __init__(self, pair: AdversarialOraclePair, uniforms: Sequence[float],
                  budget: int, shifted: bool):
-        self.pair = pair
+        self.p = pair.p
+        self.m_shift = pair.m_shift
         self.uniforms = uniforms
         self.budget = budget
         self.shifted = shifted
@@ -184,9 +189,9 @@ class _MeteredOracle:
                 f"oracle query budget {self.budget} exceeded")
         u = self.uniforms[self.queries]
         self.queries += 1
-        if self.shifted and u < self.pair.p:
+        if self.shifted and u < self.p:
             self.corruptions += 1
-            return x - self.pair.m_shift
+            return x - self.m_shift
         return x
 
 
@@ -210,47 +215,48 @@ def coupled_run(alg: Adapter, pair: AdversarialOraclePair, t_budget: int,
                 trials: int, seed: int) -> CoupledRunResult:
     """Run the algorithm against both arms with shared randomness per trial.
 
-    Trial t reads one row of the tape ``make_rng(seed)`` when it starts:
-    max(t_budget, 1) coupling uniforms, consumed query by query, and four
-    raw words w0..w3.  The words set the algorithm's PCG64 stream for the
-    trial, state w0 2^64 + w1 and odd increment 2 (w2 2^64 + w3) + 1 mod
-    2^128, and both arms start from that same state.  Outputs must agree
+    Trial t reads one row of raw words of the tape ``make_rng(seed)``, in
+    blocks of rows: max(t_budget, 1) coupling uniforms, consumed query by
+    query, each its word's top 53 bits times 2^-53 (``Generator.random`` on
+    PCG64), and four words w0..w3.  These set the algorithm's PCG64 stream
+    for the trial, state w0 2^64 + w1 and odd increment 2 (w2 2^64 + w3) + 1
+    mod 2^128, and both arms start from that same state.  Outputs must agree
     exactly on trials with zero corruptions; the count of violations of
     that invariant is reported (it must be zero for a sound adapter).
     """
     if t_budget < 0 or trials < 1:
         raise ValueError("need t_budget >= 0 and trials >= 1")
     width = max(t_budget, 1)
-    tape = make_rng(seed)
-    words = tape.bit_generator
+    rows_per_block = max(_TAPE_BLOCK_WORDS // (width + 4), 1)
+    words = make_rng(seed).bit_generator
     alg_rng = np.random.Generator(np.random.PCG64())
     alg_bits = alg_rng.bit_generator
     state = alg_bits.state
-    out0 = np.empty(trials)
-    out1 = np.empty(trials)
+    out0, out1 = [], []
     corrupted = 0
     clean_mismatches = 0
     queries = 0
-    for trial in range(trials):
-        uniforms = tape.random(width)
-        w0, w1, w2, w3 = words.random_raw(4).tolist()
-        state["state"] = {"state": w0 << 64 | w1,
-                          "inc": ((w2 << 64 | w3) << 1 | 1) & _MASK_128}
-        arms = []
-        for shifted in (False, True):
-            oracle = _MeteredOracle(pair, uniforms, t_budget, shifted)
+    for start in range(0, trials, rows_per_block):
+        block = words.random_raw((min(rows_per_block, trials - start), width + 4))
+        uniform_rows = ((block[:, :width] >> 11) * 2.0 ** -53).tolist()
+        for uniforms, (w0, w1, w2, w3) in zip(uniform_rows, block[:, width:].tolist()):
+            state["state"] = {"state": w0 << 64 | w1,
+                              "inc": ((w2 << 64 | w3) << 1 | 1) & _MASK_128}
+            oracle0 = _MeteredOracle(pair, uniforms, t_budget, False)
             alg_bits.state = state
-            arms.append((alg(oracle, t_budget, alg_rng), oracle))
-        out0[trial], oracle0 = arms[0]
-        out1[trial], oracle1 = arms[1]
-        queries += oracle0.queries + oracle1.queries
-        if oracle1.corruptions > 0:
-            corrupted += 1
-        elif out0[trial] != out1[trial] or oracle0.queries != oracle1.queries:
-            clean_mismatches += 1
+            out0.append(alg(oracle0, t_budget, alg_rng))
+            oracle1 = _MeteredOracle(pair, uniforms, t_budget, True)
+            alg_bits.state = state
+            out1.append(alg(oracle1, t_budget, alg_rng))
+            queries += oracle0.queries + oracle1.queries
+            if oracle1.corruptions > 0:
+                corrupted += 1
+            elif out0[-1] != out1[-1] or oracle0.queries != oracle1.queries:
+                clean_mismatches += 1
     frac = corrupted / trials
     return CoupledRunResult(
-        outputs_base=out0, outputs_shifted=out1, corrupted_fraction=frac,
+        outputs_base=np.array(out0, dtype=float),
+        outputs_shifted=np.array(out1, dtype=float), corrupted_fraction=frac,
         coupling_tv_bound=min(t_budget * pair.p, 1.0),
         clean_mismatches=clean_mismatches, trials=trials, queries=queries)
 
@@ -267,12 +273,15 @@ def sgld_adapter(step: float = 0.1) -> Adapter:
     if not (step > 0):
         raise ValueError("step must be positive")
 
+    scale = math.sqrt(2.0 * step)
+
     def run(oracle: Callable[[float], float], budget: int,
             rng: np.random.Generator) -> float:
+        normal = rng.standard_normal
         x = 0.0
         for _ in range(budget):
             g = oracle(x)
-            x = x - step * g + math.sqrt(2.0 * step) * rng.standard_normal()
+            x = x - step * g + scale * normal()
         return x
 
     return run
@@ -289,29 +298,36 @@ def proximal_adapter(eta: float = 0.25, b: float = 1.0) -> Adapter:
     if not (eta > 0) or not (b > 0):
         raise ValueError("eta and b must be positive")
 
+    scale, b2 = math.sqrt(eta), 2.0 * b
+    # poisson_inversion(2B, rng)'s scalar path, with its table bound once
+    cdf = _poisson_cdf_list(b2)
+    j_top = len(cdf) - 1
+    pi, half_pi, sin, cos = math.pi, math.pi / 2.0, math.sin, math.cos
+
     def run(oracle: Callable[[float], float], budget: int,
             rng: np.random.Generator) -> float:
+        normal, random = rng.standard_normal, rng.random
         x = 0.0
         try:
             while True:
-                y = x + math.sqrt(eta) * rng.standard_normal()
+                y = x + scale * normal()
                 xhat = y - eta * oracle(y) / 2.0    # one prox iteration from x0=y
                 u = (y - xhat) / eta
-                # inline: fors_sample's per-attempt checks and objects cost about 2x
+                # inline: through fors_sample the same draws take 1.8-2x the CPU time
                 while True:                          # rejection loop for this tilt
-                    cand = xhat + math.sqrt(eta) * rng.standard_normal()
-                    j = poisson_inversion(2.0 * b, rng)
-                    coin = rng.random()
+                    cand = xhat + scale * normal()
+                    j = min(bisect_left(cdf, random()), j_top)
+                    coin = random()
                     product = 1.0
                     for _ in range(j):
-                        r = rng.random()
-                        z = math.sqrt(eta) * rng.standard_normal()
-                        a_r = math.sin(math.pi * r / 2.0)
-                        b_r = math.cos(math.pi * r / 2.0)
+                        r = random()
+                        z = scale * normal()
+                        angle = pi * r / 2.0
+                        a_r, b_r = sin(angle), cos(angle)
                         gamma = a_r * cand + (1.0 - a_r) * xhat + b_r * z
-                        gamma_dot = (math.pi / 2.0) * (b_r * (cand - xhat) - a_r * z)
+                        gamma_dot = half_pi * (b_r * (cand - xhat) - a_r * z)
                         w = gamma_dot * (u - oracle(gamma))
-                        product *= (b + max(-b, min(b, w))) / (2.0 * b)
+                        product *= (b + max(-b, min(b, w))) / b2
                         if product < coin:
                             break
                     if coin < product:

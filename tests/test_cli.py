@@ -1,5 +1,6 @@
 """Config validation and the command-line entry point."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -190,6 +191,28 @@ def test_both_entry_points_reject_with_the_field_path(raw, message, monkeypatch)
         assert message in exc.value.errors
 
 
+# errors raised below the catalog function name the parameter too
+_PARAM_REJECTED = {
+    "huber_dim": ({"name": "huber", "params": {"dim": -1}},
+                  "potential.params.dim: must be >= 1, got -1"),
+    "gaussian_2d_mean": ({"name": "gaussian", "params": {"mean": [[1.0, 2.0]]}},
+                         "potential.params.mean: expected a 1-D vector, got shape (1, 2)"),
+    "gaussian_nan_mean": ({"name": "gaussian", "params": {"mean": [float("nan")]}},
+                          "potential.params.mean: vector has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARAM_REJECTED))
+def test_potential_param_errors_name_the_field(name, monkeypatch):
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    potential, message = _PARAM_REJECTED[name]
+    raw = {"experiment": "sampler_e2e", "potential": potential}
+    for build in (validate_config, lambda raw: ExperimentConfig(**raw)):
+        with pytest.raises(ConfigError) as exc:
+            build(raw)
+        assert exc.value.errors == [message]
+
+
 def _readme_config() -> dict:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
@@ -301,6 +324,24 @@ def test_run_small_experiment(tmp_path, capsys):
     assert f"report written to {out_dir}" in lines
     assert (out_dir / "fors_unit_report.json").exists()
     assert (out_dir / "fors_unit_rows.csv").exists()
+
+
+def test_run_lower_bound_writes_every_row(tmp_path, capsys):
+    # the suite's rows are of two kinds, rate-functional and per-adapter:
+    # the CSV header holds every key, and a row's missing cells are blank
+    out_dir = tmp_path / "results"
+    path = _write_config(tmp_path, "experiment: lower_bound\ntrials: 200\n")
+    code = main(["run", "--config", path, "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code in (0, 2)
+    with (out_dir / "lower_bound_rows.csv").open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["delta", "f_psi", "closed_form", "rel_err", "adapter",
+                                 "corrupted_fraction", "tv_between_arms",
+                                 "tv_arm0_vs_target", "tv_arm1_vs_target"]
+    assert [row["adapter"] for row in rows] == ["", "", "", "", "sgld", "proximal"]
+    assert rows[0]["f_psi"] and not rows[4]["f_psi"]
 
 
 def test_seed_and_chain_overrides(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no unused imports, and every random draw from a Generator."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,37 @@ def test_cli_knows_no_config_section():
     found = sorted({n.value for n in ast.walk(tree)
                     if isinstance(n, ast.Constant) and n.value in names})
     assert found == []
+
+
+# numpy's Generator API; every other numpy.random name is the legacy
+# global-state interface (seed, rand, randn, normal, choice, RandomState, ...)
+_GENERATOR_API = {"Generator", "BitGenerator", "SeedSequence", "default_rng",
+                  "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+
+
+def _legacy_random(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "random" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, f"numpy.random.{name}") for name in names
+                  if name not in _GENERATOR_API]
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_legacy_random_is_detected():
+    source = ("import numpy as np\nnp.random.seed(0)\nx = np.random.rand(3)\n"
+              "from numpy.random import choice\nrng = np.random.default_rng(0)\n")
+    assert _legacy_random(source) == ["2: numpy.random.seed", "3: numpy.random.rand",
+                                      "4: numpy.random.choice"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_legacy_global_random_state(path):
+    assert _legacy_random(path.read_text()) == []

@@ -17,7 +17,7 @@ import pytest
 from forsample.constants import DEFAULT_CONSTANTS
 from forsample.core import AssumptionCase, make_gaussian_potential
 from forsample.fors import (FORSConfig, fors_accept_rows, fors_attempt_batch,
-                            fors_sample_many, poisson_inversion)
+                            fors_sample, fors_sample_many, poisson_inversion)
 from forsample.harness import discrete_instances
 from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                                   proximal_adapter, sgld_adapter)
@@ -60,6 +60,19 @@ def _accept_rows():
                            inst, FORSConfig(b=inst.b), 257, make_rng(5, 1),
                            ledger=ledger)
     return _digest(out, ledger)
+
+
+def _scalar_loop():
+    # the scalar loop, call after call on one stream: points, per-call
+    # attempts and W draws, and the shared ledger
+    inst = _spread()
+    ledger = QueryLedger()
+    source = inst.scalar_source(ledger)
+    cfg, rng = FORSConfig(b=inst.b), make_rng(5, 20)
+    calls = [fors_sample(lambda r: inst.proposal_rows(1, r)[0], source, cfg, rng,
+                         ledger=ledger) for _ in range(2_000)]
+    return _digest(np.array([c.point[0] for c in calls]),
+                   np.array([(c.attempts, c.w_draws) for c in calls]), ledger)
 
 
 def _sample_many():
@@ -127,6 +140,7 @@ _SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
 
 PINNED = {
     "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
+    "fors_sample": (_scalar_loop, "a31284b6ca0f9912"),
     "fors_sample_many": (_sample_many, "f862ea0cc2216a03"),
     "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
     "sample_tilt_many_first": (partial(_sample_tilt_many, "first", GradientOracle),
@@ -203,3 +217,13 @@ def test_scalar_poisson_draws_equal_one_row_draw(lam):
     scalar = [poisson_inversion(lam, rng) for _ in range(2_000)]
     assert all(type(j) is int for j in scalar)
     assert scalar == poisson_inversion(lam, make_rng(5, 19), size=2_000).tolist()
+
+
+@pytest.mark.parametrize("key", [(5,), (5, 20), (7, 3, 1)])
+def test_raw_words_give_the_generators_uniforms(key):
+    # coupled_run reads its coupling uniforms as raw words: the top 53 bits
+    # of a word, times 2^-53, is what Generator.random returns on PCG64
+    raw = make_rng(*key).bit_generator.random_raw(1_000)
+    want = make_rng(*key).random(1_000).tolist()
+    assert [(w >> 11) * 2.0 ** -53 for w in raw.tolist()] == want
+    assert ((raw >> 11) * 2.0 ** -53).tolist() == want    # coupled_run's uint64 form
