@@ -34,10 +34,8 @@ from .prox import (ProxConfig, approx_prox, approx_prox_rows, default_k_iters,
 from .rgo import (RGOContext, TiltProblem, path_gamma, sample_tilt_many,
                   tilt_eta_bound)
 from .sampler import (Schedule, gaussian_initializer, plan_first_order,
-                      plan_zeroth_order, run_proximal_sampler,
-                      schedule_from_dict, schedule_from_json,
-                      schedule_to_dict, schedule_to_json, schedule_tail_ok)
-from .verify import (SampleBatch, TVEstimate, chi2_discrete, chi2_uniformity,
+                      plan_zeroth_order, run_proximal_sampler, schedule_tail_ok)
+from .verify import (TVEstimate, chi2_discrete, chi2_uniformity,
                      discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, equal_mass_edges,
                      gaussian_tv_exact, ks_test, scaling_slope,

@@ -24,7 +24,6 @@ class PlanConstants:
     c_n : prefactor on the outer-iteration count of each assumption case
         (default 2, giving the end-to-end run a measured margin below its
         total-variation budget).
-    c_step : multiplier in the tilt step condition (rgo.tilt_eta_bound).
     b_first / b_zeroth : estimator range B for the two modes.  The
         zeroth-order default 3 makes the inner truncation level B/3 = 1,
         matching the batch-size rule phi_1.
@@ -37,7 +36,6 @@ class PlanConstants:
     c_eta_first: float = 1.0
     c_eta_zeroth: float = 1.0
     c_n: float = 2.0
-    c_step: float = 64.0
     b_first: float = 1.0
     b_zeroth: float = 3.0
     m_grid_ratio: float = 1.15
@@ -45,8 +43,7 @@ class PlanConstants:
     phi_cap: int = 10 ** 9
 
     def __post_init__(self):
-        for name in ("c_eta_first", "c_eta_zeroth", "c_n", "c_step", "b_first",
-                     "b_zeroth"):
+        for name in ("c_eta_first", "c_eta_zeroth", "c_n", "b_first", "b_zeroth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
         if self.m_grid_ratio <= 1.0:

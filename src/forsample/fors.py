@@ -269,8 +269,7 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         over = attempts[active] > cfg.max_attempts
         if over.any():
             raise BudgetExhaustedError(
-                "attempt budget exhausted",
-                attempts=int(attempts[active][over][0]),
+                "attempt budget exhausted", attempts=cfg.max_attempts,
                 chain=int(active[over][0]))
         xs = propose_rows(active, rng)
         if out is None:

@@ -18,7 +18,7 @@ import numbers
 import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args
 
@@ -36,7 +36,7 @@ from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
 from .prox import ProxConfig, approx_prox_rows, prox_residual_bound
 from .rgo import RGOContext, TiltProblem, sample_tilt_many
 from .sampler import (MODES, gaussian_initializer, plan_first_order,
-                      plan_zeroth_order, run_proximal_sampler, schedule_to_dict)
+                      plan_zeroth_order, run_proximal_sampler)
 from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
                      scaling_slope, seeds_pass_rule)
@@ -565,14 +565,13 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         # proposal centered at the proximal point of x0, found with the same
         # noisy oracle the estimator uses
         prox_cfg = ProxConfig(eta=TILT_ETA, n_batch=n_batch, k_iters=25)
-        xhat = approx_prox_rows(pot, oracle, np.array([[TILT_X0]]), prox_cfg, rng)[0]
+        xhat = approx_prox_rows(pot, oracle, np.array([[TILT_X0]]), prox_cfg)[0]
         ledger.prox_iters += prox_cfg.k_iters
-        ctx = RGOContext(problem, xhat, n_batch=n_batch)
-        pts = sample_tilt_many(ctx, "first", oracle, cfg, samples, rng, ledger=ledger)
     else:
         oracle = ValueOracle(pot, noise, rng, ledger)
-        ctx = RGOContext(problem, np.array([TILT_X0]), n_batch=n_batch)
-        pts = sample_tilt_many(ctx, "zeroth", oracle, cfg, samples, rng, ledger=ledger)
+        xhat = np.array([TILT_X0])
+    ctx = RGOContext(problem, xhat, n_batch=n_batch)
+    pts = sample_tilt_many(ctx, oracle, cfg, samples, rng, ledger=ledger)
     stat, p_value = ks_test(pts[:, 0], tilt_reference().cdf)
     return {"seed": seed, "mode": mode, "noise": noise.family,
             "ks_stat": stat, "ks_p": p_value, "ledger": ledger.as_dict()}
@@ -626,7 +625,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
     # deterministic convergence with the exact oracle
     exact = GradientOracle(pot, NoiseModel.exact(), make_rng(0, 0))
     pcfg = ProxConfig(eta=eta, n_batch=1, k_iters=20)
-    xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg, make_rng(0, 1))[0]
+    xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg)[0]
     exact_err = abs(float(xhat[0]) - fixed_point)
     merged.merge(exact.ledger)
     merged.prox_iters += pcfg.k_iters
@@ -640,7 +639,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
         oracle = GradientOracle(pot, noise, make_rng(seed, 2))
         ncfg = ProxConfig(eta=eta, n_batch=1, k_iters=25)
         starts = np.zeros((cfg.trials, 1))
-        ends = approx_prox_rows(pot, oracle, starts, ncfg, make_rng(seed, 3))
+        ends = approx_prox_rows(pot, oracle, starts, ncfg)
         merged.merge(oracle.ledger)
         merged.prox_iters += ncfg.k_iters * cfg.trials
         residuals = np.abs(ends + eta * pot.grad_at_rows(ends) - starts)[:, 0]
@@ -699,7 +698,7 @@ def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
                 "tv": tv.value, "tv_bias_bound": tv.bias_bound,
                 "tv_pass": bool(tv.value <= cfg.delta + tv.bias_bound),
                 "ks_stat": stat, "ks_p": p_value,
-                "schedule": schedule_to_dict(sched),
+                "schedule": asdict(sched),
                 "ledger": ledger.as_dict(),
             }
             per_seed.append(entry)

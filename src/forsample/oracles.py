@@ -145,7 +145,7 @@ class NoiseModel:
         # twopoint: |noise| = m_shift*p w.p. (1-p) and m_shift*(1-p) w.p. p
         return 2.0 * self.p * (1.0 - self.p) * self.m_shift
 
-    def second_moment(self, dim: int = 1) -> float:
+    def second_moment(self) -> float:
         """Exact E||noise||^2 of a single draw (used in tests and fallbacks)."""
         if self.family == "exact":
             return 0.0

@@ -62,29 +62,27 @@ def _check_step(potential: Potential, eta: float) -> None:
 
 
 def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
-                cfg: ProxConfig, rng: np.random.Generator) -> Array:
+                cfg: ProxConfig) -> Array:
     """Approximate proximal point of the potential at x0.
 
     Consumes exactly cfg.n_batch * cfg.k_iters gradient queries (metered by
     the oracle's ledger).  Raises InfeasibleScheduleError if the step-size
     condition fails and NumericError on a non-finite iterate.  The one-row
-    case of ``approx_prox_rows``; ``rng`` is never read, the noise comes
-    from the oracle's own generator.
+    case of ``approx_prox_rows``.
     """
     return approx_prox_rows(potential, oracle, as_vector(x0, potential.dim)[None],
-                            cfg, rng)[0]
+                            cfg)[0]
 
 
 def approx_prox_rows(potential: Potential, oracle: GradientOracle,
-                     x0_rows: np.ndarray, cfg: ProxConfig,
-                     rng: np.random.Generator) -> np.ndarray:
+                     x0_rows: np.ndarray, cfg: ProxConfig) -> np.ndarray:
     """Row-vectorized approx_prox: one independent proximal run per row.
 
-    ``rng`` is never read.  The gradient noise comes from the oracle's own
-    generator, in blocks of iterations (``GradientOracle.noise_block``);
-    every query still goes through ``draw_batch_rows``.  Each iterate is
-    checked for finiteness once: by the oracle's row validation when it is
-    queried at the next step, and after the loop for the last one.
+    The gradient noise comes from the oracle's own generator, in blocks of
+    iterations (``GradientOracle.noise_block``); every query still goes
+    through ``draw_batch_rows``.  Each iterate is checked for finiteness
+    once: by the oracle's row validation when it is queried at the next
+    step, and after the loop for the last one.
     """
     _check_step(potential, cfg.eta)
     x0_rows = as_rows(x0_rows, potential.dim)

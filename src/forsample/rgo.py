@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Array, Potential, as_vector
 from .fors import FORSConfig, fors_sample_many
-from .oracles import QueryLedger
+from .oracles import GradientOracle, QueryLedger, ValueOracle
 
 
 def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
@@ -146,24 +146,26 @@ class _ZerothOrderRows(_RowEstimator):
         return _clip(w, self.b)
 
 
-_ESTIMATORS = {"first": _FirstOrderRows, "zeroth": _ZerothOrderRows}
-
-
-def sample_tilt_many(ctx: RGOContext, mode: str, oracle, cfg: FORSConfig,
-                     n_samples: int, rng: np.random.Generator,
+def sample_tilt_many(ctx: RGOContext, oracle, cfg: FORSConfig, n_samples: int,
+                     rng: np.random.Generator,
                      ledger: QueryLedger | None = None) -> np.ndarray:
     """Vectorized iid tilt sampling: (n_samples, d) accepted points.
 
-    ``mode`` selects the estimator ("first" needs a GradientOracle, "zeroth"
-    a ValueOracle); the proposal is N(xhat, eta I).
+    The oracle fixes the estimator: a GradientOracle draws first-order W, a
+    ValueOracle zeroth-order W.  The proposal is N(xhat, eta I).
     """
-    if mode not in _ESTIMATORS:
-        raise ValueError(f"mode must be 'first' or 'zeroth', got {mode!r}")
+    if isinstance(oracle, GradientOracle):
+        estimator = _FirstOrderRows
+    elif isinstance(oracle, ValueOracle):
+        estimator = _ZerothOrderRows
+    else:
+        raise TypeError("need a GradientOracle or a ValueOracle, "
+                        f"got {type(oracle).__name__}")
     pot = ctx.problem.potential
     eta = ctx.problem.eta
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
-    rows = _ESTIMATORS[mode](oracle, ctx.xhat[None], ctx.u[None], eta, cfg.b, ctx.n_batch)
+    rows = estimator(oracle, ctx.xhat[None], ctx.u[None], eta, cfg.b, ctx.n_batch)
 
     def proposal_rows(k: int, r: np.random.Generator) -> np.ndarray:
         return ctx.xhat + math.sqrt(eta) * r.standard_normal((k, pot.dim))

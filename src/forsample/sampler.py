@@ -19,9 +19,8 @@ every report.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,10 +36,22 @@ from .rgo import _FirstOrderRows, _ZerothOrderRows
 
 MODES = ("first_order", "zeroth_order")
 
+# each outer step's share of delta for the batch-size tail: delta / (split N)
+_TAIL_SPLIT = {"first_order": 10.0, "zeroth_order": 4.0}
+
+
+def _tail_budget(mode: str, delta: float, n_steps: int) -> float:
+    return delta / (_TAIL_SPLIT[mode] * max(n_steps, 1))
+
 
 @dataclass(frozen=True)
 class Schedule:
-    """A fully planned sampler run; every field is an input to the loop."""
+    """A fully planned sampler run; every field is an input to the loop.
+
+    Reports store it as ``dataclasses.asdict``.  The planners are
+    deterministic, so re-planning from a report's config and constants
+    re-creates it.
+    """
 
     mode: str
     eta: float
@@ -68,26 +79,8 @@ class Schedule:
 
     @property
     def tail_budget(self) -> float:
-        """The per-run tail budget the batch size was sized for."""
-        split = 10.0 if self.mode == "first_order" else 4.0
-        return self.delta / (split * max(self.n_steps, 1))
-
-
-def schedule_to_dict(sched: Schedule) -> dict:
-    return asdict(sched)
-
-
-def schedule_from_dict(data: dict) -> Schedule:
-    return Schedule(**{**data, "case": AssumptionCase(**data["case"]),
-                       "constants": PlanConstants(**data["constants"])})
-
-
-def schedule_to_json(sched: Schedule) -> str:
-    return json.dumps(schedule_to_dict(sched), indent=2, sort_keys=True)
-
-
-def schedule_from_json(text: str) -> Schedule:
-    return schedule_from_dict(json.loads(text))
+        """The per-step tail budget the batch size was sized for."""
+        return _tail_budget(self.mode, self.delta, self.n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +228,8 @@ def plan_first_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
         eta = _eta_first_order(pot, m_trunc, delta, n_steps, constants)
         try:
             n_batch = (1 if noise.family == "exact" else
-                       phi(noise, m_trunc, delta / (10.0 * n_steps), cap=constants.phi_cap))
+                       phi(noise, m_trunc, _tail_budget("first_order", delta, n_steps),
+                           cap=constants.phi_cap))
         except (UnsupportedCombinationError, ValueError) as err:
             last_error = err
             continue
@@ -274,7 +268,8 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
     eta = _eta_zeroth_order(pot, case, delta, n_steps, constants)
     try:
         n_batch = (1 if noise.family == "exact" else
-                   phi(noise, m_level, delta / (4.0 * n_steps), cap=constants.phi_cap))
+                   phi(noise, m_level, _tail_budget("zeroth_order", delta, n_steps),
+                       cap=constants.phi_cap))
     except (UnsupportedCombinationError, ValueError) as err:
         raise InfeasibleScheduleError(
             f"zeroth-order batch size infeasible at delta={delta:g}: {err}") from err
@@ -289,10 +284,9 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
 
 
 def schedule_tail_ok(sched: Schedule, noise: NoiseModel) -> bool:
-    """Check eps_tail(noise, n_batch, M) <= delta / (10N or 4N)."""
-    level = sched.m_trunc if sched.mode == "first_order" else sched.b / 3.0
+    """Check eps_tail(noise, n_batch, M) <= the schedule's tail budget."""
     try:
-        return eps_tail(noise, sched.n_batch, level) <= sched.tail_budget
+        return eps_tail(noise, sched.n_batch, sched.m_trunc) <= sched.tail_budget
     except UnsupportedCombinationError:
         return False
 
@@ -350,7 +344,7 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     for step in range(sched.n_steps):
         y = x + root_eta * rng.standard_normal((chains, d))
         if first:
-            xhat = approx_prox_rows(pot, oracle, y, prox_cfg, rng)
+            xhat = approx_prox_rows(pot, oracle, y, prox_cfg)
             ledger.prox_iters += sched.k_iters * chains
             u_rows = (y - xhat) / eta
             source = _FirstOrderRows(oracle, xhat, u_rows, eta, sched.b, sched.n_batch)

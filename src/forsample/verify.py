@@ -22,43 +22,11 @@ import numpy as np
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Points plus the metadata needed to reproduce them."""
-
-    points: np.ndarray
-    seed: int | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise DimensionError("points must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise DimensionError("points contain non-finite values")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def coordinate(self, i: int = 0) -> np.ndarray:
-        return self.points[:, i]
-
-
 def _as_1d_samples(samples, min_n: int = 100) -> np.ndarray:
-    if isinstance(samples, SampleBatch):
-        if samples.dim != 1:
-            raise DimensionError("1-D check requires scalar samples; pass a coordinate")
-        arr = samples.coordinate()
-    else:
-        arr = np.asarray(samples, dtype=float).ravel()
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim > 1 and arr.size != arr.shape[0]:
+        raise DimensionError("1-D check requires scalar samples; pass a coordinate")
+    arr = arr.ravel()
     if arr.size < min_n:
         raise ValueError(f"need at least {min_n} samples, got {arr.size}")
     if not np.all(np.isfinite(arr)):

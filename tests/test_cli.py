@@ -124,6 +124,13 @@ def test_unknown_constant_rejected():
     assert "constants: unexpected key 'c_quantum'" in exc.value.errors
 
 
+def test_c_step_is_not_a_constant():
+    # no planner reads a tilt step multiplier, so a config may not set one
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(experiment="sampler_e2e", constants={"c_step": 1.0})
+    assert "constants: unexpected key 'c_step'" in exc.value.errors
+
+
 def test_noise_field_errors():
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e",

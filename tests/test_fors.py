@@ -356,7 +356,7 @@ def test_accept_rows_budget_error_names_slot():
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
                          _ConstantRows(-1.0), cfg, 64, make_rng(38))
-    assert exc.value.attempts == 2
+    assert exc.value.attempts == 1
     assert exc.value.chain is not None
 
 

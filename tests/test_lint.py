@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, and every random draw from a Generator."""
+"""Source hygiene: no unused imports or parameters, no unread planner constant,
+and every random draw from a Generator."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,74 @@ def test_cli_knows_no_config_section():
     found = sorted({n.value for n in ast.walk(tree)
                     if isinstance(n, ast.Constant) and n.value in names})
     assert found == []
+
+
+# parameters a caller's contract fixes though the body has no use for them:
+# (module, function, parameter)
+_CALLBACK_CONTRACTS = {
+    ("fors.py", "RowEstimatorSource.draw_w_rows", "slots"),
+    ("fors.py", "RowEstimatorSource.draw_w_rows", "xs"),
+    ("fors.py", "RowEstimatorSource.draw_w_rows", "rng"),
+    ("harness.py", "DiscreteWInstance.draw_w_rows", "slots"),
+    ("lowerbound.py", "proximal_adapter.run", "budget"),
+}
+
+
+def _unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter its body never loads."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,))
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, scope)
+                continue
+            name = ".".join(scope + (getattr(child, "name", "<lambda>"),))
+            a = child.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg)
+                      if p is not None and p.arg not in ("self", "cls")]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found.extend((name, p) for p in params if p not in read)
+            visit(child, scope + (name.rpartition(".")[2],))
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_unread_parameter_is_detected():
+    source = ("def f(a, b):\n    return a\n"
+              "class C:\n    def m(self, x, y):\n        def g(z):\n            return y\n"
+              "        return g\n")
+    assert _unread_parameters(source) == [("f", "b"), ("C.m", "x"), ("C.m.g", "z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = [(path.name, fn, p) for fn, p in _unread_parameters(path.read_text())]
+    assert [u for u in unread if u not in _CALLBACK_CONTRACTS] == []
+
+
+def test_callback_contracts_are_still_unread():
+    unread = {(path.name, fn, p) for path in MODULES
+              for fn, p in _unread_parameters(path.read_text())}
+    assert _CALLBACK_CONTRACTS <= unread
+
+
+def test_every_plan_constant_is_read():
+    # a constant no planner reads would only be echoed into reports
+    from dataclasses import fields
+
+    from forsample.constants import PlanConstants
+
+    read = {n.attr for path in MODULES if path.name != "constants.py"
+            for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute)}
+    assert sorted(f.name for f in fields(PlanConstants) if f.name not in read) == []
 
 
 # numpy's Generator API; every other numpy.random name is the legacy

@@ -84,7 +84,7 @@ def test_second_moment_matches_monte_carlo(label, dim):
     draws = noise.sample_batch_rows(200_000, 1, dim, make_rng(1, 5))
     sq = np.sum(draws ** 2, axis=1)
     se = sq.std() / math.sqrt(sq.size)
-    assert abs(sq.mean() - noise.second_moment(dim)) <= 5 * se
+    assert abs(sq.mean() - noise.second_moment()) <= 5 * se
 
 
 # radius CDFs: Pareto(a = 2k + 1, x_m) and sigma_g * (E / 2)^(1 / zeta)
@@ -131,7 +131,7 @@ def test_radius_draws_chunk_the_row_axis(monkeypatch, label, dim):
     # the batch mean of 4 mean-zero draws has E||.||^2 = E||noise||^2 / 4
     sq = np.sum(batched ** 2, axis=1)
     se = sq.std() / math.sqrt(sq.size)
-    assert abs(sq.mean() - noise.second_moment(dim) / 4) <= 5 * se
+    assert abs(sq.mean() - noise.second_moment() / 4) <= 5 * se
 
 
 @pytest.mark.parametrize("label,dim", [(label, dim) for label in sorted(FAMILIES)

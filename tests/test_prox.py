@@ -44,7 +44,7 @@ def _cfg(k_iters=20, n_batch=1):
 
 def test_exact_quadratic_converges_to_prox_point():
     pot = _quad()
-    xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(20), make_rng(0))
+    xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(20))
     assert abs(float(xhat[0]) - _FIXED_POINT) < 1e-10
     assert prox_residual(pot, xhat, [0.0], _ETA) < 1e-10
 
@@ -55,7 +55,7 @@ def test_exact_contraction_ratio():
     pot = _quad()
     errors = []
     for k in range(1, 9):
-        xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(k), make_rng(0))
+        xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(k))
         errors.append(abs(float(xhat[0]) - _FIXED_POINT))
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
     assert all(r == pytest.approx(0.25, rel=1e-12) for r in ratios)
@@ -65,7 +65,7 @@ def test_flat_potential_keeps_x0():
     pot = Potential(dim=2, value_rows=lambda xs: np.zeros(len(xs)),
                     grad_rows=np.zeros_like, holder_s=1.0, holder_beta=1.0,
                     name="flat")
-    xhat = approx_prox(pot, _exact_oracle(pot), [0.4, -0.6], _cfg(10), make_rng(0))
+    xhat = approx_prox(pot, _exact_oracle(pot), [0.4, -0.6], _cfg(10))
     assert np.array_equal(xhat, [0.4, -0.6])
 
 
@@ -84,9 +84,9 @@ def test_step_condition_enforced():
     pot = _quad()  # m_s = 1, so eta must stay at or below 0.5
     bad = ProxConfig(eta=0.6, n_batch=1, k_iters=5)
     with pytest.raises(InfeasibleScheduleError, match=r"1/\(2 m_s\)"):
-        approx_prox(pot, _exact_oracle(pot), [0.0], bad, make_rng(0))
+        approx_prox(pot, _exact_oracle(pot), [0.0], bad)
     with pytest.raises(InfeasibleScheduleError):
-        approx_prox_rows(pot, _exact_oracle(pot), [[0.0]], bad, make_rng(0))
+        approx_prox_rows(pot, _exact_oracle(pot), [[0.0]], bad)
 
 
 def test_noisy_runs_meet_residual_guarantee():
@@ -95,7 +95,7 @@ def test_noisy_runs_meet_residual_guarantee():
     cfg = ProxConfig(eta=_ETA, n_batch=4, k_iters=25)
     oracle = GradientOracle(pot, noise, make_rng(82))
     x0_rows = np.zeros((1000, 1))
-    xhat = approx_prox_rows(pot, oracle, x0_rows, cfg, make_rng(0))
+    xhat = approx_prox_rows(pot, oracle, x0_rows, cfg)
     resid = np.abs(xhat[:, 0] + cfg.eta * (xhat[:, 0] - _THETA))
     bound = prox_residual_bound(cfg.eta, pot.m_s, 1.0)
     assert resid.mean() > 0.0
@@ -107,10 +107,10 @@ def test_query_accounting():
     ledger = QueryLedger()
     oracle = GradientOracle(pot, NoiseModel.subgaussian(0.2), make_rng(83),
                             ledger=ledger)
-    approx_prox(pot, oracle, [0.0], _cfg(k_iters=7, n_batch=3), make_rng(0))
+    approx_prox(pot, oracle, [0.0], _cfg(k_iters=7, n_batch=3))
     assert ledger.grad_queries == 21
     approx_prox_rows(pot, oracle, np.zeros((5, 1)),
-                     _cfg(k_iters=7, n_batch=3), make_rng(0))
+                     _cfg(k_iters=7, n_batch=3))
     assert ledger.grad_queries == 21 + 5 * 21
 
 
@@ -119,16 +119,16 @@ def test_rows_engine_matches_scalar_bit_exact():
     noise = NoiseModel.subgaussian(0.3)
     cfg = _cfg(k_iters=12, n_batch=2)
     scalar = approx_prox(pot, GradientOracle(pot, noise, make_rng(84)),
-                         [0.0], cfg, make_rng(0))
+                         [0.0], cfg)
     rows = approx_prox_rows(pot, GradientOracle(pot, noise, make_rng(84)),
-                            [[0.0]], cfg, make_rng(0))
+                            [[0.0]], cfg)
     assert np.array_equal(rows[0], scalar)
 
 
 def test_zero_rows_make_no_queries():
     pot = _quad()
     oracle = GradientOracle(pot, NoiseModel.subweibull(1.0, 0.2), make_rng(83))
-    out = approx_prox_rows(pot, oracle, np.zeros((0, 1)), _cfg(k_iters=7), make_rng(0))
+    out = approx_prox_rows(pot, oracle, np.zeros((0, 1)), _cfg(k_iters=7))
     assert out.shape == (0, 1)
     assert oracle.ledger.grad_queries == 0
 
@@ -174,7 +174,7 @@ def test_non_finite_iterate_raises():
     pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_flat_overflow,
                     holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="at step 1$"):
-        approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3), make_rng(0))
+        approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3))
 
 
 @pytest.mark.parametrize("grad,start,k_iters,step", [
@@ -187,7 +187,7 @@ def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
                     holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore"), \
             pytest.raises(NumericError, match=f"at step {step}$"):
-        approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters), make_rng(0))
+        approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters))
 
 
 @pytest.mark.parametrize("rows", [
@@ -199,8 +199,7 @@ def test_non_finite_iterate_names_the_step_across_blocks(rows):
                     holder_s=1.0, holder_beta=1.0, name="blowup")
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="at step 4$"):
-        approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6),
-                         make_rng(0))
+        approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6))
 
 
 def test_oracle_shape_error_is_not_a_blow_up():
@@ -209,7 +208,7 @@ def test_oracle_shape_error_is_not_a_blow_up():
     pot = _quad()
     oracle = _exact_oracle(make_gaussian_potential([0.0, 0.0]))
     with pytest.raises(DimensionError, match="row dimension"):
-        approx_prox(pot, oracle, [0.0], _cfg(3), make_rng(0))
+        approx_prox(pot, oracle, [0.0], _cfg(3))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def test_blocked_prox_equals_per_iteration_loop(label, rows, n_batch, shared):
         rng = make_rng(86, rows, n_batch)
         oracle = GradientOracle(pot, noise, rng if shared else make_rng(87))
         if blocked:
-            x = approx_prox_rows(pot, oracle, x0, cfg, rng)
+            x = approx_prox_rows(pot, oracle, x0, cfg)
         else:
             x = _reference_prox(oracle, x0, cfg)
         outs.append((x, oracle.ledger.as_dict(), rng.random(3),
@@ -281,7 +280,7 @@ def test_noise_blocks_stay_under_the_cap(monkeypatch, rows, n_batch, k_iters):
     pot = _quad()
     oracle = GradientOracle(pot, NoiseModel.subweibull(1.0, 0.2), make_rng(88))
     cfg = ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=k_iters)
-    approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg, make_rng(0))
+    approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg)
     per_iter = rows * n_batch
     assert oracles._BLOCK == 8192
     # a call holds whole iterations and at most _BLOCK draws, unless a single
@@ -307,7 +306,7 @@ def _prox_noise(monkeypatch, noise, rows, k_iters, calls):
     oracle = GradientOracle(pot, noise, make_rng(89))
     cfg = ProxConfig(eta=_ETA, n_batch=1, k_iters=k_iters)
     for _ in range(calls):
-        approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg, make_rng(0))
+        approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg)
     monkeypatch.undo()
     return np.concatenate(used)[:, 0]
 
@@ -330,7 +329,7 @@ def test_blocked_radius_noise_keeps_its_law(monkeypatch, noise):
     if noise.family == "subweibull":
         sq = blocked ** 2
         se = sq.std() / math.sqrt(sq.size)
-        assert abs(sq.mean() - noise.second_moment(1)) <= 5 * se
+        assert abs(sq.mean() - noise.second_moment()) <= 5 * se
     # iterations of one block are independent: no lag-1 correlation within a row
     by_iter = blocked.reshape(-1, 33, 4)
     lag = np.corrcoef(by_iter[:, :-1].ravel(), by_iter[:, 1:].ravel())[0, 1]

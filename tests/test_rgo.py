@@ -18,7 +18,8 @@ from scipy import stats
 from forsample.core import Potential, make_gaussian_potential, make_power_potential
 from forsample.errors import DimensionError
 from forsample.fors import FORSConfig, fors_sample_many
-from forsample.oracles import GradientOracle, NoiseModel, ValueOracle, make_rng
+from forsample.oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
+                               make_rng)
 from forsample.rgo import (
     RGOContext,
     TiltProblem,
@@ -194,7 +195,7 @@ def _centered_ctx():
 def test_first_order_tilt_matches_gaussian():
     pot, ctx = _centered_ctx()
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(66, 0))
-    out = sample_tilt_many(ctx, "first", oracle, FORSConfig(b=3.0), 20_000,
+    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
                            make_rng(66, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p > 0.01
@@ -203,7 +204,7 @@ def test_first_order_tilt_matches_gaussian():
 def test_zeroth_order_tilt_matches_gaussian():
     pot, ctx = _centered_ctx()
     oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(67, 0))
-    out = sample_tilt_many(ctx, "zeroth", oracle, FORSConfig(b=3.0), 20_000,
+    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
                            make_rng(67, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p > 0.01
@@ -237,11 +238,20 @@ def test_zeroth_order_sign_flip_breaks_the_law():
     assert p < 1e-6
 
 
-def test_mode_validation():
-    pot, ctx = _centered_ctx()
-    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(0))
-    with pytest.raises(ValueError):
-        sample_tilt_many(ctx, "second", oracle, FORSConfig(b=3.0), 10, make_rng(1))
+def test_non_oracle_rejected_before_any_draw():
+    # the oracle's type picks the estimator; anything else is refused before
+    # the ledger or the generator is touched
+    class Impostor:
+        def draw_batch_rows(self, xs, n):
+            raise AssertionError("queried")
+
+    _, ctx = _centered_ctx()
+    rng, ledger = make_rng(1), QueryLedger()
+    before = rng.bit_generator.state
+    with pytest.raises(TypeError, match="GradientOracle or a ValueOracle"):
+        sample_tilt_many(ctx, Impostor(), FORSConfig(b=3.0), 10, rng, ledger=ledger)
+    assert rng.bit_generator.state == before
+    assert ledger.as_dict() == QueryLedger().as_dict()
 
 
 def test_two_dimensional_tilt():
@@ -249,7 +259,7 @@ def test_two_dimensional_tilt():
     problem = TiltProblem(pot, [1.0, -1.0], 0.5)
     ctx = RGOContext(problem, [_TILT_MEAN, -_TILT_MEAN])
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(71, 0))
-    out = sample_tilt_many(ctx, "first", oracle, FORSConfig(b=3.0), 20_000,
+    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
                            make_rng(71, 1))
     assert out.shape == (20_000, 2)
     target = np.array([_TILT_MEAN, -_TILT_MEAN])

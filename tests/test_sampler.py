@@ -21,16 +21,12 @@ from forsample.errors import BudgetExhaustedError, InfeasibleScheduleError
 from forsample.oracles import (GradientOracle, NoiseModel, ValueOracle, eps_tail,
                                make_rng, phi)
 from forsample.sampler import (
-    Schedule,
     gaussian_initializer,
     gradient_norm_bound,
     plan_first_order,
     plan_zeroth_order,
     run_proximal_sampler,
-    schedule_from_json,
     schedule_tail_ok,
-    schedule_to_dict,
-    schedule_to_json,
 )
 from forsample.verify import empirical_tv_1d, ks_test
 
@@ -205,20 +201,6 @@ def test_plan_delta_validation():
 # ---------------------------------------------------------------------------
 # schedule container
 # ---------------------------------------------------------------------------
-
-def test_schedule_json_round_trip():
-    for sched in (plan_first_order(_POT, NoiseModel.subgaussian(0.5), _LSI, _DELTA),
-                  plan_zeroth_order(_POT, NoiseModel.exact(), _CASES[2], _DELTA)):
-        assert schedule_from_json(schedule_to_json(sched)) == sched
-        data = schedule_to_dict(sched)
-        assert set(data) == {"mode", "eta", "n_steps", "m_trunc", "n_batch",
-                             "eps_prox", "g_bound", "k_iters", "b", "delta",
-                             "case", "constants", "planned_queries"}
-        assert data["case"] == {"tag": sched.case.tag, "constant": sched.case.constant,
-                                "warm_start_delta": sched.case.warm_start_delta,
-                                "w2_bound": sched.case.w2_bound}
-        assert data["constants"] == sched.constants.as_dict()
-
 
 def test_schedule_validation():
     sched = plan_first_order(_POT, NoiseModel.exact(), _LSI, _DELTA)

@@ -91,11 +91,11 @@ def _attempt_batch():
     return _digest(mask, ledger)
 
 
-def _sample_tilt_many(mode: str, oracle_cls):
+def _sample_tilt_many(oracle_cls):
     pot, ctx, noise = _tilt()
     oracle = oracle_cls(pot, noise, make_rng(5, 6))
     ledger = QueryLedger()
-    out = sample_tilt_many(ctx, mode, oracle, FORSConfig(b=2.0), 2_000,
+    out = sample_tilt_many(ctx, oracle, FORSConfig(b=2.0), 2_000,
                            make_rng(5, 7), ledger=ledger)
     return _digest(out, ledger, oracle.ledger)
 
@@ -117,7 +117,7 @@ def _prox_rows():
     cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 10))
     x0 = make_rng(5, 11).standard_normal((9, 2))
-    return _digest(approx_prox_rows(pot, oracle, x0, cfg, make_rng(5, 12)), oracle.ledger)
+    return _digest(approx_prox_rows(pot, oracle, x0, cfg), oracle.ledger)
 
 
 def _noise_rows(noise, dim):
@@ -143,9 +143,9 @@ PINNED = {
     "fors_sample": (_scalar_loop, "a31284b6ca0f9912"),
     "fors_sample_many": (_sample_many, "f862ea0cc2216a03"),
     "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
-    "sample_tilt_many_first": (partial(_sample_tilt_many, "first", GradientOracle),
+    "sample_tilt_many_first": (partial(_sample_tilt_many, GradientOracle),
                                "ef0da1592ecefbeb"),
-    "sample_tilt_many_zeroth": (partial(_sample_tilt_many, "zeroth", ValueOracle),
+    "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "bb5431aeccecc7eb"),
     "run_proximal_sampler": (_sampler, "151fd17ad2cfe539"),
     "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
@@ -205,7 +205,7 @@ def test_scalar_prox_is_pinned():
     pot, _, noise = _tilt()
     cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 16))
-    xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg, make_rng(5, 17))
+    xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg)
     assert xhat.tolist() == [0.6867241840363064, -0.3748813715609144]
     assert oracle.ledger.grad_queries == 21
 

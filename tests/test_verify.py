@@ -12,7 +12,6 @@ from forsample.core import GaussianReference
 from forsample.errors import DimensionError
 from forsample.oracles import make_rng
 from forsample.verify import (
-    SampleBatch,
     TVEstimate,
     chi2_discrete,
     chi2_uniformity,
@@ -30,27 +29,11 @@ _STD_REF = GaussianReference([0.0], [1.0])
 
 
 # ---------------------------------------------------------------------------
-# sample batches
+# sample shapes
 # ---------------------------------------------------------------------------
 
-def test_sample_batch_promotes_1d():
-    batch = SampleBatch(np.arange(200.0))
-    assert batch.points.shape == (200, 1)
-    assert batch.n == 200 and batch.dim == 1
-    assert np.array_equal(batch.coordinate(), np.arange(200.0))
-
-
-def test_sample_batch_validation():
-    with pytest.raises(DimensionError):
-        SampleBatch(np.empty((0, 1)))
-    with pytest.raises(DimensionError):
-        SampleBatch(np.array([1.0, np.nan]))
-    with pytest.raises(DimensionError):
-        SampleBatch(np.zeros((2, 2, 2)))
-
-
 def test_1d_checks_reject_multidim_batches():
-    batch = SampleBatch(np.zeros((200, 2)))
+    batch = np.zeros((200, 2))
     with pytest.raises(DimensionError):
         empirical_tv_1d(batch, _STD_REF)
     with pytest.raises(DimensionError):
