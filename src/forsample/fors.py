@@ -20,7 +20,9 @@ the attempts still alive after n - 1 draws.  It serves the three row
 engines: ``fors_accept_rows`` (one acceptance per chain slot),
 ``fors_sample_many`` (iid collector for one target) and
 ``fors_attempt_batch`` (fixed attempt count, for the acceptance-law
-diagnostic).
+diagnostic).  The two iid engines draw in rounds of at most ``_ROUND_ROWS``
+attempts, whatever B and the sample count, so a per-row array of a round
+holds at most 2^16 floats (512 KB).
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .errors import BudgetExhaustedError, EstimatorRangeError
 from .oracles import QueryLedger
 
 _POISSON_INVERSION_MAX_LAM = 30.0
+# attempts per round of the iid engines: of 2^15, 2^16 and 2^17, the fastest
+# on the criterion-4 tilt job list (B = 3, 2 vCPUs), where it peaks at 139 MB
+_ROUND_ROWS = 2 ** 16
 
 
 @lru_cache(maxsize=64)
@@ -299,15 +304,13 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
     total_attempts = 0
     acc_est = math.exp(-b)  # pessimistic-ish initial guess, refined as we go
     attempt_cap = cfg.max_attempts * n_samples
-    # attempts per round: at most 2e6 / 2B, which keeps a round's expected
-    # J total near 2e6; a W call holds one row per live attempt, at most k.
-    # The value fixes how many rounds run, and so the random streams.
-    row_cap = max(int(2_000_000 / max(2.0 * b, 1.0)), 1024)
     coin = _coin_rounds(source, b, rng, ledger, cfg.max_w_per_call * n_samples)
     next(coin)
     while n_got < n_samples:
         need = n_samples - n_got
-        k = int(min(max(1.5 * need / max(acc_est, 1e-6), 1024), row_cap))
+        # a W call holds one row per live attempt, so at most _ROUND_ROWS;
+        # the round sizes fix how many rounds run, and so the random streams
+        k = int(min(max(1.5 * need / max(acc_est, 1e-6), 1024), _ROUND_ROWS))
         if total_attempts + k > attempt_cap:
             k = attempt_cap - total_attempts
             if k <= 0:
@@ -344,7 +347,7 @@ def fors_attempt_batch(proposal_rows: Callable[[int, np.random.Generator], np.nd
     next(coin)
     done = 0
     while done < n_attempts:
-        k = min(n_attempts - done, 4_000_000)
+        k = min(n_attempts - done, _ROUND_ROWS)
         xs = proposal_rows(k, rng)
         mask[done:done + k] = coin.send((xs, np.zeros(k, dtype=np.int64)))
         done += k

@@ -548,8 +548,47 @@ TILT_M = 1.0
 
 
 def tilt_reference():
-    """Analytic tilt law for f = x^2/2, x0 = 1, eta = 1/2: N(2/3, 1/3)."""
+    """Analytic tilt law for f = x^2/2, x0 = 1, eta = 1/2: N(2/3, 1/3).
+
+    The law of the first-order arms, whose clip of W at B is negligible; the
+    zeroth-order arms follow ``clipped_tilt_cdf``, which tends to it as B grows.
+    """
     return GaussianReference(np.array([2.0 / 3.0]), np.array([1.0 / 3.0]))
+
+
+@functools.lru_cache(maxsize=None)
+def clipped_tilt_cdf(b: float, noise_sd: float, n_grid: int = 4001,
+                     n_nodes: int | None = None) -> Callable:
+    """CDF of the zeroth-order tilt law, the clip of W at B included.
+
+    That W is clip(f(z) - f(x) + xi, -B, B) with z ~ q = N(x0, eta) and xi ~
+    N(0, noise_sd^2) the noise of v' - v, so accepted points have density
+    proportional to q(x) exp(m(x)), m(x) = E_z E_xi W.  Built on first use,
+    once per process (about 10 ms exact, 25 ms noisy); accurate to 1e-6.
+    """
+    from scipy.special import ndtr
+    sd = math.sqrt(TILT_ETA)
+    # E_z by the trapezoid rule in z's standard units: geometric convergence
+    # on the smooth noisy integrand; the exact clip's kinks need a finer step
+    # (Gauss-Hermite, for comparison, is 2e-5 off at 200 nodes there)
+    u = np.linspace(-9.0, 9.0, n_nodes or (71 if noise_sd else 401))
+    weights = np.exp(-u * u / 2)
+    x = np.linspace(TILT_X0 - 6 * sd, TILT_X0 + 6 * sd, n_grid)
+    m = np.zeros(n_grid)
+    for z, weight in zip(TILT_X0 + sd * u, weights / weights.sum()):
+        a = z * z / 2 - x * x / 2  # f(z) - f(x)
+        if noise_sd == 0:
+            m += weight * np.clip(a, -b, b)
+            continue
+        # E_xi clip(a + xi, -B, B) in closed form
+        lo, hi = (-b - a) / noise_sd, (b - a) / noise_sd
+        p_lo, p_hi = ndtr(lo), ndtr(hi)
+        m += weight * (b * (1 - p_hi - p_lo) + a * (p_hi - p_lo) + noise_sd * (
+            np.exp(-lo * lo / 2) - np.exp(-hi * hi / 2)) / math.sqrt(2 * math.pi))
+    log_d = m - (x - TILT_X0) ** 2 / (2 * TILT_ETA)
+    d = np.exp(log_d - log_d.max())
+    cdf = np.concatenate(([0.0], np.cumsum(d[1:] + d[:-1])))  # uniform grid
+    return lambda t: np.interp(t, x, cdf / cdf[-1])
 
 
 def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
@@ -572,7 +611,11 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         xhat = np.array([TILT_X0])
     ctx = RGOContext(problem, xhat, n_batch=n_batch)
     pts = sample_tilt_many(ctx, oracle, cfg, samples, rng, ledger=ledger)
-    stat, p_value = ks_test(pts[:, 0], tilt_reference().cdf)
+    if mode == "first":
+        law = tilt_reference().cdf
+    else:
+        law = clipped_tilt_cdf(TILT_B, math.sqrt(2 * noise.second_moment() / n_batch))
+    stat, p_value = ks_test(pts[:, 0], law)
     return {"seed": seed, "mode": mode, "noise": noise.family,
             "ks_stat": stat, "ks_p": p_value, "ledger": ledger.as_dict()}
 

@@ -98,7 +98,11 @@ def gaussian_tv_exact(mean1: float, mean2: float, sigma: float = 1.0) -> float:
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
-    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """One-sample Kolmogorov-Smirnov statistic and two-sided p-value.
+
+    ``scipy.stats.kstest`` with its default method: the p-value is the
+    finite-n ``kstwo.sf(D, n)``, not the asymptotic Kolmogorov tail.
+    """
     from scipy import stats
     arr = _as_1d_samples(samples)
     result = stats.kstest(arr, cdf)

@@ -73,7 +73,8 @@ def test_criterion_4_tilt_exactness():
             "ks_zeroth_exact", "ks_zeroth_subgaussian")
     oks = {k: report.verdicts[k] for k in keys}
     ok = all(oks.values()) and report.wall_clock_seconds < 300
-    detail = (f"KS p>0.01 vs N(2/3,1/3) in 18/20 seeds per arm {oks}, "
+    detail = (f"KS p>0.01 in 18/20 seeds per arm, first order vs N(2/3,1/3), "
+              f"zeroth order vs its clipped law {oks}, "
               f"{report.wall_clock_seconds:.1f}s (< 5 min)")
     assert _verdict(4, ok, detail)
 

@@ -488,3 +488,48 @@ def test_per_call_draw_count_is_poisson():
     assert float(np.quantile(counts, 0.99)) == 6.0
     report = wdraw_tail_check(1.0, 0.01, counts)
     assert report.passed and report.quantile == 6.0
+
+
+# ---------------------------------------------------------------------------
+# round sizes of the iid engines
+# ---------------------------------------------------------------------------
+
+class _RowSpy:
+    """The flat instance's proposal and W source, recording each call's rows."""
+
+    def __init__(self):
+        self.flat = discrete_instances()[0]
+        self.rows = []
+
+    def proposal_rows(self, k, rng):
+        self.rows.append(k)
+        return self.flat.proposal_rows(k, rng)
+
+    def draw_w_rows(self, slots, xs, rng):
+        self.rows.append(xs.shape[0])
+        return self.flat.draw_w_rows(slots, xs, rng)
+
+
+def test_sample_many_rounds_stay_within_round_rows():
+    from forsample.fors import _ROUND_ROWS
+    spy = _RowSpy()
+    ledger = QueryLedger()
+    n = 100_000
+    out = fors_sample_many(spy.proposal_rows, spy, FORSConfig(b=spy.flat.b), n,
+                           make_rng(24), ledger=ledger)
+    assert out.shape == (n, 1)
+    assert max(spy.rows) <= _ROUND_ROWS
+    # the flat instance accepts with probability e^-1; the 1.5x first-round
+    # guess of a whole-sample round would spend 1.5 n e attempts
+    assert ledger.fors_attempts <= 1.1 * n * math.e
+
+
+def test_attempt_batch_rounds_stay_within_round_rows():
+    from forsample.fors import _ROUND_ROWS
+    spy = _RowSpy()
+    ledger = QueryLedger()
+    n = 200_000
+    mask = fors_attempt_batch(spy.proposal_rows, spy, FORSConfig(b=spy.flat.b), n,
+                              make_rng(25), ledger=ledger)
+    assert mask.shape == (n,) and ledger.fors_attempts == n
+    assert max(spy.rows) <= _ROUND_ROWS

@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from forsample.core import make_gaussian_potential
 from forsample.errors import ConfigError, DimensionError
-from forsample.harness import (SUITES, DiscreteWInstance, ExperimentConfig,
-                               ExperimentReport, PartialSink,
+from forsample.fors import FORSConfig
+from forsample.harness import (SUITES, TILT_B, TILT_ETA, TILT_X0, DiscreteWInstance,
+                               ExperimentConfig, ExperimentReport, PartialSink,
                                _json_default, discrete_instances, run_experiment,
                                run_fors_unit, run_lower_bound, run_prox_check,
                                tilt_reference, write_report)
-from forsample.verify import discrete_law_oracle
+from forsample.oracles import NoiseModel, ValueOracle, make_rng
+from forsample.rgo import RGOContext, TiltProblem, sample_tilt_many
+from forsample.verify import discrete_law_oracle, ks_test
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,47 @@ def test_tilt_reference_law():
     ref = tilt_reference()
     assert ref.mean == pytest.approx([2.0 / 3.0])
     assert ref.variances == pytest.approx([1.0 / 3.0])
+
+
+# (noise, noise_sd of v' - v, n_batch): criterion 4's zeroth-order arms
+_ZEROTH_ARMS = {"exact": (NoiseModel.exact(), 0.0, 1),
+                "subgaussian": (NoiseModel.subgaussian(0.5), 0.25, 8)}
+_GRID = np.linspace(-3.5, 5.5, 20_001)
+
+
+@pytest.mark.parametrize("arm", sorted(_ZEROTH_ARMS))
+def test_clipped_tilt_cdf_is_accurate_to_1e6(arm):
+    from forsample.harness import clipped_tilt_cdf
+    _, noise_sd, _ = _ZEROTH_ARMS[arm]
+    # a 3x finer grid in x, with twice the quadrature nodes in z
+    fine = clipped_tilt_cdf(TILT_B, noise_sd, n_grid=12_001,
+                            n_nodes=143 if noise_sd else 801)
+    err = np.abs(clipped_tilt_cdf(TILT_B, noise_sd)(_GRID) - fine(_GRID))
+    assert err.max() <= 1e-6
+
+
+@pytest.mark.parametrize("arm", sorted(_ZEROTH_ARMS))
+def test_clipped_tilt_cdf_tends_to_the_tilt_law(arm):
+    from forsample.harness import clipped_tilt_cdf
+    _, noise_sd, _ = _ZEROTH_ARMS[arm]
+    gauss = tilt_reference().cdf(_GRID)
+    gaps = [np.abs(clipped_tilt_cdf(b, noise_sd)(_GRID) - gauss).max()
+            for b in (3.0, 6.0, 12.0)]
+    assert gaps[0] > 1e-3 > 1e-4 > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-5
+
+
+@pytest.mark.parametrize("arm", sorted(_ZEROTH_ARMS))
+def test_zeroth_order_tilt_follows_the_clipped_law(arm):
+    # criterion 4's zeroth-order instance at 3e5 samples
+    from forsample.harness import clipped_tilt_cdf
+    noise, noise_sd, n_batch = _ZEROTH_ARMS[arm]
+    pot = make_gaussian_potential([0.0])
+    ctx = RGOContext(TiltProblem(pot, [TILT_X0], TILT_ETA), [TILT_X0], n_batch=n_batch)
+    oracle = ValueOracle(pot, noise, make_rng(26, 1))
+    pts = sample_tilt_many(ctx, oracle, FORSConfig(b=TILT_B), 300_000, make_rng(26, 2))
+    _, p = ks_test(pts[:, 0], clipped_tilt_cdf(TILT_B, noise_sd))
+    assert p > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,24 @@ def test_legacy_random_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_legacy_global_random_state(path):
     assert _legacy_random(path.read_text()) == []
+
+
+def _large_literals(source: str, exempt: str) -> list[str]:
+    """Integer literals >= 10^4 outside the assignment to ``exempt``."""
+    tree = ast.parse(source)
+    skip = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == exempt for t in node.targets)
+            for n in ast.walk(node.value)}
+    return [f"{n.lineno}: {n.value}" for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and type(n.value) is int
+            and n.value >= 10_000 and id(n) not in skip]
+
+
+def test_large_literal_is_detected():
+    source = "_ROWS = 65_536\nk = min(n, 4_000_000)\ncap = 10 ** 6\nm = 9_999\n"
+    assert _large_literals(source, "_ROWS") == ["2: 4000000"]
+
+
+def test_fors_round_size_is_one_constant():
+    # the iid engines' round size lives in fors._ROUND_ROWS and nowhere else
+    assert _large_literals((SRC / "fors.py").read_text(), "_ROUND_ROWS") == []
