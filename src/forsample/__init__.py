@@ -22,24 +22,21 @@ from .errors import (BudgetExhaustedError, BudgetViolationError, ConfigError,
                      DimensionError, EstimatorRangeError, ForsampleError,
                      InfeasibleScheduleError, NumericError,
                      UnsupportedCombinationError)
-from .fors import (FORSConfig, FORSResult, EstimatorSource,
-                   acceptance_probability, fors_accept_rows, fors_sample,
-                   fors_sample_many, poisson_inversion, wdraw_tail_check)
+from .fors import (FORSConfig, FORSResult, EstimatorSource, fors_accept_rows,
+                   fors_sample, fors_sample_many, poisson_inversion,
+                   wdraw_tail_check)
 from .lowerbound import (AdversarialOraclePair, CoupledRunResult, PsiFunction,
                          coupled_run, f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (NOISE_FAMILIES, GradientOracle, NoiseModel, QueryLedger,
                       ValueOracle, eps_tail, make_rng, phi)
 from .prox import (ProxConfig, approx_prox, approx_prox_rows, default_k_iters,
                    prox_residual, prox_residual_bound)
-from .rgo import (RGOContext, TiltProblem, path_gamma, sample_tilt_many,
-                  tilt_eta_bound)
+from .rgo import path_gamma, sample_tilt_many, tilt_source
 from .sampler import (Schedule, gaussian_initializer, plan_first_order,
-                      plan_zeroth_order, run_proximal_sampler, schedule_tail_ok)
-from .verify import (TVEstimate, chi2_discrete, chi2_uniformity,
-                     discrete_law_oracle, empirical_tv_1d,
-                     empirical_tv_two_sample, equal_mass_edges,
-                     gaussian_tv_exact, ks_test, scaling_slope,
-                     seeds_pass_rule)
+                      plan_zeroth_order, run_proximal_sampler)
+from .verify import (TVEstimate, chi2_discrete, discrete_law_oracle,
+                     empirical_tv_1d, empirical_tv_two_sample, equal_mass_edges,
+                     gaussian_tv_exact, ks_test, scaling_slope, seeds_pass_rule)
 
 __version__ = "0.1.0"
 

@@ -154,7 +154,7 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
     # poisson_inversion(2B, rng)'s scalar path, with its table bound once
     cdf = _poisson_cdf_list(float(b2))
     j_top = len(cdf) - 1
-    random, draw, isfinite = rng.random, source.draw, math.isfinite
+    random, draw = rng.random, source.draw
     w_draws_this_call = 0
     for attempt in range(1, cfg.max_attempts + 1):
         ledger.fors_attempts += 1
@@ -172,7 +172,7 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
                     attempts=attempt, w_draws=w_draws_this_call)
             w = draw(x, rng)
             w_draws_this_call += 1
-            if not (-b <= w <= b) or not isfinite(w):
+            if not (-b <= w <= b):  # also false for NaN
                 raise EstimatorRangeError(f"estimator draw {w} outside [-{b}, {b}]")
             product *= (b + w) / b2
             if product < u:
@@ -352,24 +352,6 @@ def fors_attempt_batch(proposal_rows: Callable[[int, np.random.Generator], np.nd
         mask[done:done + k] = coin.send((xs, np.zeros(k, dtype=np.int64)))
         done += k
     return mask
-
-
-def acceptance_probability(values, probs, b: float) -> float:
-    """Exact per-attempt acceptance probability for a discrete W law.
-
-    For W supported on ``values`` with probabilities ``probs`` (support must
-    lie in [-B, B]), the Poisson product construction accepts with
-    probability exp(E[W] - B).
-    """
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if values.shape != probs.shape or values.ndim != 1:
-        raise ValueError("values and probs must be matching 1-D arrays")
-    if np.any(probs < 0) or not math.isclose(probs.sum(), 1.0, abs_tol=1e-9):
-        raise ValueError("probs must be a probability vector")
-    if np.any(np.abs(values) > b + 1e-12):
-        raise EstimatorRangeError("W support must lie in [-B, B]")
-    return float(np.exp(np.dot(values, probs) - b))
 
 
 @dataclass(frozen=True)

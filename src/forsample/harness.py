@@ -34,7 +34,7 @@ from .lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
 from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                       eps_tail, make_rng, phi)
 from .prox import ProxConfig, approx_prox_rows, prox_residual_bound
-from .rgo import RGOContext, TiltProblem, sample_tilt_many
+from .rgo import sample_tilt_many
 from .sampler import (MODES, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)
 from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
@@ -594,7 +594,6 @@ def clipped_tilt_cdf(b: float, noise_sd: float, n_grid: int = 4001,
 def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
               n_batch: int) -> dict:
     pot = potential_from_config("gaussian", {"mean": [0.0], "precision": 1.0})
-    problem = TiltProblem(pot, np.array([TILT_X0]), TILT_ETA)
     ledger = QueryLedger()
     rng = make_rng(seed, 7, 0 if mode == "first" else 1,
                    0 if noise.family == "exact" else 1)
@@ -608,9 +607,9 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         ledger.prox_iters += prox_cfg.k_iters
     else:
         oracle = ValueOracle(pot, noise, rng, ledger)
-        xhat = np.array([TILT_X0])
-    ctx = RGOContext(problem, xhat, n_batch=n_batch)
-    pts = sample_tilt_many(ctx, oracle, cfg, samples, rng, ledger=ledger)
+        xhat = [TILT_X0]
+    pts = sample_tilt_many(oracle, [TILT_X0], xhat, TILT_ETA, cfg, samples, rng,
+                           n_batch=n_batch, ledger=ledger)
     if mode == "first":
         law = tilt_reference().cdf
     else:

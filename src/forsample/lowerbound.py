@@ -156,12 +156,6 @@ class AdversarialOraclePair:
         shift = f_psi(psi, delta)
         return AdversarialOraclePair(psi=psi, delta=delta, p=delta / shift)
 
-    def base_mean(self, x: float) -> float:
-        return x
-
-    def shifted_mean(self, x: float) -> float:
-        return x - self.delta
-
 
 class _MeteredOracle:
     """One arm's oracle for one trial: budget-capped, coupling-uniform driven.

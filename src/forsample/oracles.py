@@ -286,19 +286,13 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
     # batch first moment is at most sqrt(E||noise||^2 / n)
     markov = math.sqrt(noise.second_moment() / n) / m_level
 
-    if noise.family == "subgaussian":
-        expo = noise.c_tail * math.exp(-noise.c_rate * n * (m_level / noise.sigma_g) ** 2)
-        return min(markov, expo) if m_level >= noise.sigma_g else markov
-
-    # subweibull
-    if noise.zeta == 2.0:
-        expo = noise.c_tail * math.exp(-noise.c_rate * n * (m_level / noise.sigma_g) ** 2)
-        return min(markov, expo) if m_level >= noise.sigma_g else markov
-    if n > 1:
+    # subgaussian is subweibull with zeta = 2
+    zeta = 2.0 if noise.family == "subgaussian" else noise.zeta
+    if zeta != 2.0 and n > 1:
         raise UnsupportedCombinationError(
             "subweibull noise with zeta != 2 has no batch tail bound for n > 1; "
             "increase the truncation level M instead of the batch size")
-    expo = noise.c_tail * math.exp(-noise.c_rate * (m_level / noise.sigma_g) ** noise.zeta)
+    expo = noise.c_tail * math.exp(-noise.c_rate * n * (m_level / noise.sigma_g) ** zeta)
     return min(markov, expo) if m_level >= noise.sigma_g else markov
 
 
@@ -383,11 +377,6 @@ class GradientOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    @property
-    def m1(self) -> float:
-        """Analytic E||g - grad f|| of a single draw."""
-        return self.noise.m1(self.potential.dim)
-
     def draw_batch(self, x, n: int) -> Array:
         """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
         return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
@@ -432,10 +421,6 @@ class ValueOracle:
         self.noise = noise
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
-
-    @property
-    def m1(self) -> float:
-        return self.noise.m1(1)
 
     def draw_batch(self, x, n: int) -> float:
         """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""

@@ -1,4 +1,4 @@
-"""Exact sampling from Gaussian tilts of a potential via FORS.
+"""Exact sampling from Gaussian tilts of a potential via FORS: the tilt step.
 
 The target is nu(x) proportional to exp(-f(x) - ||x - x0||^2 / (2 eta)).
 With proposal q = N(xhat, eta I) the log ratio satisfies
@@ -16,16 +16,23 @@ and two clipped unbiased estimators of it drive the rejection loop:
 
 Both have E[W | x] = log nu(x) - log q(x) + const up to the clipping
 residual, which the step-size conditions make negligible.
+
+The step is written once, over rows: ``tilt_source`` builds it for a stack
+of tilts, one per row of (x0, xhat), picking the estimator by the oracle's
+type (a GradientOracle draws first-order W, a ValueOracle zeroth-order W).
+The source draws the proposal (``propose_rows``) and the W
+(``draw_w_rows``) for ``fors.fors_accept_rows``, the sampler's inner step.
+``sample_tilt_many`` collects iid samples from one tilt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, Potential, as_vector
+from .core import Array, as_vector
+from .errors import DimensionError
 from .fors import FORSConfig, fors_sample_many
 from .oracles import GradientOracle, QueryLedger, ValueOracle
 
@@ -58,45 +65,6 @@ def path_gamma(x: Array, xhat: Array, z: Array, r: float) -> tuple[Array, Array]
     return gamma[0], gamma_dot[0]
 
 
-@dataclass(frozen=True)
-class TiltProblem:
-    """The tilt target: potential, Gaussian center x0, and step size eta."""
-
-    potential: Potential
-    x0: Array
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", as_vector(self.x0, self.potential.dim))
-        if not (self.eta > 0):
-            raise ValueError("eta must be positive")
-
-
-@dataclass(frozen=True)
-class RGOContext:
-    """Estimator configuration for one tilt problem.
-
-    xhat is the proposal center (an approximate proximal point for the
-    first-order mode, x0 itself for the zeroth-order default); u is the
-    induced linear-tilt vector (x0 - xhat)/eta.  n_batch is the oracle
-    batch size of each W draw.
-    """
-
-    problem: TiltProblem
-    xhat: Array
-    n_batch: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "xhat",
-                           as_vector(self.xhat, self.problem.potential.dim))
-        if self.n_batch < 1:
-            raise ValueError("n_batch must be >= 1")
-
-    @property
-    def u(self) -> Array:
-        return (self.problem.x0 - self.xhat) / self.problem.eta
-
-
 def _clip(w: np.ndarray, b: float) -> np.ndarray:
     """``np.clip(w, -b, b)``, in place on the fresh array w."""
     np.maximum(w, -b, out=w)
@@ -104,24 +72,30 @@ def _clip(w: np.ndarray, b: float) -> np.ndarray:
 
 
 class _RowEstimator:
-    """Per-slot proposal centers and tilt vectors shared by both estimators.
+    """One tilt per slot: the tilt center x0 and proposal center xhat of
+    slot i are row i of ``x0_rows`` and ``xhat_rows``.
 
-    ``draw_w_rows(slots, xs, rng)`` returns one clipped W per row of the
-    (k, d) stack ``xs``, row i drawn for the target of slot ``slots[i]``.
+    ``propose_rows(slots, rng)`` draws one proposal row per slot from
+    N(xhat, eta I); ``draw_w_rows(slots, xs, rng)`` returns one clipped W per
+    row of the (k, d) stack ``xs``, row i drawn for the tilt of ``slots[i]``.
     """
 
-    def __init__(self, oracle, xhat_rows: np.ndarray, u_rows: np.ndarray,
+    def __init__(self, oracle, x0_rows: np.ndarray, xhat_rows: np.ndarray,
                  eta: float, b: float, n_batch: int):
         self.oracle = oracle
         self.xhat_rows = xhat_rows
-        self.u_rows = u_rows
+        self.u_rows = (x0_rows - xhat_rows) / eta
         self.eta = eta
         self.b = b
         self.n_batch = n_batch
 
+    def propose_rows(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        xh = self.xhat_rows[slots]
+        return xh + math.sqrt(self.eta) * rng.standard_normal(xh.shape)
+
 
 class _FirstOrderRows(_RowEstimator):
-    """Row-vectorized first-order estimator over per-slot contexts."""
+    """Row-vectorized first-order estimator over per-slot tilts."""
 
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +108,7 @@ class _FirstOrderRows(_RowEstimator):
 
 
 class _ZerothOrderRows(_RowEstimator):
-    """Row-vectorized zeroth-order estimator over per-slot contexts."""
+    """Row-vectorized zeroth-order estimator over per-slot tilts."""
 
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
@@ -146,45 +120,43 @@ class _ZerothOrderRows(_RowEstimator):
         return _clip(w, self.b)
 
 
-def sample_tilt_many(ctx: RGOContext, oracle, cfg: FORSConfig, n_samples: int,
-                     rng: np.random.Generator,
+def tilt_source(oracle, x0_rows: np.ndarray, xhat_rows: np.ndarray, eta: float,
+                b: float, n_batch: int) -> _RowEstimator:
+    """The tilt step for one tilt per row of (x0_rows, xhat_rows).
+
+    The oracle picks the estimator: a GradientOracle draws first-order W, a
+    ValueOracle zeroth-order W, anything else is a TypeError.  W is clipped
+    to [-b, b], and each oracle query averages ``n_batch`` draws.
+    """
+    if isinstance(oracle, GradientOracle):
+        return _FirstOrderRows(oracle, x0_rows, xhat_rows, eta, b, n_batch)
+    if isinstance(oracle, ValueOracle):
+        return _ZerothOrderRows(oracle, x0_rows, xhat_rows, eta, b, n_batch)
+    raise TypeError("need a GradientOracle or a ValueOracle, "
+                    f"got {type(oracle).__name__}")
+
+
+def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: int,
+                     rng: np.random.Generator, n_batch: int = 1,
                      ledger: QueryLedger | None = None) -> np.ndarray:
     """Vectorized iid tilt sampling: (n_samples, d) accepted points.
 
-    The oracle fixes the estimator: a GradientOracle draws first-order W, a
-    ValueOracle zeroth-order W.  The proposal is N(xhat, eta I).
+    The tilt is centered at x0 with step eta, the proposal N(xhat, eta I),
+    and the oracle picks the estimator as in ``tilt_source``.  Bad inputs
+    are refused before the generator or the ledger is touched.
     """
-    if isinstance(oracle, GradientOracle):
-        estimator = _FirstOrderRows
-    elif isinstance(oracle, ValueOracle):
-        estimator = _ZerothOrderRows
-    else:
-        raise TypeError("need a GradientOracle or a ValueOracle, "
-                        f"got {type(oracle).__name__}")
-    pot = ctx.problem.potential
-    eta = ctx.problem.eta
+    if not (eta > 0):
+        raise ValueError("eta must be positive")
+    if n_batch < 1:
+        raise ValueError("n_batch must be >= 1")
+    x0 = as_vector(x0)
+    xhat = as_vector(xhat, x0.shape[0])
+    source = tilt_source(oracle, x0[None], xhat[None], eta, cfg.b, n_batch)
+    if x0.shape[0] != oracle.potential.dim:
+        raise DimensionError(f"expected dimension {oracle.potential.dim}, "
+                             f"got {x0.shape[0]}")
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
-    rows = estimator(oracle, ctx.xhat[None], ctx.u[None], eta, cfg.b, ctx.n_batch)
-
-    def proposal_rows(k: int, r: np.random.Generator) -> np.ndarray:
-        return ctx.xhat + math.sqrt(eta) * r.standard_normal((k, pot.dim))
-
-    return fors_sample_many(proposal_rows, rows, cfg, n_samples, rng, ledger=ledger)
-
-
-def tilt_eta_bound(pot: Potential, m_trunc: float, eps_prox: float,
-                   delta: float, c_step: float = 64.0) -> float:
-    """Largest eta meeting the first-order tilt step condition.
-
-    1/eta >= c_step * [ (beta^2 d^s L + s beta^2 d^(s-1) L^2)^(1/(1+s))
-                        + (M^2 + eps_prox^2) L ],   L = log(1/delta).
-    """
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
-    ell = math.log(1.0 / delta)
-    smooth = (beta ** 2 * d ** s * ell
-              + s * beta ** 2 * d ** (s - 1.0) * ell ** 2) ** (1.0 / (1.0 + s))
-    trunc = (m_trunc ** 2 + eps_prox ** 2) * ell
-    return 1.0 / (c_step * (smooth + trunc))
+    return fors_sample_many(
+        lambda k, r: source.propose_rows(np.zeros(k, dtype=np.int64), r),
+        source, cfg, n_samples, rng, ledger=ledger)

@@ -29,10 +29,9 @@ from .constants import DEFAULT_CONSTANTS, PlanConstants
 from .core import AssumptionCase, Potential
 from .errors import BudgetExhaustedError, InfeasibleScheduleError, UnsupportedCombinationError
 from .fors import FORSConfig, fors_accept_rows
-from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
-                      eps_tail, phi)
+from .oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, phi
 from .prox import ProxConfig, approx_prox_rows, default_k_iters
-from .rgo import _FirstOrderRows, _ZerothOrderRows
+from .rgo import tilt_source
 
 MODES = ("first_order", "zeroth_order")
 
@@ -283,14 +282,6 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
         planned_queries=int(math.ceil(n_steps * per_step)))
 
 
-def schedule_tail_ok(sched: Schedule, noise: NoiseModel) -> bool:
-    """Check eps_tail(noise, n_batch, M) <= the schedule's tail budget."""
-    try:
-        return eps_tail(noise, sched.n_batch, sched.m_trunc) <= sched.tail_budget
-    except UnsupportedCombinationError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
@@ -331,7 +322,6 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
 
     ledger = oracle.ledger
     eta = sched.eta
-    root_eta = math.sqrt(eta)
     d = pot.dim
     cfg = FORSConfig(b=sched.b, max_attempts=max_attempts)
     if first:
@@ -342,23 +332,17 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
         raise ValueError(f"mu0 returned shape {x.shape}, expected {(chains, d)}")
 
     for step in range(sched.n_steps):
-        y = x + root_eta * rng.standard_normal((chains, d))
+        y = x + math.sqrt(eta) * rng.standard_normal((chains, d))
         if first:
             xhat = approx_prox_rows(pot, oracle, y, prox_cfg)
             ledger.prox_iters += sched.k_iters * chains
-            u_rows = (y - xhat) / eta
-            source = _FirstOrderRows(oracle, xhat, u_rows, eta, sched.b, sched.n_batch)
         else:
             xhat = y
-            u_rows = np.zeros_like(y)
-            source = _ZerothOrderRows(oracle, xhat, u_rows, eta, sched.b, sched.n_batch)
-
-        def propose_rows(slots: np.ndarray, r: np.random.Generator) -> np.ndarray:
-            return xhat[slots] + root_eta * r.standard_normal((slots.size, d))
-
+        source = tilt_source(oracle, y, xhat, eta, sched.b, sched.n_batch)
         ledger.rgo_calls += chains
         try:
-            x = fors_accept_rows(propose_rows, source, cfg, chains, rng, ledger=ledger)
+            x = fors_accept_rows(source.propose_rows, source, cfg, chains, rng,
+                                 ledger=ledger)
         except BudgetExhaustedError as err:
             err.step = step
             raise

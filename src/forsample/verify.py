@@ -154,18 +154,6 @@ def chi2_discrete(counts, probs) -> tuple[float, float]:
     return float(result.statistic), float(result.pvalue)
 
 
-def chi2_uniformity(values, bins: int = 10) -> float:
-    """P-value of a chi-square test that values are uniform on [0, 1]."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2 * bins:
-        raise ValueError("need a 1-D array with at least 2 samples per bin")
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("values must lie in [0, 1]")
-    from scipy import stats
-    counts, _ = np.histogram(arr, bins=bins, range=(0.0, 1.0))
-    return float(stats.chisquare(counts).pvalue)
-
-
 def seeds_pass_rule(p_values, alpha: float = 0.01, min_pass: int = 18) -> bool:
     """The flakiness rule: at least min_pass of the seeds exceed alpha."""
     ps = np.asarray(p_values, dtype=float)

@@ -16,7 +16,6 @@ from forsample.errors import BudgetExhaustedError, EstimatorRangeError
 from forsample.fors import (
     EstimatorSource,
     FORSConfig,
-    acceptance_probability,
     fors_accept_rows,
     fors_attempt_batch,
     fors_sample,
@@ -156,9 +155,10 @@ def test_out_of_range_w_raises():
     source = EstimatorSource(lambda x, rng: 2.0)
     with pytest.raises(EstimatorRangeError):
         fors_sample(_zero_proposal, source, cfg, make_rng(0))
-    source = EstimatorSource(lambda x, rng: float("nan"))
-    with pytest.raises(EstimatorRangeError):
-        fors_sample(_zero_proposal, source, cfg, make_rng(0))
+    for bad in (float("nan"), math.inf, -math.inf):
+        source = EstimatorSource(lambda x, rng: bad)
+        with pytest.raises(EstimatorRangeError):
+            fors_sample(_zero_proposal, source, cfg, make_rng(0))
 
 
 def test_attempt_budget_error_carries_accounting():
@@ -219,25 +219,6 @@ def test_row_coin_draws_lazily_on_the_flat_instance():
     var = float(((2 * steps - 1) * tail).sum()) - mean ** 2
     assert ledger.fors_attempts == n
     assert abs(ledger.w_draws / n - mean) <= 4 * math.sqrt(var / n)
-
-
-def test_acceptance_probability_closed_form():
-    assert acceptance_probability([0.0], [1.0], 1.0) == pytest.approx(math.exp(-1.0))
-    assert acceptance_probability([1.0], [1.0], 1.0) == pytest.approx(1.0)
-    assert acceptance_probability([-1.0, 1.0], [0.5, 0.5], 1.0) == pytest.approx(math.exp(-1.0))
-    got = acceptance_probability([-1.0, -0.2], [0.5, 0.5], 1.0)
-    assert got == pytest.approx(math.exp(-1.6))
-
-
-def test_acceptance_probability_validation():
-    with pytest.raises(ValueError):
-        acceptance_probability([0.0, 1.0], [1.0], 1.0)
-    with pytest.raises(ValueError):
-        acceptance_probability([0.0], [0.9], 1.0)
-    with pytest.raises(ValueError):
-        acceptance_probability([0.0, 0.5], [1.2, -0.2], 1.0)
-    with pytest.raises(EstimatorRangeError):
-        acceptance_probability([1.5], [1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from forsample.harness import (SUITES, TILT_B, TILT_ETA, TILT_X0, DiscreteWInsta
                                run_fors_unit, run_lower_bound, run_prox_check,
                                tilt_reference, write_report)
 from forsample.oracles import NoiseModel, ValueOracle, make_rng
-from forsample.rgo import RGOContext, TiltProblem, sample_tilt_many
+from forsample.rgo import sample_tilt_many
 from forsample.verify import discrete_law_oracle, ks_test
 
 
@@ -113,9 +113,9 @@ def test_zeroth_order_tilt_follows_the_clipped_law(arm):
     from forsample.harness import clipped_tilt_cdf
     noise, noise_sd, n_batch = _ZEROTH_ARMS[arm]
     pot = make_gaussian_potential([0.0])
-    ctx = RGOContext(TiltProblem(pot, [TILT_X0], TILT_ETA), [TILT_X0], n_batch=n_batch)
     oracle = ValueOracle(pot, noise, make_rng(26, 1))
-    pts = sample_tilt_many(ctx, oracle, FORSConfig(b=TILT_B), 300_000, make_rng(26, 2))
+    pts = sample_tilt_many(oracle, [TILT_X0], [TILT_X0], TILT_ETA, FORSConfig(b=TILT_B),
+                           300_000, make_rng(26, 2), n_batch=n_batch)
     _, p = ks_test(pts[:, 0], clipped_tilt_cdf(TILT_B, noise_sd))
     assert p > 1e-3
 

@@ -1,13 +1,18 @@
 """Source hygiene: no unused imports or parameters, no unread planner constant,
-and every random draw from a Generator."""
+no top-level definition without a caller, one place that builds the tilt
+estimators, and every random draw from a Generator."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "forsample"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "forsample"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -171,3 +176,64 @@ def test_large_literal_is_detected():
 def test_fors_round_size_is_one_constant():
     # the iid engines' round size lives in fors._ROUND_ROWS and nowhere else
     assert _large_literals((SRC / "fors.py").read_text(), "_ROUND_ROWS") == []
+
+
+# top-level definitions kept without a caller in src or perfbench: the one-row
+# cases of row kernels and the references the tests check them against
+_NO_CALLER_KEPT = {
+    ("core.py", "holder_spot_check"),
+    ("prox.py", "approx_prox"),
+    ("prox.py", "prox_residual"),
+    ("rgo.py", "path_gamma"),
+}
+
+
+def _names(node) -> Counter:
+    """Names a subtree loads or reads as attributes, with their counts."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _registered(node) -> bool:
+    # a suite runner is used through harness.SUITES, which its decorator fills
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "_suite" for d in node.decorator_list)
+
+
+def _without_caller(paths, callers) -> list[tuple[str, str]]:
+    """(module, name) of each top-level function or class in ``paths`` that
+    no code in ``callers`` names outside the definition itself."""
+    trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(callers)}
+    named = sum((_names(trees[p]) for p in callers), Counter())
+    return [(p.name, node.name) for p in paths for node in trees[p].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _registered(node)
+            and named[node.name] - _names(node)[node.name] <= 0]
+
+
+def test_definition_without_caller_is_detected(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def used():\n    return 1\n"
+                   "def lonely(n):\n    return lonely(n - 1) if n else used()\n"
+                   "@_suite('seeds')\ndef run_toy(cfg):\n    return cfg\n")
+    assert _without_caller([mod], [mod]) == [("mod.py", "lonely")]
+
+
+def test_every_definition_has_a_caller():
+    orphans = set(_without_caller(MODULES, MODULES + BENCH))
+    assert sorted(orphans - _NO_CALLER_KEPT) == []
+    # a kept one-row case that gains a caller leaves the list
+    assert sorted(_NO_CALLER_KEPT - orphans) == []
+
+
+def test_tilt_estimators_are_built_only_in_rgo():
+    # rgo.tilt_source is the one place that picks and builds an estimator
+    found = []
+    for path in MODULES + BENCH + TESTS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("_FirstOrderRows", "_ZerothOrderRows", "_RowEstimator"):
+                    found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
+    assert [f for f in found if f.split(":")[0] != "forsample/rgo.py"] == []
+    assert len(found) == 2

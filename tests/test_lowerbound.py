@@ -102,8 +102,6 @@ def test_pair_shift_and_moment():
     assert pair.m_shift == pytest.approx(10.0)
     expect = 0.01 * 9.9 ** 2 + 0.99 * 0.01
     assert pair.psi_moment == pytest.approx(expect)
-    assert pair.base_mean(0.7) == 0.7
-    assert pair.shifted_mean(0.7) == pytest.approx(0.6)
 
 
 def test_pair_from_psi_is_feasible_and_tight():

@@ -15,20 +15,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from forsample.core import Potential, make_gaussian_potential, make_power_potential
+from forsample.core import Potential, make_gaussian_potential
 from forsample.errors import DimensionError
 from forsample.fors import FORSConfig, fors_sample_many
 from forsample.oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                                make_rng)
-from forsample.rgo import (
-    RGOContext,
-    TiltProblem,
-    _FirstOrderRows,
-    _ZerothOrderRows,
-    path_gamma,
-    sample_tilt_many,
-    tilt_eta_bound,
-)
+from forsample.rgo import path_gamma, sample_tilt_many, tilt_source
 from forsample.verify import ks_test
 
 
@@ -38,12 +30,9 @@ def _flat_potential(dim: int = 1) -> Potential:
                      name="flat")
 
 
-def _quadratic_setup():
+def _quadratic_source(oracle, b: float = 50.0):
     """f(x) = x^2/2 tilted at x0 = 1 with eta = 0.5; proposal center 0.2."""
-    pot = make_gaussian_potential([0.0])
-    problem = TiltProblem(pot, [1.0], 0.5)
-    ctx = RGOContext(problem, [0.2])
-    return pot, problem, ctx
+    return tilt_source(oracle, np.array([[1.0]]), np.array([[0.2]]), 0.5, b, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +81,39 @@ def test_path_validation():
 
 
 # ---------------------------------------------------------------------------
-# problem and context containers
+# the tilt step and its inputs
 # ---------------------------------------------------------------------------
 
 def test_tilt_problem_validation():
+    # the tilt center and step are checked before any draw
     pot = make_gaussian_potential([0.0])
-    with pytest.raises(ValueError):
-        TiltProblem(pot, [1.0], 0.0)
+    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(60, 0))
+    rng = make_rng(60, 1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="eta"):
+        sample_tilt_many(oracle, [1.0], [1.0], 0.0, FORSConfig(), 10, rng)
     with pytest.raises(DimensionError):
-        TiltProblem(pot, [1.0, 2.0], 0.5)
+        sample_tilt_many(oracle, [1.0, 2.0], [1.0, 2.0], 0.5, FORSConfig(), 10, rng)
+    assert rng.bit_generator.state == before
+    assert oracle.ledger.grad_queries == 0
 
 
 def test_context_u_and_validation():
-    _, problem, _ = _quadratic_setup()
-    ctx = RGOContext(problem, [0.2])
-    assert ctx.u == pytest.approx([(1.0 - 0.2) / 0.5])
-    with pytest.raises(ValueError):
-        RGOContext(problem, [0.2], n_batch=0)
+    pot = make_gaussian_potential([0.0])
+    source = _quadratic_source(GradientOracle(pot, NoiseModel.exact(), make_rng(60, 2)))
+    assert source.u_rows.tolist() == [[(1.0 - 0.2) / 0.5]]
+    # the proposal is N(xhat, eta I), one row per slot
+    props = source.propose_rows(np.zeros(100_000, dtype=np.int64), make_rng(60, 3))
+    assert props.shape == (100_000, 1)
+    assert abs(props.mean() - 0.2) <= 4 * math.sqrt(0.5 / 100_000)
+    assert props.var() == pytest.approx(0.5, rel=0.02)
+    oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(60, 4))
+    with pytest.raises(ValueError, match="n_batch"):
+        sample_tilt_many(oracle, [1.0], [0.2], 0.5, FORSConfig(), 10, make_rng(60, 5),
+                         n_batch=0)
+    with pytest.raises(DimensionError):
+        sample_tilt_many(oracle, [1.0], [0.2, 0.0], 0.5, FORSConfig(), 10,
+                         make_rng(60, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -119,44 +124,35 @@ def _quadratic_w_mean(x: float, xhat: float, u: float, eta: float) -> float:
     return u * (x - xhat) - 0.5 * x * x + 0.5 * (xhat * xhat + eta)
 
 
-def test_first_order_mean_matches_closed_form():
-    pot, problem, ctx = _quadratic_setup()
-    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(62, 0))
-    rows = _FirstOrderRows(oracle, np.array([[0.2]]), np.array([ctx.u]),
-                           problem.eta, 50.0, 1)
-    rng = make_rng(62, 1)
+def _check_quadratic_mean(rows, rng):
     n = 100_000
     for x in (-1.0, -0.5, 0.2, 0.9, 1.5):
         w = rows.draw_w_rows(np.zeros(n, dtype=np.int64),
                              np.full((n, 1), x), rng)
-        expect = _quadratic_w_mean(x, 0.2, float(ctx.u[0]), problem.eta)
+        expect = _quadratic_w_mean(x, 0.2, (1.0 - 0.2) / 0.5, 0.5)
         se = w.std() / math.sqrt(n)
         assert abs(w.mean() - expect) <= 4 * se
+
+
+def test_first_order_mean_matches_closed_form():
+    pot = make_gaussian_potential([0.0])
+    rows = _quadratic_source(GradientOracle(pot, NoiseModel.exact(), make_rng(62, 0)))
+    _check_quadratic_mean(rows, make_rng(62, 1))
 
 
 def test_zeroth_order_mean_matches_closed_form():
-    pot, problem, ctx = _quadratic_setup()
-    oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(63, 0))
-    rows = _ZerothOrderRows(oracle, np.array([[0.2]]), np.array([ctx.u]),
-                            problem.eta, 50.0, 1)
-    rng = make_rng(63, 1)
-    n = 100_000
-    for x in (-1.0, -0.5, 0.2, 0.9, 1.5):
-        w = rows.draw_w_rows(np.zeros(n, dtype=np.int64),
-                             np.full((n, 1), x), rng)
-        expect = _quadratic_w_mean(x, 0.2, float(ctx.u[0]), problem.eta)
-        se = w.std() / math.sqrt(n)
-        assert abs(w.mean() - expect) <= 4 * se
+    pot = make_gaussian_potential([0.0])
+    rows = _quadratic_source(ValueOracle(pot, NoiseModel.exact(), make_rng(63, 0)))
+    _check_quadratic_mean(rows, make_rng(63, 1))
 
 
 def test_flat_potential_centered_context_gives_zero_w():
     pot = _flat_potential()
-    problem = TiltProblem(pot, [0.0], 1.0)
-    ctx = RGOContext(problem, [0.0])
     g_oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(64, 0))
     v_oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(64, 1))
-    first = _FirstOrderRows(g_oracle, ctx.xhat[None], ctx.u[None], problem.eta, 1.0, 1)
-    zeroth = _ZerothOrderRows(v_oracle, ctx.xhat[None], ctx.u[None], problem.eta, 1.0, 1)
+    centered = (np.zeros((1, 1)), np.zeros((1, 1)), 1.0, 1.0, 1)
+    first = tilt_source(g_oracle, *centered)
+    zeroth = tilt_source(v_oracle, *centered)
     slots = np.zeros(3, dtype=np.int64)
     xs = np.array([[-2.0], [0.0], [3.5]])
     np.testing.assert_array_equal(first.draw_w_rows(slots, xs, make_rng(64, 2)), 0.0)
@@ -164,10 +160,9 @@ def test_flat_potential_centered_context_gives_zero_w():
 
 
 def test_heavy_noise_drives_clipping():
-    pot, problem, ctx = _quadratic_setup()
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(100.0), make_rng(65, 0))
-    rows = _FirstOrderRows(oracle, np.array([[0.2]]), np.array([ctx.u]),
-                           problem.eta, 1.0, 1)
+    pot = make_gaussian_potential([0.0])
+    rows = _quadratic_source(
+        GradientOracle(pot, NoiseModel.subgaussian(100.0), make_rng(65, 0)), b=1.0)
     w = rows.draw_w_rows(np.zeros(10_000, dtype=np.int64),
                          np.ones((10_000, 1)), make_rng(65, 1))
     assert np.all(np.abs(w) <= 1.0)
@@ -186,54 +181,52 @@ def _tilt_cdf(x):
     return stats.norm.cdf(x, loc=_TILT_MEAN, scale=_TILT_SD)
 
 
-def _centered_ctx():
-    pot = make_gaussian_potential([0.0])
-    problem = TiltProblem(pot, [1.0], 0.5)
-    return pot, RGOContext(problem, [_TILT_MEAN])
+def _centered_tilt(oracle, n_samples, rng, ledger=None):
+    # f(x) = x^2/2 tilted at x0 = 1 with eta = 0.5, proposal at the tilt mean
+    return sample_tilt_many(oracle, [1.0], [_TILT_MEAN], 0.5, FORSConfig(b=3.0),
+                            n_samples, rng, ledger=ledger)
 
 
 def test_first_order_tilt_matches_gaussian():
-    pot, ctx = _centered_ctx()
+    pot = make_gaussian_potential([0.0])
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(66, 0))
-    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
-                           make_rng(66, 1))
+    out = _centered_tilt(oracle, 20_000, make_rng(66, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p > 0.01
 
 
 def test_zeroth_order_tilt_matches_gaussian():
-    pot, ctx = _centered_ctx()
+    pot = make_gaussian_potential([0.0])
     oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(67, 0))
-    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
-                           make_rng(67, 1))
+    out = _centered_tilt(oracle, 20_000, make_rng(67, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p > 0.01
+
+
+def _flipped_tilt(oracle, rng):
+    # u = (x0 - xhat)/eta negated: the tilt at x0 = 2 xhat - 1 = 1/3, with
+    # the proposal still at the true tilt's mean
+    rows = tilt_source(oracle, np.array([[2 * _TILT_MEAN - 1.0]]),
+                       np.array([[_TILT_MEAN]]), 0.5, 3.0, 1)
+    return fors_sample_many(
+        lambda k, r: rows.propose_rows(np.zeros(k, dtype=np.int64), r),
+        rows, FORSConfig(b=3.0), 20_000, rng)
 
 
 def test_first_order_sign_flip_breaks_the_law():
     # Negating u must push the accepted law visibly away from the tilt, so a
     # silent sign regression in the estimator cannot pass the exactness test.
-    pot, ctx = _centered_ctx()
-    eta = ctx.problem.eta
-    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(68, 0))
-    rows = _FirstOrderRows(oracle, np.array([[_TILT_MEAN]]), np.array([-ctx.u]),
-                           eta, 3.0, 1)
-    out = fors_sample_many(
-        lambda k, rng: _TILT_MEAN + math.sqrt(eta) * rng.standard_normal((k, 1)),
-        rows, FORSConfig(b=3.0), 20_000, make_rng(68, 1))
+    pot = make_gaussian_potential([0.0])
+    out = _flipped_tilt(GradientOracle(pot, NoiseModel.exact(), make_rng(68, 0)),
+                        make_rng(68, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p < 1e-6
 
 
 def test_zeroth_order_sign_flip_breaks_the_law():
-    pot, ctx = _centered_ctx()
-    eta = ctx.problem.eta
-    oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(69, 0))
-    rows = _ZerothOrderRows(oracle, np.array([[_TILT_MEAN]]), np.array([-ctx.u]),
-                            eta, 3.0, 1)
-    out = fors_sample_many(
-        lambda k, rng: _TILT_MEAN + math.sqrt(eta) * rng.standard_normal((k, 1)),
-        rows, FORSConfig(b=3.0), 20_000, make_rng(69, 1))
+    pot = make_gaussian_potential([0.0])
+    out = _flipped_tilt(ValueOracle(pot, NoiseModel.exact(), make_rng(69, 0)),
+                        make_rng(69, 1))
     _, p = ks_test(out[:, 0], _tilt_cdf)
     assert p < 1e-6
 
@@ -245,56 +238,21 @@ def test_non_oracle_rejected_before_any_draw():
         def draw_batch_rows(self, xs, n):
             raise AssertionError("queried")
 
-    _, ctx = _centered_ctx()
     rng, ledger = make_rng(1), QueryLedger()
     before = rng.bit_generator.state
     with pytest.raises(TypeError, match="GradientOracle or a ValueOracle"):
-        sample_tilt_many(ctx, Impostor(), FORSConfig(b=3.0), 10, rng, ledger=ledger)
+        _centered_tilt(Impostor(), 10, rng, ledger=ledger)
     assert rng.bit_generator.state == before
     assert ledger.as_dict() == QueryLedger().as_dict()
 
 
 def test_two_dimensional_tilt():
     pot = make_gaussian_potential([0.0, 0.0])
-    problem = TiltProblem(pot, [1.0, -1.0], 0.5)
-    ctx = RGOContext(problem, [_TILT_MEAN, -_TILT_MEAN])
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(71, 0))
-    out = sample_tilt_many(ctx, oracle, FORSConfig(b=3.0), 20_000,
-                           make_rng(71, 1))
+    out = sample_tilt_many(oracle, [1.0, -1.0], [_TILT_MEAN, -_TILT_MEAN], 0.5,
+                           FORSConfig(b=3.0), 20_000, make_rng(71, 1))
     assert out.shape == (20_000, 2)
     target = np.array([_TILT_MEAN, -_TILT_MEAN])
     coord_se = _TILT_SD / math.sqrt(out.shape[0])
     assert np.all(np.abs(out.mean(axis=0) - target) <= 4.5 * coord_se)
     assert np.allclose(out.var(axis=0), 1.0 / 3.0, rtol=0.1)
-
-
-# ---------------------------------------------------------------------------
-# step-size condition
-# ---------------------------------------------------------------------------
-
-def test_tilt_eta_bound_closed_form():
-    pot = make_power_potential(p=1.5, dim=1)
-    s, beta = pot.holder_s, pot.holder_beta
-    m_trunc, eps, delta = 1.0, 0.5, 0.01
-    ell = math.log(1.0 / delta)
-    smooth = (beta ** 2 * ell + s * beta ** 2 * ell ** 2) ** (1.0 / (1.0 + s))
-    trunc = (m_trunc ** 2 + eps ** 2) * ell
-    expect = 1.0 / (64.0 * (smooth + trunc))
-    assert tilt_eta_bound(pot, m_trunc, eps, delta) == pytest.approx(expect, rel=1e-12)
-
-
-def test_tilt_eta_bound_monotonicity():
-    pot = make_gaussian_potential([0.0])
-    base = tilt_eta_bound(pot, 1.0, 0.0, 0.01)
-    assert tilt_eta_bound(pot, 2.0, 0.0, 0.01) < base
-    assert tilt_eta_bound(pot, 1.0, 1.0, 0.01) < base
-    assert tilt_eta_bound(pot, 1.0, 0.0, 0.1) > base
-    assert tilt_eta_bound(pot, 1.0, 0.0, 0.01, c_step=128.0) == pytest.approx(base / 2)
-
-
-def test_tilt_eta_bound_validation():
-    pot = make_gaussian_potential([0.0])
-    with pytest.raises(ValueError):
-        tilt_eta_bound(pot, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        tilt_eta_bound(pot, 1.0, 0.0, 1.0)

@@ -23,8 +23,7 @@ from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_ru
                                   proximal_adapter, sgld_adapter)
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
 from forsample.prox import ProxConfig, approx_prox, approx_prox_rows
-from forsample.rgo import (RGOContext, TiltProblem, _FirstOrderRows, _ZerothOrderRows,
-                           sample_tilt_many)
+from forsample.rgo import sample_tilt_many, tilt_source
 from forsample.sampler import Schedule, gaussian_initializer, run_proximal_sampler
 
 
@@ -47,10 +46,10 @@ def _spread():
 
 
 def _tilt(noise_sigma: float = 0.5):
+    # a 2-d tilt (x0, xhat, eta); its estimators batch 3 oracle draws
     pot = make_gaussian_potential([0.3, -0.2])
-    ctx = RGOContext(TiltProblem(pot, [1.0, 0.5], 0.25), [0.6, 0.2], n_batch=3)
     noise = NoiseModel.subgaussian(noise_sigma)
-    return pot, ctx, noise
+    return pot, ([1.0, 0.5], [0.6, 0.2], 0.25), noise
 
 
 def _accept_rows():
@@ -92,11 +91,11 @@ def _attempt_batch():
 
 
 def _sample_tilt_many(oracle_cls):
-    pot, ctx, noise = _tilt()
+    pot, (x0, xhat, eta), noise = _tilt()
     oracle = oracle_cls(pot, noise, make_rng(5, 6))
     ledger = QueryLedger()
-    out = sample_tilt_many(ctx, oracle, FORSConfig(b=2.0), 2_000,
-                           make_rng(5, 7), ledger=ledger)
+    out = sample_tilt_many(oracle, x0, xhat, eta, FORSConfig(b=2.0), 2_000,
+                           make_rng(5, 7), n_batch=3, ledger=ledger)
     return _digest(out, ledger, oracle.ledger)
 
 
@@ -181,15 +180,15 @@ def test_scalar_estimator_draws_are_pinned():
     # generators' states afterwards.  The values are pinned to 1e-12: two
     # algebraically equal forms of the same estimator (a dot product against
     # a row-wise sum, say) round differently in the last few bits.
-    pot, ctx, noise = _tilt()
+    pot, (x0, xhat, eta), noise = _tilt()
     g_oracle = GradientOracle(pot, noise, make_rng(5, 13))
     v_oracle = ValueOracle(pot, noise, make_rng(5, 14))
     rng = make_rng(5, 15)
     points = ([0.1, 0.4], [0.9, -0.3], [-0.5, 0.7])
     slot = np.zeros(1, dtype=np.int64)
-    args = (ctx.xhat[None], ctx.u[None], ctx.problem.eta, 2.0, ctx.n_batch)
-    first_rows = _FirstOrderRows(g_oracle, *args)
-    zeroth_rows = _ZerothOrderRows(v_oracle, *args)
+    args = (np.array([x0]), np.array([xhat]), eta, 2.0, 3)
+    first_rows = tilt_source(g_oracle, *args)
+    zeroth_rows = tilt_source(v_oracle, *args)
     first = [float(first_rows.draw_w_rows(slot, np.array([x]), rng)[0]) for x in points]
     zeroth = [float(zeroth_rows.draw_w_rows(slot, np.array([x]), rng)[0]) for x in points]
     assert first == pytest.approx(
