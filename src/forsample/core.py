@@ -103,12 +103,9 @@ class GaussianReference:
 
     def _frozen(self):
         if self.dim != 1:
-            raise DimensionError("pdf/cdf/ppf are 1-D operations; use marginal(i)")
+            raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
         from scipy import stats
         return stats.norm(self.mean[0], math.sqrt(self.variances[0]))
-
-    def pdf(self, t):
-        return self._frozen().pdf(t)
 
     def cdf(self, t):
         return self._frozen().cdf(t)

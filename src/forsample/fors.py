@@ -36,7 +36,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .core import Array, as_vector
-from .errors import BudgetExhaustedError, EstimatorRangeError
+from .errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from .oracles import QueryLedger
 
 _POISSON_INVERSION_MAX_LAM = 30.0
@@ -184,29 +184,35 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
         attempts=cfg.max_attempts, w_draws=w_draws_this_call)
 
 
-def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
+def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+                 source: RowEstimatorSource, b: float, rng: np.random.Generator,
                  ledger: QueryLedger, w_cap: int | None = None, n_slots: int = 1):
-    """The row engines' acceptance coin, as a generator of round masks.
+    """The row engines' round step, as a generator of ``(xs, mask)`` rounds.
 
-    Prime with ``next``, then ``send((xs, slots))`` per round: the (k, d)
-    proposals and the (k,) slot of each row.  The slots of a round are
-    distinct, or all 0 with ``n_slots == 1`` (one shared target).  Per row
-    it draws J ~ Poisson(2B) and the coin u, then runs sub-rounds
-    n = 1, 2, ...: sub-round n draws the n-th W, in one call, for each row
-    still alive (J >= n and running product >= u), validates it (shape,
-    finiteness, range) and multiplies (B + W)/(2B) into the row's product.
-    Each factor is at most 1, so a row whose product fell below u is
-    rejected without its remaining draws; the mask u < prod is the one the
-    full product gives.  Before a sub-round it raises BudgetExhaustedError
-    if a slot would pass ``w_cap`` draws.  As a generator it keeps a round's
+    Prime with ``next``, then ``send(slots)`` per round: the int64 slot of
+    each attempt of the round, distinct, or all 0 with ``n_slots == 1`` (one
+    shared target).  The round proposes ``xs = propose(slots, rng)``, one
+    row per slot, and flips each row's coin: it draws J ~ Poisson(2B) and
+    the coin u, then runs sub-rounds n = 1, 2, ...: sub-round n draws the
+    n-th W, in one call, for each row still alive (J >= n and running
+    product >= u), validates it (shape, finiteness, the closed range
+    [-B, B]) and multiplies (B + W)/(2B) into the row's product.  Each
+    factor is at most 1, so a row whose product fell below u is rejected
+    without its remaining draws; the mask u < prod is the one the full
+    product gives.  Before a sub-round it raises BudgetExhaustedError if a
+    slot would pass ``w_cap`` draws.  As a generator it keeps a round's
     arrays alive until the next round replaces them, as an inline loop
     does, so the next round does not page-fault them in again.
     """
-    mask = None
+    out = None
     w_spent = np.zeros(n_slots, dtype=np.int64)
     while True:
-        xs, slots = yield mask
-        k = xs.shape[0]
+        slots = yield out
+        xs = propose(slots, rng)
+        if xs.shape[:1] != slots.shape:
+            raise DimensionError(f"proposal returned rows of shape {xs.shape} "
+                                 f"for slots of shape {slots.shape}")
+        k = slots.size
         js = poisson_inversion(2 * b, rng, size=k)
         u = rng.random(k)
         ledger.fors_attempts += k
@@ -240,15 +246,15 @@ def _coin_rounds(source: RowEstimatorSource, b: float, rng: np.random.Generator,
             ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
-            if not np.logical_and.reduce(np.abs(ws) <= b + 1e-12):
-                raise EstimatorRangeError("row estimator draw outside [-B, B]")
+            if not np.logical_and.reduce(np.abs(ws) <= b):  # also false for NaN
+                raise EstimatorRangeError(f"row estimator draw outside [-{b}, {b}]")
             p = prods[live] * ((b + ws) / (2 * b))
             prods[live] = p
             n += 1
             live = live[(js[live] >= n) & (p >= u[live])]
         if per_slot:
             w_spent[slots] += drawn
-        mask = u < prods
+        out = xs, u < prods
 
 
 def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
@@ -267,7 +273,8 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     out: np.ndarray | None = None
     active = np.arange(n_slots)
     attempts = np.zeros(n_slots, dtype=np.int64)
-    coin = _coin_rounds(source, cfg.b, rng, ledger, cfg.max_w_per_call, n_slots)
+    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
+                        cfg.max_w_per_call, n_slots)
     next(coin)
     while active.size:
         attempts[active] += 1
@@ -276,26 +283,26 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
             raise BudgetExhaustedError(
                 "attempt budget exhausted", attempts=cfg.max_attempts,
                 chain=int(active[over][0]))
-        xs = propose_rows(active, rng)
+        xs, acc = coin.send(active)
         if out is None:
             out = np.empty((n_slots, xs.shape[1]))
-        acc = coin.send((xs, active))
         out[active[acc]] = xs[acc]
         active = active[~acc]
     assert out is not None
     return out
 
 
-def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndarray],
+def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                      source: RowEstimatorSource, cfg: FORSConfig, n_samples: int,
                      rng: np.random.Generator,
                      ledger: QueryLedger | None = None) -> np.ndarray:
     """Collect ``n_samples`` iid accepted points from one shared target.
 
-    ``proposal_rows(k, rng)`` returns a (k, d) batch from q.  Attempts are
-    simulated in adaptive batches until enough are accepted; output order is
-    acceptance order, which for iid attempts is itself iid.  The caps of
-    ``cfg`` hold as totals over the ``n_samples`` calls this stands for.
+    ``propose_rows(slots, rng)`` returns one row from q per slot; every slot
+    is 0.  Attempts run in rounds sized from the acceptance seen so far
+    until enough are accepted; output order is acceptance order, which for
+    iid attempts is itself iid.  The caps of ``cfg`` hold as totals over the
+    ``n_samples`` calls this stands for.
     """
     ledger = ledger if ledger is not None else QueryLedger()
     b = cfg.b
@@ -304,7 +311,9 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
     total_attempts = 0
     acc_est = math.exp(-b)  # pessimistic-ish initial guess, refined as we go
     attempt_cap = cfg.max_attempts * n_samples
-    coin = _coin_rounds(source, b, rng, ledger, cfg.max_w_per_call * n_samples)
+    shared = np.zeros(_ROUND_ROWS, dtype=np.int64)
+    coin = _coin_rounds(propose_rows, source, b, rng, ledger,
+                        cfg.max_w_per_call * n_samples)
     next(coin)
     while n_got < n_samples:
         need = n_samples - n_got
@@ -317,8 +326,7 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
                 raise BudgetExhaustedError(
                     "attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
-        xs = proposal_rows(k, rng)
-        acc = coin.send((xs, np.zeros(k, dtype=np.int64)))  # one shared slot
+        xs, acc = coin.send(shared[:k])
         n_acc = int(acc.sum())
         if n_acc:
             got.append(xs[acc])
@@ -331,26 +339,25 @@ def fors_sample_many(proposal_rows: Callable[[int, np.random.Generator], np.ndar
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def fors_attempt_batch(proposal_rows: Callable[[int, np.random.Generator], np.ndarray],
+def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                        source: RowEstimatorSource, cfg: FORSConfig,
                        n_attempts: int, rng: np.random.Generator,
                        ledger: QueryLedger | None = None) -> np.ndarray:
     """Simulate a fixed number of independent acceptance attempts.
 
-    Returns the boolean acceptance mask, one entry per attempt, for checking
-    the per-attempt acceptance law against exp(E[W] - B).  No points are
-    collected.  No budget cap applies: the attempt count is the argument.
+    ``propose_rows`` is as in ``fors_sample_many``.  Returns the boolean
+    acceptance mask, one entry per attempt, for checking the per-attempt
+    acceptance law against exp(E[W] - B).  No points are collected.  No
+    budget cap applies: the attempt count is the argument.
     """
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
-    coin = _coin_rounds(source, cfg.b, rng, ledger)
+    shared = np.zeros(min(n_attempts, _ROUND_ROWS), dtype=np.int64)
+    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger)
     next(coin)
-    done = 0
-    while done < n_attempts:
+    for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)
-        xs = proposal_rows(k, rng)
-        mask[done:done + k] = coin.send((xs, np.zeros(k, dtype=np.int64)))
-        done += k
+        mask[done:done + k] = coin.send(shared[:k])[1]
     return mask
 
 

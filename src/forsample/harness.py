@@ -412,9 +412,13 @@ class DiscreteWInstance:
         """Exact per-attempt acceptance: sum_x q(x) exp(E[W|x] - B)."""
         return float(np.sum(self.q * np.exp(self.w_means() - self.b)))
 
-    def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        idx = self._q_cdf.searchsorted(rng.random(k))
+    def propose_rows(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        idx = self._q_cdf.searchsorted(rng.random(slots.size))
         return idx.astype(float)[:, None]
+
+    def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        # the k-row form the scalar fors_sample loops here and in perfbench call
+        return self.propose_rows(np.zeros(k, dtype=np.int64), rng)
 
     def scalar_source(self, ledger: QueryLedger | None = None) -> EstimatorSource:
         cdfs, values = self._w_cdf.tolist(), self.w_values.tolist()
@@ -467,12 +471,12 @@ def _fors_unit_seed(seed: int, samples: int) -> dict:
         ledger = QueryLedger()
         rng = make_rng(seed, 100 + len(result["instances"]))
         cfg = FORSConfig(b=inst.b)
-        pts = fors_sample_many(inst.proposal_rows, inst, cfg, samples, rng,
+        pts = fors_sample_many(inst.propose_rows, inst, cfg, samples, rng,
                                ledger=ledger)
         counts = np.bincount(pts[:, 0].astype(int), minlength=inst.n_points)
         _, p_value = chi2_discrete(counts, inst.law())
         # acceptance-rate law over a fixed attempt count (clean binomial)
-        mask = fors_attempt_batch(inst.proposal_rows, inst, cfg, samples, rng,
+        mask = fors_attempt_batch(inst.propose_rows, inst, cfg, samples, rng,
                                   ledger=ledger)
         acc_freq = float(mask.mean())
         acc_exact = inst.acceptance()

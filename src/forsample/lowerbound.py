@@ -79,10 +79,6 @@ class PsiFunction:
     def power(s: float) -> "PsiFunction":
         return PsiFunction("power", s)
 
-    @staticmethod
-    def exp_power(s: float) -> "PsiFunction":
-        return PsiFunction("exp_power", s)
-
 
 def f_psi(psi: PsiFunction, delta: float) -> float:
     """The rate functional sup{u >= delta : delta psi(u) <= (1 - psi(delta)) u}.

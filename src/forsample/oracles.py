@@ -111,10 +111,6 @@ class NoiseModel:
     def polymoment(k: int, sigma_2k: float, **kw) -> "NoiseModel":
         return NoiseModel("polymoment", k=k, sigma_2k=sigma_2k, **kw)
 
-    @staticmethod
-    def twopoint(p: float, m_shift: float) -> "NoiseModel":
-        return NoiseModel("twopoint", p=p, m_shift=m_shift)
-
     # -- analytic moments ----------------------------------------------------
 
     @property

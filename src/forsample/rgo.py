@@ -157,6 +157,5 @@ def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: i
                              f"got {x0.shape[0]}")
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
-    return fors_sample_many(
-        lambda k, r: source.propose_rows(np.zeros(k, dtype=np.int64), r),
-        source, cfg, n_samples, rng, ledger=ledger)
+    return fors_sample_many(source.propose_rows, source, cfg, n_samples, rng,
+                            ledger=ledger)

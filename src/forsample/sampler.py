@@ -76,11 +76,6 @@ class Schedule:
         if self.n_batch < 1:
             raise ValueError("n_batch must be >= 1")
 
-    @property
-    def tail_budget(self) -> float:
-        """The per-step tail budget the batch size was sized for."""
-        return _tail_budget(self.mode, self.delta, self.n_steps)
-
 
 # ---------------------------------------------------------------------------
 # planning

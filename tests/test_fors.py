@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from forsample.errors import BudgetExhaustedError, EstimatorRangeError
+from forsample.errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from forsample.fors import (
     EstimatorSource,
     FORSConfig,
@@ -42,6 +42,10 @@ class _FixedUniform:
 
 def _zero_proposal(rng):
     return np.array([0.0])
+
+
+def _zero_rows(slots, rng):
+    return np.zeros((slots.size, 1))
 
 
 class _ConstantRows:
@@ -186,7 +190,7 @@ def test_w_draw_budget_error_carries_accounting():
 def test_acceptance_rate_w_zero_is_exp_minus_b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
-        lambda k, rng: np.zeros((k, 1)), _ConstantRows(0.0), cfg,
+        _zero_rows, _ConstantRows(0.0), cfg,
         200_000, make_rng(21))
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / mask.size)
@@ -196,7 +200,7 @@ def test_acceptance_rate_w_zero_is_exp_minus_b():
 def test_acceptance_rate_w_minus_b_is_exp_minus_2b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
-        lambda k, rng: np.zeros((k, 1)), _ConstantRows(-1.0), cfg,
+        _zero_rows, _ConstantRows(-1.0), cfg,
         200_000, make_rng(22))
     p = math.exp(-2.0)
     se = math.sqrt(p * (1 - p) / mask.size)
@@ -210,7 +214,7 @@ def test_row_coin_draws_lazily_on_the_flat_instance():
     flat = discrete_instances()[0]
     ledger = QueryLedger()
     n = 100_000
-    fors_attempt_batch(flat.proposal_rows, flat, FORSConfig(b=flat.b), n,
+    fors_attempt_batch(flat.propose_rows, flat, FORSConfig(b=flat.b), n,
                        make_rng(23), ledger=ledger)
     steps = np.arange(1, 60)
     tail = stats.poisson.sf(steps - 1, 2 * flat.b) * 0.5 ** (steps - 1)
@@ -236,8 +240,8 @@ class _DeterministicTilt:
         return _M3[xs[:, 0].astype(int)]
 
 
-def _propose3(k, rng):
-    return rng.choice(3, size=k, p=_Q3).astype(float)[:, None]
+def _propose3(slots, rng):
+    return rng.choice(3, size=slots.size, p=_Q3).astype(float)[:, None]
 
 
 def test_sample_many_matches_discrete_law():
@@ -272,8 +276,8 @@ def test_noisy_w_law_depends_only_on_conditional_mean():
             signs = rng.choice([-0.3, 0.3], size=slots.size)
             return means[xs[:, 0].astype(int)] + signs
 
-    def propose(k, rng):
-        return rng.choice(3, size=k, p=q).astype(float)[:, None]
+    def propose(slots, rng):
+        return rng.choice(3, size=slots.size, p=q).astype(float)[:, None]
 
     out = fors_sample_many(propose, _NoisyTilt(), FORSConfig(b=1.0), 40_000, make_rng(33))
     counts = np.bincount(out[:, 0].astype(int), minlength=3)
@@ -292,7 +296,7 @@ def test_sample_many_is_reproducible():
 def test_sample_many_budget_error():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample_many(lambda k, rng: np.zeros((k, 1)), _ConstantRows(-1.0),
+        fors_sample_many(_zero_rows, _ConstantRows(-1.0),
                          cfg, 2_000, make_rng(35))
     assert exc.value.attempts == 2_000
 
@@ -335,7 +339,7 @@ def test_accept_rows_heterogeneous_slots():
 def test_accept_rows_budget_error_names_slot():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
+        fors_accept_rows(_zero_rows,
                          _ConstantRows(-1.0), cfg, 64, make_rng(38))
     assert exc.value.attempts == 1
     assert exc.value.chain is not None
@@ -343,7 +347,7 @@ def test_accept_rows_budget_error_names_slot():
 
 def test_accept_rows_ledger_accounting():
     ledger = QueryLedger()
-    fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
+    fors_accept_rows(_zero_rows,
                      _ConstantRows(1.0), FORSConfig(b=1.0), 500, make_rng(39),
                      ledger=ledger)
     assert ledger.fors_attempts == 500  # W = +B accepts every slot first try
@@ -355,16 +359,17 @@ def test_accept_rows_ledger_accounting():
 # ---------------------------------------------------------------------------
 
 _ROW_ENGINES = {
-    "accept_rows": lambda source, cfg, rng: fors_accept_rows(
-        lambda active, r: np.zeros((active.size, 1)), source, cfg, 64, rng),
-    "sample_many": lambda source, cfg, rng: fors_sample_many(
-        lambda k, r: np.zeros((k, 1)), source, cfg, 100, rng),
-    "attempt_batch": lambda source, cfg, rng: fors_attempt_batch(
-        lambda k, r: np.zeros((k, 1)), source, cfg, 2_000, rng),
+    "accept_rows": lambda propose, source, cfg, rng: fors_accept_rows(
+        propose, source, cfg, 64, rng),
+    "sample_many": lambda propose, source, cfg, rng: fors_sample_many(
+        propose, source, cfg, 100, rng),
+    "attempt_batch": lambda propose, source, cfg, rng: fors_attempt_batch(
+        propose, source, cfg, 2_000, rng),
 }
 
 _BAD_DRAWS = {
     "above_b": lambda n: np.full(n, 1.5),
+    "just_above_b": lambda n: np.full(n, 1.0 + 5e-13),
     "below_b": lambda n: np.full(n, -1.5),
     "nan": lambda n: np.full(n, np.nan),
     "column": lambda n: np.zeros((n, 1)),
@@ -382,8 +387,20 @@ class _BadRows:
 @pytest.mark.parametrize("engine", sorted(_ROW_ENGINES))
 @pytest.mark.parametrize("draws", sorted(_BAD_DRAWS))
 def test_row_engines_reject_bad_draws(engine, draws):
+    # the range is the closed [-B, B] of the scalar loop, with no slack
     with pytest.raises(EstimatorRangeError):
-        _ROW_ENGINES[engine](_BadRows(_BAD_DRAWS[draws]), FORSConfig(b=1.0),
+        _ROW_ENGINES[engine](_zero_rows, _BadRows(_BAD_DRAWS[draws]),
+                             FORSConfig(b=1.0), make_rng(40))
+
+
+@pytest.mark.parametrize("engine", sorted(_ROW_ENGINES))
+def test_row_engines_reject_a_proposal_with_the_wrong_row_count(engine):
+    def one_short(slots, rng):
+        return np.zeros((slots.size - 1, 1))
+
+    with pytest.raises(DimensionError,
+                       match=r"rows of shape \(\d+, 1\) for slots of shape \(\d+,\)"):
+        _ROW_ENGINES[engine](one_short, _ConstantRows(1.0), FORSConfig(b=1.0),
                              make_rng(40))
 
 
@@ -406,7 +423,7 @@ def test_accept_rows_w_draw_budget_names_slot():
     source = _CountingRows(-1.0, 64)
     cfg = FORSConfig(b=1.0, max_w_per_call=3)
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_accept_rows(lambda active, rng: np.zeros((active.size, 1)),
+        fors_accept_rows(_zero_rows,
                          source, cfg, 64, make_rng(41))
     assert exc.value.chain is not None
     assert exc.value.w_draws == 3
@@ -417,7 +434,7 @@ def test_sample_many_w_draw_budget_is_a_total():
     cfg = FORSConfig(b=1.0, max_w_per_call=3)
     ledger = QueryLedger()
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample_many(lambda k, rng: np.zeros((k, 1)), _ConstantRows(-1.0),
+        fors_sample_many(_zero_rows, _ConstantRows(-1.0),
                          cfg, 100, make_rng(42), ledger=ledger)
     assert exc.value.w_draws <= 300
     assert ledger.w_draws == exc.value.w_draws
@@ -482,9 +499,9 @@ class _RowSpy:
         self.flat = discrete_instances()[0]
         self.rows = []
 
-    def proposal_rows(self, k, rng):
-        self.rows.append(k)
-        return self.flat.proposal_rows(k, rng)
+    def propose_rows(self, slots, rng):
+        self.rows.append(slots.size)
+        return self.flat.propose_rows(slots, rng)
 
     def draw_w_rows(self, slots, xs, rng):
         self.rows.append(xs.shape[0])
@@ -496,7 +513,7 @@ def test_sample_many_rounds_stay_within_round_rows():
     spy = _RowSpy()
     ledger = QueryLedger()
     n = 100_000
-    out = fors_sample_many(spy.proposal_rows, spy, FORSConfig(b=spy.flat.b), n,
+    out = fors_sample_many(spy.propose_rows, spy, FORSConfig(b=spy.flat.b), n,
                            make_rng(24), ledger=ledger)
     assert out.shape == (n, 1)
     assert max(spy.rows) <= _ROUND_ROWS
@@ -510,7 +527,7 @@ def test_attempt_batch_rounds_stay_within_round_rows():
     spy = _RowSpy()
     ledger = QueryLedger()
     n = 200_000
-    mask = fors_attempt_batch(spy.proposal_rows, spy, FORSConfig(b=spy.flat.b), n,
+    mask = fors_attempt_batch(spy.propose_rows, spy, FORSConfig(b=spy.flat.b), n,
                               make_rng(25), ledger=ledger)
     assert mask.shape == (n,) and ledger.fors_attempts == n
     assert max(spy.rows) <= _ROUND_ROWS

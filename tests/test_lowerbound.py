@@ -37,7 +37,7 @@ def test_psi_values_and_monotonicity():
     square = PsiFunction.power(2.0)
     assert square(0.0) == 0.0
     assert square(3.0) == 9.0
-    expo = PsiFunction.exp_power(1.0)
+    expo = PsiFunction("exp_power", 1.0)
     assert expo(0.0) == 0.0
     assert expo(1.0) == pytest.approx(math.e - 1.0)
     for psi in (square, expo):
@@ -51,7 +51,7 @@ def test_psi_validation():
     with pytest.raises(ValueError):
         PsiFunction.power(0.5)
     with pytest.raises(ValueError):
-        PsiFunction.exp_power(0.0)
+        PsiFunction("exp_power", 0.0)
     with pytest.raises(ValueError):
         PsiFunction("cubic", 3.0)
 
@@ -72,7 +72,7 @@ def test_f_psi_cubic_gauge_closed_form():
 
 
 def test_f_psi_exponential_gauge_grows_logarithmically():
-    psi = PsiFunction.exp_power(1.0)
+    psi = PsiFunction("exp_power", 1.0)
     for delta in (0.2, 0.1, 0.05, 0.01):
         assert f_psi(psi, delta) >= 0.5 * math.log(1.0 / delta)
     # slower than any power: at delta = 1e-4 the rate is still below 1/delta^0.5
@@ -90,7 +90,7 @@ def test_f_psi_edge_cases():
         f_psi(PsiFunction.power(2.0), 1.0)
     # psi(delta) >= 1 means the moment class is empty
     with pytest.raises(ValueError):
-        f_psi(PsiFunction.exp_power(0.1), 0.5)
+        f_psi(PsiFunction("exp_power", 0.1), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ FAMILIES = {
     "subgaussian": NoiseModel.subgaussian(0.7),
     "subweibull": NoiseModel.subweibull(zeta=1.0, sigma_g=0.4),
     "polymoment": NoiseModel.polymoment(k=2, sigma_2k=0.8),
-    "twopoint": NoiseModel.twopoint(p=0.2, m_shift=1.5),
+    "twopoint": NoiseModel("twopoint", p=0.2, m_shift=1.5),
 }
 
 
@@ -54,9 +54,9 @@ def test_noise_validation_errors():
     with pytest.raises(ValueError):
         NoiseModel.polymoment(k=0, sigma_2k=1.0)
     with pytest.raises(ValueError):
-        NoiseModel.twopoint(p=0.0, m_shift=1.0)
+        NoiseModel("twopoint", p=0.0, m_shift=1.0)
     with pytest.raises(ValueError):
-        NoiseModel.twopoint(p=0.5, m_shift=-1.0)
+        NoiseModel("twopoint", p=0.5, m_shift=-1.0)
 
 
 # (label, dim) cases; the original ids are kept for the default dimension
@@ -189,7 +189,7 @@ def test_polymoment_zero_uniform_gets_the_radius_of_one(dim, n):
 
 
 def test_twopoint_draw_support_and_mean():
-    noise = NoiseModel.twopoint(p=0.25, m_shift=2.0)
+    noise = NoiseModel("twopoint", p=0.25, m_shift=2.0)
     draws = noise.sample_batch_rows(100_000, 1, 1, make_rng(3, 5))[:, 0]
     support = {round(v, 12) for v in np.unique(draws)}
     # additive offsets m_shift*p (clean) and m_shift*(p-1) (corrupted)
@@ -211,7 +211,7 @@ def test_eps_tail_polymoment_frozen_value():
 
 def test_eps_tail_exact_and_twopoint():
     assert eps_tail(NoiseModel.exact(), 1, 0.0) == 0.0
-    noise = NoiseModel.twopoint(p=0.3, m_shift=1.0)
+    noise = NoiseModel("twopoint", p=0.3, m_shift=1.0)
     assert eps_tail(noise, 1, 1.0) == 0.0          # bounded support
     assert eps_tail(noise, 1, 0.5) > 0.0
 
@@ -405,7 +405,7 @@ def test_noise_block_shape(k, n, iters, m):
 def test_twopoint_oracle_requires_1d():
     pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
     with pytest.raises(DimensionError):
-        GradientOracle(pot, NoiseModel.twopoint(0.1, 1.0), make_rng(0, 0))
+        GradientOracle(pot, NoiseModel("twopoint", p=0.1, m_shift=1.0), make_rng(0, 0))
 
 
 def test_value_oracle_exact_and_noisy():

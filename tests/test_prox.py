@@ -228,7 +228,7 @@ def _reference_prox(oracle, x0_rows, cfg):
 _STREAM_NOISE = {
     "exact": NoiseModel.exact(),
     "subgaussian": NoiseModel.subgaussian(0.4),
-    "twopoint": NoiseModel.twopoint(p=0.3, m_shift=1.2),
+    "twopoint": NoiseModel("twopoint", p=0.3, m_shift=1.2),
 }
 
 

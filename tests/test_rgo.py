@@ -208,9 +208,7 @@ def _flipped_tilt(oracle, rng):
     # the proposal still at the true tilt's mean
     rows = tilt_source(oracle, np.array([[2 * _TILT_MEAN - 1.0]]),
                        np.array([[_TILT_MEAN]]), 0.5, 3.0, 1)
-    return fors_sample_many(
-        lambda k, r: rows.propose_rows(np.zeros(k, dtype=np.int64), r),
-        rows, FORSConfig(b=3.0), 20_000, rng)
+    return fors_sample_many(rows.propose_rows, rows, FORSConfig(b=3.0), 20_000, rng)
 
 
 def test_first_order_sign_flip_breaks_the_law():

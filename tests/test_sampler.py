@@ -21,6 +21,7 @@ from forsample.errors import BudgetExhaustedError, InfeasibleScheduleError
 from forsample.oracles import (GradientOracle, NoiseModel, ValueOracle, eps_tail,
                                make_rng, phi)
 from forsample.sampler import (
+    _tail_budget,
     gaussian_initializer,
     gradient_norm_bound,
     plan_first_order,
@@ -152,7 +153,7 @@ def test_noisy_first_order_batch_size_is_minimal():
     assert eps_tail(noise, sched.n_batch, sched.m_trunc) <= budget
     if sched.n_batch > 1:
         assert eps_tail(noise, sched.n_batch - 1, sched.m_trunc) > budget
-    assert sched.tail_budget == pytest.approx(budget)
+    assert _tail_budget(sched.mode, sched.delta, sched.n_steps) == pytest.approx(budget)
 
 
 def test_noisy_zeroth_order_batch_size_is_minimal():
@@ -161,7 +162,7 @@ def test_noisy_zeroth_order_batch_size_is_minimal():
     budget = _DELTA / (4.0 * sched.n_steps)
     assert sched.n_batch == phi(noise, sched.b / 3.0, budget)
     assert eps_tail(noise, sched.n_batch, sched.m_trunc) <= budget
-    assert sched.tail_budget == pytest.approx(budget)
+    assert _tail_budget(sched.mode, sched.delta, sched.n_steps) == pytest.approx(budget)
 
 
 def test_zeroth_batch_grows_as_delta_shrinks():
@@ -215,8 +216,10 @@ def test_schedule_validation():
 def test_tail_budget_split_by_mode():
     first = plan_first_order(_POT, NoiseModel.exact(), _LSI, _DELTA)
     zeroth = plan_zeroth_order(_POT, NoiseModel.exact(), _LSI, _DELTA)
-    assert first.tail_budget == pytest.approx(_DELTA / (10 * first.n_steps))
-    assert zeroth.tail_budget == pytest.approx(_DELTA / (4 * zeroth.n_steps))
+    assert (_tail_budget(first.mode, first.delta, first.n_steps)
+            == pytest.approx(_DELTA / (10 * first.n_steps)))
+    assert (_tail_budget(zeroth.mode, zeroth.delta, zeroth.n_steps)
+            == pytest.approx(_DELTA / (4 * zeroth.n_steps)))
 
 
 def test_gaussian_initializer():

@@ -55,9 +55,8 @@ def _tilt(noise_sigma: float = 0.5):
 def _accept_rows():
     inst = _spread()
     ledger = QueryLedger()
-    out = fors_accept_rows(lambda active, rng: inst.proposal_rows(active.size, rng),
-                           inst, FORSConfig(b=inst.b), 257, make_rng(5, 1),
-                           ledger=ledger)
+    out = fors_accept_rows(inst.propose_rows, inst, FORSConfig(b=inst.b), 257,
+                           make_rng(5, 1), ledger=ledger)
     return _digest(out, ledger)
 
 
@@ -77,7 +76,7 @@ def _scalar_loop():
 def _sample_many():
     inst = _spread()
     ledger = QueryLedger()
-    out = fors_sample_many(inst.proposal_rows, inst, FORSConfig(b=inst.b), 3_000,
+    out = fors_sample_many(inst.propose_rows, inst, FORSConfig(b=inst.b), 3_000,
                            make_rng(5, 2), ledger=ledger)
     return _digest(out, ledger)
 
@@ -85,7 +84,7 @@ def _sample_many():
 def _attempt_batch():
     inst = _spread()
     ledger = QueryLedger()
-    mask = fors_attempt_batch(inst.proposal_rows, inst, FORSConfig(b=inst.b), 5_000,
+    mask = fors_attempt_batch(inst.propose_rows, inst, FORSConfig(b=inst.b), 5_000,
                               make_rng(5, 3), ledger=ledger)
     return _digest(mask, ledger)
 
