@@ -14,15 +14,17 @@ proportional to q(x) * exp(E[W|x]) exactly.
 Each factor (B + W_j)/(2B) is at most 1, so the running product only
 decreases and an attempt can be rejected as soon as it falls below the
 coin; its remaining W are never drawn.  Both kernels reject this way.
-``fors_sample`` is the scalar loop.  The row kernel, ``_coin_rounds``, runs
-the attempts of a round together: it draws the n-th W, in one call, for
-the attempts still alive after n - 1 draws.  It serves the three row
-engines: ``fors_accept_rows`` (one acceptance per chain slot),
-``fors_sample_many`` (iid collector for one target) and
-``fors_attempt_batch`` (fixed attempt count, for the acceptance-law
-diagnostic).  The two iid engines draw in rounds of at most ``_ROUND_ROWS``
-attempts, whatever B and the sample count, so a per-row array of a round
-holds at most 2^16 floats (512 KB).
+``fors_sample`` is the scalar loop.  The row kernel, ``_coin_rounds``, is
+the one round step: it proposes a row per slot with ``propose(slots,
+rng)`` and draws the n-th W, in one call, for the attempts still alive
+after n - 1 draws.  Three round policies drive it: ``fors_accept_rows``
+(one acceptance per chain slot), ``fors_sample_many`` (iid collector for
+one target) and ``fors_attempt_batch`` (fixed attempt count, for the
+acceptance-law diagnostic).  The iid engines send all-zero slots in rounds
+of at most ``_ROUND_ROWS`` attempts, whatever B and the sample count, so a
+per-row array of a round holds at most 2^16 floats (512 KB);
+``fors_sample_many`` sizes its last round at the attempts its remaining
+need takes, plus three standard errors.
 """
 
 from __future__ import annotations
@@ -305,33 +307,28 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     ``n_samples`` calls this stands for.
     """
     ledger = ledger if ledger is not None else QueryLedger()
-    b = cfg.b
     got: list[np.ndarray] = []
-    n_got = 0
-    total_attempts = 0
-    acc_est = math.exp(-b)  # pessimistic-ish initial guess, refined as we go
+    n_got = total_attempts = 0
+    acc_est = math.exp(-cfg.b)  # pessimistic-ish initial guess, refined as we go
     attempt_cap = cfg.max_attempts * n_samples
     shared = np.zeros(_ROUND_ROWS, dtype=np.int64)
-    coin = _coin_rounds(propose_rows, source, b, rng, ledger,
+    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
                         cfg.max_w_per_call * n_samples)
     next(coin)
     while n_got < n_samples:
         need = n_samples - n_got
-        # a W call holds one row per live attempt, so at most _ROUND_ROWS;
-        # the round sizes fix how many rounds run, and so the random streams
-        k = int(min(max(1.5 * need / max(acc_est, 1e-6), 1024), _ROUND_ROWS))
-        if total_attempts + k > attempt_cap:
-            k = attempt_cap - total_attempts
-            if k <= 0:
-                raise BudgetExhaustedError(
-                    "attempt budget exhausted", attempts=total_attempts)
+        # need acceptances take need/p attempts, standard error
+        # sqrt(need (1 - p))/p; three of those make a short last round rare.
+        # The round sizes fix how many rounds run, and so the random streams
+        k = int(min(max((need + 3 * math.sqrt(need * (1 - acc_est))) / acc_est, 1024),
+                    _ROUND_ROWS, attempt_cap - total_attempts))
+        if k <= 0:
+            raise BudgetExhaustedError("attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
         xs, acc = coin.send(shared[:k])
-        n_acc = int(acc.sum())
-        if n_acc:
-            got.append(xs[acc])
-            n_got += n_acc
-        acc_est = max(n_got / max(total_attempts, 1), 1e-4)
+        got.append(xs[acc])
+        n_got += int(acc.sum())
+        acc_est = max(n_got / total_attempts, 1e-4)
     return np.concatenate(got, axis=0)[:n_samples]
 
 

@@ -139,12 +139,12 @@ _SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
 PINNED = {
     "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
     "fors_sample": (_scalar_loop, "a31284b6ca0f9912"),
-    "fors_sample_many": (_sample_many, "f862ea0cc2216a03"),
+    "fors_sample_many": (_sample_many, "bf610e7459aae012"),
     "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
     "sample_tilt_many_first": (partial(_sample_tilt_many, GradientOracle),
-                               "ef0da1592ecefbeb"),
+                               "b0aaf23b9163f558"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
-                                "bb5431aeccecc7eb"),
+                                "03da7d391b4601b6"),
     "run_proximal_sampler": (_sampler, "151fd17ad2cfe539"),
     "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
     # radius noise in one dimension: a fair sign per draw
