@@ -1,12 +1,13 @@
 """Pinned absolute constants for the schedule planners.
 
-The complexity guarantees hold up to unnamed universal constants; running
-code has to pick them.  This module is the single place they live.  The
-defaults were calibrated once on the 1-D standard-Gaussian end-to-end run
-(LSI case, delta = 0.05, 10^4 chains) so that the measured total-variation
-error lands at or below delta, and then frozen.  Every experiment report
-embeds the constants it ran with, so a recalibration is always visible in
-the output.
+Complexity guarantees hold up to unnamed universal constants, which running
+code has to pick.  The tunable ones live here, calibrated once on the 1-D
+standard-Gaussian end-to-end run (LSI, delta = 0.05, 10^4 chains) so that
+the measured total-variation error lands at or below delta, then frozen;
+every report embeds them.  The fixed ones sit with their formulas and show
+through the schedule: 64 in ``sampler.gradient_norm_bound``, 10 in eps_prox,
+``sampler._TAIL_SPLIT``, and 4 and the base 2 (the prox map's contraction
+factor) in ``prox.default_k_iters``.
 """
 
 from __future__ import annotations

@@ -211,7 +211,7 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
     while True:
         slots = yield out
         xs = propose(slots, rng)
-        if xs.shape[:1] != slots.shape:
+        if xs.ndim != 2 or xs.shape[:1] != slots.shape:
             raise DimensionError(f"proposal returned rows of shape {xs.shape} "
                                  f"for slots of shape {slots.shape}")
         k = slots.size

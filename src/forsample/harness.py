@@ -680,10 +680,10 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
     noise = NoiseModel.subgaussian(0.2)
     m_trunc = 1.0
     bound = prox_residual_bound(eta, pot.m_s, m_trunc)
+    ncfg = ProxConfig(eta=eta, n_batch=1, k_iters=25)
     per_seed = sink.per_seed
     for seed in cfg.seeds:
         oracle = GradientOracle(pot, noise, make_rng(seed, 2))
-        ncfg = ProxConfig(eta=eta, n_batch=1, k_iters=25)
         starts = np.zeros((cfg.trials, 1))
         ends = approx_prox_rows(pot, oracle, starts, ncfg)
         merged.merge(oracle.ledger)
@@ -704,7 +704,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
         "residual_guarantee": all(r["failure_rate"] <= r["allowed"]
                                   for r in per_seed),
         "query_accounting": all(
-            r["grad_queries"] == cfg.trials * 25 for r in per_seed),
+            r["grad_queries"] == cfg.trials * ncfg.k_iters for r in per_seed),
     }
     sink.rows.extend({"seed": r["seed"], "failure_rate": r["failure_rate"],
                       "allowed": r["allowed"], "max_residual": r["max_residual"]}

@@ -404,6 +404,15 @@ def test_row_engines_reject_a_proposal_with_the_wrong_row_count(engine):
                              make_rng(40))
 
 
+@pytest.mark.parametrize("engine", sorted(_ROW_ENGINES))
+def test_row_engines_reject_a_one_dimensional_proposal(engine):
+    # a (k,) array has the right row count, but no row is a point
+    with pytest.raises(DimensionError,
+                       match=r"rows of shape \(\d+,\) for slots of shape \(\d+,\)"):
+        _ROW_ENGINES[engine](lambda s, r: np.zeros(s.size), _ConstantRows(1.0),
+                             FORSConfig(b=1.0), make_rng(40))
+
+
 class _CountingRows(_ConstantRows):
     """Constant W that counts the draws made for each slot."""
 

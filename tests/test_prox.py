@@ -13,9 +13,10 @@ import pytest
 from scipy import stats
 
 from forsample import oracles
-from forsample.core import Potential, make_gaussian_potential
+from forsample.core import (AssumptionCase, Potential, make_gaussian_potential,
+                            potential_from_config)
 from forsample.errors import DimensionError, InfeasibleScheduleError, NumericError
-from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, make_rng
+from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, eps_tail, make_rng
 from forsample.prox import (
     ProxConfig,
     approx_prox,
@@ -24,6 +25,7 @@ from forsample.prox import (
     prox_residual,
     prox_residual_bound,
 )
+from forsample.sampler import plan_first_order
 
 _THETA = 1.0
 _ETA = 0.5
@@ -134,8 +136,8 @@ def test_zero_rows_make_no_queries():
 
 
 def test_default_k_iters():
-    # ceil(10 log(4 * 10 / (1 + 1))) + 1 = ceil(10 log 20) + 1 = 31
-    assert default_k_iters(10.0, 1.0, 1.0) == 31
+    # ceil(log2(4 * 10 / (1 + 1))) + 1 = ceil(log2 20) + 1 = 5 + 1 = 6
+    assert default_k_iters(10.0, 1.0, 1.0) == 6
     assert default_k_iters(0.1, 1.0, 1.0) == 1  # clamped from below
     with pytest.raises(ValueError):
         default_k_iters(0.0, 1.0, 1.0)
@@ -143,6 +145,52 @@ def test_default_k_iters():
         default_k_iters(10.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         default_k_iters(10.0, 1.0, 0.0)
+
+
+# every catalog potential, with a case it admits: C_LSI = 1 / smallest
+# precision for the Gaussians; for huber and power, which have no LSI, PI
+# constants above their laws' variances 8.08 and 1.27 (C_PI >= Var)
+_CERT_POTENTIALS = {
+    "gaussian": (("gaussian", {"mean": [0.0], "precision": 1.0}), "LSI", 1.0),
+    "gaussian_precision_4": (("gaussian", {"mean": [0.0], "precision": 4.0}),
+                             "LSI", 0.25),
+    "aniso_gaussian": (("aniso_gaussian", {"mean": [0.0, 0.0],
+                                           "precisions": [1.0, 4.0]}), "LSI", 1.0),
+    "huber": (("huber", {"threshold": 0.5, "dim": 1}), "PI", 16.0),  # s = 0
+    "power": (("power", {"p": 1.5, "dim": 1}), "PI", 4.0),  # s = 0.5
+}
+_CERT_NOISE = {
+    "exact": NoiseModel.exact(),
+    "subgaussian": NoiseModel.subgaussian(0.5),
+    "subweibull": NoiseModel.subweibull(zeta=1.0, sigma_g=0.2),
+    "polymoment": NoiseModel.polymoment(k=1, sigma_2k=0.15),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(_CERT_NOISE))
+@pytest.mark.parametrize("potential", sorted(_CERT_POTENTIALS))
+def test_planned_k_meets_the_residual_certificate(potential, noise):
+    # k is sized by a contraction that is proved for s = 1 only, so every
+    # catalog potential's planned schedule must meet the residual bound at
+    # the allowed failure rate, eps_tail + 3 SE, from starts y ~ N(0, 9)
+    (name, params), tag, constant = _CERT_POTENTIALS[potential]
+    pot = potential_from_config(name, params)
+    model = _CERT_NOISE[noise]
+    case = AssumptionCase(tag, constant=constant, warm_start_delta=1.0)
+    sched = plan_first_order(pot, model, case, 0.05)
+    # 2e4 rows, or as many as 3e7 noise draws allow (at least 100) for the
+    # polymoment plans, whose batches run to 1.5e5
+    per_row = sched.n_batch * sched.k_iters * pot.dim
+    rows = min(20_000, max(100, 3 * 10 ** 7 // per_row))
+    y = 3.0 * make_rng(91, 1).standard_normal((rows, pot.dim))
+    oracle = GradientOracle(pot, model, make_rng(91, 2))
+    cfg = ProxConfig(eta=sched.eta, n_batch=sched.n_batch, k_iters=sched.k_iters)
+    x = approx_prox_rows(pot, oracle, y, cfg)
+    residuals = np.linalg.norm(x + sched.eta * pot.grad_at_rows(x) - y, axis=1)
+    bound = prox_residual_bound(sched.eta, pot.m_s, sched.m_trunc)
+    eps = eps_tail(model, sched.n_batch, sched.m_trunc)
+    se = math.sqrt(max(eps * (1 - eps), 1.0 / rows) / rows)
+    assert (residuals > bound).mean() <= eps + 3 * se
 
 
 def test_config_validation():
