@@ -9,15 +9,15 @@ and a Poincaré constant.  Catalog constructors return well-known families
 with exact metadata and, where available, analytic 1-D reference
 densities used by the statistical verification tools.
 
-The reference laws take their normal CDF, gamma functions and root finder
-from scipy, imported inside the methods that call them: importing this
-module loads no scipy.
+The reference laws take the normal CDF and quantile and gamma functions
+from ``scipy.special``, imported inside the methods that call them, and
+invert the other CDFs by bisection: importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -72,13 +72,22 @@ def check_shape(arr, shape: tuple, what: str) -> Array:
 
 def _ppf_from_cdf(cdf: Callable[[float], float], q: float,
                   lo: float, hi: float) -> float:
-    from scipy import optimize
-    # expand the bracket until it contains q, then invert by brentq
+    # expand the bracket until it contains q, then bisect it to 1e-12 (or
+    # until no float lies between its ends)
     while cdf(lo) > q:
         lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
     while cdf(hi) < q:
         hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
-    return float(optimize.brentq(lambda t: cdf(t) - q, lo, hi, xtol=1e-12))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 or not lo < mid < hi:
+            return mid
+        lo, hi = (mid, hi) if cdf(mid) < q else (lo, mid)
+
+
+def _check_1d(ref) -> None:
+    if ref.dim != 1:
+        raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
 
 
 @dataclass(frozen=True)
@@ -101,38 +110,50 @@ class GaussianReference:
     def marginal(self, i: int = 0) -> "GaussianReference":
         return GaussianReference(self.mean[i:i + 1], self.variances[i:i + 1])
 
-    def _frozen(self):
-        if self.dim != 1:
-            raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
-        from scipy import stats
-        return stats.norm(self.mean[0], math.sqrt(self.variances[0]))
-
     def cdf(self, t):
-        return self._frozen().cdf(t)
+        from scipy.special import ndtr
+        _check_1d(self)
+        return ndtr((t - self.mean[0]) / math.sqrt(self.variances[0]))
 
     def ppf(self, q):
-        return self._frozen().ppf(q)
+        from scipy.special import ndtri
+        _check_1d(self)
+        return ndtri(q) * math.sqrt(self.variances[0]) + self.mean[0]
+
+
+class _ProductLaw:
+    """The law of ``dim`` iid copies of a 1-D law, which ``marginal(i)`` is.
+
+    pdf, cdf and ppf are the 1-D law's; cdf and ppf refuse a dim > 1 law.
+    """
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim: must be >= 1, got {self.dim!r}")
+
+    def marginal(self, i: int = 0):
+        if not 0 <= i < self.dim:
+            raise DimensionError(f"coordinate {i} of a {self.dim}-D reference")
+        return replace(self, dim=1)
 
 
 @dataclass(frozen=True)
-class HuberReference:
-    """1-D density proportional to exp(-h_c(t)) for the Huber potential."""
+class HuberReference(_ProductLaw):
+    """Density proportional to exp(-sum_i h_c(t_i)) for the Huber potential."""
 
     threshold: float
+    dim: int = 1
 
     def __post_init__(self):
         if not (self.threshold > 0):
             raise ValueError("threshold must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 1
+        super().__post_init__()
 
     @property
     def _z(self) -> float:
-        from scipy import stats
+        from scipy.special import ndtr
         c = self.threshold
-        core = math.sqrt(2 * math.pi) * (2 * stats.norm.cdf(c) - 1)
+        core = math.sqrt(2 * math.pi) * (2 * ndtr(c) - 1)
         tails = (2.0 / c) * math.exp(-c * c / 2)
         return core + tails
 
@@ -143,13 +164,13 @@ class HuberReference:
         return np.exp(-f) / self._z
 
     def cdf(self, t):
-        from scipy import stats
+        from scipy.special import ndtr
+        _check_1d(self)
         t = np.asarray(t, dtype=float)
         c, z = self.threshold, self._z
         tail = np.exp(-c * c / 2) / c          # mass of one exponential tail
         lower = tail * np.exp(c * (np.minimum(t, -c) + c))
-        mid = math.sqrt(2 * math.pi) * (
-            stats.norm.cdf(np.clip(t, -c, c)) - stats.norm.cdf(-c))
+        mid = math.sqrt(2 * math.pi) * (ndtr(np.clip(t, -c, c)) - ndtr(-c))
         upper = tail * (1 - np.exp(-c * (np.maximum(t, c) - c)))
         return (lower + mid + upper) / z
 
@@ -161,18 +182,16 @@ class HuberReference:
 
 
 @dataclass(frozen=True)
-class PowerReference:
-    """1-D density proportional to exp(-|t|^p / p), 1 < p <= 2."""
+class PowerReference(_ProductLaw):
+    """Density proportional to exp(-sum_i |t_i|^p / p), 1 < p <= 2."""
 
     p: float
+    dim: int = 1
 
     def __post_init__(self):
         if not (1.0 < self.p <= 2.0):
             raise ValueError("p must lie in (1, 2]")
-
-    @property
-    def dim(self) -> int:
-        return 1
+        super().__post_init__()
 
     @property
     def _half_z(self) -> float:
@@ -191,6 +210,7 @@ class PowerReference:
 
     def cdf(self, t):
         from scipy import special
+        _check_1d(self)
         t = np.asarray(t, dtype=float)
         g = special.gammainc(1.0 / self.p, np.abs(t) ** self.p / self.p)
         return 0.5 + 0.5 * np.sign(t) * g
@@ -389,7 +409,7 @@ def make_huber_potential(threshold: float = 0.5, dim: int = 1) -> Potential:
         grad_rows=lambda xs: np.clip(xs, -c, c),
         holder_s=0.0,
         holder_beta=2.0 * c * math.sqrt(dim),
-        reference=HuberReference(c) if dim == 1 else None,
+        reference=HuberReference(c, dim),
         name="huber",
     )
 
@@ -413,7 +433,7 @@ def make_power_potential(p: float = 1.5, dim: int = 1) -> Potential:
         grad_rows=lambda xs: np.abs(xs) ** s * np.sign(xs),
         holder_s=s,
         holder_beta=2.0 ** (1.0 - s) * dim ** ((1.0 - s) / 2.0),
-        reference=PowerReference(p) if dim == 1 else None,
+        reference=PowerReference(p, dim),
         name="power",
     )
 

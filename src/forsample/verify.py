@@ -7,9 +7,9 @@ half the L1 error of the empirical cell masses.  The plug-in estimator is
 upward biased by at most sqrt(bins / (2 n)) in expectation, which reports
 carry alongside the point estimate.
 
-The KS and chi-square tests and the exact Gaussian TV come from
-``scipy.stats``, imported on first use inside those functions: importing
-this module loads no scipy.
+The KS and chi-square tests and the exact Gaussian TV equal scipy.stats's bit
+for bit from ``scipy.special`` alone (the KS tail is ported in ``kstwo``),
+imported on first use inside them: importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .kstwo import kstwo_sf
 
 
 def _as_1d_samples(samples, min_n: int = 100) -> np.ndarray:
@@ -92,21 +93,28 @@ def gaussian_tv_exact(mean1: float, mean2: float, sigma: float = 1.0) -> float:
     """Exact TV between two equal-variance 1-D Gaussians: 2 Phi(|dm|/2s) - 1."""
     if not (sigma > 0):
         raise ValueError("sigma must be positive")
-    from scipy import stats
+    from scipy.special import ndtr
     gap = abs(mean1 - mean2) / (2.0 * sigma)
-    return float(2.0 * stats.norm.cdf(gap) - 1.0)
+    return float(2.0 * ndtr(gap) - 1.0)
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov statistic and two-sided p-value.
 
-    ``scipy.stats.kstest`` with its default method: the p-value is the
-    finite-n ``kstwo.sf(D, n)``, not the asymptotic Kolmogorov tail.
+    What ``scipy.stats.kstest`` returns by default: D = max(D+, D-) with
+    D+ = max(i/n - F), D- = max(F - (i-1)/n) and F = ``cdf`` of the sorted
+    sample, and the p-value is the finite-n ``kstwo.sf(D, n)``, not the
+    asymptotic Kolmogorov tail.  ValueError unless F is finite, in [0, 1]
+    and of the sample's shape.
     """
-    from scipy import stats
-    arr = _as_1d_samples(samples)
-    result = stats.kstest(arr, cdf)
-    return float(result.statistic), float(result.pvalue)
+    arr = np.sort(_as_1d_samples(samples))
+    f, n = np.asarray(cdf(arr), dtype=float), arr.size
+    if f.shape != arr.shape or not np.all(np.isfinite(f)) or f.min() < 0 or f.max() > 1:
+        raise ValueError(f"cdf must return finite values in [0, 1] of shape {arr.shape}")
+    d_plus = (np.arange(1.0, n + 1) / n - f).max()
+    d_minus = (f - np.arange(0.0, n) / n).max()
+    d = float(d_plus if d_plus > d_minus else d_minus)
+    return d, kstwo_sf(d, n)
 
 
 def discrete_law_oracle(q, w_means) -> np.ndarray:
@@ -148,10 +156,10 @@ def chi2_discrete(counts, probs) -> tuple[float, float]:
         raise ValueError("counts and probs must be matching 1-D arrays")
     if not math.isclose(probs.sum(), 1.0, abs_tol=1e-9):
         raise ValueError("probs must sum to 1")
-    from scipy import stats
+    from scipy.special import chdtrc
     expected = counts.sum() * probs
-    result = stats.chisquare(counts, expected)
-    return float(result.statistic), float(result.pvalue)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat, float(chdtrc(counts.size - 1, stat))
 
 
 def seeds_pass_rule(p_values, alpha: float = 0.01, min_pass: int = 18) -> bool:

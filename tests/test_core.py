@@ -13,6 +13,7 @@ from forsample.core import (AssumptionCase, CATALOG, GaussianReference,
                             make_gaussian_potential, make_huber_potential,
                             make_power_potential, potential_from_config)
 from forsample.errors import DimensionError
+from forsample.verify import equal_mass_edges
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,57 @@ def test_power_reference_variance_matches_quadrature():
     grid = np.linspace(-30, 30, 60_001)
     second = np.trapezoid(grid ** 2 * ref.pdf(grid), grid)
     assert ref.variance() == pytest.approx(second, rel=1e-6)
+
+
+def _brentq_ppf(cdf, q, lo, hi):
+    # the quantile as the references computed it with scipy.optimize.brentq
+    from scipy import optimize
+    while cdf(lo) > q:
+        lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
+    while cdf(hi) < q:
+        hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
+    return optimize.brentq(lambda t: cdf(t) - q, lo, hi, xtol=1e-12)
+
+
+@pytest.mark.parametrize("ref, bracket", [(HuberReference(0.5), 10.0),
+                                          (HuberReference(2.0), 10.0),
+                                          (PowerReference(1.5), 20.0),
+                                          (PowerReference(1.1), 20.0)],
+                         ids=["huber0.5", "huber2", "power1.5", "power1.1"])
+def test_bisection_quantiles_invert_the_cdf(ref, bracket):
+    # ppf(cdf(t)) round-trips in the bulk (further out, a cdf step of one ulp
+    # moves t by more than 1e-10); the 49 edges of a 50-bin TV estimate stay
+    # at brentq's values
+    for t in np.linspace(-5.0, 5.0, 81):
+        assert ref.ppf(float(ref.cdf(t))) == pytest.approx(t, abs=1e-10)
+    edges = equal_mass_edges(ref, 50)
+    old = [_brentq_ppf(lambda s: float(ref.cdf(s)), i / 50, -bracket, bracket)
+           for i in range(1, 50)]
+    assert np.max(np.abs(edges - old)) <= 1e-11
+
+
+@pytest.mark.parametrize("ref, one_d", [(HuberReference(0.5, dim=2), HuberReference(0.5)),
+                                        (PowerReference(1.5, dim=3), PowerReference(1.5))],
+                         ids=["huber", "power"])
+def test_product_reference_marginals(ref, one_d):
+    from dataclasses import replace
+    # the potential is a sum over coordinates: each marginal is the 1-D law
+    assert [ref.marginal(i) for i in range(ref.dim)] == [one_d] * ref.dim
+    assert one_d.marginal(0) == one_d
+    with pytest.raises(DimensionError):
+        ref.cdf(0.0)
+    with pytest.raises(DimensionError):
+        ref.ppf(0.3)
+    with pytest.raises(DimensionError):
+        ref.marginal(ref.dim)
+    with pytest.raises(ValueError, match="dim"):
+        replace(one_d, dim=0)
+
+
+def test_catalog_potentials_carry_their_product_reference():
+    assert make_huber_potential(0.5, dim=2).reference == HuberReference(0.5, dim=2)
+    assert make_power_potential(1.5, dim=2).reference == PowerReference(1.5, dim=2)
+    assert make_power_potential(1.5).reference == PowerReference(1.5)
 
 
 def test_gaussian_reference_marginal_and_validation():

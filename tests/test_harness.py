@@ -241,6 +241,27 @@ def test_lower_bound_budget_rule_smoke():
     assert led["grad_queries"] == sum(e["grad_queries"] for e in report.per_seed)
 
 
+@pytest.mark.parametrize("potential", [
+    {"name": "gaussian", "params": {"mean": [0.0]}},
+    {"name": "aniso_gaussian", "params": {"mean": [0.0, 0.0], "precisions": [1.0, 2.0]}},
+    {"name": "huber", "params": {"threshold": 0.5}},
+    {"name": "huber", "params": {"threshold": 0.5, "dim": 2}},
+    {"name": "power", "params": {"p": 1.5}},
+    {"name": "power", "params": {"p": 1.5, "dim": 2}},
+], ids=["gaussian", "aniso_gaussian", "huber", "huber_2d", "power", "power_2d"])
+def test_sampler_e2e_reports_on_every_catalog_potential(potential):
+    # a report against each reference's first marginal, not a passing
+    # verdict: the default LSI case need not hold for every potential
+    cfg = ExperimentConfig(experiment="sampler_e2e", potential=potential,
+                           seeds=(0,), chains=200, delta=0.2)
+    report = run_experiment(cfg)
+    assert [r["noise"] for r in report.per_seed] == ["exact", "subgaussian"]
+    for entry in report.per_seed:
+        assert math.isfinite(entry["tv"]) and 0.0 <= entry["tv"] <= 1.0
+        assert 0.0 <= entry["ks_p"] <= 1.0
+    assert set(report.verdicts) == {"tv_exact", "tv_subgaussian"}
+
+
 # ---------------------------------------------------------------------------
 # suite defaults: every config field runs as given
 # ---------------------------------------------------------------------------

@@ -123,6 +123,37 @@ def test_every_plan_constant_is_read():
     assert sorted(f.name for f in fields(PlanConstants) if f.name not in read) == []
 
 
+def _scipy_imports(source: str) -> list[str]:
+    """Each scipy module an import names, as ``scipy.<module>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            mods = ([f"scipy.{alias.name}" for alias in node.names]
+                    if node.module == "scipy" else [node.module])
+        else:
+            continue
+        found += [f"{node.lineno}: {'.'.join(m.split('.')[:2])}" for m in mods
+                  if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_scipy_imports_are_found():
+    source = ("import scipy\nimport scipy.stats as st\nfrom scipy import optimize, special\n"
+              "def f():\n    from scipy.special._ufuncs import ndtr\n"
+              "    from .scipy import x\n")
+    assert _scipy_imports(source) == ["1: scipy", "2: scipy.stats", "3: scipy.optimize",
+                                      "3: scipy.special", "5: scipy.special"]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_src_takes_only_scipy_special(path):
+    # scipy.stats and scipy.optimize would cost 46 and 23 MB resident
+    assert [i for i in _scipy_imports(path.read_text())
+            if not i.endswith(": scipy.special")] == []
+
+
 # numpy's Generator API; every other numpy.random name is the legacy
 # global-state interface (seed, rand, randn, normal, choice, RandomState, ...)
 _GENERATOR_API = {"Generator", "BitGenerator", "SeedSequence", "default_rng",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from forsample import kstwo
 from forsample.core import GaussianReference
 from forsample.errors import DimensionError
 from forsample.oracles import make_rng
@@ -124,6 +125,97 @@ def test_ks_detects_a_small_shift():
     samples = make_rng(106).standard_normal(10_000) + 0.1
     _, p = ks_test(samples, stats.norm.cdf)
     assert p < 1e-6
+
+
+# (n, D, the kernel of scipy's _kolmogn survival path that D reaches); t = n D
+_KS_BRANCHES = [
+    (100, 0.8 / 100, None),                            # t <= 1, Ruben-Gambino
+    (10 ** 5, 0.8 / 10 ** 5, None),                    # t <= 1, by Stirling
+    (100, 1 - 0.5 / 100, None),                        # t >= n - 1, Ruben-Gambino
+    (141, 0.6, "smirnov"),                             # D >= 1/2, exact
+    (100, math.sqrt(0.5 / 100), "durbin"),             # n D^2 < 0.754693
+    (140, math.sqrt(0.7 / 140), "durbin"),
+    (100, math.sqrt(2.0 / 100), "pomeranz"),           # n D^2 <= 4
+    (140, math.sqrt(4.0 / 140), "pomeranz"),
+    (100, math.sqrt(10.0 / 100), "smirnov"),           # n <= 140, n D^2 > 4
+    (141, 0.04, "durbin"),                             # n D^2 < 2.2, n D^1.5 <= 1.4
+    (10 ** 4, 2e-3, "durbin"),
+    (10 ** 5, 3e-4, "durbin"),
+    (141, math.sqrt(1.0 / 141), "pelz_good"),          # n D^2 < 2.2, n D^1.5 > 1.4
+    (10 ** 4, math.sqrt(1.0 / 10 ** 4), "pelz_good"),
+    (10 ** 5, math.sqrt(2.0 / 10 ** 5), "pelz_good"),
+    (141, math.sqrt(2.2 / 141), "smirnov"),            # n D^2 >= 2.2
+    (10 ** 4, math.sqrt(18.0 / 10 ** 4), "smirnov"),   # n D^2 >= 18
+    (10 ** 5, math.sqrt(370.0 / 10 ** 5), None),       # n D^2 >= 370: zero
+]
+
+
+def test_ks_tail_matches_scipy_bit_for_bit_on_every_branch(monkeypatch):
+    import scipy.special
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("durbin", "pomeranz", "pelz_good"):
+        monkeypatch.setattr(kstwo, f"_{name}_cdf", spy(name, getattr(kstwo, f"_{name}_cdf")))
+    monkeypatch.setattr(scipy.special, "smirnov", spy("smirnov", scipy.special.smirnov))
+    for n, d, branch in _KS_BRANCHES:
+        calls.clear()
+        got = kstwo.kstwo_sf(d, n)
+        assert calls == ([branch] if branch else []), (n, d)
+        assert got == float(np.clip(stats.kstwo.sf(d, n), 0.0, 1.0)), (n, d)
+    assert kstwo.kstwo_sf(0.5 / 100, 100) == 1.0 == stats.kstwo.sf(0.5 / 100, 100)
+    assert kstwo.kstwo_sf(1.0, 100) == 0.0 == stats.kstwo.sf(1.0, 100)
+
+
+@pytest.mark.parametrize("n", [100, 140, 141, 10 ** 4, 10 ** 5])
+def test_ks_test_matches_scipy_kstest_bit_for_bit(n):
+    # shifts from the null to D >= 1/2 span the branches of the tail
+    for shift in (0.0, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
+        xs = make_rng(107, n).standard_normal(n) + shift
+        ref = stats.kstest(xs, stats.norm.cdf)
+        assert ks_test(xs, _STD_REF.cdf) == (float(ref.statistic), float(ref.pvalue))
+    # a near-perfect and a degenerate fit: t <= 1 and t >= n - 1
+    grid = (np.arange(n) + 0.3) / n
+    for xs in (grid, 1.0 - grid * 1e-3 / n):
+        ref = stats.kstest(xs, lambda t: t)
+        assert ks_test(xs, lambda t: t) == (float(ref.statistic), float(ref.pvalue))
+
+
+@pytest.mark.parametrize("bad", [
+    lambda t: 0.5,                        # a scalar
+    lambda t: np.full(t.size - 1, 0.5),   # one value short
+    lambda t: np.where(t > 0, np.nan, 0.25),
+    lambda t: np.where(t > 0, np.inf, 0.25),
+    lambda t: stats.norm.cdf(t) - 0.01,   # below 0
+    lambda t: stats.norm.cdf(t) + 0.01,   # above 1
+], ids=["scalar", "short", "nan", "inf", "negative", "above_one"])
+def test_ks_test_rejects_a_cdf_that_is_no_cdf(bad):
+    samples = make_rng(108).standard_normal(200)
+    with pytest.raises(ValueError, match="cdf must return"):
+        ks_test(samples, bad)
+
+
+def test_chi2_and_gaussian_match_scipy_stats_bit_for_bit():
+    rng = make_rng(109)
+    for k in (2, 3, 7, 40):
+        probs = rng.dirichlet(np.ones(k))
+        counts = rng.multinomial(5_000, probs)
+        ref = stats.chisquare(counts, counts.sum() * probs)
+        assert chi2_discrete(counts, probs) == (float(ref.statistic), float(ref.pvalue))
+    ts = np.concatenate([rng.normal(0.0, 3.0, 50), [-np.inf, -40.0, 0.0, 40.0, np.inf]])
+    qs = np.concatenate([rng.uniform(0.0, 1.0, 50), [0.0, 1e-300, 0.5, 1.0]])
+    for mean, var in ((0.0, 1.0), (2.0 / 3.0, 1.0 / 3.0), (-1.5, 7.0)):
+        ref, law = GaussianReference([mean], [var]), stats.norm(mean, math.sqrt(var))
+        assert np.array_equal(ref.cdf(ts), law.cdf(ts))
+        assert np.array_equal(ref.ppf(qs), law.ppf(qs))
+        assert ref.cdf(0.3) == law.cdf(0.3) and ref.ppf(0.3) == law.ppf(0.3)
+    for gap in (0.0, 0.02, 0.1, 0.5, 3.0, 40.0):
+        assert gaussian_tv_exact(0.0, gap) == float(2.0 * stats.norm.cdf(gap / 2.0) - 1.0)
 
 
 # ---------------------------------------------------------------------------
