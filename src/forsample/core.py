@@ -1,13 +1,13 @@
 """Potentials, smoothness metadata, and analytic reference densities.
 
 A target density is represented by its potential f (the density is
-proportional to exp(-f)) together with the smoothness and functional-
-inequality metadata the planners consume: a Hölder exponent ``s`` and
-constant ``beta`` with ||grad f(x) - grad f(y)|| <= beta * ||x - y||^s,
-and optionally a strong-log-concavity constant, a log-Sobolev constant,
-and a Poincaré constant.  Catalog constructors return well-known families
-with exact metadata and, where available, analytic 1-D reference
-densities used by the statistical verification tools.
+proportional to exp(-f)) together with the smoothness metadata the
+planners consume: a Hölder exponent ``s`` and constant ``beta`` with
+||grad f(x) - grad f(y)|| <= beta * ||x - y||^s.  The functional-inequality
+constant a plan targets is declared apart, in an ``AssumptionCase``.
+Catalog constructors return well-known families with exact metadata and
+their reference law, one analytic 1-D law per coordinate, which the
+statistical verification tools test samples against.
 
 The reference laws take the normal CDF and quantile and gamma functions
 from ``scipy.special``, imported inside the methods that call them, and
@@ -70,28 +70,68 @@ def check_shape(arr, shape: tuple, what: str) -> Array:
 # reference densities (1-D analytic forms with pdf/cdf/ppf)
 # ---------------------------------------------------------------------------
 
-def _ppf_from_cdf(cdf: Callable[[float], float], q: float,
-                  lo: float, hi: float) -> float:
-    # expand the bracket until it contains q, then bisect it to 1e-12 (or
-    # until no float lies between its ends)
-    while cdf(lo) > q:
-        lo = lo * 2 if lo < 0 else lo - max(1.0, abs(lo))
-    while cdf(hi) < q:
-        hi = hi * 2 if hi > 0 else hi + max(1.0, abs(hi))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 or not lo < mid < hi:
-            return mid
-        lo, hi = (mid, hi) if cdf(mid) < q else (lo, mid)
+class Reference:
+    """A law on R^dim with independent coordinates; ``marginal(i)`` is the
+    law of coordinate i.
 
+    cdf and ppf are 1-D operations and refuse a dim > 1 law.  A law gives
+    its 1-D ``_cdf``; ``_ppf`` inverts it by bisection from the bracket
+    [-_bracket, _bracket] and, as ``scipy.special.ndtri`` does, returns -inf
+    at q = 0, inf at q = 1 and nan for q off [0, 1].
+    """
 
-def _check_1d(ref) -> None:
-    if ref.dim != 1:
-        raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dim: must be >= 1, got {self.dim!r}")
+
+    def marginal(self, i: int = 0):
+        """The law of coordinate i; a product law's is its 1-D law."""
+        self._coordinate(i)
+        return replace(self, dim=1)
+
+    def _coordinate(self, i: int) -> slice:
+        if not 0 <= i < self.dim:
+            raise DimensionError(f"coordinate {i} of a {self.dim}-D reference")
+        return slice(i, i + 1)
+
+    def _need_1d(self) -> None:
+        if self.dim != 1:
+            raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
+
+    def cdf(self, t):
+        self._need_1d()
+        return self._cdf(t)
+
+    def ppf(self, q):
+        self._need_1d()
+        return self._ppf(q)
+
+    def _ppf(self, q):
+        q = np.asarray(q, dtype=float)
+        out = np.array([self._invert(float(v)) for v in np.atleast_1d(q)])
+        return out if q.ndim else float(out[0])
+
+    def _invert(self, q: float) -> float:
+        if not 0 < q < 1:
+            return -math.inf if q == 0 else math.inf if q == 1 else math.nan
+        # expand the bracket until it contains q, then bisect it to 1e-12 (or
+        # until no float lies between its ends); a q above cdf(inf), which
+        # rounding can leave below 1, has no float quantile and gets inf
+        lo, hi = -self._bracket, self._bracket
+        while self._cdf(lo) > q:
+            lo *= 2
+        with np.errstate(over="ignore"):  # the cdf of a huge finite hi
+            while self._cdf(hi) < q and hi < math.inf:
+                hi *= 2
+        while True:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 1e-12 or not lo < mid < hi:
+                return mid
+            lo, hi = (mid, hi) if self._cdf(mid) < q else (lo, mid)
 
 
 @dataclass(frozen=True)
-class GaussianReference:
+class GaussianReference(Reference):
     """Diagonal-covariance Gaussian reference, exact in any dimension."""
 
     mean: Array
@@ -99,7 +139,8 @@ class GaussianReference:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_vector(self.mean))
-        object.__setattr__(self, "variances", as_vector(self.variances, self.mean.shape[0]))
+        super().__post_init__()
+        object.__setattr__(self, "variances", as_vector(self.variances, self.dim))
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
 
@@ -108,41 +149,25 @@ class GaussianReference:
         return self.mean.shape[0]
 
     def marginal(self, i: int = 0) -> "GaussianReference":
-        return GaussianReference(self.mean[i:i + 1], self.variances[i:i + 1])
+        at = self._coordinate(i)
+        return GaussianReference(self.mean[at], self.variances[at])
 
-    def cdf(self, t):
+    def _cdf(self, t):
         from scipy.special import ndtr
-        _check_1d(self)
         return ndtr((t - self.mean[0]) / math.sqrt(self.variances[0]))
 
-    def ppf(self, q):
+    def _ppf(self, q):
         from scipy.special import ndtri
-        _check_1d(self)
         return ndtri(q) * math.sqrt(self.variances[0]) + self.mean[0]
 
 
-class _ProductLaw:
-    """The law of ``dim`` iid copies of a 1-D law, which ``marginal(i)`` is.
-
-    pdf, cdf and ppf are the 1-D law's; cdf and ppf refuse a dim > 1 law.
-    """
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim: must be >= 1, got {self.dim!r}")
-
-    def marginal(self, i: int = 0):
-        if not 0 <= i < self.dim:
-            raise DimensionError(f"coordinate {i} of a {self.dim}-D reference")
-        return replace(self, dim=1)
-
-
 @dataclass(frozen=True)
-class HuberReference(_ProductLaw):
+class HuberReference(Reference):
     """Density proportional to exp(-sum_i h_c(t_i)) for the Huber potential."""
 
     threshold: float
     dim: int = 1
+    _bracket = 10.0
 
     def __post_init__(self):
         if not (self.threshold > 0):
@@ -163,9 +188,8 @@ class HuberReference(_ProductLaw):
         f = np.where(np.abs(t) <= c, t * t / 2, c * np.abs(t) - c * c / 2)
         return np.exp(-f) / self._z
 
-    def cdf(self, t):
+    def _cdf(self, t):
         from scipy.special import ndtr
-        _check_1d(self)
         t = np.asarray(t, dtype=float)
         c, z = self.threshold, self._z
         tail = np.exp(-c * c / 2) / c          # mass of one exponential tail
@@ -174,19 +198,14 @@ class HuberReference(_ProductLaw):
         upper = tail * (1 - np.exp(-c * (np.maximum(t, c) - c)))
         return (lower + mid + upper) / z
 
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.array([_ppf_from_cdf(lambda s: float(self.cdf(s)), float(v), -10.0, 10.0)
-                        for v in np.atleast_1d(q)])
-        return out if q.ndim else float(out[0])
-
 
 @dataclass(frozen=True)
-class PowerReference(_ProductLaw):
+class PowerReference(Reference):
     """Density proportional to exp(-sum_i |t_i|^p / p), 1 < p <= 2."""
 
     p: float
     dim: int = 1
+    _bracket = 20.0
 
     def __post_init__(self):
         if not (1.0 < self.p <= 2.0):
@@ -208,21 +227,11 @@ class PowerReference(_ProductLaw):
         t = np.asarray(t, dtype=float)
         return np.exp(-np.abs(t) ** self.p / self.p) / (2 * self._half_z)
 
-    def cdf(self, t):
+    def _cdf(self, t):
         from scipy import special
-        _check_1d(self)
         t = np.asarray(t, dtype=float)
         g = special.gammainc(1.0 / self.p, np.abs(t) ** self.p / self.p)
         return 0.5 + 0.5 * np.sign(t) * g
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.array([_ppf_from_cdf(lambda s: float(self.cdf(s)), float(v), -20.0, 20.0)
-                        for v in np.atleast_1d(q)])
-        return out if q.ndim else float(out[0])
-
-
-Reference = GaussianReference | HuberReference | PowerReference
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +254,6 @@ class Potential:
         (k, dim) -> (k,) values and (k, dim) gradients, one per row.
     holder_s, holder_beta : float
         Hölder-gradient parameters, s in [0, 1], beta > 0.
-    slc_alpha, lsi_const, pi_const : optional floats
-        Strong-log-concavity, log-Sobolev, and Poincaré constants when known.
-        These are declared inputs, never estimated.
     reference : optional analytic reference density for verification.
     """
 
@@ -256,9 +262,6 @@ class Potential:
     grad_rows: Callable[[Array], Array]
     holder_s: float
     holder_beta: float
-    slc_alpha: float | None = None
-    lsi_const: float | None = None
-    pi_const: float | None = None
     reference: Reference | None = None
     name: str = "custom"
 
@@ -269,18 +272,6 @@ class Potential:
             raise ValueError("holder_s must lie in [0, 1]")
         if not (self.holder_beta > 0):
             raise ValueError("holder_beta must be positive")
-        for label in ("slc_alpha", "lsi_const", "pi_const"):
-            v = getattr(self, label)
-            if v is not None and not (v > 0):
-                raise ValueError(f"{label} must be positive when set")
-        # declared constants must be mutually consistent
-        tol = 1e-9
-        if self.slc_alpha is not None and self.lsi_const is not None:
-            if self.lsi_const > 1.0 / self.slc_alpha + tol:
-                raise ValueError("lsi_const exceeds 1/slc_alpha")
-        if self.lsi_const is not None and self.pi_const is not None:
-            if self.pi_const > self.lsi_const + tol:
-                raise ValueError("pi_const exceeds lsi_const")
 
     @property
     def m_s(self) -> float:
@@ -349,28 +340,21 @@ def _param_vector(name: str, value, dim: int | None = None) -> Array:
 
 
 def make_gaussian_potential(mean, precision: float = 1.0) -> Potential:
-    """Isotropic Gaussian: f(x) = (precision/2) * ||x - mean||^2."""
+    """Isotropic Gaussian: f(x) = (precision/2) * ||x - mean||^2, the
+    axis-aligned Gaussian with every precision equal."""
     mean = _param_vector("mean", mean)
     if not (precision > 0):
         raise ValueError(f"precision: must be positive, got {precision!r}")
-    lam = float(precision)
-
-    return Potential(
-        dim=mean.shape[0],
-        value_rows=lambda xs: 0.5 * lam * np.sum((xs - mean) ** 2, axis=1),
-        grad_rows=lambda xs: lam * (xs - mean),
-        holder_s=1.0,
-        holder_beta=lam,
-        slc_alpha=lam,
-        lsi_const=1.0 / lam,
-        pi_const=1.0 / lam,
-        reference=GaussianReference(mean, np.full(mean.shape[0], 1.0 / lam)),
-        name="gaussian",
-    )
+    lam = np.full(mean.shape[0], float(precision))
+    return replace(make_aniso_gaussian_potential(mean, lam), name="gaussian")
 
 
 def make_aniso_gaussian_potential(mean, precisions) -> Potential:
-    """Axis-aligned Gaussian: f(x) = (1/2) * sum_i lam_i (x_i - m_i)^2."""
+    """Axis-aligned Gaussian: f(x) = (1/2) * sum_i lam_i (x_i - m_i)^2.
+
+    Its log-Sobolev and Poincaré constants are both the largest variance
+    1/lam_i of the reference.
+    """
     mean = _param_vector("mean", mean)
     lam = _param_vector("precisions", precisions, mean.shape[0])
     if np.any(lam <= 0):
@@ -382,9 +366,6 @@ def make_aniso_gaussian_potential(mean, precisions) -> Potential:
         grad_rows=lambda xs: lam * (xs - mean),
         holder_s=1.0,
         holder_beta=float(lam.max()),
-        slc_alpha=float(lam.min()),
-        lsi_const=1.0 / float(lam.min()),
-        pi_const=1.0 / float(lam.min()),
         reference=GaussianReference(mean, 1.0 / lam),
         name="aniso_gaussian",
     )

@@ -44,6 +44,11 @@ NOISE_FAMILIES = ("exact", "subgaussian", "subweibull", "polymoment", "twopoint"
 _CHUNK = 4_000_000
 # most noise draws in one prox block (GradientOracle.noise_block)
 _BLOCK = 8192
+# the constants of the subgaussian/subweibull batch tail bound in eps_tail,
+# C_TAIL * exp(-C_RATE * n * (M / sigma_g)^zeta): properties of the bound,
+# not of the noise drawn, so no config sets them
+C_TAIL = 2.0
+C_RATE = 0.25
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
@@ -57,8 +62,6 @@ class NoiseModel:
 
     Fields are family-specific: ``sigma_g`` for subgaussian/subweibull,
     (``k``, ``sigma_2k``) for polymoment, (``p``, ``m_shift``) for twopoint.
-    ``c_tail`` / ``c_rate`` are the constants in the exponential tail bounds
-    (defaults 2 and 1/4).
     """
 
     family: str
@@ -68,8 +71,6 @@ class NoiseModel:
     sigma_2k: float = 0.0
     p: float = 0.0
     m_shift: float = 0.0
-    c_tail: float = 2.0
-    c_rate: float = 0.25
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
@@ -89,9 +90,6 @@ class NoiseModel:
                 raise ValueError(f"p: must be in (0, 1], got {self.p!r}")
             if not (self.m_shift > 0):
                 raise ValueError(f"m_shift: must be positive, got {self.m_shift!r}")
-        for name in ("c_tail", "c_rate"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
 
     # -- construction helpers ------------------------------------------------
 
@@ -100,16 +98,16 @@ class NoiseModel:
         return NoiseModel("exact")
 
     @staticmethod
-    def subgaussian(sigma_g: float, **kw) -> "NoiseModel":
-        return NoiseModel("subgaussian", sigma_g=sigma_g, **kw)
+    def subgaussian(sigma_g: float) -> "NoiseModel":
+        return NoiseModel("subgaussian", sigma_g=sigma_g)
 
     @staticmethod
-    def subweibull(zeta: float, sigma_g: float, **kw) -> "NoiseModel":
-        return NoiseModel("subweibull", sigma_g=sigma_g, zeta=zeta, **kw)
+    def subweibull(zeta: float, sigma_g: float) -> "NoiseModel":
+        return NoiseModel("subweibull", sigma_g=sigma_g, zeta=zeta)
 
     @staticmethod
-    def polymoment(k: int, sigma_2k: float, **kw) -> "NoiseModel":
-        return NoiseModel("polymoment", k=k, sigma_2k=sigma_2k, **kw)
+    def polymoment(k: int, sigma_2k: float) -> "NoiseModel":
+        return NoiseModel("polymoment", k=k, sigma_2k=sigma_2k)
 
     # -- analytic moments ----------------------------------------------------
 
@@ -288,7 +286,7 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         raise UnsupportedCombinationError(
             "subweibull noise with zeta != 2 has no batch tail bound for n > 1; "
             "increase the truncation level M instead of the batch size")
-    expo = noise.c_tail * math.exp(-noise.c_rate * n * (m_level / noise.sigma_g) ** zeta)
+    expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** zeta)
     return min(markov, expo) if m_level >= noise.sigma_g else markov
 
 

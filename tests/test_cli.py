@@ -198,6 +198,19 @@ def test_both_entry_points_reject_with_the_field_path(raw, message, monkeypatch)
         assert message in exc.value.errors
 
 
+def test_noise_takes_no_tail_bound_constant(monkeypatch):
+    # the tail bound's constants are fixed: a c_rate of 100 would cut the
+    # crit-6 plan from n_batch 3 to 1 while the oracle drew the same noise
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    for key in ("c_tail", "c_rate"):
+        raw = {"experiment": "sampler_e2e",
+               "noise": {"family": "subgaussian", "sigma_g": 0.5, key: 100}}
+        for build in (validate_config, lambda raw: ExperimentConfig(**raw)):
+            with pytest.raises(ConfigError) as exc:
+                build(raw)
+            assert exc.value.errors == [f"noise: unexpected key {key!r}"]
+
+
 # errors raised below the catalog function name the parameter too
 _PARAM_REJECTED = {
     "huber_dim": ({"name": "huber", "params": {"dim": -1}},
@@ -228,7 +241,8 @@ def _readme_config() -> dict:
 
 def _potential_summary(pot):
     xs = np.array([[-1.0], [0.5], [2.0]])
-    return (pot.name, pot.dim, pot.holder_s, pot.holder_beta, pot.lsi_const,
+    return (pot.name, pot.dim, pot.holder_s, pot.holder_beta,
+            pot.reference.variances.tolist(),
             pot.value_at_rows(xs).tolist(), pot.grad_at_rows(xs).tolist())
 
 

@@ -74,16 +74,31 @@ def test_gaussian_metadata():
     pot = make_gaussian_potential([0.0], precision=2.0)
     assert pot.holder_s == 1.0
     assert pot.holder_beta == 2.0
-    assert pot.slc_alpha == 2.0
-    assert pot.lsi_const == pytest.approx(0.5)
+    # C_LSI = C_PI = the variance 1/precision
+    assert pot.reference.variances.tolist() == [0.5]
     assert pot.m_s == pytest.approx(math.sqrt(2.0))
 
 
 def test_aniso_gaussian_metadata_uses_extremes():
     pot = make_aniso_gaussian_potential([0.0, 0.0], [1.0, 4.0])
     assert pot.holder_beta == 4.0
-    assert pot.slc_alpha == 1.0
+    # C_LSI = C_PI = the largest variance, 1 / the smallest precision
+    assert pot.reference.variances.max() == 1.0
     np.testing.assert_allclose(pot.grad_at([1.0, 1.0]), [1.0, 4.0])
+
+
+@pytest.mark.parametrize("mean", [[0.3], [0.1, -0.2, 2.0]], ids=["d1", "d3"])
+def test_gaussian_is_the_equal_precision_aniso_gaussian(mean):
+    iso = make_gaussian_potential(mean, precision=3.0)
+    aniso = make_aniso_gaussian_potential(mean, [3.0] * len(mean))
+    xs = np.random.default_rng(5).standard_normal((50, len(mean)))
+    np.testing.assert_array_equal(iso.value_at_rows(xs), aniso.value_at_rows(xs))
+    np.testing.assert_array_equal(iso.grad_at_rows(xs), aniso.grad_at_rows(xs))
+    assert (iso.dim, iso.holder_s, iso.holder_beta) == (aniso.dim, aniso.holder_s,
+                                                        aniso.holder_beta)
+    np.testing.assert_array_equal(iso.reference.mean, aniso.reference.mean)
+    np.testing.assert_array_equal(iso.reference.variances, aniso.reference.variances)
+    assert (iso.name, aniso.name) == ("gaussian", "aniso_gaussian")
 
 
 def test_catalog_keys_and_config_lookup():
@@ -100,10 +115,6 @@ def test_potential_validation_errors():
         make_gaussian_potential([0.0], precision=-1.0)
     with pytest.raises(DimensionError):
         pot.grad_at([1.0, 2.0])
-    with pytest.raises(ValueError, match="lsi_const exceeds"):
-        # strong log-concavity alpha forces lsi_const <= 1/alpha
-        from dataclasses import replace
-        replace(pot, slc_alpha=2.0, lsi_const=1.0)
 
 
 # closed forms at hand-picked rows: (factory, kwargs, rows, values, gradients)
@@ -201,8 +212,7 @@ def test_holder_ratio_exact_for_quadratic():
 
 def test_holder_ratio_halved_by_doubling_beta():
     from dataclasses import replace
-    pot = replace(make_gaussian_potential([0.0], 1.0), holder_beta=2.0,
-                  slc_alpha=None, lsi_const=None, pi_const=None)
+    pot = replace(make_gaussian_potential([0.0], 1.0), holder_beta=2.0)
     assert holder_spot_check(pot, pairs=200) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -307,8 +317,42 @@ def test_gaussian_reference_marginal_and_validation():
     assert m.mean[0] == 1.0 and m.variances[0] == 2.0
     with pytest.raises(DimensionError):
         ref.cdf(0.0)   # 1-D operation on a 2-D reference
+    with pytest.raises(DimensionError):
+        ref.ppf(0.3)
+    for i in (2, 5, -1):   # no coordinate, not an empty reference
+        with pytest.raises(DimensionError):
+            ref.marginal(i)
     with pytest.raises(ValueError):
         GaussianReference([0.0], [-1.0])
+    with pytest.raises(ValueError, match="dim"):
+        GaussianReference([], [])
+
+
+_QUANTILE_ENDS = """
+import math
+from forsample.core import GaussianReference, HuberReference, PowerReference
+for ref in (GaussianReference([0.3], [0.7]), HuberReference(0.5), HuberReference(2.0),
+            PowerReference(1.5)):
+    got = [float(ref.ppf(q)) for q in (0.0, 1.0, -0.1, 1.5, math.nan)]
+    print(repr(got[:2]), all(math.isnan(v) for v in got[2:]))
+# 1 - 2**-53 lies above the Huber(2) cdf's rounded limit, 1 - 2**-52
+print(HuberReference(2.0).ppf(1 - 2 ** -53))
+"""
+
+
+def test_quantile_ends_are_those_of_ndtri():
+    # -inf at 0, inf at 1, nan off [0, 1], for every reference; in a
+    # subprocess with a timeout, since a bracket that never closes hangs
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _QUANTILE_ENDS],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True,
+                         timeout=30, check=True).stdout
+    assert out.splitlines() == ["[-inf, inf] True"] * 4 + ["inf"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports or parameters, no unread planner constant,
-no function, class or method without a caller, one place that builds the tilt
-estimators, and every random draw from a Generator."""
+no dataclass field that only its own validation reads, no function, class or
+method without a caller, one place that builds the tilt estimators, and every
+random draw from a Generator."""
 
 import ast
 from collections import Counter
@@ -303,3 +304,60 @@ def test_tilt_estimators_are_built_only_in_rgo():
                     found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert [f for f in found if f.split(":")[0] != "forsample/rgo.py"] == []
     assert len(found) == 2
+
+
+# dataclass fields kept though no code but their own __post_init__ reads
+# them, each with its reason
+_UNREAD_FIELDS_KEPT = {
+    ("sampler.py", "Schedule.eps_prox"): "reports serialize it through asdict",
+    ("sampler.py", "Schedule.g_bound"): "reports serialize it through asdict",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields_only_checked(paths, readers) -> list[tuple[str, str]]:
+    """(module, "Class.field") of each field of a dataclass in ``paths`` with
+    a ``__post_init__`` that no code in ``readers`` loads as an attribute
+    outside that ``__post_init__``: a value only its validation reads."""
+    trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(readers)}
+    found = []
+    for p in paths:
+        for cls in trees[p].body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            post = next((m for m in cls.body if isinstance(m, ast.FunctionDef)
+                         and m.name == "__post_init__"), None)
+            if post is None:
+                continue
+            inside = {id(n) for n in ast.walk(post)}
+            read = {n.attr for r in readers for n in ast.walk(trees[r])
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and id(n) not in inside}
+            found += [(p.name, f"{cls.name}.{s.target.id}") for s in cls.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                      and s.target.id not in read]
+    return found
+
+
+def test_field_only_checked_is_detected(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("@dataclass(frozen=True)\nclass Law:\n    scale: float\n    const: float = 1.0\n"
+                   "    def __post_init__(self):\n"
+                   "        if self.scale <= 0 or self.const <= 0:\n"
+                   "            raise ValueError\n"
+                   "@dataclass\nclass Plain:\n    unread: int\n"
+                   "law = Law(2.0)\nwidth = law.scale * 2\n")
+    assert _fields_only_checked([mod], [mod]) == [("mod.py", "Law.const")]
+
+
+def test_every_checked_field_is_read():
+    # a field that only its own validation reads is a constant nothing uses
+    unread = set(_fields_only_checked(MODULES, MODULES + BENCH))
+    assert sorted(unread - set(_UNREAD_FIELDS_KEPT)) == []
+    # a kept field that gains a reader leaves the list
+    assert sorted(set(_UNREAD_FIELDS_KEPT) - unread) == []

@@ -267,7 +267,7 @@ def test_phi_subgaussian_frozen_value():
 
 
 def test_phi_subgaussian_linear_in_log_inverse_delta():
-    # n grows affinely in log(1/delta) with slope 1/c_rate = 4: the tail
+    # n grows affinely in log(1/delta) with slope 1/C_RATE = 4: the tail
     # bound is 2 exp(-n/4) at M = sigma_g = 1, so n = ceil(4 log(20/delta))
     noise = NoiseModel.subgaussian(1.0)
     deltas = [10.0 ** -k for k in range(2, 8)]
