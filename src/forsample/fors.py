@@ -259,6 +259,11 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
         out = xs, u < prods
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if not value >= least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                      source: RowEstimatorSource, cfg: FORSConfig, n_slots: int,
                      rng: np.random.Generator,
@@ -269,8 +274,10 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     the source receive the slot indices so heterogeneous problems (one per
     chain) batch together.  Law-equivalent to calling ``fors_sample`` per
     slot, including both budget caps; W draws stop at the rejection, as in
-    ``fors_sample``, and count against the slot's ``max_w_per_call``.
+    ``fors_sample``, and count against the slot's ``max_w_per_call``.  The
+    row dimension comes from the proposals, so ``n_slots`` must be >= 1.
     """
+    _check_count("n_slots", n_slots, 1)
     ledger = ledger if ledger is not None else QueryLedger()
     out: np.ndarray | None = None
     active = np.arange(n_slots)
@@ -290,7 +297,6 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
             out = np.empty((n_slots, xs.shape[1]))
         out[active[acc]] = xs[acc]
         active = active[~acc]
-    assert out is not None
     return out
 
 
@@ -304,8 +310,10 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     is 0.  Attempts run in rounds sized from the acceptance seen so far
     until enough are accepted; output order is acceptance order, which for
     iid attempts is itself iid.  The caps of ``cfg`` hold as totals over the
-    ``n_samples`` calls this stands for.
+    ``n_samples`` calls this stands for.  The row dimension comes from the
+    proposals, so ``n_samples`` must be >= 1.
     """
+    _check_count("n_samples", n_samples, 1)
     ledger = ledger if ledger is not None else QueryLedger()
     got: list[np.ndarray] = []
     n_got = total_attempts = 0
@@ -347,6 +355,7 @@ def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator],
     acceptance law against exp(E[W] - B).  No points are collected.  No
     budget cap applies: the attempt count is the argument.
     """
+    _check_count("n_attempts", n_attempts, 0)
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
     shared = np.zeros(min(n_attempts, _ROUND_ROWS), dtype=np.int64)

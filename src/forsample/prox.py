@@ -13,6 +13,18 @@ k >= log2(4G / (M + m_s)) steps the residual
 
 holds with probability at least 1 - eps_n(M), where G bounds the gradient
 norm at x0 and M is the noise truncation level the batch size was sized for.
+
+The planner prices k with one worst-case G for the whole chain; the
+sampler sizes k per row (``approx_prox_rows_budgeted``), with the planned
+k as the cap.  The start's distance to x* is
+eta ||grad f(x*)|| <= eta ||grad f(x0)|| for convex f (the Moreau
+inequality, Parikh & Boyd, Proximal Algorithms, 2014), and the first
+iteration's query g_1 = grad f(x0) + xi_1 gives each row its own
+G_i = ||g_1|| + M, a valid bound unless ||xi_1|| > M.  An exact oracle
+(M = 0) adds no failure event.  For a noisy one Markov's inequality bounds
+P(||xi_1|| > M) by eps_n(M), which ``phi`` keeps at or below
+delta / (100 N) per chain and outer step, so a row meets the residual
+bound with probability at least 1 - 2 eps_n(M).
 """
 
 from __future__ import annotations
@@ -27,14 +39,35 @@ from .errors import DimensionError, InfeasibleScheduleError, NumericError
 from .oracles import GradientOracle
 
 
-def default_k_iters(g_bound: float, m_trunc: float, m_s: float) -> int:
+def default_k_iters(g_bound, m_trunc: float, m_s: float):
     """ceil(log2(4G / (M + m_s))) + 1 iterations, at least 1: the base 2 is the
     map's contraction factor, proved for s = 1; for Hölder s < 1 the tests
-    check the residual at the planned k on every catalog potential."""
-    if g_bound <= 0 or m_trunc < 0 or m_s <= 0:
-        raise ValueError("need g_bound > 0, m_trunc >= 0, m_s > 0")
-    k = math.log2(4.0 * g_bound / (m_trunc + m_s))
-    return max(int(math.ceil(k)) + 1, 1)
+    check the residual on every catalog potential, at the planned k and at
+    the sampler's per-row k_i.
+
+    ``g_bound`` is a number (the planner's chain-wide G, which holds with
+    the failure budget of ``sampler.gradient_norm_bound``), for an int, or
+    an array of per-row bounds (the sampler's G_i = ||g_1|| + M, which
+    fails only where the first query's noise exceeds M: probability at most
+    eps_n(M), see the module docstring), for an int array.  The ceiling is
+    exact, read off the binary exponent of the ratio
+    4G / (M + m_s) = mant * 2^expo, mant in [1/2, 1): it is expo, or
+    expo - 1 when mant is 1/2.  G = 0, a start at a stationary point, takes
+    one iteration.
+    """
+    if not (m_trunc >= 0 and m_s > 0):
+        raise ValueError("need m_trunc >= 0 and m_s > 0")
+    bad = "need 0 <= 4 g_bound / (m_trunc + m_s) < inf"
+    if not isinstance(g_bound, np.ndarray):
+        # the planner's path: math.frexp, 20x faster than numpy on a scalar
+        mant, expo = math.frexp(4.0 * float(g_bound) / (m_trunc + m_s))
+        if not 0 <= mant < 1:  # < 0, nan or inf
+            raise ValueError(bad)
+        return max(expo + (mant > 0.5), 1)
+    mant, expo = np.frexp(4.0 * np.asarray(g_bound, dtype=float) / (m_trunc + m_s))
+    if mant.size and not (0 <= mant.min() and mant.max() < 1):
+        raise ValueError(bad)
+    return np.maximum(expo + (mant > 0.5), 1)
 
 
 @dataclass(frozen=True)
@@ -70,10 +103,13 @@ def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
 
 
 def approx_prox_rows(potential: Potential, oracle: GradientOracle,
-                     x0_rows: np.ndarray, cfg: ProxConfig) -> np.ndarray:
+                     x0_rows: np.ndarray, cfg: ProxConfig,
+                     start: np.ndarray | None = None) -> np.ndarray:
     """Row-vectorized approx_prox: one independent proximal run per row.
 
-    The gradient noise comes from the oracle's own generator, in blocks of
+    Runs cfg.k_iters iterations on every row, from ``start`` (the rows of an
+    earlier call's iterate, to continue it) or from x0 itself.  The
+    gradient noise comes from the oracle's own generator, in blocks of
     iterations (``GradientOracle.noise_block``); every query still goes
     through ``draw_batch_rows``.  Each iterate is checked for finiteness
     once: by the oracle's row validation when it is queried at the next
@@ -84,7 +120,11 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
         raise InfeasibleScheduleError(
             f"prox step size {cfg.eta} violates eta <= 1/(2 m_s) = {limit}")
     x0_rows = as_rows(x0_rows, potential.dim)
-    x = x0_rows.copy()
+    # a non-finite start fails the oracle's row check at step 0
+    x = np.array(x0_rows if start is None else start, dtype=np.float64)
+    if x.shape != x0_rows.shape:
+        raise DimensionError(f"start of shape {x.shape} for x0 of shape "
+                             f"{x0_rows.shape}")
     k = 0
     while k < cfg.k_iters:
         for noise in oracle.noise_block(x.shape[0], cfg.n_batch, cfg.k_iters - k):
@@ -103,6 +143,61 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite prox iterate at step {cfg.k_iters}")
     return x
+
+
+def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
+                              x0_rows: np.ndarray, cfg: ProxConfig,
+                              m_trunc: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's prox stage: each row runs its own k_i <= cfg.k_iters.
+
+    One iteration runs on every row; its query g_1 bounds the row's
+    gradient, G_i = ||g_1|| + M (see the module docstring), and row i runs
+    k_i = min(cfg.k_iters, default_k_iters(G_i, M, m_s)) iterations in all.
+    The rows go on in one ``approx_prox_rows`` call per distinct k_i > 1,
+    in increasing order, each taking the rows still short of their k_i to
+    that level; they are stably sorted by k_i first, unless they all go on
+    to one level (the common case for a few rows whose G_i is mostly M).
+    Returns the final rows and the k_i, whose sum is the row-iterations run.
+    """
+    x = approx_prox_rows(potential, oracle, x0_rows,
+                         ProxConfig(cfg.eta, cfg.n_batch, 1))
+    x0_rows = np.asarray(x0_rows, dtype=np.float64)  # validated by the call
+    # eta g_1 = 2 (x0 - x_1) in real arithmetic.  The roundings of the update,
+    # of the norms and of this bound stay below c (|x0| + |x_1|) with
+    # c = (d + 16) eps, and |x0| + |x_1| <= 2 |x0| + |x0 - x_1|.
+    c = (potential.dim + 16) * _EPS
+    step = _norms(x0_rows - x)
+    g_rows = step * ((2.0 + c) / cfg.eta) + _norms(x0_rows) * (2.0 * c / cfg.eta)
+    g_rows += m_trunc
+    ks = default_k_iters(g_rows, m_trunc, potential.m_s)
+    np.minimum(ks, cfg.k_iters, out=ks)
+    counts = np.bincount(ks).tolist()  # counts[k]: the rows that run k in all
+    levels = [k for k in range(2, len(counts)) if counts[k]]
+    if not levels:
+        return x, ks
+    if counts[1] == 0 and len(levels) == 1:  # every row goes on to one level
+        return approx_prox_rows(potential, oracle, x0_rows,
+                                ProxConfig(cfg.eta, cfg.n_batch, levels[0] - 1),
+                                start=x), ks
+    # the rows that go on, in increasing k_i: each level is a suffix
+    rows = np.argsort(ks.astype(np.min_scalar_type(len(counts))),
+                      kind="stable")[counts[1]:]
+    x0_rows, xs = np.take(x0_rows, rows, axis=0), np.take(x, rows, axis=0)
+    lo, done = 0, 1  # xs[:lo] are done; every row has run done iterations
+    for k in levels:
+        xs[lo:] = approx_prox_rows(potential, oracle, x0_rows[lo:],
+                                   ProxConfig(cfg.eta, cfg.n_batch, k - done),
+                                   start=xs[lo:])
+        lo, done = lo + counts[k], k
+    x[rows] = xs
+    return x, ks
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def prox_residual(potential: Potential, xhat: Array, x0: Array,

@@ -143,18 +143,23 @@ def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: i
 
     The tilt is centered at x0 with step eta, the proposal N(xhat, eta I),
     and the oracle picks the estimator as in ``tilt_source``.  Bad inputs
-    are refused before the generator or the ledger is touched.
+    are refused before the generator or the ledger is touched; zero samples
+    are a (0, d) array.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
     if n_batch < 1:
         raise ValueError("n_batch must be >= 1")
+    if not n_samples >= 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples!r}")
     x0 = as_vector(x0)
     xhat = as_vector(xhat, x0.shape[0])
     source = tilt_source(oracle, x0[None], xhat[None], eta, cfg.b, n_batch)
     if x0.shape[0] != oracle.potential.dim:
         raise DimensionError(f"expected dimension {oracle.potential.dim}, "
                              f"got {x0.shape[0]}")
+    if n_samples == 0:
+        return np.empty((0, x0.shape[0]))
     ledger = ledger if ledger is not None else QueryLedger()
     ledger.rgo_calls += n_samples
     return fors_sample_many(source.propose_rows, source, cfg, n_samples, rng,

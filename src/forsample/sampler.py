@@ -30,7 +30,7 @@ from .core import AssumptionCase, Potential
 from .errors import BudgetExhaustedError, InfeasibleScheduleError, UnsupportedCombinationError
 from .fors import FORSConfig, fors_accept_rows
 from .oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, phi
-from .prox import ProxConfig, approx_prox_rows, default_k_iters
+from .prox import ProxConfig, approx_prox_rows_budgeted, default_k_iters
 from .rgo import tilt_source
 
 MODES = ("first_order", "zeroth_order")
@@ -47,9 +47,13 @@ def _tail_budget(mode: str, delta: float, n_steps: int) -> float:
 class Schedule:
     """A fully planned sampler run; every field is an input to the loop.
 
-    Reports store it as ``dataclasses.asdict``.  The planners are
-    deterministic, so re-planning from a report's config and constants
-    re-creates it.
+    ``k_iters`` is the cap on each row's prox iterations: the first-order
+    loop runs k_i <= k_iters on row i, sized from the row's first gradient
+    query (``prox.approx_prox_rows_budgeted``).  ``planned_queries`` is the
+    price at the cap, every row at k_iters, so it bounds the prox share of
+    the realized queries from above.  Reports store the schedule as
+    ``dataclasses.asdict``.  The planners are deterministic, so re-planning
+    from a report's config and constants re-creates it.
     """
 
     mode: str
@@ -187,8 +191,8 @@ def _estimator_draws_per_call(b: float) -> float:
 
 
 def _first_order_cost(n_steps: int, n_batch: int, k_iters: int, b: float) -> int:
-    # per outer step: k_iters prox batches plus the rejection loop's
-    # estimator batches, each of size n_batch
+    # per outer step: k_iters prox batches (the cap; a row may run fewer)
+    # plus the rejection loop's estimator batches, each of size n_batch
     per_step = n_batch * (k_iters + _estimator_draws_per_call(b))
     return int(math.ceil(n_steps * per_step))
 
@@ -302,8 +306,9 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
 
     Per step and chain: Y ~ N(X, eta I); then X' is drawn from the Gaussian
     tilt at center Y via the rejection loop, with the tilt proposal centered
-    at the approximate proximal point of Y (first order) or at Y itself
-    (zeroth order).  Returns the (chains, dim) final states and the merged
+    at the approximate proximal point of Y (first order; each chain runs its
+    own number of prox iterations, at most ``sched.k_iters``, and the ledger
+    counts those run) or at Y itself (zeroth order).  Returns the (chains, dim) final states and the merged
     query ledger.  Oracle type must match the mode: GradientOracle for
     first_order, ValueOracle for zeroth_order.
     """
@@ -329,8 +334,9 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     for step in range(sched.n_steps):
         y = x + math.sqrt(eta) * rng.standard_normal((chains, d))
         if first:
-            xhat = approx_prox_rows(pot, oracle, y, prox_cfg)
-            ledger.prox_iters += sched.k_iters * chains
+            xhat, ks = approx_prox_rows_budgeted(pot, oracle, y, prox_cfg,
+                                                 sched.m_trunc)
+            ledger.prox_iters += int(ks.sum())
         else:
             xhat = y
         source = tilt_source(oracle, y, xhat, eta, sched.b, sched.n_batch)

@@ -46,7 +46,7 @@ def test_tracer_finds_every_wrap_point():
             rgo._ZerothOrderRows.draw_w_rows) == before
 
 
-def test_traced_oracle_counts_match_the_ledger():
+def test_traced_oracle_counts_match_the_ledger(monkeypatch):
     # every gradient query goes through GradientOracle.draw_batch_rows, the
     # traced wrap point: a path around it would leave these counts short
     pot = make_gaussian_potential([0.0])
@@ -56,6 +56,15 @@ def test_traced_oracle_counts_match_the_ledger():
                      constants=DEFAULT_CONSTANTS, planned_queries=0)
     oracle = GradientOracle(pot, NoiseModel.subweibull(zeta=1.0, sigma_g=0.5),
                             make_rng(3, 1))
+    budgets = []  # each outer step's per-row iteration counts k_i
+    stage = sampler.approx_prox_rows_budgeted
+
+    def recorded(*args):
+        x, ks = stage(*args)
+        budgets.append(ks)
+        return x, ks
+
+    monkeypatch.setattr(sampler, "approx_prox_rows_budgeted", recorded)
     tracer = _tracing().Tracer()
     tracer.enable()
     try:
@@ -67,9 +76,15 @@ def test_traced_oracle_counts_match_the_ledger():
     assert ledger.grad_queries > 0
     assert counts["oracles.queries"] == ledger.grad_queries
     assert counts["oracles.noise_draws"] == ledger.grad_queries  # d = 1
-    assert counts["sampler.outer_steps"] == sched.n_steps
+    assert counts["sampler.outer_steps"] == sched.n_steps == len(budgets)
+    # each row runs its own k_i <= k_iters, and the ledger counts what ran
+    assert all(ks.shape == (8,) and 1 <= ks.min() and ks.max() <= sched.k_iters
+               for ks in budgets)
+    realized = sum(int(ks.sum()) for ks in budgets)
+    assert counts["prox.iters"] == ledger.prox_iters == realized
+    assert realized < sched.n_steps * sched.k_iters * 8
     # the prox stage draws its noise in blocks, yet each of its iterations is
-    # one draw_batch_rows call, beside one per first-order W call
-    assert counts["prox.iters"] == ledger.prox_iters == sched.n_steps * sched.k_iters * 8
-    assert counts["oracles.calls"] == (sched.n_steps * sched.k_iters
+    # one draw_batch_rows call: a step's calls carry its rows up to the
+    # largest k_i, beside one call per first-order W call
+    assert counts["oracles.calls"] == (sum(int(ks.max()) for ks in budgets)
                                        + counts["rgo.estimator_calls"])

@@ -225,6 +225,35 @@ def test_row_coin_draws_lazily_on_the_flat_instance():
     assert abs(ledger.w_draws / n - mean) <= 4 * math.sqrt(var / n)
 
 
+@pytest.mark.parametrize("engine,arg,counts", [
+    (fors_accept_rows, "n_slots", (0, -1)),
+    (fors_sample_many, "n_samples", (0, -3)),
+    (fors_attempt_batch, "n_attempts", (-1,)),
+])
+def test_row_engines_refuse_counts_by_name(engine, arg, counts):
+    # the accepting engines take their row dimension from a proposal, so
+    # they need a positive count; a negative count is refused by name, not
+    # by numpy, before the generator or the ledger is touched
+    flat = discrete_instances()[0]
+    for count in counts:
+        rng, ledger = make_rng(24), QueryLedger()
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{arg} must be >= "):
+            engine(flat.propose_rows, flat, FORSConfig(b=flat.b), count, rng,
+                   ledger=ledger)
+        assert rng.bit_generator.state == before
+        assert ledger.as_dict() == QueryLedger().as_dict()
+
+
+def test_zero_attempts_are_an_empty_mask():
+    flat = discrete_instances()[0]
+    ledger = QueryLedger()
+    mask = fors_attempt_batch(flat.propose_rows, flat, FORSConfig(b=flat.b), 0,
+                              make_rng(24), ledger=ledger)
+    assert mask.shape == (0,) and mask.dtype == bool
+    assert ledger.fors_attempts == 0
+
+
 # ---------------------------------------------------------------------------
 # law equivalence of the vectorized engines
 # ---------------------------------------------------------------------------

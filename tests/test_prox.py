@@ -10,17 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from forsample import oracles
-from forsample.core import (AssumptionCase, Potential, make_gaussian_potential,
-                            potential_from_config)
+from forsample.core import (AssumptionCase, Potential, make_aniso_gaussian_potential,
+                            make_gaussian_potential, potential_from_config)
 from forsample.errors import DimensionError, InfeasibleScheduleError, NumericError
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, eps_tail, make_rng
 from forsample.prox import (
     ProxConfig,
     approx_prox,
     approx_prox_rows,
+    approx_prox_rows_budgeted,
     default_k_iters,
     prox_residual,
     prox_residual_bound,
@@ -139,12 +142,83 @@ def test_default_k_iters():
     # ceil(log2(4 * 10 / (1 + 1))) + 1 = ceil(log2 20) + 1 = 5 + 1 = 6
     assert default_k_iters(10.0, 1.0, 1.0) == 6
     assert default_k_iters(0.1, 1.0, 1.0) == 1  # clamped from below
-    with pytest.raises(ValueError):
-        default_k_iters(0.0, 1.0, 1.0)
+    # a start at a stationary point is the proximal point: one iteration
+    assert default_k_iters(0.0, 1.0, 1.0) == 1
+    # the ceiling is exact: a ratio of 8 takes log2 8 + 1 = 4, the next
+    # float above it 5 (math.log2 rounds that one down to 3.0)
+    assert default_k_iters(4.0, 1.0, 1.0) == 4
+    assert default_k_iters(float(np.nextafter(4.0, 5.0)), 1.0, 1.0) == 5
+    # per-row bounds give an int array, each entry the scalar call's
+    g = np.array([0.0, 0.1, 4.0, 10.0, 1e3])
+    ks = default_k_iters(g, 1.0, 1.0)
+    assert ks.dtype.kind == "i"
+    assert ks.tolist() == [default_k_iters(float(v), 1.0, 1.0) for v in g]
+    for bad in (-1.0, math.nan, math.inf, 1e308):  # 1e308: the ratio overflows
+        with pytest.raises(ValueError):
+            default_k_iters(bad, 1.0, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            default_k_iters(np.array([1.0, bad]), 1.0, 1.0)
     with pytest.raises(ValueError):
         default_k_iters(10.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         default_k_iters(10.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("label", ["exact", "subgaussian"])
+def test_start_continues_a_run(label):
+    # noise read one value at a time: 2 iterations, then 5 more from there,
+    # are the 7 iterations of one call, on one stream
+    pot = _quad()
+    x0 = make_rng(92, 1).standard_normal((50, 1))
+    runs = []
+    for split in (False, True):
+        oracle = GradientOracle(pot, _STREAM_NOISE[label], make_rng(92, 2))
+        if split:
+            x = approx_prox_rows(pot, oracle, x0, _cfg(k_iters=2, n_batch=3))
+            x = approx_prox_rows(pot, oracle, x0, _cfg(k_iters=5, n_batch=3), start=x)
+        else:
+            x = approx_prox_rows(pot, oracle, x0, _cfg(k_iters=7, n_batch=3))
+        runs.append((x, oracle.ledger.as_dict()))
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert runs[0][1] == runs[1][1]
+    with pytest.raises(DimensionError, match="start of shape"):
+        approx_prox_rows(pot, oracle, x0, _cfg(3), start=x0[:5])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_budgeted_rows_run_their_own_k(dim):
+    # with an exact oracle the rows do not interact: row i of the stage is
+    # a run of k_i iterations on that row alone, k_i is the planned k at
+    # G = ||grad f(y_i)|| (up to the rounding slack), under the cap, and a
+    # row at the minimum runs one iteration and stays there
+    pot = make_aniso_gaussian_potential([0.5] * dim, [1.0, 4.0][:dim])
+    cap = 6
+    cfg = ProxConfig(eta=0.1, n_batch=1, k_iters=cap)
+    y = 4.0 * make_rng(93, dim).standard_normal((300, dim))
+    y[7] = 0.5
+    oracle = _exact_oracle(pot, 93, dim)
+    x, ks = approx_prox_rows_budgeted(pot, oracle, y, cfg, 0.0)
+    assert x.shape == y.shape and ks.shape == (300,)
+    assert oracle.ledger.grad_queries == ks.sum()
+    grads = np.linalg.norm(pot.grad_at_rows(y), axis=1)
+    assert np.all(ks >= np.minimum(default_k_iters(grads, 0.0, pot.m_s), cap))
+    assert np.all(ks <= np.minimum(default_k_iters(grads * (1 + 1e-9), 0.0, pot.m_s), cap))
+    assert len(set(ks.tolist())) >= 3  # several levels, so the rows are reordered
+    assert ks[7] == 1 and np.array_equal(x[7], y[7])
+    for i in range(0, 300, 7):
+        alone = approx_prox_rows(pot, _exact_oracle(pot, 0), y[i:i + 1],
+                                 ProxConfig(cfg.eta, 1, int(ks[i])))
+        assert np.array_equal(x[i:i + 1], alone)
+
+
+def test_budgeted_rows_on_one_level_keep_their_order():
+    # rows whose gradients share one norm share one k_i > 1: they go on in
+    # one call, unsorted, and end as one run of k_i iterations does
+    pot = _quad()
+    y = np.array([[4.0], [-2.0], [4.0]])  # |grad f| = 3 on every row
+    x, ks = approx_prox_rows_budgeted(pot, _exact_oracle(pot, 94), y, _cfg(20), 0.0)
+    assert ks.tolist() == [5, 5, 5]  # ceil(log2(4 * 3 / 1)) + 1
+    assert np.array_equal(x, approx_prox_rows(pot, _exact_oracle(pot, 95), y, _cfg(5)))
 
 
 # every catalog potential, with a case it admits: C_LSI = 1 / smallest
@@ -173,6 +247,18 @@ def test_planned_k_meets_the_residual_certificate(potential, noise):
     # k is sized by a contraction that is proved for s = 1 only, so every
     # catalog potential's planned schedule must meet the residual bound at
     # the allowed failure rate, eps_tail + 3 SE, from starts y ~ N(0, 9)
+    _check_certificate(potential, noise, budgeted=False)
+
+
+@pytest.mark.parametrize("noise", sorted(_CERT_NOISE))
+@pytest.mark.parametrize("potential", sorted(_CERT_POTENTIALS))
+def test_per_row_budget_meets_the_residual_certificate(potential, noise):
+    # the sampler's per-row budget, k_i from the row's first query capped at
+    # the planned k, must meet the same bound at the same rate
+    _check_certificate(potential, noise, budgeted=True)
+
+
+def _check_certificate(potential, noise, budgeted):
     (name, params), tag, constant = _CERT_POTENTIALS[potential]
     pot = potential_from_config(name, params)
     model = _CERT_NOISE[noise]
@@ -185,12 +271,59 @@ def test_planned_k_meets_the_residual_certificate(potential, noise):
     y = 3.0 * make_rng(91, 1).standard_normal((rows, pot.dim))
     oracle = GradientOracle(pot, model, make_rng(91, 2))
     cfg = ProxConfig(eta=sched.eta, n_batch=sched.n_batch, k_iters=sched.k_iters)
-    x = approx_prox_rows(pot, oracle, y, cfg)
+    if budgeted:
+        x, ks = approx_prox_rows_budgeted(pot, oracle, y, cfg, sched.m_trunc)
+        assert oracle.ledger.grad_queries == sched.n_batch * ks.sum()
+        assert 1 <= ks.min() and ks.max() <= sched.k_iters
+    else:
+        x = approx_prox_rows(pot, oracle, y, cfg)
     residuals = np.linalg.norm(x + sched.eta * pot.grad_at_rows(x) - y, axis=1)
     bound = prox_residual_bound(sched.eta, pot.m_s, sched.m_trunc)
     eps = eps_tail(model, sched.n_batch, sched.m_trunc)
     se = math.sqrt(max(eps * (1 - eps), 1.0 / rows) / rows)
     assert (residuals > bound).mean() <= eps + 3 * se
+
+
+def _exact_prox(pot, y, eta):
+    """argmin f(x) + |x - y|^2 / (2 eta), coordinate by coordinate.
+
+    Every catalog potential is a sum over coordinates, so each coordinate of
+    the proximal point is the root of the increasing map
+    h(x) = x + eta f'(x) - y, found by bisection from a bracket checked to
+    hold, down to adjacent floats.
+    """
+    reach = 2.0 * (np.abs(y) + eta * np.abs(pot.grad_at(y))) + 1.0
+    lo, hi = y - reach, y + reach
+
+    def h(x):
+        return x + eta * pot.grad_at(x) - y
+
+    assert np.all(h(lo) < 0) and np.all(h(hi) > 0)
+    for _ in range(2_000):
+        mid = lo + (hi - lo) / 2
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        below = h(mid) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo + (hi - lo) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(potential=st.sampled_from(sorted(_CERT_POTENTIALS)),
+       coords=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2),
+       share=st.floats(1e-3, 1.0))
+def test_prox_point_has_the_smaller_gradient(potential, coords, share):
+    # the Moreau inequality |grad f(prox_eta(y))| <= |grad f(y)| for convex
+    # f, on which the sampler's per-row prox budget rests; the tolerance is
+    # the gradient's Hölder modulus over the bisection's rounding
+    (name, params), _, _ = _CERT_POTENTIALS[potential]
+    pot = potential_from_config(name, params)
+    y = np.array(coords[:pot.dim])
+    eta = share / (2.0 * pot.m_s)
+    p = _exact_prox(pot, y, eta)
+    slack = 8 * np.finfo(float).eps * (1 + np.abs(y).sum() + np.abs(p).sum())
+    tol = pot.holder_beta * slack ** pot.holder_s
+    assert np.linalg.norm(pot.grad_at(p)) <= np.linalg.norm(pot.grad_at(y)) + tol
 
 
 def test_config_validation():

@@ -244,6 +244,25 @@ def test_non_oracle_rejected_before_any_draw():
     assert ledger.as_dict() == QueryLedger().as_dict()
 
 
+def test_zero_samples_are_an_empty_array_and_negative_is_refused():
+    # the tilt's dimension is known, so zero samples are a (0, d) array
+    pot = make_gaussian_potential([0.0, 0.0])
+    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(72, 0))
+    for count, want in ((0, None), (-2, "n_samples must be >= 0")):
+        rng, ledger = make_rng(72, 1), QueryLedger()
+        before = rng.bit_generator.state
+        args = (oracle, [1.0, -1.0], [0.5, -0.5], 0.5, FORSConfig(b=3.0), count, rng)
+        if want is None:
+            out = sample_tilt_many(*args, ledger=ledger)
+            assert out.shape == (0, 2) and out.dtype == np.float64
+        else:
+            with pytest.raises(ValueError, match=want):
+                sample_tilt_many(*args, ledger=ledger)
+        assert rng.bit_generator.state == before
+        assert ledger.as_dict() == QueryLedger().as_dict()
+        assert oracle.ledger.as_dict() == QueryLedger().as_dict()
+
+
 def test_two_dimensional_tilt():
     pot = make_gaussian_potential([0.0, 0.0])
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(71, 0))

@@ -292,7 +292,8 @@ def test_first_order_ledger_decomposition():
                                   gaussian_initializer([0.0], 1.0), 50,
                                   make_rng(94, 1))
     assert led.grad_queries == sched.n_batch * (led.prox_iters + led.w_draws)
-    assert led.prox_iters == sched.k_iters * 50 * 3
+    # every row runs at least the first prox iteration and at most the cap
+    assert 50 * 3 <= led.prox_iters <= sched.k_iters * 50 * 3
     assert led.rgo_calls == 50 * 3
     assert led.outer_steps == 3
     assert led.value_queries == 0
