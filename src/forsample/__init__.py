@@ -29,9 +29,8 @@ from .lowerbound import (AdversarialOraclePair, CoupledRunResult, PsiFunction,
                          coupled_run, f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (NOISE_FAMILIES, GradientOracle, NoiseModel, QueryLedger,
                       ValueOracle, eps_tail, make_rng, phi)
-from .prox import (ProxConfig, approx_prox, approx_prox_rows,
-                   approx_prox_rows_budgeted, default_k_iters, prox_residual,
-                   prox_residual_bound)
+from .prox import (ProxConfig, approx_prox, approx_prox_rows, default_k_iters,
+                   prox_residual, prox_residual_bound)
 from .rgo import path_gamma, sample_tilt_many, tilt_source
 from .sampler import (Schedule, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)

@@ -24,12 +24,12 @@ G_i = ||g_1|| + M, a valid bound unless ||xi_1|| > M.  An exact oracle
 (M = 0) adds no failure event.  For a noisy one Markov's inequality bounds
 P(||xi_1|| > M) by eps_n(M), which ``phi`` keeps at or below
 delta / (100 N) per chain and outer step, so a row meets the residual
-bound with probability at least 1 - 2 eps_n(M).
+bound with probability at least 1 - 2 eps_n(M).  The sampler's per-step
+tail share delta / (10 N) holds both events (``sampler._TAIL_SPLIT``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +57,11 @@ def default_k_iters(g_bound, m_trunc: float, m_s: float):
     """
     if not (m_trunc >= 0 and m_s > 0):
         raise ValueError("need m_trunc >= 0 and m_s > 0")
-    bad = "need 0 <= 4 g_bound / (m_trunc + m_s) < inf"
-    if not isinstance(g_bound, np.ndarray):
-        # the planner's path: math.frexp, 20x faster than numpy on a scalar
-        mant, expo = math.frexp(4.0 * float(g_bound) / (m_trunc + m_s))
-        if not 0 <= mant < 1:  # < 0, nan or inf
-            raise ValueError(bad)
-        return max(expo + (mant > 0.5), 1)
     mant, expo = np.frexp(4.0 * np.asarray(g_bound, dtype=float) / (m_trunc + m_s))
-    if mant.size and not (0 <= mant.min() and mant.max() < 1):
-        raise ValueError(bad)
-    return np.maximum(expo + (mant > 0.5), 1)
+    if mant.size and not (0 <= mant.min() and mant.max() < 1):  # < 0, nan or inf
+        raise ValueError("need 0 <= 4 g_bound / (m_trunc + m_s) < inf")
+    ks = np.maximum(expo + (mant > 0.5), 1)
+    return int(ks) if ks.ndim == 0 else ks
 
 
 @dataclass(frozen=True)
@@ -155,9 +149,8 @@ def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
     k_i = min(cfg.k_iters, default_k_iters(G_i, M, m_s)) iterations in all.
     The rows go on in one ``approx_prox_rows`` call per distinct k_i > 1,
     in increasing order, each taking the rows still short of their k_i to
-    that level; they are stably sorted by k_i first, unless they all go on
-    to one level (the common case for a few rows whose G_i is mostly M).
-    Returns the final rows and the k_i, whose sum is the row-iterations run.
+    that level, in their own order.  Returns the final rows and the k_i,
+    whose sum is the row-iterations run.
     """
     x = approx_prox_rows(potential, oracle, x0_rows,
                          ProxConfig(cfg.eta, cfg.n_batch, 1))
@@ -171,25 +164,16 @@ def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
     g_rows += m_trunc
     ks = default_k_iters(g_rows, m_trunc, potential.m_s)
     np.minimum(ks, cfg.k_iters, out=ks)
-    counts = np.bincount(ks).tolist()  # counts[k]: the rows that run k in all
-    levels = [k for k in range(2, len(counts)) if counts[k]]
-    if not levels:
-        return x, ks
-    if counts[1] == 0 and len(levels) == 1:  # every row goes on to one level
-        return approx_prox_rows(potential, oracle, x0_rows,
-                                ProxConfig(cfg.eta, cfg.n_batch, levels[0] - 1),
-                                start=x), ks
-    # the rows that go on, in increasing k_i: each level is a suffix
-    rows = np.argsort(ks.astype(np.min_scalar_type(len(counts))),
-                      kind="stable")[counts[1]:]
-    x0_rows, xs = np.take(x0_rows, rows, axis=0), np.take(x, rows, axis=0)
-    lo, done = 0, 1  # xs[:lo] are done; every row has run done iterations
-    for k in levels:
-        xs[lo:] = approx_prox_rows(potential, oracle, x0_rows[lo:],
-                                   ProxConfig(cfg.eta, cfg.n_batch, k - done),
-                                   start=xs[lo:])
-        lo, done = lo + counts[k], k
-    x[rows] = xs
+    done = 1  # every row has run one iteration
+    # the distinct k_i, in increasing order (np.unique would import numpy.ma,
+    # tens of milliseconds, on its first call)
+    for k in np.flatnonzero(np.bincount(ks)).tolist():
+        if k > done:
+            rows = np.flatnonzero(ks >= k)
+            x[rows] = approx_prox_rows(potential, oracle, x0_rows[rows],
+                                       ProxConfig(cfg.eta, cfg.n_batch, k - done),
+                                       start=x[rows])
+            done = k
     return x, ks
 
 

@@ -35,7 +35,12 @@ from .rgo import tilt_source
 
 MODES = ("first_order", "zeroth_order")
 
-# each outer step's share of delta for the batch-size tail: delta / (split N)
+# each outer step's share of delta for the batch-size tail: delta / (split N).
+# phi sizes the batch so that one tail event, of probability at most
+# eps_n(M), takes a tenth of the share: delta / (100 N) in first order.  A
+# first-order step has two such events per chain, the prox residual and the
+# per-row prox budget's first query (see prox), so 2 eps_n(M) <= delta / (50 N)
+# stays within the share.
 _TAIL_SPLIT = {"first_order": 10.0, "zeroth_order": 4.0}
 
 

@@ -141,6 +141,7 @@ def test_zero_rows_make_no_queries():
 def test_default_k_iters():
     # ceil(log2(4 * 10 / (1 + 1))) + 1 = ceil(log2 20) + 1 = 5 + 1 = 6
     assert default_k_iters(10.0, 1.0, 1.0) == 6
+    assert type(default_k_iters(10.0, 1.0, 1.0)) is int  # as Schedule.k_iters
     assert default_k_iters(0.1, 1.0, 1.0) == 1  # clamped from below
     # a start at a stationary point is the proximal point: one iteration
     assert default_k_iters(0.0, 1.0, 1.0) == 1
@@ -154,7 +155,7 @@ def test_default_k_iters():
     assert ks.dtype.kind == "i"
     assert ks.tolist() == [default_k_iters(float(v), 1.0, 1.0) for v in g]
     for bad in (-1.0, math.nan, math.inf, 1e308):  # 1e308: the ratio overflows
-        with pytest.raises(ValueError):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
             default_k_iters(bad, 1.0, 1.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             default_k_iters(np.array([1.0, bad]), 1.0, 1.0)
@@ -203,7 +204,7 @@ def test_budgeted_rows_run_their_own_k(dim):
     grads = np.linalg.norm(pot.grad_at_rows(y), axis=1)
     assert np.all(ks >= np.minimum(default_k_iters(grads, 0.0, pot.m_s), cap))
     assert np.all(ks <= np.minimum(default_k_iters(grads * (1 + 1e-9), 0.0, pot.m_s), cap))
-    assert len(set(ks.tolist())) >= 3  # several levels, so the rows are reordered
+    assert len(set(ks.tolist())) >= 3  # several levels, so several calls
     assert ks[7] == 1 and np.array_equal(x[7], y[7])
     for i in range(0, 300, 7):
         alone = approx_prox_rows(pot, _exact_oracle(pot, 0), y[i:i + 1],
@@ -213,7 +214,7 @@ def test_budgeted_rows_run_their_own_k(dim):
 
 def test_budgeted_rows_on_one_level_keep_their_order():
     # rows whose gradients share one norm share one k_i > 1: they go on in
-    # one call, unsorted, and end as one run of k_i iterations does
+    # one call, in their order, and end as one run of k_i iterations does
     pot = _quad()
     y = np.array([[4.0], [-2.0], [4.0]])  # |grad f| = 3 on every row
     x, ks = approx_prox_rows_budgeted(pot, _exact_oracle(pot, 94), y, _cfg(20), 0.0)

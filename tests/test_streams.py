@@ -145,7 +145,7 @@ PINNED = {
                                "b0aaf23b9163f558"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "03da7d391b4601b6"),
-    "run_proximal_sampler": (_sampler, "22de89429260a7cd"),
+    "run_proximal_sampler": (_sampler, "e8b35dc05cb0d7bf"),
     "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
     # radius noise in one dimension: a fair sign per draw
     "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
@@ -154,7 +154,7 @@ PINNED = {
                             "f3c58c6e5df0d75f"),
     # the prox stage reads a block's radii before its signs
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
-                                           "d7a215c39ab889d0"),
+                                           "a72f1360864d0ceb"),
     # the lower bound: one tape row per trial
     "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
     "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
