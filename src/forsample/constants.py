@@ -5,9 +5,9 @@ code has to pick.  The tunable ones live here, calibrated once on the 1-D
 standard-Gaussian end-to-end run (LSI, delta = 0.05, 10^4 chains) so that
 the measured total-variation error lands at or below delta, then frozen;
 every report embeds them.  The fixed ones sit with their formulas and show
-through the schedule: 64 in ``sampler.gradient_norm_bound``, 10 in eps_prox,
-``sampler._TAIL_SPLIT``, and 4 and the base 2 (the prox map's contraction
-factor) in ``prox.default_k_iters``.
+through the schedule: 64 in ``sampler.gradient_norm_bound``, 10 in
+``prox.prox_residual_bound``, ``sampler._TAIL_SPLIT``, and 4 and the base 2
+(the prox map's contraction factor) in ``prox.default_k_iters``.
 """
 
 from __future__ import annotations

@@ -372,7 +372,6 @@ class WDrawReport:
     quantile: float
     bound: float
     passed: bool
-    total_draws: int
     calls: int
     aggregate_constant: float
 
@@ -392,8 +391,6 @@ def wdraw_tail_check(b: float, delta: float, counts) -> WDrawReport:
         raise ValueError("delta must lie in (0, 1)")
     bound = 3.0 * b * math.exp(2.0 * b) * math.log(2.0 / delta)
     q = float(np.quantile(counts, 1.0 - delta))
-    total = int(counts.sum())
-    agg = total / (b * math.exp(2.0 * b) * (counts.size + math.log(1.0 / delta)))
+    agg = int(counts.sum()) / (b * math.exp(2.0 * b) * (counts.size + math.log(1.0 / delta)))
     return WDrawReport(quantile=q, bound=bound, passed=q <= bound,
-                       total_draws=total, calls=counts.size,
-                       aggregate_constant=agg)
+                       calls=counts.size, aggregate_constant=agg)

@@ -608,7 +608,6 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         # noisy oracle the estimator uses
         prox_cfg = ProxConfig(eta=TILT_ETA, n_batch=n_batch, k_iters=25)
         xhat = approx_prox_rows(pot, oracle, np.array([[TILT_X0]]), prox_cfg)[0]
-        ledger.prox_iters += prox_cfg.k_iters
     else:
         oracle = ValueOracle(pot, noise, rng, ledger)
         xhat = [TILT_X0]
@@ -674,7 +673,6 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
     xhat = approx_prox_rows(pot, exact, x0[None, :], pcfg)[0]
     exact_err = abs(float(xhat[0]) - fixed_point)
     merged.merge(exact.ledger)
-    merged.prox_iters += pcfg.k_iters
 
     # stochastic residual guarantee over independent trials
     noise = NoiseModel.subgaussian(0.2)
@@ -687,7 +685,6 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
         starts = np.zeros((cfg.trials, 1))
         ends = approx_prox_rows(pot, oracle, starts, ncfg)
         merged.merge(oracle.ledger)
-        merged.prox_iters += ncfg.k_iters * cfg.trials
         residuals = np.abs(ends + eta * pot.grad_at_rows(ends) - starts)[:, 0]
         fail_rate = float((residuals > bound).mean())
         eps = eps_tail(noise, ncfg.n_batch, m_trunc)

@@ -31,14 +31,24 @@ directions, so their streams depend on m whenever m > 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Array, Potential, as_rows, as_vector, check_shape
 from .errors import DimensionError, UnsupportedCombinationError
 
-NOISE_FAMILIES = ("exact", "subgaussian", "subweibull", "polymoment", "twopoint")
+# the NoiseModel fields each family reads and their ranges; the rest keep defaults
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_FAMILY_FIELDS = {
+    "exact": {}, "subgaussian": {"sigma_g": _POSITIVE},
+    "subweibull": {"sigma_g": _POSITIVE, "zeta": _POSITIVE},
+    "polymoment": {"k": (lambda v: v >= 1, "must be a positive integer"),
+                   "sigma_2k": _POSITIVE},
+    "twopoint": {"p": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+                 "m_shift": _POSITIVE},
+}
+NOISE_FAMILIES = tuple(_FAMILY_FIELDS)
 
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
@@ -60,8 +70,8 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
 class NoiseModel:
     """Additive noise family with declared tail behaviour.
 
-    Fields are family-specific: ``sigma_g`` for subgaussian/subweibull,
-    (``k``, ``sigma_2k``) for polymoment, (``p``, ``m_shift``) for twopoint.
+    Fields are family-specific (``_FAMILY_FIELDS``); a field its family
+    does not read must keep its default, so subgaussian noise runs zeta = 2.
     """
 
     family: str
@@ -76,20 +86,15 @@ class NoiseModel:
         if self.family not in NOISE_FAMILIES:
             raise ValueError(f"family: unknown family {self.family!r}; "
                              f"choices are {sorted(NOISE_FAMILIES)}")
-        if self.family in ("subgaussian", "subweibull") and not (self.sigma_g > 0):
-            raise ValueError(f"sigma_g: must be positive, got {self.sigma_g!r}")
-        if self.family == "subweibull" and not (self.zeta > 0):
-            raise ValueError(f"zeta: must be positive, got {self.zeta!r}")
-        if self.family == "polymoment":
-            if self.k < 1:
-                raise ValueError(f"k: must be a positive integer, got {self.k!r}")
-            if not (self.sigma_2k > 0):
-                raise ValueError(f"sigma_2k: must be positive, got {self.sigma_2k!r}")
-        if self.family == "twopoint":
-            if not (0.0 < self.p <= 1.0):
-                raise ValueError(f"p: must be in (0, 1], got {self.p!r}")
-            if not (self.m_shift > 0):
-                raise ValueError(f"m_shift: must be positive, got {self.m_shift!r}")
+        reads = _FAMILY_FIELDS[self.family]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in reads:
+                ok, rule = reads[f.name]
+                if not ok(value):
+                    raise ValueError(f"{f.name}: {rule}, got {value!r}")
+            elif value != f.default:
+                raise ValueError(f"{f.name}: {self.family} noise does not read this field")
 
     # -- construction helpers ------------------------------------------------
 

@@ -105,9 +105,10 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
     earlier call's iterate, to continue it) or from x0 itself.  The
     gradient noise comes from the oracle's own generator, in blocks of
     iterations (``GradientOracle.noise_block``); every query still goes
-    through ``draw_batch_rows``.  Each iterate is checked for finiteness
-    once: by the oracle's row validation when it is queried at the next
-    step, and after the loop for the last one.
+    through ``draw_batch_rows``, after which the oracle's ledger counts the
+    iteration's rows in ``prox_iters``.  Each iterate is checked for
+    finiteness once: by the oracle's row validation when it is queried at
+    the next step, and after the loop for the last one.
     """
     limit = 1.0 / (2.0 * potential.m_s)
     if cfg.eta > limit * (1 + 1e-12):
@@ -128,6 +129,7 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
                 if np.isfinite(x).all():
                     raise  # a shape error, not a blow-up
                 raise NumericError(f"non-finite prox iterate at step {k}") from err
+            oracle.ledger.prox_iters += x.shape[0]
             # x = (x - eta g + x0) / 2, in place, in that order
             g *= cfg.eta
             x -= g
@@ -150,7 +152,7 @@ def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
     The rows go on in one ``approx_prox_rows`` call per distinct k_i > 1,
     in increasing order, each taking the rows still short of their k_i to
     that level, in their own order.  Returns the final rows and the k_i,
-    whose sum is the row-iterations run.
+    whose sum the oracle's ledger has already counted in ``prox_iters``.
     """
     x = approx_prox_rows(potential, oracle, x0_rows,
                          ProxConfig(cfg.eta, cfg.n_batch, 1))

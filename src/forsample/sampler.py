@@ -66,7 +66,6 @@ class Schedule:
     n_steps: int
     m_trunc: float
     n_batch: int
-    eps_prox: float
     g_bound: float
     k_iters: int
     b: float
@@ -240,8 +239,7 @@ def plan_first_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
         k_iters = default_k_iters(g_bound, m_trunc, pot.m_s)
         sched = Schedule(
             mode="first_order", eta=eta, n_steps=n_steps, m_trunc=m_trunc,
-            n_batch=n_batch, eps_prox=10.0 * (pot.m_s + m_trunc),
-            g_bound=g_bound, k_iters=k_iters, b=constants.b_first,
+            n_batch=n_batch, g_bound=g_bound, k_iters=k_iters, b=constants.b_first,
             delta=delta, case=case, constants=constants,
             planned_queries=_first_order_cost(n_steps, n_batch, k_iters,
                                               constants.b_first))
@@ -259,10 +257,9 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
                       constants: PlanConstants = DEFAULT_CONSTANTS) -> Schedule:
     """Plan a zeroth-order (stochastic value) sampler run.
 
-    The proposal center is the query point itself (no prox stage), so
-    eps_prox is the gradient-norm bound G.  The estimator truncation level
-    is pinned at B/3 and the batch size is phi at that level with per-step
-    budget delta/(4N).
+    The proposal center is the query point itself (no prox stage).  The
+    estimator truncation level is pinned at B/3 and the batch size is phi
+    at that level with per-step budget delta/(4N).
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -281,7 +278,7 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
     per_step = n_batch * 2.0 * _estimator_draws_per_call(constants.b_zeroth)
     return Schedule(
         mode="zeroth_order", eta=eta, n_steps=n_steps, m_trunc=m_level,
-        n_batch=n_batch, eps_prox=g_bound, g_bound=g_bound, k_iters=0,
+        n_batch=n_batch, g_bound=g_bound, k_iters=0,
         b=constants.b_zeroth, delta=delta, case=case, constants=constants,
         planned_queries=int(math.ceil(n_steps * per_step)))
 
@@ -313,9 +310,10 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     tilt at center Y via the rejection loop, with the tilt proposal centered
     at the approximate proximal point of Y (first order; each chain runs its
     own number of prox iterations, at most ``sched.k_iters``, and the ledger
-    counts those run) or at Y itself (zeroth order).  Returns the (chains, dim) final states and the merged
-    query ledger.  Oracle type must match the mode: GradientOracle for
-    first_order, ValueOracle for zeroth_order.
+    counts those run) or at Y itself (zeroth order).  Returns the
+    (chains, dim) final states and the merged query ledger.  Oracle type
+    must match the mode: GradientOracle for first_order, ValueOracle for
+    zeroth_order.
     """
     if chains < 1:
         raise ValueError("chains must be >= 1")
@@ -339,9 +337,8 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     for step in range(sched.n_steps):
         y = x + math.sqrt(eta) * rng.standard_normal((chains, d))
         if first:
-            xhat, ks = approx_prox_rows_budgeted(pot, oracle, y, prox_cfg,
-                                                 sched.m_trunc)
-            ledger.prox_iters += int(ks.sum())
+            xhat, _ = approx_prox_rows_budgeted(pot, oracle, y, prox_cfg,
+                                                sched.m_trunc)
         else:
             xhat = y
         source = tilt_source(oracle, y, xhat, eta, sched.b, sched.n_batch)

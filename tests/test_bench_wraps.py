@@ -51,7 +51,7 @@ def test_traced_oracle_counts_match_the_ledger(monkeypatch):
     # traced wrap point: a path around it would leave these counts short
     pot = make_gaussian_potential([0.0])
     sched = Schedule(mode="first_order", eta=0.05, n_steps=4, m_trunc=0.5,
-                     n_batch=3, eps_prox=0.1, g_bound=10.0, k_iters=5, b=1.0,
+                     n_batch=3, g_bound=10.0, k_iters=5, b=1.0,
                      delta=0.05, case=AssumptionCase("LSI", constant=1.0),
                      constants=DEFAULT_CONSTANTS, planned_queries=0)
     oracle = GradientOracle(pot, NoiseModel.subweibull(zeta=1.0, sigma_g=0.5),

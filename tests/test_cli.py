@@ -150,6 +150,26 @@ def test_noise_field_errors():
                for e in exc.value.errors)
 
 
+# per family: the fields it reads, and one field it does not read
+_FOREIGN_NOISE_FIELD = {
+    "exact": ({}, "sigma_g", 7.0),
+    "subgaussian": ({"sigma_g": 0.5}, "zeta", 1.0),
+    "subweibull": ({"sigma_g": 0.5, "zeta": 1.0}, "k", 2),
+    "polymoment": ({"k": 2, "sigma_2k": 0.8}, "sigma_g", 0.5),
+    "twopoint": ({"p": 0.2, "m_shift": 1.5}, "sigma_2k", 0.8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FOREIGN_NOISE_FIELD))
+def test_noise_rejects_a_field_its_family_does_not_read(family):
+    read, field, value = _FOREIGN_NOISE_FIELD[family]
+    noise = {"family": family, **read}
+    ExperimentConfig(experiment="sampler_e2e", noise=noise)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(experiment="sampler_e2e", noise={**noise, field: value})
+    assert exc.value.errors == [f"noise.{field}: {family} noise does not read this field"]
+
+
 def test_lc_case_requires_w2_bound():
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e", "case": {"tag": "LC"}})

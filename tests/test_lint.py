@@ -306,10 +306,13 @@ def test_tilt_estimators_are_built_only_in_rgo():
     assert len(found) == 2
 
 
-# dataclass fields kept though no code but their own __post_init__ reads
-# them, each with its reason
+# dataclass fields kept though no code outside their own __post_init__
+# loads them as an attribute, each with its reason
 _UNREAD_FIELDS_KEPT = {
-    ("sampler.py", "Schedule.eps_prox"): "reports serialize it through asdict",
+    ("harness.py", "ExperimentReport.merged_ledger"): "to_json serializes it through vars",
+    ("harness.py", "ExperimentReport.schema_version"): "to_json serializes it through vars",
+    ("oracles.py", "QueryLedger.prox_iters"): "merge and as_dict read it by field name",
+    ("oracles.py", "QueryLedger.rgo_calls"): "merge and as_dict read it by field name",
     ("sampler.py", "Schedule.g_bound"): "reports serialize it through asdict",
 }
 
@@ -321,20 +324,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _fields_only_checked(paths, readers) -> list[tuple[str, str]]:
-    """(module, "Class.field") of each field of a dataclass in ``paths`` with
-    a ``__post_init__`` that no code in ``readers`` loads as an attribute
-    outside that ``__post_init__``: a value only its validation reads."""
+    """(module, "Class.field") of each field of a dataclass in ``paths`` that
+    no code in ``readers`` loads as an attribute outside the class's own
+    ``__post_init__``: a value nothing reads, or only its validation."""
     trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(readers)}
     found = []
     for p in paths:
         for cls in trees[p].body:
             if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
-            post = next((m for m in cls.body if isinstance(m, ast.FunctionDef)
-                         and m.name == "__post_init__"), None)
-            if post is None:
-                continue
-            inside = {id(n) for n in ast.walk(post)}
+            post = [m for m in cls.body if isinstance(m, ast.FunctionDef)
+                    and m.name == "__post_init__"]
+            inside = {id(n) for m in post for n in ast.walk(m)}
             read = {n.attr for r in readers for n in ast.walk(trees[r])
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
                     and id(n) not in inside}
@@ -352,11 +353,12 @@ def test_field_only_checked_is_detected(tmp_path):
                    "            raise ValueError\n"
                    "@dataclass\nclass Plain:\n    unread: int\n"
                    "law = Law(2.0)\nwidth = law.scale * 2\n")
-    assert _fields_only_checked([mod], [mod]) == [("mod.py", "Law.const")]
+    assert _fields_only_checked([mod], [mod]) == [("mod.py", "Law.const"),
+                                                  ("mod.py", "Plain.unread")]
 
 
 def test_every_checked_field_is_read():
-    # a field that only its own validation reads is a constant nothing uses
+    # a field that nothing reads, or only its own validation, is data nothing uses
     unread = set(_fields_only_checked(MODULES, MODULES + BENCH))
     assert sorted(unread - set(_UNREAD_FIELDS_KEPT)) == []
     # a kept field that gains a reader leaves the list

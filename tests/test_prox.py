@@ -384,6 +384,20 @@ def test_non_finite_iterate_names_the_step_across_blocks(rows):
         approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6))
 
 
+@pytest.mark.parametrize("rows", [3, 2048])
+def test_ledger_counts_the_iterations_run_before_a_blow_up(rows):
+    # the query at step 4 is refused: the ledger holds the 4 iterations whose
+    # queries it counted, so grad_queries = n_batch * prox_iters still holds
+    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_steep,
+                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    oracle = _exact_oracle(pot)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="at step 4$"):
+        approx_prox_rows(pot, oracle, np.ones((rows, 1)), _cfg(6, n_batch=2))
+    assert oracle.ledger.prox_iters == 4 * rows
+    assert oracle.ledger.grad_queries == 2 * oracle.ledger.prox_iters
+
+
 def test_oracle_shape_error_is_not_a_blow_up():
     # an oracle built on a potential of another dimension rejects the finite
     # iterate by its shape; that error is passed on as it is
@@ -398,11 +412,13 @@ def test_oracle_shape_error_is_not_a_blow_up():
 # ---------------------------------------------------------------------------
 
 def _reference_prox(oracle, x0_rows, cfg):
-    # one oracle call, drawing its own noise, per iteration
+    # one oracle call, drawing its own noise, per iteration, and one count of
+    # its rows in the ledger's prox_iters
     x0_rows = np.asarray(x0_rows, dtype=float)
     x = x0_rows.copy()
     for _ in range(cfg.k_iters):
         g = oracle.draw_batch_rows(x, cfg.n_batch)
+        oracle.ledger.prox_iters += x.shape[0]
         x = (x - cfg.eta * g + x0_rows) / 2.0
     return x
 

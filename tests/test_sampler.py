@@ -104,7 +104,6 @@ def test_exact_first_order_plan_frozen_values():
     assert sched.m_trunc == 0.0
     assert sched.n_batch == 1
     assert sched.b == 1.0
-    assert sched.eps_prox == pytest.approx(10.0)  # 10 (m_s + M) with M = 0
     assert sched.k_iters == 8
     assert sched.eta == pytest.approx(0.14468309118251618)
     assert sched.planned_queries == 355
@@ -117,7 +116,6 @@ def test_exact_zeroth_order_plan_frozen_values():
     assert sched.n_batch == 1
     assert sched.b == 3.0
     assert sched.k_iters == 0
-    assert sched.eps_prox == sched.g_bound
     assert sched.eta == pytest.approx(0.013671140698334158)
     assert sched.planned_queries == 7711
 

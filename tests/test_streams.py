@@ -101,7 +101,7 @@ def _sample_tilt_many(oracle_cls):
 def _sampler(noise=NoiseModel.subgaussian(0.5)):
     pot = make_gaussian_potential([0.0])
     sched = Schedule(mode="first_order", eta=0.05, n_steps=6, m_trunc=0.5,
-                     n_batch=4, eps_prox=0.1, g_bound=10.0, k_iters=5, b=1.0,
+                     n_batch=4, g_bound=10.0, k_iters=5, b=1.0,
                      delta=0.05, case=AssumptionCase("LSI", constant=1.0),
                      constants=DEFAULT_CONSTANTS, planned_queries=0)
     oracle = GradientOracle(pot, noise, make_rng(5, 8))
@@ -146,7 +146,7 @@ PINNED = {
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "03da7d391b4601b6"),
     "run_proximal_sampler": (_sampler, "e8b35dc05cb0d7bf"),
-    "approx_prox_rows": (_prox_rows, "d4a449fea66627ab"),
+    "approx_prox_rows": (_prox_rows, "7c2e211e56da80de"),
     # radius noise in one dimension: a fair sign per draw
     "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
                             "491c93810fcfb58b"),
