@@ -721,16 +721,15 @@ def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
     mu0_mean = math.sqrt(case.warm_start_delta)  # N(m,1) start has Delta = m^2
     mu0 = gaussian_initializer(np.full(pot.dim, mu0_mean), 1.0)
     arms = [NoiseModel.exact(), NoiseModel(**cfg.noise)]
+    first = cfg.mode == "first_order"
+    plan = plan_first_order if first else plan_zeroth_order
+    oracle_type = GradientOracle if first else ValueOracle
 
     per_seed = sink.per_seed
     for seed in cfg.seeds:
         for arm_idx, noise in enumerate(arms):
-            if cfg.mode == "first_order":
-                sched = plan_first_order(pot, noise, case, cfg.delta, cfg.constants)
-                oracle = GradientOracle(pot, noise, make_rng(seed, 4, arm_idx))
-            else:
-                sched = plan_zeroth_order(pot, noise, case, cfg.delta, cfg.constants)
-                oracle = ValueOracle(pot, noise, make_rng(seed, 4, arm_idx))
+            sched = plan(pot, noise, case, cfg.delta, cfg.constants)
+            oracle = oracle_type(pot, noise, make_rng(seed, 4, arm_idx))
             xs, ledger = run_proximal_sampler(pot, oracle, sched, mu0,
                                               cfg.chains, make_rng(seed, 5, arm_idx))
             tv = empirical_tv_1d(xs[:, 0], pot.reference.marginal(0))

@@ -31,6 +31,7 @@ directions, so their streams depend on m whenever m > 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,9 +44,12 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _FAMILY_FIELDS = {
     "exact": {}, "subgaussian": {"sigma_g": _POSITIVE},
     "subweibull": {"sigma_g": _POSITIVE, "zeta": _POSITIVE},
-    "polymoment": {"k": (lambda v: v >= 1, "must be a positive integer"),
+    "polymoment": {"k": (lambda v: isinstance(v, numbers.Integral)
+                         and not isinstance(v, bool) and v >= 1,
+                         "must be a positive integer"),
                    "sigma_2k": _POSITIVE},
-    "twopoint": {"p": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    # p = 1 would be noise identically 0, the exact family
+    "twopoint": {"p": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
                  "m_shift": _POSITIVE},
 }
 NOISE_FAMILIES = tuple(_FAMILY_FIELDS)

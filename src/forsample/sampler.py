@@ -194,11 +194,52 @@ def _estimator_draws_per_call(b: float) -> float:
     return 2.0 * math.expm1(b)
 
 
-def _first_order_cost(n_steps: int, n_batch: int, k_iters: int, b: float) -> int:
-    # per outer step: k_iters prox batches (the cap; a row may run fewer)
-    # plus the rejection loop's estimator batches, each of size n_batch
-    per_step = n_batch * (k_iters + _estimator_draws_per_call(b))
-    return int(math.ceil(n_steps * per_step))
+def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
+          delta: float, constants: PlanConstants, levels: list[float]) -> Schedule:
+    """The planner both modes share: the cheapest plan over ``levels``.
+
+    Each truncation level M is priced in turn: the mode's outer count N and
+    step size eta at M, the batch size phi at M with the step's tail share,
+    the gradient bound G, then the queries of N steps.  A level whose batch
+    size phi cannot reach is skipped; a plan with no level left is refused.
+    """
+    if not (0 < delta < 1):
+        raise ValueError("delta must lie in (0, 1)")
+    first = mode == "first_order"
+    b = constants.b_first if first else constants.b_zeroth
+    best: Schedule | None = None
+    last_error: Exception | None = None
+    for m_trunc in levels:
+        if first:
+            n_steps = _n_first_order(pot, case, m_trunc, delta, constants)
+            eta = _eta_first_order(pot, m_trunc, delta, n_steps, constants)
+        else:
+            n_steps = _n_zeroth_order(pot, case, delta, constants)
+            eta = _eta_zeroth_order(pot, case, delta, n_steps, constants)
+        try:
+            n_batch = phi(noise, m_trunc, _tail_budget(mode, delta, n_steps),
+                          cap=constants.phi_cap)
+        except (UnsupportedCombinationError, ValueError) as err:
+            last_error = err
+            continue
+        g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
+        # per outer step: at most k_iters prox batches (first order; a row may
+        # run fewer), then the rejection loop's W draws, each one gradient
+        # batch or two value batches, every batch of size n_batch
+        k_iters = default_k_iters(g_bound, m_trunc, pot.m_s) if first else 0
+        w_batches = 1 if first else 2
+        per_step = n_batch * (k_iters + w_batches * _estimator_draws_per_call(b))
+        sched = Schedule(
+            mode=mode, eta=eta, n_steps=n_steps, m_trunc=m_trunc, n_batch=n_batch,
+            g_bound=g_bound, k_iters=k_iters, b=b, delta=delta, case=case,
+            constants=constants, planned_queries=int(math.ceil(n_steps * per_step)))
+        if best is None or sched.planned_queries < best.planned_queries:
+            best = sched
+    if best is None:
+        raise InfeasibleScheduleError(
+            f"no feasible {mode} plan for {noise.family} noise at delta={delta:g}: "
+            f"{last_error}") from last_error
+    return best
 
 
 def plan_first_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
@@ -210,46 +251,12 @@ def plan_first_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
     from the noise's exact first moment and keeping the candidate whose
     planned query count is smallest; each candidate is priced by resolving
     the eta <-> N pair and inverting the tail bound for the batch size.
-    Exact oracles use M = 0 and n_batch = 1.
+    Exact oracles, whose first moment is 0, use M = 0 and n_batch = 1.
     """
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    if noise.family == "exact":
-        candidates = [0.0]
-    else:
-        base = noise.m1(pot.dim)
-        if base <= 0:
-            raise InfeasibleScheduleError("noise first moment must be positive")
-        candidates = [base * constants.m_grid_ratio ** i
-                      for i in range(constants.m_grid_points)]
-
-    best: Schedule | None = None
-    last_error: Exception | None = None
-    for m_trunc in candidates:
-        n_steps = _n_first_order(pot, case, m_trunc, delta, constants)
-        eta = _eta_first_order(pot, m_trunc, delta, n_steps, constants)
-        try:
-            n_batch = (1 if noise.family == "exact" else
-                       phi(noise, m_trunc, _tail_budget("first_order", delta, n_steps),
-                           cap=constants.phi_cap))
-        except (UnsupportedCombinationError, ValueError) as err:
-            last_error = err
-            continue
-        g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
-        k_iters = default_k_iters(g_bound, m_trunc, pot.m_s)
-        sched = Schedule(
-            mode="first_order", eta=eta, n_steps=n_steps, m_trunc=m_trunc,
-            n_batch=n_batch, g_bound=g_bound, k_iters=k_iters, b=constants.b_first,
-            delta=delta, case=case, constants=constants,
-            planned_queries=_first_order_cost(n_steps, n_batch, k_iters,
-                                              constants.b_first))
-        if best is None or sched.planned_queries < best.planned_queries:
-            best = sched
-    if best is None:
-        raise InfeasibleScheduleError(
-            f"no feasible truncation level for {noise.family} noise at "
-            f"delta={delta:g}: {last_error}")
-    return best
+    base = noise.m1(pot.dim)
+    levels = ([base * constants.m_grid_ratio ** i for i in range(constants.m_grid_points)]
+              if base > 0 else [0.0])
+    return _plan("first_order", pot, noise, case, delta, constants, levels)
 
 
 def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
@@ -261,26 +268,8 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
     estimator truncation level is pinned at B/3 and the batch size is phi
     at that level with per-step budget delta/(4N).
     """
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    m_level = constants.b_zeroth / 3.0
-    n_steps = _n_zeroth_order(pot, case, delta, constants)
-    eta = _eta_zeroth_order(pot, case, delta, n_steps, constants)
-    try:
-        n_batch = (1 if noise.family == "exact" else
-                   phi(noise, m_level, _tail_budget("zeroth_order", delta, n_steps),
-                       cap=constants.phi_cap))
-    except (UnsupportedCombinationError, ValueError) as err:
-        raise InfeasibleScheduleError(
-            f"zeroth-order batch size infeasible at delta={delta:g}: {err}") from err
-    g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
-    # two value batches per estimator draw
-    per_step = n_batch * 2.0 * _estimator_draws_per_call(constants.b_zeroth)
-    return Schedule(
-        mode="zeroth_order", eta=eta, n_steps=n_steps, m_trunc=m_level,
-        n_batch=n_batch, g_bound=g_bound, k_iters=0,
-        b=constants.b_zeroth, delta=delta, case=case, constants=constants,
-        planned_queries=int(math.ceil(n_steps * per_step)))
+    return _plan("zeroth_order", pot, noise, case, delta, constants,
+                 [constants.b_zeroth / 3.0])
 
 
 # ---------------------------------------------------------------------------

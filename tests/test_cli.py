@@ -141,13 +141,22 @@ def test_noise_field_errors():
         validate_config({"experiment": "sampler_e2e",
                          "noise": {"family": "twopoint", "p": 1.2,
                                    "m_shift": 0.5}})
-    assert "noise.p: must be in (0, 1], got 1.2" in exc.value.errors
+    assert "noise.p: must be in (0, 1), got 1.2" in exc.value.errors
 
     with pytest.raises(ConfigError) as exc:
         validate_config({"experiment": "sampler_e2e",
                          "noise": {"family": "cauchy"}})
     assert any(e.startswith("noise.family: unknown family 'cauchy'")
                for e in exc.value.errors)
+
+
+def test_twopoint_p_one_is_rejected():
+    # p = 1 is noise identically 0, the exact family; it used to validate
+    # and then fail the run with no field path
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(experiment="sampler_e2e",
+                         noise={"family": "twopoint", "p": 1.0, "m_shift": 1.0})
+    assert exc.value.errors == ["noise.p: must be in (0, 1), got 1.0"]
 
 
 # per family: the fields it reads, and one field it does not read

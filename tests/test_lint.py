@@ -220,12 +220,6 @@ _NO_CALLER_KEPT = {
 }
 
 
-def _names(node) -> Counter:
-    """Names a subtree loads or reads as attributes, with their counts."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
-
-
 def _registered(node) -> bool:
     # a suite runner is used through harness.SUITES, which its decorator fills
     return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -248,27 +242,44 @@ _NO_CALLER_METHODS_KEPT = {
 }
 
 
-def _uncalled(node, named: Counter) -> bool:
-    return named[node.name] - _names(node)[node.name] <= 0
+def _names_outside_definitions(tree) -> Counter:
+    """Names a tree loads or reads as attributes, with their counts, leaving
+    out each read made inside a definition of that same name: ``A.pdf``
+    calling ``x.pdf()`` is not a caller of ``B.pdf``."""
+    named = Counter()
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, inside | {child.name})
+                continue
+            name = (child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name is not None and name not in inside:
+                named[name] += 1
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return named
 
 
 def _without_caller(paths, callers) -> list[tuple[str, str]]:
     """(module, name) of each top-level function or class in ``paths``, and
     (module, "Class.method") of each method but the dunders, that no code in
-    ``callers`` names outside the definition itself."""
+    ``callers`` names outside every definition of that name."""
     trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(callers)}
-    named = sum((_names(trees[p]) for p in callers), Counter())
+    named = sum((_names_outside_definitions(trees[p]) for p in callers), Counter())
     found = []
     for p in paths:
         for node in trees[p].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _registered(node):
                 continue
-            if _uncalled(node, named):
+            if not named[node.name]:
                 found.append((p.name, node.name))
             if isinstance(node, ast.ClassDef):
                 found += [(p.name, f"{node.name}.{m.name}") for m in node.body
                           if isinstance(m, ast.FunctionDef)
-                          and not m.name.startswith("__") and _uncalled(m, named)]
+                          and not m.name.startswith("__") and not named[m.name]]
     return found
 
 
@@ -282,6 +293,17 @@ def test_definition_without_caller_is_detected(tmp_path):
                    "    def idle(self, n):\n        return self.idle(n - 1) if n else 0\n"
                    "box = Box()\n")
     assert _without_caller([mod], [mod]) == [("mod.py", "lonely"), ("mod.py", "Box.idle")]
+
+
+def test_method_named_like_a_call_inside_its_twin_is_detected(tmp_path):
+    # A.pdf's x.pdf() is a read inside a definition named pdf, so it calls
+    # neither A.pdf nor B.pdf
+    mod = tmp_path / "mod.py"
+    mod.write_text("class A:\n    def __init__(self, law):\n        self.law = law\n"
+                   "    def pdf(self, t):\n        return self.law.pdf(t)\n"
+                   "class B:\n    def pdf(self, t):\n        return t\n"
+                   "A(B())\n")
+    assert _without_caller([mod], [mod]) == [("mod.py", "A.pdf"), ("mod.py", "B.pdf")]
 
 
 def test_every_definition_has_a_caller():

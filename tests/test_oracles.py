@@ -59,6 +59,15 @@ def test_noise_validation_errors():
         NoiseModel("twopoint", p=0.5, m_shift=-1.0)
 
 
+@pytest.mark.parametrize("k", [2.0, 1.5, True], ids=repr)
+def test_polymoment_k_must_be_an_integer(k):
+    # k is the moment order 2k of the tail bound's factorial(2k); a config
+    # file's k is checked the same way, as an int leaf
+    with pytest.raises(ValueError) as exc:
+        NoiseModel("polymoment", k=k, sigma_2k=0.5)
+    assert str(exc.value) == f"k: must be a positive integer, got {k!r}"
+
+
 # (label, dim) cases; the original ids are kept for the default dimension
 def _moment_cases(labels, default_dim):
     cases = [pytest.param(label, 1 if label == "twopoint" else default_dim, id=label)

@@ -8,16 +8,21 @@ chain must stay there), and accuracy improves monotonically with the number
 of outer steps from a cold start.
 """
 
+import hashlib
+import itertools
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from forsample.constants import DEFAULT_CONSTANTS, PlanConstants
-from forsample.core import AssumptionCase, make_gaussian_potential, make_power_potential
-from forsample.errors import BudgetExhaustedError, InfeasibleScheduleError
+from forsample.core import (AssumptionCase, make_gaussian_potential, make_power_potential,
+                            potential_from_config)
+from forsample.errors import (BudgetExhaustedError, InfeasibleScheduleError,
+                             UnsupportedCombinationError)
 from forsample.oracles import (GradientOracle, NoiseModel, ValueOracle, eps_tail,
                                make_rng, phi)
 from forsample.sampler import (
@@ -181,11 +186,17 @@ def test_planned_query_formulas():
 
 
 def test_infeasible_noise_raises():
-    # one-draw subweibull batches cannot meet the tail budget and the grid
-    # has a single candidate, so planning must fail loudly
+    # one-draw subweibull batches cannot meet the tail budget, and each mode
+    # has a single level (zeroth order pins M = B/3), so planning must fail
+    # loudly, the one refusal naming mode, family and delta
     noise = NoiseModel.subweibull(1.0, 0.2)
-    with pytest.raises(InfeasibleScheduleError):
-        plan_first_order(_POT, noise, _LSI, _DELTA, PlanConstants(m_grid_points=1))
+    for planner in (plan_first_order, plan_zeroth_order):
+        with pytest.raises(InfeasibleScheduleError) as exc:
+            planner(_POT, noise, _LSI, _DELTA, PlanConstants(m_grid_points=1))
+        mode = planner.__name__.removeprefix("plan_")
+        assert str(exc.value).startswith(
+            f"no feasible {mode} plan for subweibull noise at delta=0.05: ")
+        assert isinstance(exc.value.__cause__, UnsupportedCombinationError)
 
 
 def test_plan_delta_validation():
@@ -193,6 +204,58 @@ def test_plan_delta_validation():
         plan_first_order(_POT, NoiseModel.exact(), _LSI, 0.0)
     with pytest.raises(ValueError):
         plan_zeroth_order(_POT, NoiseModel.exact(), _LSI, 1.0)
+
+
+# the plan grid: every catalog potential family, every noise family, every
+# case, deltas down to 1e-5 and a second constant set whose short M grid and
+# small phi cap make both modes refuse
+_GRID_POTENTIALS = (
+    ("gaussian", {"mean": [0.0]}),
+    ("gaussian", {"mean": [1.0, 0.0, -1.0], "precision": 2.0}),
+    ("aniso_gaussian", {"mean": [0.0, 0.0], "precisions": [1.0, 4.0]}),
+    ("huber", {}),
+    ("huber", {"threshold": 1.0, "dim": 2}),
+    ("power", {}),
+    ("power", {"p": 1.2, "dim": 3}),
+)
+_GRID_NOISES = (
+    NoiseModel.exact(), NoiseModel.subgaussian(0.5), NoiseModel.subgaussian(2.0),
+    NoiseModel.subweibull(1.0, 0.2), NoiseModel.subweibull(3.0, 0.5),
+    NoiseModel.subweibull(2.0, 1.0), NoiseModel.polymoment(1, 0.15),
+    NoiseModel.polymoment(3, 0.8), NoiseModel("twopoint", p=0.2, m_shift=1.5),
+)
+_GRID_CASES = _CASES + (AssumptionCase("LSI", constant=1.0, warm_start_delta=100.0),)
+_GRID_DELTAS = (0.2, 0.05, 0.01, 1e-3, 1e-5)
+_GRID_CONSTANTS = (
+    DEFAULT_CONSTANTS,
+    PlanConstants(c_n=1.0, b_first=2.0, b_zeroth=1.5, m_grid_ratio=1.5,
+                  m_grid_points=8, phi_cap=10 ** 4),
+)
+
+
+def test_plan_grid_digest():
+    # every plan's asdict, or the refusal's exception type, hashed in a fixed
+    # order; a change that moves any plan or refusal on the grid moves the
+    # digest
+    digest = hashlib.sha256()
+    plans = refusals = 0
+    for planner in (plan_first_order, plan_zeroth_order):
+        for name, params in _GRID_POTENTIALS:
+            pot = potential_from_config(name, params)
+            for noise, case, delta, constants in itertools.product(
+                    _GRID_NOISES, _GRID_CASES, _GRID_DELTAS, _GRID_CONSTANTS):
+                try:
+                    sched = planner(pot, noise, case, delta, constants)
+                except InfeasibleScheduleError as err:
+                    out = type(err).__name__
+                    refusals += 1
+                else:
+                    out = json.dumps(asdict(sched), sort_keys=True)
+                    plans += 1
+                digest.update(out.encode() + b"\n")
+    assert (plans, refusals) == (3282, 1758)
+    assert digest.hexdigest() == (
+        "ce0de43a4ade5890ad75083d5ad44737b4c0becd384b23f3b153c7db14c1d4b0")
 
 
 # ---------------------------------------------------------------------------
