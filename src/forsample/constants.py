@@ -6,8 +6,9 @@ standard-Gaussian end-to-end run (LSI, delta = 0.05, 10^4 chains) so that
 the measured total-variation error lands at or below delta, then frozen;
 every report embeds them.  The fixed ones sit with their formulas and show
 through the schedule: 64 in ``sampler.gradient_norm_bound``, 10 in
-``prox.prox_residual_bound``, ``sampler._TAIL_SPLIT``, and 4 and the base 2
-(the prox map's contraction factor) in ``prox.default_k_iters``.
+``prox.prox_residual_bound``, ``sampler._TAIL_SPLIT``, and 8 in
+``prox.default_k_iters``, whose base is the prox map's contraction factor
+rho = eta L / (2 + eta L) (``prox.relaxation``), read off the potential.
 """
 
 from __future__ import annotations

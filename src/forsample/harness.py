@@ -41,7 +41,7 @@ from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
                      scaling_slope, seeds_pass_rule)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # what a field the suite reads takes when it is not given; a suite's declared
 # defaults win over these
@@ -749,7 +749,8 @@ def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
                               "n_steps": sched.n_steps, "eta": sched.eta,
                               "n_batch": sched.n_batch,
                               "grad_queries": ledger.grad_queries,
-                              "value_queries": ledger.value_queries})
+                              "value_queries": ledger.value_queries,
+                              "w_clipped": ledger.w_clipped})
 
     verdicts = {}
     for noise in arms:

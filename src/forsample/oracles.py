@@ -341,11 +341,16 @@ def phi(noise: NoiseModel, m_level: float, delta: float, cap: int = 10 ** 9) -> 
 
 @dataclass
 class QueryLedger:
-    """Counts every oracle interaction; merged across chains at the end."""
+    """Counts every oracle interaction; merged across chains at the end.
+
+    ``w_clipped`` counts the estimator draws clipped at |W| >= B, in the
+    ledger of the oracle that made them.
+    """
 
     grad_queries: int = 0
     value_queries: int = 0
     w_draws: int = 0
+    w_clipped: int = 0
     fors_attempts: int = 0
     prox_iters: int = 0
     rgo_calls: int = 0

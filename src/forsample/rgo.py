@@ -65,10 +65,13 @@ def path_gamma(x: Array, xhat: Array, z: Array, r: float) -> tuple[Array, Array]
     return gamma[0], gamma_dot[0]
 
 
-def _clip(w: np.ndarray, b: float) -> np.ndarray:
-    """``np.clip(w, -b, b)``, in place on the fresh array w."""
+def _clip(w: np.ndarray, b: float, ledger: QueryLedger) -> np.ndarray:
+    """``np.clip(w, -b, b)``, in place on the fresh array w; the ledger's
+    ``w_clipped`` counts the draws with |W| >= b."""
     np.maximum(w, -b, out=w)
-    return np.minimum(w, b, out=w)
+    np.minimum(w, b, out=w)
+    ledger.w_clipped += int(np.count_nonzero(w == b) + np.count_nonzero(w == -b))
+    return w
 
 
 class _RowEstimator:
@@ -104,7 +107,7 @@ class _FirstOrderRows(_RowEstimator):
         gamma, gamma_dot = _path_rows(xs, self.xhat_rows[slots], z, r)
         g = self.oracle.draw_batch_rows(gamma, self.n_batch)
         w = np.einsum("kd,kd->k", gamma_dot, self.u_rows[slots] - g)
-        return _clip(w, self.b)
+        return _clip(w, self.b, self.oracle.ledger)
 
 
 class _ZerothOrderRows(_RowEstimator):
@@ -117,7 +120,7 @@ class _ZerothOrderRows(_RowEstimator):
         v = self.oracle.draw_batch_rows(xs, self.n_batch)
         v_prime = self.oracle.draw_batch_rows(z, self.n_batch)
         w = v_prime - v + np.einsum("kd,kd->k", self.u_rows[slots], xs - z)
-        return _clip(w, self.b)
+        return _clip(w, self.b, self.oracle.ledger)
 
 
 def tilt_source(oracle, x0_rows: np.ndarray, xhat_rows: np.ndarray, eta: float,

@@ -30,7 +30,7 @@ from .core import AssumptionCase, Potential
 from .errors import BudgetExhaustedError, InfeasibleScheduleError, UnsupportedCombinationError
 from .fors import FORSConfig, fors_accept_rows
 from .oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, phi
-from .prox import ProxConfig, approx_prox_rows_budgeted, default_k_iters
+from .prox import ProxConfig, approx_prox_rows_budgeted, default_k_iters, relaxation
 from .rgo import tilt_source
 
 MODES = ("first_order", "zeroth_order")
@@ -110,7 +110,7 @@ def _eta_first_order(pot: Potential, m_trunc: float, delta: float,
     base = ((beta ** 2 * d ** s * ell + beta ** 2 * ell ** 2) ** (1.0 / (1.0 + s))
             + m_trunc ** 2 * ell)
     eta = 1.0 / (constants.c_eta_first * base)
-    # the prox contraction additionally needs eta <= 1/(2 m_s)
+    # and the prox stage's step-size condition, eta <= 1/(2 m_s)
     return min(eta, 1.0 / (2.0 * pot.m_s))
 
 
@@ -226,7 +226,8 @@ def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
         # per outer step: at most k_iters prox batches (first order; a row may
         # run fewer), then the rejection loop's W draws, each one gradient
         # batch or two value batches, every batch of size n_batch
-        k_iters = default_k_iters(g_bound, m_trunc, pot.m_s) if first else 0
+        k_iters = (default_k_iters(g_bound, m_trunc, pot.m_s, relaxation(pot, eta)[1])
+                   if first else 0)
         w_batches = 1 if first else 2
         per_step = n_batch * (k_iters + w_batches * _estimator_draws_per_call(b))
         sched = Schedule(

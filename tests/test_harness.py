@@ -143,7 +143,7 @@ def test_write_report_files(tmp_path):
     assert json_path.name == "toy_report.json"
     assert csv_path.name == "toy_rows.csv"
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["all_pass"] is True
     assert json_path.read_text().endswith("\n")
     lines = csv_path.read_text().splitlines()
@@ -260,6 +260,10 @@ def test_sampler_e2e_reports_on_every_catalog_potential(potential):
         assert math.isfinite(entry["tv"]) and 0.0 <= entry["tv"] <= 1.0
         assert 0.0 <= entry["ks_p"] <= 1.0
     assert set(report.verdicts) == {"tv_exact", "tv_subgaussian"}
+    # each arm's clip count shows in its row, and the merged ledger sums them
+    clipped = [entry["ledger"]["w_clipped"] for entry in report.per_seed]
+    assert [row["w_clipped"] for row in report.rows] == clipped
+    assert report.merged_ledger["w_clipped"] == sum(clipped)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def test_partial_results_flushed_on_failure(tmp_path):
     payload = json.loads(partial.read_text())
     assert payload["partial"] is True
     assert payload["error"].startswith("DimensionError")
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     # seed 0's exact arm completed before the failure and was preserved
     assert [(r["seed"], r["noise"]) for r in payload["per_seed"]] == [(0, "exact")]
     assert len(payload["rows"]) == 1

@@ -1,9 +1,10 @@
 """Tests for the approximate proximal oracle.
 
-For a quadratic f(x) = (x - theta)^2 / 2 the linearized iteration has the
-exact proximal point (x0 + eta theta) / (1 + eta) as its fixed point and
-contracts linearly with factor (1 - eta) / 2, so both the limit and the
-per-iteration ratio can be asserted to float precision.
+For a quadratic f(x) = (x - theta)^2 / 2 the relaxed iteration, whose step
+weight is 2 / (2 + eta), has the exact proximal point
+(x0 + eta theta) / (1 + eta) as its fixed point and contracts linearly with
+factor eta / (2 + eta), so both the limit and the per-iteration ratio can be
+asserted to float precision.
 """
 
 import math
@@ -27,6 +28,7 @@ from forsample.prox import (
     default_k_iters,
     prox_residual,
     prox_residual_bound,
+    relaxation,
 )
 from forsample.sampler import plan_first_order
 
@@ -55,15 +57,40 @@ def test_exact_quadratic_converges_to_prox_point():
 
 
 def test_exact_contraction_ratio():
-    # X_{k+1} = (X_k - eta (X_k - theta) + x0)/2 contracts with factor
-    # (1 - eta)/2 = 0.25 exactly for the quadratic.
+    # X_{k+1} = X_k - w (X_k + eta (X_k - theta) - x0), w = 2 / (2 + eta),
+    # contracts with factor |1 - w (1 + eta)| = eta / (2 + eta) = 0.2 exactly
+    # for the quadratic.  The error after k steps is 0.2^k / 3, and each
+    # iterate rounds at about eps |x*|: 1e-12 of the error at k = 5.
     pot = _quad()
+    assert relaxation(pot, _ETA) == (0.8, 0.2)
     errors = []
-    for k in range(1, 9):
+    for k in range(1, 6):
         xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(k))
         errors.append(abs(float(xhat[0]) - _FIXED_POINT))
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
-    assert all(r == pytest.approx(0.25, rel=1e-12) for r in ratios)
+    assert all(r == pytest.approx(0.2, rel=1e-11) for r in ratios)
+
+
+def test_relaxation_is_the_damped_map_below_s_1():
+    # eta L = eta beta for s = 1; for s < 1 eta L = 2, the damped map
+    # (X - eta g + x0) / 2 and its factor 1/2, whatever eta is
+    assert relaxation(make_aniso_gaussian_potential([0, 0], [1, 100]), 0.05) == (
+        2 / 7, 5 / 7)
+    for name, params in (("huber", {"threshold": 0.5, "dim": 1}),
+                         ("power", {"p": 1.5, "dim": 1})):
+        pot = potential_from_config(name, params)
+        assert relaxation(pot, 0.01) == relaxation(pot, 0.3) == (0.5, 0.5)
+
+
+def test_stiff_quadratic_converges_at_the_step_cap():
+    # precisions 1 and 100 at eta = 1/(2 m_s) = 0.05: eta beta = 5, past
+    # which the damped map (X - eta g + x0) / 2 grows coordinate 2 by
+    # (eta beta - 1) / 2 = 2 a step (-26.5 after 5 steps, 9.2e11 after 40);
+    # the relaxed map contracts by 5/7 and reaches the prox point 1/6
+    pot = make_aniso_gaussian_potential([0.0, 0.0], [1.0, 100.0])
+    cfg = ProxConfig(eta=1.0 / (2.0 * pot.m_s), n_batch=1, k_iters=40)
+    xhat = approx_prox(pot, _exact_oracle(pot), [1.0, 1.0], cfg)
+    assert xhat == pytest.approx([1 / 1.05, 1 / 6], abs=1e-5)
 
 
 def test_flat_potential_keeps_x0():
@@ -139,30 +166,42 @@ def test_zero_rows_make_no_queries():
 
 
 def test_default_k_iters():
-    # ceil(log2(4 * 10 / (1 + 1))) + 1 = ceil(log2 20) + 1 = 5 + 1 = 6
-    assert default_k_iters(10.0, 1.0, 1.0) == 6
-    assert type(default_k_iters(10.0, 1.0, 1.0)) is int  # as Schedule.k_iters
-    assert default_k_iters(0.1, 1.0, 1.0) == 1  # clamped from below
+    # at rho = 1/2: ceil(log2(4 * 10 / (1 + 1))) + 1 = ceil(log2 20) + 1 = 6
+    assert default_k_iters(10.0, 1.0, 1.0, 0.5) == 6
+    assert type(default_k_iters(10.0, 1.0, 1.0, 0.5)) is int  # as Schedule.k_iters
+    assert default_k_iters(0.1, 1.0, 1.0, 0.5) == 1  # clamped from below
     # a start at a stationary point is the proximal point: one iteration
-    assert default_k_iters(0.0, 1.0, 1.0) == 1
-    # the ceiling is exact: a ratio of 8 takes log2 8 + 1 = 4, the next
-    # float above it 5 (math.log2 rounds that one down to 3.0)
-    assert default_k_iters(4.0, 1.0, 1.0) == 4
-    assert default_k_iters(float(np.nextafter(4.0, 5.0)), 1.0, 1.0) == 5
+    assert default_k_iters(0.0, 1.0, 1.0, 0.5) == 1
+    # the ceiling is exact at rho = 1/2: a ratio 4G / (M + m_s) of 8 takes
+    # log2 8 + 1 = 4, the next float above it 5 (math.log2 rounds that one
+    # down to 3.0); and at rho = 1/4, where rho^k ratio is exact too
+    assert default_k_iters(4.0, 1.0, 1.0, 0.5) == 4
+    assert default_k_iters(float(np.nextafter(4.0, 5.0)), 1.0, 1.0, 0.5) == 5
+    assert default_k_iters(4.0, 1.0, 1.0, 0.25) == 2
+    assert default_k_iters(float(np.nextafter(4.0, 5.0)), 1.0, 1.0, 0.25) == 3
+    # the smallest k with rho^k 8G / (M + m_s) <= 1: 0.2^2 * 40 = 1.6 > 1
+    assert default_k_iters(10.0, 1.0, 1.0, 0.2) == 3
     # per-row bounds give an int array, each entry the scalar call's
     g = np.array([0.0, 0.1, 4.0, 10.0, 1e3])
-    ks = default_k_iters(g, 1.0, 1.0)
-    assert ks.dtype.kind == "i"
-    assert ks.tolist() == [default_k_iters(float(v), 1.0, 1.0) for v in g]
+    for rho in (0.5, 0.2, 0.01, 0.9):
+        ks = default_k_iters(g, 1.0, 1.0, rho)
+        assert ks.dtype.kind == "i"
+        assert ks.tolist() == [default_k_iters(float(v), 1.0, 1.0, rho) for v in g]
+        ratio = 8 * g / 2
+        assert np.all(rho ** ks * ratio <= 1)
+        assert np.all((ks == 1) | (rho ** (ks - 1) * ratio > 1))
     for bad in (-1.0, math.nan, math.inf, 1e308):  # 1e308: the ratio overflows
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            default_k_iters(bad, 1.0, 1.0)
+            default_k_iters(bad, 1.0, 1.0, 0.5)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
-            default_k_iters(np.array([1.0, bad]), 1.0, 1.0)
+            default_k_iters(np.array([1.0, bad]), 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        default_k_iters(10.0, -1.0, 1.0)
+        default_k_iters(10.0, -1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        default_k_iters(10.0, 1.0, 0.0)
+        default_k_iters(10.0, 1.0, 0.0, 0.5)
+    for bad_rho in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            default_k_iters(10.0, 1.0, 1.0, bad_rho)
 
 
 @pytest.mark.parametrize("label", ["exact", "subgaussian"])
@@ -191,19 +230,23 @@ def test_budgeted_rows_run_their_own_k(dim):
     # with an exact oracle the rows do not interact: row i of the stage is
     # a run of k_i iterations on that row alone, k_i is the planned k at
     # G = ||grad f(y_i)|| (up to the rounding slack), under the cap, and a
-    # row at the minimum runs one iteration and stays there
+    # row at the minimum runs one iteration and stays there.  The starts
+    # span five decades, so the rows fall on several levels.
     pot = make_aniso_gaussian_potential([0.5] * dim, [1.0, 4.0][:dim])
     cap = 6
-    cfg = ProxConfig(eta=0.1, n_batch=1, k_iters=cap)
-    y = 4.0 * make_rng(93, dim).standard_normal((300, dim))
+    cfg = ProxConfig(eta=0.25, n_batch=1, k_iters=cap)
+    rng = make_rng(93, dim)
+    y = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-2, 3, (300, 1))
     y[7] = 0.5
     oracle = _exact_oracle(pot, 93, dim)
     x, ks = approx_prox_rows_budgeted(pot, oracle, y, cfg, 0.0)
     assert x.shape == y.shape and ks.shape == (300,)
     assert oracle.ledger.grad_queries == ks.sum()
     grads = np.linalg.norm(pot.grad_at_rows(y), axis=1)
-    assert np.all(ks >= np.minimum(default_k_iters(grads, 0.0, pot.m_s), cap))
-    assert np.all(ks <= np.minimum(default_k_iters(grads * (1 + 1e-9), 0.0, pot.m_s), cap))
+    _, rho = relaxation(pot, cfg.eta)
+    assert np.all(ks >= np.minimum(default_k_iters(grads, 0.0, pot.m_s, rho), cap))
+    assert np.all(ks <= np.minimum(
+        default_k_iters(grads * (1 + 1e-9), 0.0, pot.m_s, rho), cap))
     assert len(set(ks.tolist())) >= 3  # several levels, so several calls
     assert ks[7] == 1 and np.array_equal(x[7], y[7])
     for i in range(0, 300, 7):
@@ -218,8 +261,16 @@ def test_budgeted_rows_on_one_level_keep_their_order():
     pot = _quad()
     y = np.array([[4.0], [-2.0], [4.0]])  # |grad f| = 3 on every row
     x, ks = approx_prox_rows_budgeted(pot, _exact_oracle(pot, 94), y, _cfg(20), 0.0)
-    assert ks.tolist() == [5, 5, 5]  # ceil(log2(4 * 3 / 1)) + 1
-    assert np.array_equal(x, approx_prox_rows(pot, _exact_oracle(pot, 95), y, _cfg(5)))
+    assert ks.tolist() == [2, 2, 2]  # rho = 0.2: 0.2 * 24 > 1 >= 0.2^2 * 24
+    assert np.array_equal(x, approx_prox_rows(pot, _exact_oracle(pot, 95), y, _cfg(2)))
+
+
+def test_budgeted_rows_at_a_cap_of_one_skip_the_sizing():
+    pot = _quad()
+    y = make_rng(96).standard_normal((40, 1))
+    x, ks = approx_prox_rows_budgeted(pot, _exact_oracle(pot, 96), y, _cfg(1), 0.0)
+    assert ks.dtype.kind == "i" and ks.tolist() == [1] * 40
+    assert np.array_equal(x, approx_prox_rows(pot, _exact_oracle(pot, 97), y, _cfg(1)))
 
 
 # every catalog potential, with a case it admits: C_LSI = 1 / smallest
@@ -285,19 +336,60 @@ def _check_certificate(potential, noise, budgeted):
     assert (residuals > bound).mean() <= eps + 3 * se
 
 
+# precisions 1 and 100: at the step cap eta = 1/(2 m_s), eta beta = 5
+_STIFF = make_aniso_gaussian_potential([0.0, 0.0], [1.0, 100.0])
+
+
+@pytest.mark.parametrize("noise", ["exact", "subgaussian"])
+@pytest.mark.parametrize("potential", ["aniso_gaussian", "gaussian",
+                                       "gaussian_precision_4", "stiff"])
+def test_per_row_budget_meets_the_error_target(potential, noise):
+    # the error the prox docstring proves for s = 1, per row:
+    # |x - prox(y)| <= eta (M + m_s) / 8 + eta M, failing at most at the rate
+    # eps_tail + 3 SE, from starts y ~ N(0, 9).  The residual certificate can
+    # hold with no iteration at all (at criterion 6's exact plan
+    # eta |y| <= 1.45 meets it), so only this bound sees a stage that stops
+    # short.  The s = 1 catalog potentials run their planned schedules; the
+    # stiff one runs at the step cap, with a cap on k that does not bind:
+    # there the damped map (X - eta g + x0) / 2 diverges.
+    model = _CERT_NOISE[noise]
+    stiff = potential == "stiff"
+    if stiff:
+        pot, case = _STIFF, AssumptionCase("LSI", constant=1.0, warm_start_delta=1.0)
+    else:
+        (name, params), tag, constant = _CERT_POTENTIALS[potential]
+        pot = potential_from_config(name, params)
+        case = AssumptionCase(tag, constant=constant, warm_start_delta=1.0)
+    sched = plan_first_order(pot, model, case, 0.05)
+    cfg = ProxConfig(eta=1.0 / (2.0 * pot.m_s) if stiff else sched.eta,
+                     n_batch=sched.n_batch, k_iters=60 if stiff else sched.k_iters)
+    rows = 20_000
+    y = 3.0 * make_rng(98, 1).standard_normal((rows, pot.dim))
+    oracle = GradientOracle(pot, model, make_rng(98, 2))
+    x, ks = approx_prox_rows_budgeted(pot, oracle, y, cfg, sched.m_trunc)
+    assert ks.max() < cfg.k_iters or not stiff
+    errors = np.linalg.norm(x - _exact_prox(pot, y, cfg.eta), axis=1)
+    m = sched.m_trunc
+    bound = cfg.eta * (m + pot.m_s) / 8 + cfg.eta * m
+    eps = eps_tail(model, cfg.n_batch, m)
+    se = math.sqrt(max(eps * (1 - eps), 1.0 / rows) / rows)
+    assert (errors > bound).mean() <= eps + 3 * se
+
+
 def _exact_prox(pot, y, eta):
-    """argmin f(x) + |x - y|^2 / (2 eta), coordinate by coordinate.
+    """argmin f(x) + |x - y|^2 / (2 eta) for each row of y, coordinate by
+    coordinate.
 
     Every catalog potential is a sum over coordinates, so each coordinate of
     the proximal point is the root of the increasing map
     h(x) = x + eta f'(x) - y, found by bisection from a bracket checked to
     hold, down to adjacent floats.
     """
-    reach = 2.0 * (np.abs(y) + eta * np.abs(pot.grad_at(y))) + 1.0
+    reach = 2.0 * (np.abs(y) + eta * np.abs(pot.grad_at_rows(y))) + 1.0
     lo, hi = y - reach, y + reach
 
     def h(x):
-        return x + eta * pot.grad_at(x) - y
+        return x + eta * pot.grad_at_rows(x) - y
 
     assert np.all(h(lo) < 0) and np.all(h(hi) > 0)
     for _ in range(2_000):
@@ -321,7 +413,7 @@ def test_prox_point_has_the_smaller_gradient(potential, coords, share):
     pot = potential_from_config(name, params)
     y = np.array(coords[:pot.dim])
     eta = share / (2.0 * pot.m_s)
-    p = _exact_prox(pot, y, eta)
+    p = _exact_prox(pot, y[None], eta)[0]
     slack = 8 * np.finfo(float).eps * (1 + np.abs(y).sum() + np.abs(p).sum())
     tol = pot.holder_beta * slack ** pot.holder_s
     assert np.linalg.norm(pot.grad_at(p)) <= np.linalg.norm(pot.grad_at(y)) + tol
@@ -345,16 +437,23 @@ def _flat_overflow(xs):
 
 
 def _steep(xs):
-    # each step multiplies x by about 2.5e99: from x0 = 1 the iterates are
-    # finite up to step 3 and overflow at step 4
+    # each step multiplies x by about eta 1e100 = 5e99: from x0 = 1 the
+    # iterates are finite up to step 3 (1.25e299) and overflow at step 4
     return -1e100 * xs
+
+
+def _blowup(grad):
+    # a declared beta of 1e-6 makes the step weight 2 / (2 + eta beta) about
+    # 1, so each step moves x by the whole eta g (a constant gradient is
+    # beta-Lipschitz for every beta)
+    return Potential(dim=1, value_rows=_zero_values, grad_rows=grad,
+                     holder_s=1.0, holder_beta=1e-6, name="blowup")
 
 
 def test_non_finite_iterate_raises():
     # the gradient itself is finite, but x - eta * g overflows the float
     # range on the first step, which the iterate guard must catch
-    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_flat_overflow,
-                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    pot = _blowup(_flat_overflow)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="at step 1$"):
         approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3))
 
@@ -365,8 +464,7 @@ def test_non_finite_iterate_raises():
     (_steep, 1.0, 4, 4),              # the same blow-up on the last iterate
 ])
 def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
-    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=grad,
-                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    pot = _blowup(grad)
     with np.errstate(over="ignore"), \
             pytest.raises(NumericError, match=f"at step {step}$"):
         approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters))
@@ -377,8 +475,7 @@ def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
     2731,  # blocks of 3: found mid-block
 ])
 def test_non_finite_iterate_names_the_step_across_blocks(rows):
-    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_steep,
-                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    pot = _blowup(_steep)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="at step 4$"):
         approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6))
@@ -388,8 +485,7 @@ def test_non_finite_iterate_names_the_step_across_blocks(rows):
 def test_ledger_counts_the_iterations_run_before_a_blow_up(rows):
     # the query at step 4 is refused: the ledger holds the 4 iterations whose
     # queries it counted, so grad_queries = n_batch * prox_iters still holds
-    pot = Potential(dim=1, value_rows=_zero_values, grad_rows=_steep,
-                    holder_s=1.0, holder_beta=1.0, name="blowup")
+    pot = _blowup(_steep)
     oracle = _exact_oracle(pot)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="at step 4$"):
@@ -413,13 +509,14 @@ def test_oracle_shape_error_is_not_a_blow_up():
 
 def _reference_prox(oracle, x0_rows, cfg):
     # one oracle call, drawing its own noise, per iteration, and one count of
-    # its rows in the ledger's prox_iters
+    # its rows in the ledger's prox_iters; the potential's beta is 1
     x0_rows = np.asarray(x0_rows, dtype=float)
     x = x0_rows.copy()
+    weight = 2.0 / (2.0 + cfg.eta)
     for _ in range(cfg.k_iters):
         g = oracle.draw_batch_rows(x, cfg.n_batch)
         oracle.ledger.prox_iters += x.shape[0]
-        x = (x - cfg.eta * g + x0_rows) / 2.0
+        x = x - weight * (cfg.eta * g + x - x0_rows)
     return x
 
 

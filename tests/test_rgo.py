@@ -157,16 +157,24 @@ def test_flat_potential_centered_context_gives_zero_w():
     xs = np.array([[-2.0], [0.0], [3.5]])
     np.testing.assert_array_equal(first.draw_w_rows(slots, xs, make_rng(64, 2)), 0.0)
     np.testing.assert_array_equal(zeroth.draw_w_rows(slots, xs, make_rng(64, 3)), 0.0)
+    assert g_oracle.ledger.w_clipped == v_oracle.ledger.w_clipped == 0
 
 
 def test_heavy_noise_drives_clipping():
+    # both estimators clip W to [-B, B], and the oracle's ledger counts the
+    # draws clipped, |W| = B, call after call
     pot = make_gaussian_potential([0.0])
-    rows = _quadratic_source(
-        GradientOracle(pot, NoiseModel.subgaussian(100.0), make_rng(65, 0)), b=1.0)
-    w = rows.draw_w_rows(np.zeros(10_000, dtype=np.int64),
-                         np.ones((10_000, 1)), make_rng(65, 1))
-    assert np.all(np.abs(w) <= 1.0)
-    assert float((np.abs(w) == 1.0).mean()) > 0.5
+    for i, oracle_type in enumerate((GradientOracle, ValueOracle)):
+        oracle = oracle_type(pot, NoiseModel.subgaussian(100.0), make_rng(65, 0, i))
+        rows = _quadratic_source(oracle, b=1.0)
+        clipped = 0
+        for call in range(2):
+            w = rows.draw_w_rows(np.zeros(10_000, dtype=np.int64),
+                                 np.ones((10_000, 1)), make_rng(65, 1, i, call))
+            assert np.all(np.abs(w) <= 1.0)
+            assert float((np.abs(w) == 1.0).mean()) > 0.5
+            clipped += int(np.count_nonzero(np.abs(w) == 1.0))
+            assert oracle.ledger.w_clipped == clipped
 
 
 # ---------------------------------------------------------------------------

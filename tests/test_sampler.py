@@ -109,9 +109,9 @@ def test_exact_first_order_plan_frozen_values():
     assert sched.m_trunc == 0.0
     assert sched.n_batch == 1
     assert sched.b == 1.0
-    assert sched.k_iters == 8
+    assert sched.k_iters == 2
     assert sched.eta == pytest.approx(0.14468309118251618)
-    assert sched.planned_queries == 355
+    assert sched.planned_queries == 169
 
 
 def test_exact_zeroth_order_plan_frozen_values():
@@ -255,7 +255,7 @@ def test_plan_grid_digest():
                 digest.update(out.encode() + b"\n")
     assert (plans, refusals) == (3282, 1758)
     assert digest.hexdigest() == (
-        "ce0de43a4ade5890ad75083d5ad44737b4c0becd384b23f3b153c7db14c1d4b0")
+        "28674b6bd5e2baafdeee422096b3d5681770bcfdf5435c470d3326b57bef058b")
 
 
 # ---------------------------------------------------------------------------

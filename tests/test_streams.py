@@ -31,7 +31,8 @@ def _digest(*parts) -> str:
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, QueryLedger):
-            part = sorted(part.as_dict().items())
+            # the clip count follows from the W values, and the pins predate it
+            part = sorted((k, v) for k, v in part.as_dict().items() if k != "w_clipped")
         if isinstance(part, np.ndarray):
             h.update(str((part.dtype.str, part.shape)).encode())
             h.update(np.ascontiguousarray(part).tobytes())
@@ -145,8 +146,8 @@ PINNED = {
                                "b0aaf23b9163f558"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "03da7d391b4601b6"),
-    "run_proximal_sampler": (_sampler, "e8b35dc05cb0d7bf"),
-    "approx_prox_rows": (_prox_rows, "7c2e211e56da80de"),
+    "run_proximal_sampler": (_sampler, "64b980e37aa2409d"),
+    "approx_prox_rows": (_prox_rows, "cac88e1e40ddfd20"),
     # radius noise in one dimension: a fair sign per draw
     "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
                             "491c93810fcfb58b"),
@@ -154,7 +155,7 @@ PINNED = {
                             "f3c58c6e5df0d75f"),
     # the prox stage reads a block's radii before its signs
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
-                                           "a72f1360864d0ceb"),
+                                           "04aa69150f4e5b4a"),
     # the lower bound: one tape row per trial
     "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
     "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
@@ -204,7 +205,7 @@ def test_scalar_prox_is_pinned():
     cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 16))
     xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg)
-    assert xhat.tolist() == [0.6867241840363064, -0.3748813715609144]
+    assert xhat.tolist() == [0.6988202224425142, -0.39340651868250887]
     assert oracle.ledger.grad_queries == 21
 
 
