@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from .fors import _POISSON_INVERSION_MAX_LAM
+
 
 @dataclass(frozen=True)
 class PlanConstants:
@@ -48,6 +50,10 @@ class PlanConstants:
         for name in ("c_eta_first", "c_eta_zeroth", "c_n", "b_first", "b_zeroth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)!r}")
+        for name in ("b_first", "b_zeroth"):  # the loop inverts Poisson(2B) exactly
+            if 2 * getattr(self, name) > _POISSON_INVERSION_MAX_LAM:
+                raise ValueError(f"{name}: must be <= {_POISSON_INVERSION_MAX_LAM / 2:g}, "
+                                 f"got {getattr(self, name)!r}")
         if self.m_grid_ratio <= 1.0:
             raise ValueError(f"m_grid_ratio: must be > 1, got {self.m_grid_ratio!r}")
         for name in ("m_grid_points", "phi_cap"):

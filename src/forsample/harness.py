@@ -96,6 +96,15 @@ def _sequence(errors, path, value, min_len, expected, check):
     return None if None in checked else checked
 
 
+def _delta_grid(errors, path, value):
+    grid = _sequence(errors, path, value, 4, "a list of at least 4 accuracies", _fraction)
+    if grid is not None and len(set(grid)) < 2:
+        # the scaling slope is fitted against 1/delta
+        errors.append(f"{path}: expected at least 2 distinct accuracies, got {list(grid)}")
+        return None
+    return grid
+
+
 @functools.cache
 def _parameters(build) -> dict:
     """The keyword parameters of a constructor, annotations evaluated."""
@@ -178,8 +187,7 @@ _CHECKS = {
                                                 _CASE_DEFAULTS)[0],
     "mode": _mode,
     "delta": _fraction,
-    "delta_grid": lambda errors, path, value: _sequence(
-        errors, path, value, 4, "a list of at least 4 accuracies", _fraction),
+    "delta_grid": _delta_grid,
     "seeds": lambda errors, path, value: _sequence(
         errors, path, value, 1, "a nonempty list of integers",
         functools.partial(_leaf, kind=int, low=0)),

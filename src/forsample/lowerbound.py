@@ -44,7 +44,7 @@ from .oracles import make_rng
 
 _F_PSI_CAP = 1e12
 _MASK_128 = (1 << 128) - 1
-_TAPE_BLOCK_WORDS = 1 << 12    # tape words coupled_run reads per block of rows
+_TAPE_READ_WORDS = 1 << 12     # tape words coupled_run reads per block of rows
 
 Adapter = Callable[[Callable[[float], float], int, np.random.Generator], float]
 
@@ -217,7 +217,7 @@ def coupled_run(alg: Adapter, pair: AdversarialOraclePair, t_budget: int,
     if t_budget < 0 or trials < 1:
         raise ValueError("need t_budget >= 0 and trials >= 1")
     width = max(t_budget, 1)
-    rows_per_block = max(_TAPE_BLOCK_WORDS // (width + 4), 1)
+    rows_per_block = max(_TAPE_READ_WORDS // (width + 4), 1)
     words = make_rng(seed).bit_generator
     alg_rng = np.random.Generator(np.random.PCG64())
     alg_bits = alg_rng.bit_generator

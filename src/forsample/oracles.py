@@ -16,16 +16,6 @@ path), consumed in a fixed order, so identical seeds reproduce identical
 draw sequences bit for bit.  Streams are not per chain: a sampler run draws
 all its chains from one Generator (and its oracle from one more), so the
 chain count shifts every stream.
-
-The proximal stage reads its noise in blocks: ``GradientOracle.noise_block``
-draws the noise of the next m iterations of k rows in one
-``sample_batch_rows`` call, with m = max(1, _BLOCK // (k * n * d)) capped
-by the iterations left, and each iteration hands its slice to
-``draw_batch_rows(xs, n, noise=...)``, which validates and meters the query
-as before.  Exact, subgaussian and twopoint noise read the generator one
-value at a time, so a block gives the same numbers as m separate calls; the
-norm-radius families draw all radii of a chunk before its signs or
-directions, so their streams depend on m whenever m > 1.
 """
 
 from __future__ import annotations
@@ -56,8 +46,6 @@ NOISE_FAMILIES = tuple(_FAMILY_FIELDS)
 
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
-# most noise draws in one prox block (GradientOracle.noise_block)
-_BLOCK = 8192
 # the constants of the subgaussian/subweibull batch tail bound in eps_tail,
 # C_TAIL * exp(-C_RATE * n * (M / sigma_g)^zeta): properties of the bound,
 # not of the noise drawn, so no config sets them
@@ -389,33 +377,12 @@ class GradientOracle:
         """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
         return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
 
-    def noise_block(self, k: int, n: int, iters: int) -> Array:
-        """(m, k, d) batch-mean noise for the next m <= iters prox iterations.
-
-        m = max(1, _BLOCK // (k * n * d)), capped at ``iters``: one
-        ``sample_batch_rows`` call of m * k rows, iteration j owning rows
-        j*k to (j+1)*k.  Meters nothing; ``draw_batch_rows`` meters each
-        iteration's slice when it is used.
-        """
-        d = self.potential.dim
-        m = min(iters, max(1, _BLOCK // max(1, k * n * d)))
-        return self.noise.sample_batch_rows(m * k, n, d, self.rng).reshape(m, k, d)
-
-    def draw_batch_rows(self, xs: Array, n: int, noise: Array | None = None) -> Array:
-        """Row-wise batch means at a (k, d) stack; meters k*n queries.
-
-        ``noise``, when given, is the (k, d) batch-mean noise of these
-        queries (one iteration of a ``noise_block``); otherwise it is drawn.
-        """
+    def draw_batch_rows(self, xs: Array, n: int) -> Array:
+        """Row-wise batch means at a (k, d) stack; meters k*n queries."""
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        if noise is None:
-            noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim,
-                                                 self.rng)
-        elif noise.shape != xs.shape:
-            raise DimensionError(f"noise block of shape {noise.shape} for queries "
-                                 f"of shape {xs.shape}")
+        noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
         self.ledger.grad_queries += n * xs.shape[0]
         return check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows") + noise
 

@@ -107,7 +107,7 @@ class ProxConfig:
     """Step size, batch size and iteration count of one proximal run.
 
     The step-size condition eta <= 1/(2 m_s) depends on the potential and is
-    enforced by approx_prox, not here.
+    enforced by approx_prox_rows, not here.
     """
 
     eta: float
@@ -141,10 +141,8 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
 
     Runs cfg.k_iters iterations of the relaxed map (module docstring) on
     every row, from ``start`` (the rows of an earlier call's iterate, to
-    continue it) or from x0 itself.  The gradient noise comes from the
-    oracle's own generator, in blocks of iterations
-    (``GradientOracle.noise_block``); every query still goes through
-    ``draw_batch_rows``, after which the oracle's ledger counts the
+    continue it) or from x0 itself.  Each iteration is one
+    ``draw_batch_rows`` query, after which the oracle's ledger counts the
     iteration's rows in ``prox_iters``.  Each iterate is checked for
     finiteness once: by the oracle's row validation when it is queried at
     the next step, and after the loop for the last one.
@@ -160,23 +158,20 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
     if x.shape != x0_rows.shape:
         raise DimensionError(f"start of shape {x.shape} for x0 of shape "
                              f"{x0_rows.shape}")
-    k = 0
-    while k < cfg.k_iters:
-        for noise in oracle.noise_block(x.shape[0], cfg.n_batch, cfg.k_iters - k):
-            try:
-                g = oracle.draw_batch_rows(x, cfg.n_batch, noise=noise)
-            except DimensionError as err:
-                if np.isfinite(x).all():
-                    raise  # a shape error, not a blow-up
-                raise NumericError(f"non-finite prox iterate at step {k}") from err
-            oracle.ledger.prox_iters += x.shape[0]
-            # x -= theta (eta g + x - x0), in place, in that order
-            g *= cfg.eta
-            g += x
-            g -= x0_rows
-            g *= theta
-            x -= g
-            k += 1
+    for k in range(cfg.k_iters):
+        try:
+            g = oracle.draw_batch_rows(x, cfg.n_batch)
+        except DimensionError as err:
+            if np.isfinite(x).all():
+                raise  # a shape error, not a blow-up
+            raise NumericError(f"non-finite prox iterate at step {k}") from err
+        oracle.ledger.prox_iters += x.shape[0]
+        # x -= theta (eta g + x - x0), in place, in that order
+        g *= cfg.eta
+        g += x
+        g -= x0_rows
+        g *= theta
+        x -= g
     if not np.isfinite(x).all():
         raise NumericError(f"non-finite prox iterate at step {cfg.k_iters}")
     return x

@@ -83,8 +83,7 @@ def test_traced_oracle_counts_match_the_ledger(monkeypatch):
     realized = sum(int(ks.sum()) for ks in budgets)
     assert counts["prox.iters"] == ledger.prox_iters == realized
     assert realized < sched.n_steps * sched.k_iters * 8
-    # the prox stage draws its noise in blocks, yet each of its iterations is
-    # one draw_batch_rows call: a step's calls carry its rows up to the
-    # largest k_i, beside one call per first-order W call
+    # each prox iteration is one draw_batch_rows call: a step's calls carry
+    # its rows up to the largest k_i, beside one call per first-order W call
     assert counts["oracles.calls"] == (sum(int(ks.max()) for ks in budgets)
                                        + counts["rgo.estimator_calls"])

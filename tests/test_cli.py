@@ -211,6 +211,13 @@ _REJECTED = [
      "constants.c_n: expected a number, got True"),
     ({"experiment": "delta_scaling", "delta_grid": [0.2, 0.1, 0.05, 1.5]},
      "delta_grid[3]: must be in (0, 1), got 1.5"),
+    # these three used to validate and then fail the run with no field path
+    ({"experiment": "delta_scaling", "delta_grid": [0.1, 0.1, 0.1, 0.1]},
+     "delta_grid: expected at least 2 distinct accuracies, got [0.1, 0.1, 0.1, 0.1]"),
+    ({"experiment": "sampler_e2e", "constants": {"b_first": 20}},
+     "constants.b_first: must be <= 15, got 20.0"),
+    ({"experiment": "sampler_e2e", "mode": "zeroth_order", "constants": {"b_zeroth": 16}},
+     "constants.b_zeroth: must be <= 15, got 16.0"),
     ({"experiment": "fors_unit", "chains": 5}, "chains: fors_unit does not read this field"),
     ({"experiment": "fors_unit", "chains": 0}, "chains: expected an integer >= 1, got 0"),
     ({"experiment": "fors_unit", "seeds": (-1,)}, "seeds[0]: expected an integer >= 0, got -1"),

@@ -1,7 +1,7 @@
-"""Source hygiene: no unused imports or parameters, no unread planner constant,
-no dataclass field that only its own validation reads, no function, class or
-method without a caller, one place that builds the tilt estimators, and every
-random draw from a Generator."""
+"""Source hygiene: no unused imports or parameters, no unread planner constant
+or module-level name, no dataclass field that only its own validation reads,
+no function, class or method without a caller, one place that builds the tilt
+estimators, and every random draw from a Generator."""
 
 import ast
 from collections import Counter
@@ -122,6 +122,38 @@ def test_every_plan_constant_is_read():
     read = {n.attr for path in MODULES if path.name != "constants.py"
             for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute)}
     assert sorted(f.name for f in fields(PlanConstants) if f.name not in read) == []
+
+
+def _unread_module_names(paths, readers) -> list[tuple[str, str]]:
+    """(module, name) of each name a module-level assignment in ``paths``
+    binds that no code in ``readers`` loads, as a name or an attribute."""
+    trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(readers)}
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for r in readers for n in ast.walk(trees[r])
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for p in paths:
+        for stmt in trees[p].body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found += [(p.name, n.id) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and n.id not in read]
+    return found
+
+
+def test_unread_module_name_is_detected(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("_CHUNK = 8\n_BLOCK = 8192\nLO, HI = 0, 1\nWIDE: int = 4\n"
+                   "def f(n):\n    return min(n, _CHUNK) + mod.HI\n")
+    user = tmp_path / "user.py"
+    user.write_text("import mod\nx = mod.WIDE\n")
+    assert _unread_module_names([mod], [mod, user]) == [("mod.py", "_BLOCK"),
+                                                         ("mod.py", "LO")]
+
+
+def test_every_module_name_is_read():
+    # a constant nothing reads is a leftover of code that went
+    assert _unread_module_names(MODULES, MODULES + BENCH) == []
 
 
 def _scipy_imports(source: str) -> list[str]:

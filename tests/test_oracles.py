@@ -374,43 +374,6 @@ def test_single_draw_equals_batch_of_one():
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
-def test_supplied_noise_is_used_and_metered():
-    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 0))
-    state = oracle.rng.bit_generator.state
-    xs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-    noise = np.arange(6.0).reshape(3, 2)
-    out = oracle.draw_batch_rows(xs, 4, noise=noise)
-    np.testing.assert_array_equal(out, pot.grad_at_rows(xs) + noise)
-    assert oracle.ledger.grad_queries == 3 * 4
-    # supplied noise reads nothing from the oracle's generator
-    assert oracle.rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3, 2), (6,)])
-def test_supplied_noise_of_the_wrong_shape_is_rejected(shape):
-    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 1))
-    with pytest.raises(DimensionError, match="noise block"):
-        oracle.draw_batch_rows(np.zeros((3, 2)), 4, noise=np.zeros(shape))
-    assert oracle.ledger.grad_queries == 0
-
-
-@pytest.mark.parametrize("k,n,iters,m", [
-    (4, 1, 33, 33),          # the whole prox stage in one block
-    (4, 1, 5000, 2048),      # capped by _BLOCK // (k * n * d)
-    (100, 10, 25, 8),
-    (4, 1980, 33, 1),        # one iteration's draws already pass the cap
-])
-def test_noise_block_shape(k, n, iters, m):
-    pot = make_gaussian_potential([0.0], precision=1.0)
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(1.0), make_rng(7, 2))
-    assert oracles._BLOCK == 8192
-    block = oracle.noise_block(k, n, iters)
-    assert block.shape == (m, k, 1)
-    assert oracle.ledger.grad_queries == 0
-
-
 def test_twopoint_oracle_requires_1d():
     pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
     with pytest.raises(DimensionError):

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
-from forsample import oracles
 from forsample.core import (AssumptionCase, Potential, make_aniso_gaussian_potential,
                             make_gaussian_potential, potential_from_config)
 from forsample.errors import DimensionError, InfeasibleScheduleError, NumericError
@@ -204,9 +202,19 @@ def test_default_k_iters():
             default_k_iters(10.0, 1.0, 1.0, bad_rho)
 
 
-@pytest.mark.parametrize("label", ["exact", "subgaussian"])
+# one of each noise family, all one-dimensional
+_STREAM_NOISE = {
+    "exact": NoiseModel.exact(),
+    "subgaussian": NoiseModel.subgaussian(0.4),
+    "subweibull": NoiseModel.subweibull(zeta=1.0, sigma_g=0.2),
+    "polymoment": NoiseModel.polymoment(k=1, sigma_2k=0.15),
+    "twopoint": NoiseModel("twopoint", p=0.3, m_shift=1.2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_STREAM_NOISE))
 def test_start_continues_a_run(label):
-    # noise read one value at a time: 2 iterations, then 5 more from there,
+    # one noise draw per iteration: 2 iterations, then 5 more from there,
     # are the 7 iterations of one call, on one stream
     pot = _quad()
     x0 = make_rng(92, 1).standard_normal((50, 1))
@@ -470,17 +478,6 @@ def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
         approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters))
 
 
-@pytest.mark.parametrize("rows", [
-    2048,  # blocks of 4 iterations: step 4 is found first thing in block 2
-    2731,  # blocks of 3: found mid-block
-])
-def test_non_finite_iterate_names_the_step_across_blocks(rows):
-    pot = _blowup(_steep)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError, match="at step 4$"):
-        approx_prox_rows(pot, _exact_oracle(pot), np.ones((rows, 1)), _cfg(6))
-
-
 @pytest.mark.parametrize("rows", [3, 2048])
 def test_ledger_counts_the_iterations_run_before_a_blow_up(rows):
     # the query at step 4 is refused: the ledger holds the 4 iterations whose
@@ -504,7 +501,7 @@ def test_oracle_shape_error_is_not_a_blow_up():
 
 
 # ---------------------------------------------------------------------------
-# the prox stage reads its noise in blocks of iterations
+# each prox iteration is one oracle query
 # ---------------------------------------------------------------------------
 
 def _reference_prox(oracle, x0_rows, cfg):
@@ -520,112 +517,30 @@ def _reference_prox(oracle, x0_rows, cfg):
     return x
 
 
-_STREAM_NOISE = {
-    "exact": NoiseModel.exact(),
-    "subgaussian": NoiseModel.subgaussian(0.4),
-    "twopoint": NoiseModel("twopoint", p=0.3, m_shift=1.2),
-}
-
-
 @pytest.mark.parametrize("label", sorted(_STREAM_NOISE))
-@pytest.mark.parametrize("rows,n_batch", [
-    (3, 2),      # every iteration in one block
-    (100, 10),   # blocks of 8 iterations, the last one short
-    (300, 30),   # rows * n past the cap: one iteration per block
-])
+@pytest.mark.parametrize("rows,n_batch", [(3, 2), (100, 10), (300, 30)])
 @pytest.mark.parametrize("shared", [False, True])
-def test_blocked_prox_equals_per_iteration_loop(label, rows, n_batch, shared):
-    # exact, subgaussian and twopoint noise read the generator one value at a
-    # time, so a block of m iterations gives the numbers of m separate calls,
-    # also where the oracle shares the caller's generator
+def test_prox_rows_equal_per_iteration_loop(label, rows, n_batch, shared):
+    # every noise family is drawn one iteration at a time, so the stage gives
+    # the numbers of the reference loop, also where the oracle shares the
+    # caller's generator
     pot = _quad()
     noise = _STREAM_NOISE[label]
     cfg = ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=25)
     x0 = make_rng(85, rows).standard_normal((rows, 1))
     outs = []
-    for blocked in (True, False):
+    for reference in (False, True):
         rng = make_rng(86, rows, n_batch)
         oracle = GradientOracle(pot, noise, rng if shared else make_rng(87))
-        if blocked:
-            x = approx_prox_rows(pot, oracle, x0, cfg)
-        else:
+        if reference:
             x = _reference_prox(oracle, x0, cfg)
+        else:
+            x = approx_prox_rows(pot, oracle, x0, cfg)
         outs.append((x, oracle.ledger.as_dict(), rng.random(3),
                      oracle.rng.bit_generator.state))
-    (x_b, led_b, after_b, state_b), (x_r, led_r, after_r, state_r) = outs
-    assert np.array_equal(x_b, x_r)
-    assert led_b == led_r
-    assert led_b["grad_queries"] == rows * n_batch * cfg.k_iters
-    assert np.array_equal(after_b, after_r)
-    assert state_b == state_r
-
-
-@pytest.mark.parametrize("rows,n_batch,k_iters", [
-    (4, 1, 33), (4, 1, 5000), (100, 10, 25), (4, 1980, 6), (7, 3, 1),
-])
-def test_noise_blocks_stay_under_the_cap(monkeypatch, rows, n_batch, k_iters):
-    calls = []
-    real = NoiseModel.sample_batch_rows
-
-    def spy(self, k, n, dim, rng):
-        calls.append(k * n * dim)
-        return real(self, k, n, dim, rng)
-
-    monkeypatch.setattr(NoiseModel, "sample_batch_rows", spy)
-    pot = _quad()
-    oracle = GradientOracle(pot, NoiseModel.subweibull(1.0, 0.2), make_rng(88))
-    cfg = ProxConfig(eta=_ETA, n_batch=n_batch, k_iters=k_iters)
-    approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg)
-    per_iter = rows * n_batch
-    assert oracles._BLOCK == 8192
-    # a call holds whole iterations and at most _BLOCK draws, unless a single
-    # iteration is already larger
-    assert all(c % per_iter == 0 for c in calls)
-    assert max(calls) <= max(oracles._BLOCK, per_iter)
-    # and no draw is left over past the last iteration
-    assert sum(calls) == oracle.ledger.grad_queries == per_iter * k_iters
-    assert len(calls) == -(-k_iters // max(1, oracles._BLOCK // per_iter))
-
-
-def _prox_noise(monkeypatch, noise, rows, k_iters, calls):
-    """The noise rows a blocked prox stage hands to ``draw_batch_rows``."""
-    used = []
-    real = GradientOracle.draw_batch_rows
-
-    def spy(self, xs, n, noise=None):
-        used.append(noise.copy())
-        return real(self, xs, n, noise=noise)
-
-    monkeypatch.setattr(GradientOracle, "draw_batch_rows", spy)
-    pot = _quad()
-    oracle = GradientOracle(pot, noise, make_rng(89))
-    cfg = ProxConfig(eta=_ETA, n_batch=1, k_iters=k_iters)
-    for _ in range(calls):
-        approx_prox_rows(pot, oracle, np.zeros((rows, 1)), cfg)
-    monkeypatch.undo()
-    return np.concatenate(used)[:, 0]
-
-
-@pytest.mark.parametrize("noise", [NoiseModel.subweibull(zeta=1.0, sigma_g=0.2),
-                                   NoiseModel.polymoment(k=1, sigma_2k=0.15)],
-                         ids=["subweibull", "polymoment"])
-def test_blocked_radius_noise_keeps_its_law(monkeypatch, noise):
-    # 1-D radius noise draws a block's radii before its signs, so its stream
-    # moves; the law of each draw does not.  4 rows and 33 iterations, the
-    # shape of criterion 7's subexponential job: one block per stage.
-    blocked = _prox_noise(monkeypatch, noise, 4, 33, 400)
-    assert blocked.size == 4 * 33 * 400
-    per_call = np.concatenate([noise.sample_batch_rows(4, 1, 1, make_rng(90, i))[:, 0]
-                               for i in range(2_000)])
-    assert stats.ks_2samp(blocked, per_call).pvalue > 1e-4
-    norms = np.abs(blocked)
-    se = norms.std() / math.sqrt(norms.size)
-    assert abs(norms.mean() - noise.m1(1)) <= 5 * se
-    if noise.family == "subweibull":
-        sq = blocked ** 2
-        se = sq.std() / math.sqrt(sq.size)
-        assert abs(sq.mean() - noise.second_moment()) <= 5 * se
-    # iterations of one block are independent: no lag-1 correlation within a row
-    by_iter = blocked.reshape(-1, 33, 4)
-    lag = np.corrcoef(by_iter[:, :-1].ravel(), by_iter[:, 1:].ravel())[0, 1]
-    assert abs(lag) <= 5 / math.sqrt(by_iter[:, 1:].size)
+    (x_s, led_s, after_s, state_s), (x_r, led_r, after_r, state_r) = outs
+    assert np.array_equal(x_s, x_r)
+    assert led_s == led_r
+    assert led_s["grad_queries"] == rows * n_batch * cfg.k_iters
+    assert np.array_equal(after_s, after_r)
+    assert state_s == state_r

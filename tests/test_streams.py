@@ -153,7 +153,7 @@ PINNED = {
                             "491c93810fcfb58b"),
     "noise_subweibull_d1": (partial(_noise_rows, _SUBWEIBULL, 1),
                             "f3c58c6e5df0d75f"),
-    # the prox stage reads a block's radii before its signs
+    # the prox stage's 1-D radius noise, drawn one iteration at a time
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
                                            "04aa69150f4e5b4a"),
     # the lower bound: one tape row per trial
