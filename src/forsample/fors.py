@@ -18,13 +18,15 @@ coin; its remaining W are never drawn.  Both kernels reject this way.
 the one round step: it proposes a row per slot with ``propose(slots,
 rng)`` and draws the n-th W, in one call, for the attempts still alive
 after n - 1 draws.  Three round policies drive it: ``fors_accept_rows``
-(one acceptance per chain slot), ``fors_sample_many`` (iid collector for
-one target) and ``fors_attempt_batch`` (fixed attempt count, for the
-acceptance-law diagnostic).  The iid engines send all-zero slots in rounds
-of at most ``_ROUND_ROWS`` attempts, whatever B and the sample count, so a
-per-row array of a round holds at most 2^16 floats (512 KB);
-``fors_sample_many`` sizes its last round at the attempts its remaining
-need takes, plus three standard errors.
+(one acceptance per slot; a ``renew`` hook sends a slot that accepted on
+into the next round, so the sampler's chains do not step in lockstep),
+``fors_sample_many`` (iid collector for one target) and
+``fors_attempt_batch`` (fixed attempt count, for the acceptance-law
+diagnostic).  The iid engines send all-zero slots in rounds of at most
+``_ROUND_ROWS`` attempts, whatever B and the sample count, so a per-row
+array of a round holds at most 2^16 floats (512 KB); ``fors_sample_many``
+sizes its last round at the attempts its remaining need takes, plus
+three standard errors.
 """
 
 from __future__ import annotations
@@ -188,26 +190,27 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
 
 def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                  source: RowEstimatorSource, b: float, rng: np.random.Generator,
-                 ledger: QueryLedger, w_cap: int | None = None, n_slots: int = 1):
+                 ledger: QueryLedger, w_cap: int | None = None, w_spent: np.ndarray | None = None):
     """The row engines' round step, as a generator of ``(xs, mask)`` rounds.
 
     Prime with ``next``, then ``send(slots)`` per round: the int64 slot of
-    each attempt of the round, distinct, or all 0 with ``n_slots == 1`` (one
-    shared target).  The round proposes ``xs = propose(slots, rng)``, one
-    row per slot, and flips each row's coin: it draws J ~ Poisson(2B) and
-    the coin u, then runs sub-rounds n = 1, 2, ...: sub-round n draws the
-    n-th W, in one call, for each row still alive (J >= n and running
-    product >= u), validates it (shape, finiteness, the closed range
-    [-B, B]) and multiplies (B + W)/(2B) into the row's product.  Each
-    factor is at most 1, so a row whose product fell below u is rejected
-    without its remaining draws; the mask u < prod is the one the full
-    product gives.  Before a sub-round it raises BudgetExhaustedError if a
-    slot would pass ``w_cap`` draws.  As a generator it keeps a round's
-    arrays alive until the next round replaces them, as an inline loop
-    does, so the next round does not page-fault them in again.
+    each attempt of the round, distinct, or all 0 with one shared target.
+    The round proposes ``xs = propose(slots, rng)``, one row per slot, and
+    flips each row's coin: it draws J ~ Poisson(2B) and the coin u, then
+    runs sub-rounds n = 1, 2, ...: sub-round n draws the n-th W, in one
+    call, for each row still alive (J >= n and running product >= u),
+    validates it (shape, finiteness, the closed range [-B, B]) and
+    multiplies (B + W)/(2B) into the row's product.  Each factor is at most
+    1, so a row whose product fell below u is rejected without its
+    remaining draws; the mask u < prod is the one the full product gives.
+    Before a sub-round it raises BudgetExhaustedError if a slot would pass
+    ``w_cap`` draws, counted in ``w_spent`` (one count per slot, or one
+    shared count), which the caller may zero between rounds.  As a
+    generator it keeps a round's arrays alive until the next round replaces
+    them, as an inline loop does, so the next round does not page-fault
+    them in again.
     """
     out = None
-    w_spent = np.zeros(n_slots, dtype=np.int64)
     while True:
         slots = yield out
         xs = propose(slots, rng)
@@ -219,7 +222,7 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
         u = rng.random(k)
         ledger.fors_attempts += k
         prods = np.ones(k)
-        per_slot = w_cap is not None and n_slots > 1
+        per_slot = w_cap is not None and w_spent.size > 1
         if per_slot:
             # room: the draws each row's slot has left.  A row about to make
             # its n-th draw of the round passes the cap when n > room, which
@@ -266,8 +269,8 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
                      source: RowEstimatorSource, cfg: FORSConfig, n_slots: int,
-                     rng: np.random.Generator,
-                     ledger: QueryLedger | None = None) -> np.ndarray:
+                     rng: np.random.Generator, ledger: QueryLedger | None = None,
+                     renew: Callable[..., np.ndarray] | None = None) -> np.ndarray:
     """Run one FORS acceptance per slot, vectorized across slots.
 
     Each slot owns its own (possibly distinct) target; ``propose_rows`` and
@@ -276,14 +279,19 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     slot, including both budget caps; W draws stop at the rejection, as in
     ``fors_sample``, and count against the slot's ``max_w_per_call``.  The
     row dimension comes from the proposals, so ``n_slots`` must be >= 1.
+    ``renew(slots, rows)``, if given, gets each round's accepted slots and
+    rows, may move their targets, and returns the slots to run again, as
+    fresh acceptances in the next round.  Slots share ``rng``, so their
+    count shifts every stream.  The result holds the last accepted rows.
     """
     _check_count("n_slots", n_slots, 1)
     ledger = ledger if ledger is not None else QueryLedger()
     out: np.ndarray | None = None
     active = np.arange(n_slots)
     attempts = np.zeros(n_slots, dtype=np.int64)
+    w_spent = np.zeros(n_slots, dtype=np.int64)
     coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
-                        cfg.max_w_per_call, n_slots)
+                        cfg.max_w_per_call, w_spent)
     next(coin)
     while active.size:
         attempts[active] += 1
@@ -295,8 +303,13 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         xs, acc = coin.send(active)
         if out is None:
             out = np.empty((n_slots, xs.shape[1]))
-        out[active[acc]] = xs[acc]
+        done, rows = active[acc], xs[acc]
+        out[done] = rows
         active = active[~acc]
+        if renew is not None and done.size:
+            again = renew(done, rows)
+            attempts[again] = w_spent[again] = 0
+            active = np.concatenate((active, again))
     return out
 
 
@@ -321,7 +334,7 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     attempt_cap = cfg.max_attempts * n_samples
     shared = np.zeros(_ROUND_ROWS, dtype=np.int64)
     coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
-                        cfg.max_w_per_call * n_samples)
+                        cfg.max_w_per_call * n_samples, np.zeros(1, dtype=np.int64))
     next(coin)
     while n_got < n_samples:
         need = n_samples - n_got

@@ -21,8 +21,9 @@ The step is written once, over rows: ``tilt_source`` builds it for a stack
 of tilts, one per row of (x0, xhat), picking the estimator by the oracle's
 type (a GradientOracle draws first-order W, a ValueOracle zeroth-order W).
 The source draws the proposal (``propose_rows``) and the W
-(``draw_w_rows``) for ``fors.fors_accept_rows``, the sampler's inner step.
-``sample_tilt_many`` collects iid samples from one tilt.
+(``draw_w_rows``) for ``fors.fors_accept_rows``; the sampler ``recenter``s
+a chain's tilt as soon as the chain accepts, so chains do not step in
+lockstep.  ``sample_tilt_many`` collects iid samples from one tilt.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ class _RowEstimator:
         self.eta = eta
         self.b = b
         self.n_batch = n_batch
+
+    def recenter(self, slots: np.ndarray, x0_rows: np.ndarray, xhat_rows: np.ndarray) -> None:
+        """Move the tilts of ``slots`` to centers x0_rows, proposals xhat_rows."""
+        self.xhat_rows[slots] = xhat_rows
+        self.u_rows[slots] = (x0_rows - xhat_rows) / self.eta
 
     def propose_rows(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         xh = self.xhat_rows[slots]

@@ -300,10 +300,13 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     tilt at center Y via the rejection loop, with the tilt proposal centered
     at the approximate proximal point of Y (first order; each chain runs its
     own number of prox iterations, at most ``sched.k_iters``, and the ledger
-    counts those run) or at Y itself (zeroth order).  Returns the
-    (chains, dim) final states and the merged query ledger.  Oracle type
-    must match the mode: GradientOracle for first_order, ValueOracle for
-    zeroth_order.
+    counts those run) or at Y itself (zeroth order).  The chains share
+    ``rng``, so their count shifts every stream, but do not step in
+    lockstep: a chain starts its next step the round after it accepts.
+    A BudgetExhaustedError names the chain and its own step.  Returns the
+    (chains, dim) final states and the ledger, whose ``outer_steps`` counts
+    the steps all chains finished.  The oracle type must match the mode:
+    GradientOracle for first_order, ValueOracle for zeroth_order.
     """
     if chains < 1:
         raise ValueError("chains must be >= 1")
@@ -315,29 +318,37 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
 
     ledger = oracle.ledger
     eta = sched.eta
-    d = pot.dim
     cfg = FORSConfig(b=sched.b, max_attempts=max_attempts)
-    if first:
-        prox_cfg = ProxConfig(eta=eta, n_batch=sched.n_batch, k_iters=sched.k_iters)
+    prox_cfg = ProxConfig(eta=eta, n_batch=sched.n_batch, k_iters=sched.k_iters) if first else None
 
     x = np.asarray(mu0(chains, rng), dtype=float)
-    if x.shape != (chains, d):
-        raise ValueError(f"mu0 returned shape {x.shape}, expected {(chains, d)}")
+    if x.shape != (chains, pot.dim):
+        raise ValueError(f"mu0 returned shape {x.shape}, expected {(chains, pot.dim)}")
+    if sched.n_steps == 0:
+        return x, ledger
+    source = tilt_source(oracle, x, np.zeros_like(x), eta, sched.b, sched.n_batch)
+    steps = np.full(chains, -1)  # steps each chain finished; renew starts step 0
 
-    for step in range(sched.n_steps):
-        y = x + math.sqrt(eta) * rng.standard_normal((chains, d))
-        if first:
-            xhat, _ = approx_prox_rows_budgeted(pot, oracle, y, prox_cfg,
-                                                sched.m_trunc)
-        else:
-            xhat = y
-        source = tilt_source(oracle, y, xhat, eta, sched.b, sched.n_batch)
-        ledger.rgo_calls += chains
-        try:
-            x = fors_accept_rows(source.propose_rows, source, cfg, chains, rng,
-                                 ledger=ledger)
-        except BudgetExhaustedError as err:
-            err.step = step
-            raise
-        ledger.outer_steps += 1
+    def renew(slots: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        # chains that finished a step start their next: Y ~ N(X, eta I), its tilt
+        steps[slots] += 1
+        left = steps[slots] < sched.n_steps
+        slots, xs = slots[left], xs[left]
+        if slots.size:
+            y = xs + math.sqrt(eta) * rng.standard_normal(xs.shape)
+            xhat = (approx_prox_rows_budgeted(pot, oracle, y, prox_cfg, sched.m_trunc)[0]
+                    if first else y)
+            source.recenter(slots, y, xhat)
+            ledger.rgo_calls += slots.size
+        return slots
+
+    renew(np.arange(chains), x)
+    try:
+        x = fors_accept_rows(source.propose_rows, source, cfg, chains, rng,
+                             ledger=ledger, renew=renew)
+    except BudgetExhaustedError as err:
+        err.step = int(steps[err.chain])
+        raise
+    finally:
+        ledger.outer_steps += int(steps.min())
     return x, ledger

@@ -468,6 +468,48 @@ def test_accept_rows_w_draw_budget_names_slot():
     assert source.drawn[exc.value.chain] == 3
 
 
+@pytest.mark.parametrize("inst", discrete_instances(), ids=lambda inst: inst.name)
+def test_renewed_slots_keep_the_law(inst):
+    # every slot is renewed three times; each acceptance index's outputs,
+    # across slots, must follow the instance's law on their own
+    n_slots, renewals = 4_000, 3
+    done = np.zeros(n_slots, dtype=np.int64)
+    seen = np.zeros((renewals + 1, inst.n_points), dtype=np.int64)
+
+    def renew(slots, rows):
+        np.add.at(seen, (done[slots], rows[:, 0].astype(int)), 1)
+        done[slots] += 1
+        return slots[done[slots] <= renewals]
+
+    out = fors_accept_rows(inst.propose_rows, inst, FORSConfig(b=inst.b), n_slots,
+                           make_rng(43), renew=renew)
+    assert (done == renewals + 1).all() and out.shape == (n_slots, 1)
+    for counts in seen:
+        _, p = chi2_discrete(counts, inst.law())
+        assert p > 1e-3
+
+
+@pytest.mark.parametrize("n_slots", [1, 4])
+def test_renewal_restarts_both_caps(n_slots):
+    # W = +B accepts every attempt, after its J ~ Poisson(2) draws.  Each
+    # acceptance stays within one attempt and 30 draws, while each slot's
+    # 40 acceptances add up to far more of both: the one-slot path and the
+    # per-slot path restart a renewed slot's counts
+    source = _CountingRows(1.0, n_slots)
+    done = np.zeros(n_slots, dtype=np.int64)
+
+    def renew(slots, rows):
+        done[slots] += 1
+        return slots[done[slots] < 40]
+
+    cfg = FORSConfig(b=1.0, max_attempts=1, max_w_per_call=30)
+    ledger = QueryLedger()
+    fors_accept_rows(_zero_rows, source, cfg, n_slots, make_rng(44), ledger=ledger,
+                     renew=renew)
+    assert (done == 40).all() and ledger.fors_attempts == 40 * n_slots
+    assert source.drawn.min() > 30
+
+
 def test_sample_many_w_draw_budget_is_a_total():
     cfg = FORSConfig(b=1.0, max_w_per_call=3)
     ledger = QueryLedger()

@@ -23,6 +23,7 @@ from forsample.core import (AssumptionCase, make_gaussian_potential, make_power_
                             potential_from_config)
 from forsample.errors import (BudgetExhaustedError, InfeasibleScheduleError,
                              UnsupportedCombinationError)
+from forsample import sampler
 from forsample.oracles import (GradientOracle, NoiseModel, ValueOracle, eps_tail,
                                make_rng, phi)
 from forsample.sampler import (
@@ -393,6 +394,41 @@ def test_budget_exhaustion_reports_step_and_chain():
                              8, make_rng(93, 1), max_attempts=1)
     assert exc.value.step == 0
     assert exc.value.chain is not None
+
+
+class _StuckAfterOneStep:
+    """A tilt source whose W is +B, so every attempt accepts, except on
+    chain 0 once it has taken a step, where W = -B accepts only when
+    J ~ Poisson(2B) is 0: e^-30 at B = 15."""
+
+    def __init__(self, source, chains):
+        self.source = source
+        self.propose_rows = source.propose_rows
+        self.moves = np.zeros(chains, dtype=np.int64)
+
+    def recenter(self, slots, x0_rows, xhat_rows):
+        self.moves[slots] += 1
+        self.source.recenter(slots, x0_rows, xhat_rows)
+
+    def draw_w_rows(self, slots, xs, rng):
+        stuck = (slots == 0) & (self.moves[slots] > 1)
+        return np.where(stuck, -self.source.b, self.source.b)
+
+
+def test_budget_error_names_the_chain_and_its_own_step(monkeypatch):
+    real = sampler.tilt_source
+    monkeypatch.setattr(sampler, "tilt_source",
+                        lambda *args: _StuckAfterOneStep(real(*args), 8))
+    sched = replace(plan_first_order(_POT, NoiseModel.exact(), _LSI, _DELTA),
+                    n_steps=3, b=15.0)
+    oracle = GradientOracle(_POT, NoiseModel.exact(), make_rng(93, 2))
+    with pytest.raises(BudgetExhaustedError) as exc:
+        run_proximal_sampler(_POT, oracle, sched, gaussian_initializer([0.0], 1.0),
+                             8, make_rng(93, 3), max_attempts=50)
+    assert (exc.value.chain, exc.value.step) == (0, 1)
+    # chain 0 started two steps and the others all three; all finished one
+    assert oracle.ledger.rgo_calls == 2 + 7 * 3
+    assert oracle.ledger.outer_steps == 1
 
 
 def test_chains_validation():

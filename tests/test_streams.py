@@ -146,7 +146,7 @@ PINNED = {
                                "b0aaf23b9163f558"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "03da7d391b4601b6"),
-    "run_proximal_sampler": (_sampler, "64b980e37aa2409d"),
+    "run_proximal_sampler": (_sampler, "6babecdcf9d3012d"),
     "approx_prox_rows": (_prox_rows, "cac88e1e40ddfd20"),
     # radius noise in one dimension: a fair sign per draw
     "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
@@ -155,7 +155,7 @@ PINNED = {
                             "f3c58c6e5df0d75f"),
     # the prox stage's 1-D radius noise, drawn one iteration at a time
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
-                                           "04aa69150f4e5b4a"),
+                                           "9dbf6114920c7430"),
     # the lower bound: one tape row per trial
     "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
     "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
