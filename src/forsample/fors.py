@@ -12,21 +12,21 @@ Papaspiliopoulos & Roberts 2008), so accepted points follow the density
 proportional to q(x) * exp(E[W|x]) exactly.
 
 Each factor (B + W_j)/(2B) is at most 1, so the running product only
-decreases and an attempt can be rejected as soon as it falls below the
-coin; its remaining W are never drawn.  Both kernels reject this way.
+decreases and an attempt can be rejected as soon as it falls below the coin;
+its remaining W are never drawn.  Both kernels reject this way.
 ``fors_sample`` is the scalar loop.  The row kernel, ``_coin_rounds``, is
-the one round step: it proposes a row per slot with ``propose(slots,
-rng)`` and draws the n-th W, in one call, for the attempts still alive
-after n - 1 draws.  Three round policies drive it: ``fors_accept_rows``
-(one acceptance per slot; a ``renew`` hook sends a slot that accepted on
-into the next round, so the sampler's chains do not step in lockstep),
-``fors_sample_many`` (iid collector for one target) and
-``fors_attempt_batch`` (fixed attempt count, for the acceptance-law
-diagnostic).  The iid engines send all-zero slots in rounds of at most
-``_ROUND_ROWS`` attempts, whatever B and the sample count, so a per-row
-array of a round holds at most 2^16 floats (512 KB); ``fors_sample_many``
-sizes its last round at the attempts its remaining need takes, plus
-three standard errors.
+the one round step: it proposes a row per slot with ``propose(slots, rng)``
+and draws the n-th W, in one ``draw_w`` call, for the attempts still alive
+after n - 1 draws.  It holds no budget: each engine owns its caps and
+charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows`` (one
+acceptance per slot, which a ``renew`` hook may start again) caps each slot,
+``fors_sample_many`` (iid collector for one target) caps totals over its
+samples, and ``fors_attempt_batch`` (fixed attempt count, for the
+acceptance-law diagnostic) has no cap.  The iid engines send all-zero slots
+in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and the sample
+count, so a per-row array of a round holds at most 2^16 floats (512 KB);
+``fors_sample_many`` sizes its last round at the attempts its remaining need
+takes, plus three standard errors.
 """
 
 from __future__ import annotations
@@ -189,26 +189,23 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
 
 
 def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                 source: RowEstimatorSource, b: float, rng: np.random.Generator,
-                 ledger: QueryLedger, w_cap: int | None = None, w_spent: np.ndarray | None = None):
+                 draw_w: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray],
+                 b: float, rng: np.random.Generator, ledger: QueryLedger):
     """The row engines' round step, as a generator of ``(xs, mask)`` rounds.
 
     Prime with ``next``, then ``send(slots)`` per round: the int64 slot of
     each attempt of the round, distinct, or all 0 with one shared target.
-    The round proposes ``xs = propose(slots, rng)``, one row per slot, and
-    flips each row's coin: it draws J ~ Poisson(2B) and the coin u, then
-    runs sub-rounds n = 1, 2, ...: sub-round n draws the n-th W, in one
-    call, for each row still alive (J >= n and running product >= u),
-    validates it (shape, finiteness, the closed range [-B, B]) and
-    multiplies (B + W)/(2B) into the row's product.  Each factor is at most
-    1, so a row whose product fell below u is rejected without its
-    remaining draws; the mask u < prod is the one the full product gives.
-    Before a sub-round it raises BudgetExhaustedError if a slot would pass
-    ``w_cap`` draws, counted in ``w_spent`` (one count per slot, or one
-    shared count), which the caller may zero between rounds.  As a
+    The round proposes ``xs = propose(slots, rng)``, one row per slot, draws
+    each row's J ~ Poisson(2B) and coin u, then runs sub-rounds n = 1, 2,
+    ...: sub-round n draws the n-th W of each row still alive (J >= n and
+    running product >= u) in one ``draw_w(slots, xs, rng)`` call, validates
+    it (shape, finiteness, the closed range [-B, B]) and multiplies
+    (B + W)/(2B) into the row's product.  Each factor is at most 1, so a row
+    whose product fell below u is rejected without its remaining draws; the
+    mask u < prod is the one the full product gives.  The kernel holds no
+    budget: an engine charges and refuses W draws in its ``draw_w``.  As a
     generator it keeps a round's arrays alive until the next round replaces
-    them, as an inline loop does, so the next round does not page-fault
-    them in again.
+    them, so the next round does not page-fault them in again.
     """
     out = None
     while True:
@@ -222,32 +219,10 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
         u = rng.random(k)
         ledger.fors_attempts += k
         prods = np.ones(k)
-        per_slot = w_cap is not None and w_spent.size > 1
-        if per_slot:
-            # room: the draws each row's slot has left.  A row about to make
-            # its n-th draw of the round passes the cap when n > room, which
-            # no row does while n <= tight.
-            room = w_cap - w_spent[slots]
-            tight = int(room.min())
-            drawn = np.zeros(k, dtype=np.int64)
         live = js.nonzero()[0]
         n = 1
         while live.size:
-            if per_slot:
-                if n > tight:
-                    over = room[live] < n
-                    if over.any():
-                        raise BudgetExhaustedError(
-                            "W-draw budget exhausted",
-                            chain=int(slots[live[np.argmax(over)]]), w_draws=w_cap)
-                drawn[live] = n
-            elif w_cap is not None:
-                # one shared slot: the live rows' draws add up
-                if w_spent[0] + live.size > w_cap:
-                    raise BudgetExhaustedError("W-draw budget exhausted", chain=0,
-                                               w_draws=int(w_spent[0]))
-                w_spent[0] += live.size
-            ws = np.asarray(source.draw_w_rows(slots[live], xs[live], rng))
+            ws = np.asarray(draw_w(slots[live], xs[live], rng))
             ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
@@ -257,8 +232,6 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
             prods[live] = p
             n += 1
             live = live[(js[live] >= n) & (p >= u[live])]
-        if per_slot:
-            w_spent[slots] += drawn
         out = xs, u < prods
 
 
@@ -276,8 +249,9 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     Each slot owns its own (possibly distinct) target; ``propose_rows`` and
     the source receive the slot indices so heterogeneous problems (one per
     chain) batch together.  Law-equivalent to calling ``fors_sample`` per
-    slot, including both budget caps; W draws stop at the rejection, as in
-    ``fors_sample``, and count against the slot's ``max_w_per_call``.  The
+    slot, including both budget caps, which this engine counts per slot: it
+    refuses, naming the slot, before the attempt or the W draw that would
+    pass one.  W draws stop at the rejection, as in ``fors_sample``.  The
     row dimension comes from the proposals, so ``n_slots`` must be >= 1.
     ``renew(slots, rows)``, if given, gets each round's accepted slots and
     rows, may move their targets, and returns the slots to run again, as
@@ -290,16 +264,29 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     active = np.arange(n_slots)
     attempts = np.zeros(n_slots, dtype=np.int64)
     w_spent = np.zeros(n_slots, dtype=np.int64)
-    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
-                        cfg.max_w_per_call, w_spent)
+    top = 0  # at least the largest count in w_spent
+
+    def draw_w(slots, xs, rng):
+        # a round's slots are distinct, so a call adds at most 1 to a count
+        nonlocal top
+        if top >= cfg.max_w_per_call:
+            over = w_spent[slots] >= cfg.max_w_per_call
+            if over.any():
+                raise BudgetExhaustedError("W-draw budget exhausted", w_draws=cfg.max_w_per_call,
+                                           chain=int(slots[np.argmax(over)]))
+            top = int(w_spent.max())
+        w_spent[slots] += 1
+        top += 1
+        return source.draw_w_rows(slots, xs, rng)
+
+    coin = _coin_rounds(propose_rows, draw_w, cfg.b, rng, ledger)
     next(coin)
     while active.size:
         attempts[active] += 1
         over = attempts[active] > cfg.max_attempts
         if over.any():
-            raise BudgetExhaustedError(
-                "attempt budget exhausted", attempts=cfg.max_attempts,
-                chain=int(active[over][0]))
+            raise BudgetExhaustedError("attempt budget exhausted", attempts=cfg.max_attempts,
+                                       chain=int(active[over][0]))
         xs, acc = coin.send(active)
         if out is None:
             out = np.empty((n_slots, xs.shape[1]))
@@ -322,19 +309,27 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     ``propose_rows(slots, rng)`` returns one row from q per slot; every slot
     is 0.  Attempts run in rounds sized from the acceptance seen so far
     until enough are accepted; output order is acceptance order, which for
-    iid attempts is itself iid.  The caps of ``cfg`` hold as totals over the
-    ``n_samples`` calls this stands for.  The row dimension comes from the
-    proposals, so ``n_samples`` must be >= 1.
+    iid attempts is itself iid.  The caps of ``cfg`` hold as totals, counted
+    here, over the ``n_samples`` calls this stands for.  The row dimension
+    comes from the proposals, so ``n_samples`` must be >= 1.
     """
     _check_count("n_samples", n_samples, 1)
     ledger = ledger if ledger is not None else QueryLedger()
     got: list[np.ndarray] = []
-    n_got = total_attempts = 0
+    n_got = total_attempts = w_spent = 0
     acc_est = math.exp(-cfg.b)  # pessimistic-ish initial guess, refined as we go
-    attempt_cap = cfg.max_attempts * n_samples
+    attempt_cap, w_cap = cfg.max_attempts * n_samples, cfg.max_w_per_call * n_samples
+
+    def draw_w(slots, xs, rng):
+        # every slot is the one shared target: the live rows' draws add up
+        nonlocal w_spent
+        if w_spent + slots.size > w_cap:
+            raise BudgetExhaustedError("W-draw budget exhausted", chain=0, w_draws=w_spent)
+        w_spent += slots.size
+        return source.draw_w_rows(slots, xs, rng)
+
     shared = np.zeros(_ROUND_ROWS, dtype=np.int64)
-    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger,
-                        cfg.max_w_per_call * n_samples, np.zeros(1, dtype=np.int64))
+    coin = _coin_rounds(propose_rows, draw_w, cfg.b, rng, ledger)
     next(coin)
     while n_got < n_samples:
         need = n_samples - n_got
@@ -372,7 +367,7 @@ def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator],
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
     shared = np.zeros(min(n_attempts, _ROUND_ROWS), dtype=np.int64)
-    coin = _coin_rounds(propose_rows, source, cfg.b, rng, ledger)
+    coin = _coin_rounds(propose_rows, source.draw_w_rows, cfg.b, rng, ledger)
     next(coin)
     for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)

@@ -400,9 +400,12 @@ class DiscreteWInstance:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "w_values", np.asarray(self.w_values, dtype=float))
         object.__setattr__(self, "w_probs", np.asarray(self.w_probs, dtype=float))
-        assert self.w_values.shape == self.w_probs.shape
-        assert np.allclose(self.w_probs.sum(axis=1), 1.0)
-        assert np.all(np.abs(self.w_values) <= self.b)
+        if self.w_values.shape != self.w_probs.shape:
+            raise ValueError("w_values shape differs from w_probs shape")
+        if not np.allclose(self.w_probs.sum(axis=1), 1.0):
+            raise ValueError("w_probs rows must sum to 1")
+        if not np.all(np.abs(self.w_values) <= self.b):
+            raise ValueError(f"w_values must lie in [-b, b] = [-{self.b}, {self.b}]")
         object.__setattr__(self, "_q_cdf", np.cumsum(self.q))
         object.__setattr__(self, "_w_cdf", np.cumsum(self.w_probs, axis=1))
 
@@ -425,7 +428,7 @@ class DiscreteWInstance:
         return idx.astype(float)[:, None]
 
     def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        # the k-row form the scalar fors_sample loops here and in perfbench call
+        # kept only for perfbench/workloads.py's scalar loop; propose_rows draws alike
         return self.propose_rows(np.zeros(k, dtype=np.int64), rng)
 
     def scalar_source(self, ledger: QueryLedger | None = None) -> EstimatorSource:
@@ -520,8 +523,9 @@ def run_fors_unit(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger)
     draw_counts = []
     source = flat.scalar_source(merged)
     fors_cfg = FORSConfig(b=flat.b)
+    one = np.zeros(1, dtype=np.int64)
     for _ in range(n_calls):
-        res = fors_sample(lambda r: flat.proposal_rows(1, r)[0], source,
+        res = fors_sample(lambda r: flat.propose_rows(one, r)[0], source,
                           fors_cfg, rng, ledger=merged)
         draw_counts.append(res.w_draws)
     tail = wdraw_tail_check(flat.b, delta, draw_counts)

@@ -456,16 +456,18 @@ class _CountingRows(_ConstantRows):
 
 def test_accept_rows_w_draw_budget_names_slot():
     # W = -B rejects every attempt with J >= 1 after one draw, so some slot
-    # is about to draw its fourth W long before every slot has drawn J = 0;
-    # the error carries exactly the three draws that slot made.
-    source = _CountingRows(-1.0, 64)
-    cfg = FORSConfig(b=1.0, max_w_per_call=3)
-    with pytest.raises(BudgetExhaustedError) as exc:
-        fors_accept_rows(_zero_rows,
-                         source, cfg, 64, make_rng(41))
-    assert exc.value.chain is not None
-    assert exc.value.w_draws == 3
-    assert source.drawn[exc.value.chain] == 3
+    # is about to draw its fourth W long before every slot has drawn J = 0
+    # (for one slot, B = 5 makes J = 0 an e^-10 chance an attempt); the
+    # error carries exactly the three draws that slot made.  One slot and
+    # many are refused alike.
+    for n_slots, b in ((1, 5.0), (64, 1.0)):
+        source = _CountingRows(-b, n_slots)
+        cfg = FORSConfig(b=b, max_w_per_call=3)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            fors_accept_rows(_zero_rows, source, cfg, n_slots, make_rng(41))
+        assert exc.value.chain is not None
+        assert exc.value.w_draws == 3
+        assert source.drawn[exc.value.chain] == 3
 
 
 @pytest.mark.parametrize("inst", discrete_instances(), ids=lambda inst: inst.name)

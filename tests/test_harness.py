@@ -67,10 +67,21 @@ def test_instance_law_matches_tilt_oracle():
 
 
 def test_instance_out_of_range_w_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="w_values must lie in"):
         DiscreteWInstance(name="bad", q=np.array([1.0]),
                           w_values=np.array([[1.5]]),
                           w_probs=np.array([[1.0]]), b=1.0)
+
+
+@pytest.mark.parametrize("w_values, w_probs, field", [
+    ([[0.5, -0.5]], [[1.0]], "w_values shape"),
+    ([[0.5, -0.5]], [[0.5, 0.6]], "w_probs rows"),
+], ids=["shape", "row_sum"])
+def test_bad_instance_is_refused_naming_the_field(w_values, w_probs, field):
+    # a ValueError, not an assert, so the check holds under python -O too
+    with pytest.raises(ValueError, match=field):
+        DiscreteWInstance(name="bad", q=np.array([1.0]), w_values=np.array(w_values),
+                          w_probs=np.array(w_probs), b=1.0)
 
 
 def test_tilt_reference_law():

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports or parameters, no unread planner constant
 or module-level name, no dataclass field that only its own validation reads,
 no function, class or method without a caller, one place that builds the tilt
-estimators, and every random draw from a Generator."""
+estimators, every random draw from a Generator, and no assert statement in src."""
 
 import ast
 from collections import Counter
@@ -219,6 +219,22 @@ def test_legacy_random_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_legacy_global_random_state(path):
     assert _legacy_random(path.read_text()) == []
+
+
+def _asserts(source: str) -> list[int]:
+    """Line of each assert statement; ``python -O`` strips them all."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_assert_is_detected():
+    source = "def f(x):\n    assert x > 0\n    if x:\n        assert x, 'msg'\n"
+    assert _asserts(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_assert_in_src(path):
+    # a check in src raises an error of its own, so -O cannot remove it
+    assert _asserts(path.read_text()) == []
 
 
 def _large_literals(source: str, exempt: str) -> list[str]:
