@@ -13,15 +13,17 @@ proportional to q(x) * exp(E[W|x]) exactly.
 
 Each factor (B + W_j)/(2B) is at most 1, so the running product only
 decreases and an attempt can be rejected as soon as it falls below the coin;
-its remaining W are never drawn.  Both kernels reject this way.
-``fors_sample`` is the scalar loop.  The row kernel, ``_coin_rounds``, is
-the one round step: it proposes a row per slot with ``propose(slots, rng)``
-and draws the n-th W, in one ``draw_w`` call, for the attempts still alive
-after n - 1 draws.  It holds no budget: each engine owns its caps and
-charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows`` (one
-acceptance per slot, which a ``renew`` hook may start again) caps each slot,
-``fors_sample_many`` (iid collector for one target) caps totals over its
-samples, and ``fors_attempt_batch`` (fixed attempt count, for the
+its remaining W are never drawn.  The coin is written twice, in two kernels
+that reject this way and hold no budget.  The scalar one, ``_scalar_coin``,
+flips one attempt over a W-draw callable: ``fors_sample`` charges its cap
+there, and ``lowerbound.proximal_adapter`` passes its path-integral W.  The
+row kernel, ``_coin_rounds``, is the one round step: it proposes a row per
+slot with ``propose(slots, rng)`` and draws the n-th W, in one ``draw_w``
+call, for the attempts still alive after n - 1 draws; each engine owns its
+caps and charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows``
+(one acceptance per slot, which a ``renew`` hook may start again) caps each
+slot, ``fors_sample_many`` (iid collector for one target) caps totals over
+its samples, and ``fors_attempt_batch`` (fixed attempt count, for the
 acceptance-law diagnostic) has no cap.  The iid engines send all-zero slots
 in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and the sample
 count, so a per-row array of a round holds at most 2^16 floats (512 KB);
@@ -131,61 +133,64 @@ class FORSResult:
     w_draws: int
 
 
-def fors_sample(proposal: Callable[[np.random.Generator], Array],
-                source: EstimatorSource, cfg: FORSConfig,
-                rng: np.random.Generator,
-                ledger: QueryLedger | None = None) -> FORSResult:
-    """Draw one exact sample from the tilted proposal.
+def _scalar_coin(b: float) -> Callable[..., bool]:
+    """The scalar coin ``flip(random, draw_w, x) -> bool`` for range B.
 
-    Parameters
-    ----------
-    proposal : callable(rng) -> vector from q.
-    source : EstimatorSource for W draws at a given point.
-    cfg : FORSConfig with B and budget caps.
-    rng : stream for proposals, Poisson counts, and acceptance coins
-        (the source may share it or hold its own).
-    ledger : optional QueryLedger metering attempts and W draws.
-
-    Raises BudgetExhaustedError when the attempt or per-call W-draw cap is
-    hit, carrying the partial accounting.
-
-    W draws are metered by the source's ledger and attempts by the ``ledger``
-    argument; pass the same QueryLedger to both for unified accounting.
+    J and u come from ``random``, then up to J factors from ``draw_w(x)``;
+    a W outside the closed [-B, B], NaN and +-inf included, raises
+    EstimatorRangeError.
     """
-    b, w_cap = cfg.b, cfg.max_w_per_call
     b2 = 2 * b
-    ledger = ledger if ledger is not None else QueryLedger()
     # poisson_inversion(2B, rng)'s scalar path, with its table bound once
     cdf = _poisson_cdf_list(float(b2))
     j_top = len(cdf) - 1
-    random, draw = rng.random, source.draw
-    w_draws_this_call = 0
-    for attempt in range(1, cfg.max_attempts + 1):
-        ledger.fors_attempts += 1
-        x = as_vector(proposal(rng))
+
+    def flip(random, draw_w, x) -> bool:
         j = min(bisect_left(cdf, random()), j_top)
         u = random()
-        # running product of (B + W)/(2B) factors; each factor is in [0, 1]
-        # so the product only decreases and the attempt can be rejected the
-        # moment it falls below the acceptance uniform.
         product = 1.0
         for _ in range(j):
-            if w_draws_this_call >= w_cap:
-                raise BudgetExhaustedError(
-                    "W-draw budget exhausted",
-                    attempts=attempt, w_draws=w_draws_this_call)
-            w = draw(x, rng)
-            w_draws_this_call += 1
+            w = draw_w(x)
             if not (-b <= w <= b):  # also false for NaN
                 raise EstimatorRangeError(f"estimator draw {w} outside [-{b}, {b}]")
             product *= (b + w) / b2
             if product < u:
-                break
-        if u < product:
-            return FORSResult(point=x, attempts=attempt, w_draws=w_draws_this_call)
+                return False
+        return u < product
+
+    return flip
+
+
+def fors_sample(proposal: Callable[[np.random.Generator], Array],
+                source: EstimatorSource, cfg: FORSConfig,
+                rng: np.random.Generator,
+                ledger: QueryLedger | None = None) -> FORSResult:
+    """Draw one exact sample from the proposal ``proposal(rng)`` tilted by W.
+
+    ``rng`` draws the proposals, Poisson counts and coins; the source may
+    share it or hold its own.  The source's ledger meters W draws and
+    ``ledger`` the attempts: pass one QueryLedger to both for unified
+    accounting.  Raises BudgetExhaustedError, carrying the partial
+    accounting, when the attempt or the per-call W-draw cap is hit.
+    """
+    ledger = ledger if ledger is not None else QueryLedger()
+    flip, random, draw = _scalar_coin(cfg.b), rng.random, source.draw
+    w_draws = 0
+
+    def draw_w(x):
+        nonlocal w_draws
+        if w_draws >= cfg.max_w_per_call:
+            raise BudgetExhaustedError("W-draw budget exhausted", attempts=attempt, w_draws=w_draws)
+        w_draws += 1
+        return draw(x, rng)
+
+    for attempt in range(1, cfg.max_attempts + 1):
+        ledger.fors_attempts += 1
+        x = as_vector(proposal(rng))
+        if flip(random, draw_w, x):
+            return FORSResult(point=x, attempts=attempt, w_draws=w_draws)
     raise BudgetExhaustedError(
-        "attempt budget exhausted",
-        attempts=cfg.max_attempts, w_draws=w_draws_this_call)
+        "attempt budget exhausted", attempts=cfg.max_attempts, w_draws=w_draws)
 
 
 def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
@@ -202,10 +207,9 @@ def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray
     it (shape, finiteness, the closed range [-B, B]) and multiplies
     (B + W)/(2B) into the row's product.  Each factor is at most 1, so a row
     whose product fell below u is rejected without its remaining draws; the
-    mask u < prod is the one the full product gives.  The kernel holds no
-    budget: an engine charges and refuses W draws in its ``draw_w``.  As a
-    generator it keeps a round's arrays alive until the next round replaces
-    them, so the next round does not page-fault them in again.
+    mask u < prod is the one the full product gives.  As a generator it
+    keeps a round's arrays alive until the next round replaces them, so the
+    next round does not page-fault them in again.
     """
     out = None
     while True:

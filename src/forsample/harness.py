@@ -15,6 +15,7 @@ import inspect
 import json
 import math
 import numbers
+import sys
 import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from .lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                          f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                       eps_tail, make_rng, phi)
-from .prox import ProxConfig, approx_prox_rows, prox_residual_bound
+from .prox import ProxConfig, approx_prox, approx_prox_rows, prox_residual_bound
 from .rgo import sample_tilt_many
 from .sampler import (MODES, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)
@@ -76,6 +77,10 @@ def _leaf(errors, path, value, kind=float, low=None):
             or (low is not None and value < low)):
         errors.append(f"{path}: expected {want}{'' if low is None else f' >= {low}'}, "
                       f"got {value!r}")
+        return None
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, +-inf, a huge int
+        got = "an integer past the floats" if isinstance(value, numbers.Integral) else value
+        errors.append(f"{path}: expected a finite number, got {got}")
         return None
     return kind(value)
 
@@ -610,28 +615,27 @@ def clipped_tilt_cdf(b: float, noise_sd: float, n_grid: int = 4001,
 def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
               n_batch: int) -> dict:
     pot = potential_from_config("gaussian", {"mean": [0.0], "precision": 1.0})
-    ledger = QueryLedger()
     rng = make_rng(seed, 7, 0 if mode == "first" else 1,
                    0 if noise.family == "exact" else 1)
     cfg = FORSConfig(b=TILT_B)
     if mode == "first":
-        oracle = GradientOracle(pot, noise, rng, ledger)
+        oracle = GradientOracle(pot, noise, rng)
         # proposal centered at the proximal point of x0, found with the same
         # noisy oracle the estimator uses
         prox_cfg = ProxConfig(eta=TILT_ETA, n_batch=n_batch, k_iters=25)
-        xhat = approx_prox_rows(pot, oracle, np.array([[TILT_X0]]), prox_cfg)[0]
+        xhat = approx_prox(pot, oracle, [TILT_X0], prox_cfg)
     else:
-        oracle = ValueOracle(pot, noise, rng, ledger)
+        oracle = ValueOracle(pot, noise, rng)
         xhat = [TILT_X0]
     pts = sample_tilt_many(oracle, [TILT_X0], xhat, TILT_ETA, cfg, samples, rng,
-                           n_batch=n_batch, ledger=ledger)
+                           n_batch=n_batch)
     if mode == "first":
         law = tilt_reference().cdf
     else:
         law = clipped_tilt_cdf(TILT_B, math.sqrt(2 * noise.second_moment() / n_batch))
     stat, p_value = ks_test(pts[:, 0], law)
     return {"seed": seed, "mode": mode, "noise": noise.family,
-            "ks_stat": stat, "ks_p": p_value, "ledger": ledger.as_dict()}
+            "ks_stat": stat, "ks_p": p_value, "ledger": oracle.ledger.as_dict()}
 
 
 @_suite("seeds", "samples")

@@ -32,14 +32,13 @@ numbers earlier trials spent.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetViolationError
-from .fors import _poisson_cdf_list
+from .fors import _scalar_coin
 from .oracles import make_rng
 
 _F_PSI_CAP = 1e12
@@ -283,44 +282,38 @@ def proximal_adapter(eta: float = 0.25, b: float = 1.0) -> Adapter:
     Each outer step spends one query on a single linearized prox iteration
     and one query per rejection-loop estimator draw (first-order path
     construction with n = 1), then repeats until the budget runs out; the
-    state at exhaustion is the output.
+    state at exhaustion is the output.  The loop flips ``fors``'s scalar
+    coin, not ``fors_sample``, whose attempts no coupled-run ledger holds.
     """
     if not (eta > 0) or not (b > 0):
         raise ValueError("eta and b must be positive")
 
-    scale, b2 = math.sqrt(eta), 2.0 * b
-    # poisson_inversion(2B, rng)'s scalar path, with its table bound once
-    cdf = _poisson_cdf_list(b2)
-    j_top = len(cdf) - 1
+    scale, flip = math.sqrt(eta), _scalar_coin(b)
     pi, half_pi, sin, cos = math.pi, math.pi / 2.0, math.sin, math.cos
 
     def run(oracle: Callable[[float], float], budget: int,
             rng: np.random.Generator) -> float:
         normal, random = rng.standard_normal, rng.random
+
+        def path_w(cand: float) -> float:
+            # first-order W at cand for the tilt (xhat, u) of the current step
+            r = random()
+            z = scale * normal()
+            angle = pi * r / 2.0
+            a_r, b_r = sin(angle), cos(angle)
+            gamma = a_r * cand + (1.0 - a_r) * xhat + b_r * z
+            gamma_dot = half_pi * (b_r * (cand - xhat) - a_r * z)
+            return max(-b, min(b, gamma_dot * (u - oracle(gamma))))
+
         x = 0.0
         try:
             while True:
                 y = x + scale * normal()
                 xhat = y - eta * oracle(y) / 2.0    # one prox iteration from x0=y
                 u = (y - xhat) / eta
-                # inline: through fors_sample the same draws take 1.8-2x the CPU time
                 while True:                          # rejection loop for this tilt
                     cand = xhat + scale * normal()
-                    j = min(bisect_left(cdf, random()), j_top)
-                    coin = random()
-                    product = 1.0
-                    for _ in range(j):
-                        r = random()
-                        z = scale * normal()
-                        angle = pi * r / 2.0
-                        a_r, b_r = sin(angle), cos(angle)
-                        gamma = a_r * cand + (1.0 - a_r) * xhat + b_r * z
-                        gamma_dot = half_pi * (b_r * (cand - xhat) - a_r * z)
-                        w = gamma_dot * (u - oracle(gamma))
-                        product *= (b + max(-b, min(b, w))) / b2
-                        if product < coin:
-                            break
-                    if coin < product:
+                    if flip(random, path_w, cand):
                         x = cand
                         break
         except BudgetViolationError:

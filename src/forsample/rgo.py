@@ -146,14 +146,14 @@ def tilt_source(oracle, x0_rows: np.ndarray, xhat_rows: np.ndarray, eta: float,
 
 
 def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: int,
-                     rng: np.random.Generator, n_batch: int = 1,
-                     ledger: QueryLedger | None = None) -> np.ndarray:
+                     rng: np.random.Generator, n_batch: int = 1) -> np.ndarray:
     """Vectorized iid tilt sampling: (n_samples, d) accepted points.
 
     The tilt is centered at x0 with step eta, the proposal N(xhat, eta I),
-    and the oracle picks the estimator as in ``tilt_source``.  Bad inputs
-    are refused before the generator or the ledger is touched; zero samples
-    are a (0, d) array.
+    and the oracle picks the estimator as in ``tilt_source`` and meters it
+    all, one rgo call per sample, in its ledger.  Bad inputs are refused
+    before the generator or the ledger is touched; zero samples are a (0, d)
+    array.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -169,7 +169,6 @@ def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: i
                              f"got {x0.shape[0]}")
     if n_samples == 0:
         return np.empty((0, x0.shape[0]))
-    ledger = ledger if ledger is not None else QueryLedger()
-    ledger.rgo_calls += n_samples
+    oracle.ledger.rgo_calls += n_samples
     return fors_sample_many(source.propose_rows, source, cfg, n_samples, rng,
-                            ledger=ledger)
+                            ledger=oracle.ledger)

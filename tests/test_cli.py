@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,29 @@ _REJECTED = [
     ({"experiment": "fors_unit", "chains": 5}, "chains: fors_unit does not read this field"),
     ({"experiment": "fors_unit", "chains": 0}, "chains: expected an integer >= 1, got 0"),
     ({"experiment": "fors_unit", "seeds": (-1,)}, "seeds[0]: expected an integer >= 0, got -1"),
+    # a float leaf must be finite; these validated, then failed the run with
+    # no field path, or raised OverflowError out of the config itself
+    ({"experiment": "sampler_e2e", "case": {"tag": "LSI", "warm_start_delta": math.nan}},
+     "case.warm_start_delta: expected a finite number, got nan"),
+    ({"experiment": "sampler_e2e", "case": {"tag": "LC", "w2_bound": math.inf}},
+     "case.w2_bound: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e", "noise": {"family": "polymoment", "sigma_2k": math.inf}},
+     "noise.sigma_2k: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e",
+      "noise": {"family": "twopoint", "p": 0.5, "m_shift": math.inf}},
+     "noise.m_shift: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e",
+      "noise": {"family": "subweibull", "zeta": math.inf, "sigma_g": 0.5}},
+     "noise.zeta: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e", "constants": {"m_grid_ratio": math.inf}},
+     "constants.m_grid_ratio: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e", "constants": {"c_eta_first": math.inf}},
+     "constants.c_eta_first: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e",
+      "potential": {"name": "huber", "params": {"threshold": math.inf}}},
+     "potential.params.threshold: expected a finite number, got inf"),
+    ({"experiment": "sampler_e2e", "delta": 10 ** 400},
+     "delta: expected a finite number, got an integer past the floats"),
 ]
 
 
@@ -232,6 +256,33 @@ def test_both_entry_points_reject_with_the_field_path(raw, message, monkeypatch)
         with pytest.raises(ConfigError) as exc:
             build(raw)
         assert message in exc.value.errors
+
+
+# more float leaves that must be finite, apart because _REJECTED's ids are
+# its field paths and these paths are taken there: id -> (raw, path)
+_NOT_FINITE = {
+    "case.constant": ({"experiment": "sampler_e2e",
+                       "case": {"tag": "PI", "constant": math.inf}}, "case.constant"),
+    "noise.sigma_g_inf": ({"experiment": "sampler_e2e",
+                           "noise": {"family": "subgaussian", "sigma_g": math.inf}},
+                          "noise.sigma_g"),
+    "noise.sigma_g_huge": ({"experiment": "sampler_e2e",
+                            "noise": {"family": "subgaussian", "sigma_g": 10 ** 400}},
+                           "noise.sigma_g"),
+    "constants.c_n": ({"experiment": "sampler_e2e", "constants": {"c_n": -math.inf}},
+                      "constants.c_n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_FINITE))
+def test_float_leaves_must_be_finite(name, monkeypatch):
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    raw, path = _NOT_FINITE[name]
+    for build in (validate_config, lambda raw: ExperimentConfig(**raw)):
+        with pytest.raises(ConfigError) as exc:
+            build(raw)
+        assert [e.partition(" got ")[0] for e in exc.value.errors] == [
+            f"{path}: expected a finite number,"]
 
 
 def test_noise_takes_no_tail_bound_constant(monkeypatch):

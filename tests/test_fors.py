@@ -16,6 +16,7 @@ from forsample.errors import BudgetExhaustedError, DimensionError, EstimatorRang
 from forsample.fors import (
     EstimatorSource,
     FORSConfig,
+    _scalar_coin,
     fors_accept_rows,
     fors_attempt_batch,
     fors_sample,
@@ -119,6 +120,45 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # scalar loop
 # ---------------------------------------------------------------------------
+
+class _Script:
+    """Scripted W values, with the points they were drawn at."""
+
+    def __init__(self, values):
+        self.values, self.points = list(values), []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.values.pop(0)
+
+
+# uniforms that make J ~ Poisson(2) come out 0 and 3: the CDF is e^-2 (0.135)
+# at 0 and 19/3 e^-2 (0.857) at 3, past 5 e^-2 (0.677) at 2
+_J0, _J3 = 0.1, 0.8
+
+
+@pytest.mark.parametrize("j_uniform, u, ws, drawn, accepted", [
+    (_J3, 0.3, [0.5, 0.5, 0.5, 0.5], 3, True),     # 0.75^3 = 0.42 > u: J draws
+    (_J3, 0.6, [0.5, 0.5, 0.5, 0.5], 2, False),    # 0.75^2 = 0.5625 < u: stop
+    (_J3, 0.9, [-1.0, 1.0, 1.0], 1, False),        # a zero factor stops at once
+    (_J3, 0.75, [1.0, 0.5, 1.0], 3, False),        # the product equals u: u < prod fails
+    (_J3, 0.7499, [1.0, 0.5, 1.0], 3, True),
+    (_J0, 0.999, [0.0], 0, True),                  # J = 0: the empty product is 1
+])
+def test_scalar_coin_decides_u_below_the_product(j_uniform, u, ws, drawn, accepted):
+    flip, script = _scalar_coin(1.0), _Script(ws)
+    uniforms = _FixedUniform([j_uniform, u])
+    assert flip(uniforms.random, script, "x") is accepted
+    assert uniforms._values == []                  # J's uniform and u, no more
+    assert script.points == ["x"] * drawn
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.0 - 1e-9, float("nan"), math.inf])
+def test_scalar_coin_refuses_w_outside_the_closed_range(bad):
+    flip = _scalar_coin(1.0)
+    with pytest.raises(EstimatorRangeError):
+        flip(_FixedUniform([_J3, 0.3]).random, _Script([0.5, bad, 0.5]), None)
+
 
 def test_w_equal_b_accepts_every_first_attempt():
     # W = +B makes every factor (B+W)/(2B) equal to 1, so the product never

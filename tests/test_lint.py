@@ -262,7 +262,6 @@ def test_fors_round_size_is_one_constant():
 # cases of row kernels and the references the tests check them against
 _NO_CALLER_KEPT = {
     ("core.py", "holder_spot_check"),
-    ("prox.py", "approx_prox"),
     ("prox.py", "prox_residual"),
     ("rgo.py", "path_gamma"),
 }
@@ -374,6 +373,33 @@ def test_tilt_estimators_are_built_only_in_rgo():
                     found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert [f for f in found if f.split(":")[0] != "forsample/rgo.py"] == []
     assert len(found) == 2
+
+
+def _names_read(source: str, names) -> list[int]:
+    """Lines that load, import or take an attribute named in ``names``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        found = ((isinstance(node, ast.Name) and node.id in names)
+                 or (isinstance(node, ast.Attribute) and node.attr in names)
+                 or (isinstance(node, ast.ImportFrom)
+                     and any(a.name in names for a in node.names)))
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_name_read_is_detected():
+    source = "from .fors import _poisson_cdf_list\ncdf = fors._poisson_cdf_table(2.0)\n"
+    assert _names_read(source, {"_poisson_cdf_list", "_poisson_cdf_table"}) == [1, 2]
+
+
+def test_poisson_tables_are_read_only_in_fors():
+    # the acceptance coin is written in fors alone: no other module binds the
+    # Poisson(2B) table it draws J from
+    tables = {"_poisson_cdf_list", "_poisson_cdf_table"}
+    found = [f"{path.name}:{line}" for path in MODULES if path.name != "fors.py"
+             for line in _names_read(path.read_text(), tables)]
+    assert found == []
 
 
 # dataclass fields kept though no code outside their own __post_init__

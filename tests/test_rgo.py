@@ -189,10 +189,10 @@ def _tilt_cdf(x):
     return stats.norm.cdf(x, loc=_TILT_MEAN, scale=_TILT_SD)
 
 
-def _centered_tilt(oracle, n_samples, rng, ledger=None):
+def _centered_tilt(oracle, n_samples, rng):
     # f(x) = x^2/2 tilted at x0 = 1 with eta = 0.5, proposal at the tilt mean
     return sample_tilt_many(oracle, [1.0], [_TILT_MEAN], 0.5, FORSConfig(b=3.0),
-                            n_samples, rng, ledger=ledger)
+                            n_samples, rng)
 
 
 def test_first_order_tilt_matches_gaussian():
@@ -244,12 +244,26 @@ def test_non_oracle_rejected_before_any_draw():
         def draw_batch_rows(self, xs, n):
             raise AssertionError("queried")
 
-    rng, ledger = make_rng(1), QueryLedger()
+    impostor, rng = Impostor(), make_rng(1)
+    impostor.ledger = QueryLedger()
     before = rng.bit_generator.state
     with pytest.raises(TypeError, match="GradientOracle or a ValueOracle"):
-        _centered_tilt(Impostor(), 10, rng, ledger=ledger)
+        _centered_tilt(impostor, 10, rng)
     assert rng.bit_generator.state == before
-    assert ledger.as_dict() == QueryLedger().as_dict()
+    assert impostor.ledger.as_dict() == QueryLedger().as_dict()
+
+
+def test_tilt_meters_the_loop_into_the_oracles_ledger():
+    # one ledger holds the queries, the clips, the attempts, the W draws and
+    # one rgo call per sample: a first-order W is one gradient query
+    pot = make_gaussian_potential([0.0])
+    oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(73, 0))
+    _centered_tilt(oracle, 1_000, make_rng(73, 1))
+    led = oracle.ledger
+    assert led.rgo_calls == 1_000
+    assert led.fors_attempts >= 1_000
+    assert led.w_draws == led.grad_queries > 0
+    assert 0 < led.w_clipped < led.w_draws
 
 
 def test_zero_samples_are_an_empty_array_and_negative_is_refused():
@@ -257,17 +271,16 @@ def test_zero_samples_are_an_empty_array_and_negative_is_refused():
     pot = make_gaussian_potential([0.0, 0.0])
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(72, 0))
     for count, want in ((0, None), (-2, "n_samples must be >= 0")):
-        rng, ledger = make_rng(72, 1), QueryLedger()
+        rng = make_rng(72, 1)
         before = rng.bit_generator.state
         args = (oracle, [1.0, -1.0], [0.5, -0.5], 0.5, FORSConfig(b=3.0), count, rng)
         if want is None:
-            out = sample_tilt_many(*args, ledger=ledger)
+            out = sample_tilt_many(*args)
             assert out.shape == (0, 2) and out.dtype == np.float64
         else:
             with pytest.raises(ValueError, match=want):
-                sample_tilt_many(*args, ledger=ledger)
+                sample_tilt_many(*args)
         assert rng.bit_generator.state == before
-        assert ledger.as_dict() == QueryLedger().as_dict()
         assert oracle.ledger.as_dict() == QueryLedger().as_dict()
 
 

@@ -93,10 +93,13 @@ def _attempt_batch():
 def _sample_tilt_many(oracle_cls):
     pot, (x0, xhat, eta), noise = _tilt()
     oracle = oracle_cls(pot, noise, make_rng(5, 6))
-    ledger = QueryLedger()
     out = sample_tilt_many(oracle, x0, xhat, eta, FORSConfig(b=2.0), 2_000,
-                           make_rng(5, 7), n_batch=3, ledger=ledger)
-    return _digest(out, ledger, oracle.ledger)
+                           make_rng(5, 7), n_batch=3)
+    # the oracle's ledger meters the loop too; the pins digest the loop's
+    # counts apart from the queries, as when the loop had a ledger of its own
+    queries = oracle.ledger.as_dict()
+    loop = {k: queries.pop(k) for k in ("fors_attempts", "w_draws", "rgo_calls")}
+    return _digest(out, QueryLedger(**loop), QueryLedger(**queries))
 
 
 def _sampler(noise=NoiseModel.subgaussian(0.5)):
