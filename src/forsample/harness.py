@@ -38,7 +38,7 @@ from .prox import ProxConfig, approx_prox, approx_prox_rows, prox_residual_bound
 from .rgo import sample_tilt_many
 from .sampler import (MODES, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)
-from .verify import (chi2_discrete, discrete_law_oracle, empirical_tv_1d,
+from .verify import (MIN_SAMPLES, chi2_discrete, discrete_law_oracle, empirical_tv_1d,
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
                      scaling_slope, seeds_pass_rule)
 
@@ -65,12 +65,14 @@ _CASE_DEFAULTS = {"constant": 1.0, "warm_start_delta": 1.0}
 
 _KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
           str: (str, "a string")}
+_INT_MAX = int(np.iinfo(np.intp).max)  # the largest int leaf: numpy sizes arrays by intp
 
 
 def _leaf(errors, path, value, kind=float, low=None):
     """``value`` as a float, int or str, or None after noting why not.
 
-    None and bools are never numbers; ``low`` bounds the value from below.
+    None and bools are never numbers; ``low`` bounds the value from below,
+    and ``_INT_MAX`` an int from above.
     """
     types, want = _KINDS[kind]
     if (isinstance(value, bool) or not isinstance(value, types)
@@ -82,7 +84,18 @@ def _leaf(errors, path, value, kind=float, low=None):
         got = "an integer past the floats" if isinstance(value, numbers.Integral) else value
         errors.append(f"{path}: expected a finite number, got {got}")
         return None
+    if kind is int and value > _INT_MAX:
+        errors.append(f"{path}: expected an integer <= {_INT_MAX}, got a larger one")
+        return None
     return kind(value)
+
+
+def _seed(errors, path, value):
+    """An integer >= 0 of any size, as SeedSequence takes: an int leaf but uncapped."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0:
+        return int(value)
+    errors.append(f"{path}: expected an integer >= 0, got {value!r}")
+    return None
 
 
 def _fraction(errors, path, value):
@@ -194,13 +207,14 @@ _CHECKS = {
     "delta": _fraction,
     "delta_grid": _delta_grid,
     "seeds": lambda errors, path, value: _sequence(
-        errors, path, value, 1, "a nonempty list of integers",
-        functools.partial(_leaf, kind=int, low=0)),
+        errors, path, value, 1, "a nonempty list of integers", _seed),
     "chains": _count,
     "samples": _count,
     "trials": _count,
     "constants": _constants,
 }
+# the count each suite hands its 1-D checks (verify.MIN_SAMPLES) as their sample size
+_CHECKED_COUNTS = {"tilt_exactness": "samples", "sampler_e2e": "chains", "lower_bound": "trials"}
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,10 @@ class ExperimentConfig:
                 object.__setattr__(self, name, value)
             if name not in reads and given is not None:
                 errors.append(f"{name}: {self.experiment} does not read this field")
+        counted = suite and _CHECKED_COUNTS.get(self.experiment)
+        if counted and (getattr(self, counted) or MIN_SAMPLES) < MIN_SAMPLES:
+            errors.append(f"{counted}: {self.experiment} needs at least {MIN_SAMPLES}, "
+                          f"got {getattr(self, counted)}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             errors.append(f"output_dir: expected a string path, got {self.output_dir!r}")
         if suite and len(suite.defaults.get("seeds", ())) == 1 and len(self.seeds or ()) > 1:

@@ -51,6 +51,7 @@ _CHUNK = 4_000_000
 # not of the noise drawn, so no config sets them
 C_TAIL = 2.0
 C_RATE = 0.25
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x whose exp(x) is a float
 
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
@@ -249,9 +250,10 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
     """Upper bound on the batch-mean truncation tail at level M = m_level.
 
     Returns a bound on (1/M) * E[||gbar - E gbar|| * 1{||gbar - E gbar|| > M}]
-    for the mean gbar of n draws.  Guaranteed nonincreasing in M and in n for
-    every supported combination.  SubWeibull with zeta != 2 has no batch
-    formula: n > 1 raises UnsupportedCombinationError.
+    for the mean gbar of n draws.  Nonincreasing in M and in n (to 1e-12 where
+    the polymoment bound turns to logs), and returned for every n >= 1 and M >= 0.
+    The one refusal, which ``phi`` passes on: subWeibull with zeta != 2 has
+    no batch formula, so n > 1 raises UnsupportedCombinationError.
     """
     if n < 1 or int(n) != n:
         raise ValueError("batch size n must be a positive integer")
@@ -269,13 +271,19 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         return 0.0 if m_level >= noise.m_shift else noise.m1() / m_level
 
     if noise.family == "polymoment":
+        # (2k)! sigma^(2k) / (n^k M^(2k)), in logs where a term leaves the normal floats
         k = noise.k
-        return (math.factorial(2 * k) * noise.sigma_2k ** (2 * k)
-                / (n ** k * m_level ** (2 * k)))
-
-    # Markov fallback, valid for any M and n: tail <= E||gbar|| / M and the
-    # batch first moment is at most sqrt(E||noise||^2 / n)
-    markov = math.sqrt(noise.second_moment() / n) / m_level
+        try:
+            s2k, m2k = noise.sigma_2k ** (2 * k), m_level ** (2 * k)
+            num = (math.factorial(2 * k) if k <= 85 else math.inf) * s2k
+            den = (n ** k if k * (n.bit_length() - 1) < 1024 else math.inf) * m2k
+            if s2k >= 2.0 ** -1022 and m2k >= 2.0 ** -1022 and num < math.inf and den < math.inf:
+                return num / den
+        except OverflowError:
+            pass
+        log_tail = (math.lgamma(2 * k + 1) + 2 * k * math.log(noise.sigma_2k)
+                    - k * math.log(n) - 2 * k * math.log(m_level))
+        return math.exp(log_tail) if log_tail <= _LOG_FLOAT_MAX else math.inf
 
     # subgaussian is subweibull with zeta = 2
     zeta = 2.0 if noise.family == "subgaussian" else noise.zeta
@@ -283,7 +291,14 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         raise UnsupportedCombinationError(
             "subweibull noise with zeta != 2 has no batch tail bound for n > 1; "
             "increase the truncation level M instead of the batch size")
-    expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** zeta)
+    # Markov, valid for any M and n: tail <= E||gbar|| / M <= sqrt(E||noise||^2 / n) / M;
+    # a term past the floats keeps its default, inf or exp(-inf) = 0
+    expo = 0.0
+    try:
+        expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** zeta)
+        markov = math.sqrt(noise.second_moment() / n) / m_level
+    except OverflowError:
+        markov = math.inf
     return min(markov, expo) if m_level >= noise.sigma_g else markov
 
 
@@ -292,8 +307,8 @@ def phi(noise: NoiseModel, m_level: float, delta: float, cap: int = 10 ** 9) -> 
 
     Found by doubling then bisection directly on ``eps_tail`` so minimality
     holds for the implemented bound, not a paraphrase of it.  Raises
-    UnsupportedCombinationError when no n <= cap works (including the
-    subweibull zeta != 2 family whenever n = 1 is insufficient).
+    UnsupportedCombinationError when no n <= cap works; for subweibull
+    zeta != 2 past n = 1, that is eps_tail's own refusal.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -302,13 +317,7 @@ def phi(noise: NoiseModel, m_level: float, delta: float, cap: int = 10 ** 9) -> 
     def ok(n: int) -> bool:
         return eps_tail(noise, n, m_level) <= target
 
-    if ok(1):
-        return 1
-    if noise.family == "subweibull" and noise.zeta != 2.0:
-        raise UnsupportedCombinationError(
-            f"subweibull(zeta={noise.zeta}) cannot reach eps <= {target:g} at "
-            f"M={m_level:g} with n=1, and batching is unsupported for zeta != 2")
-    lo, hi = 1, 2
+    lo, hi = 0, 1
     while hi <= cap and not ok(hi):
         lo, hi = hi, hi * 2
     if hi > cap:

@@ -9,10 +9,11 @@ X_N is within the planned total-variation budget delta of mu ~ exp(-f).
 ``plan_first_order`` / ``plan_zeroth_order`` turn (potential, noise model,
 assumption case, delta) into a concrete Schedule: step size eta, outer count
 N, truncation level M, per-estimator batch size n, prox iteration budget,
-and the gradient-norm bound G.  N is closed-form in the combined factor
+and the gradient-norm bound G.  Each mode writes its rate once, where it
+gets (N, eta): N is closed-form in the combined factor
 A = d + Delta + 1/delta + (case weight) * (gradient scale), so the target
-accuracy enters the iteration count only logarithmically; eta then follows
-from log(N/delta) in a single pass.  All absolute constants come from a
+accuracy enters the iteration count only logarithmically, and eta follows
+from the rate at log(N/delta).  All absolute constants come from a
 PlanConstants snapshot that is stored on the schedule and serialized with
 every report.
 """
@@ -103,105 +104,79 @@ def gradient_norm_bound(pot: Potential, warm_start_delta: float,
     return math.sqrt(g2)
 
 
-def _eta_first_order(pot: Potential, m_trunc: float, delta: float,
-                     n_steps: int, constants: PlanConstants) -> float:
-    s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
-    ell = math.log(max(n_steps, 2) / delta)
-    base = ((beta ** 2 * d ** s * ell + beta ** 2 * ell ** 2) ** (1.0 / (1.0 + s))
-            + m_trunc ** 2 * ell)
-    eta = 1.0 / (constants.c_eta_first * base)
-    # and the prox stage's step-size condition, eta <= 1/(2 m_s)
-    return min(eta, 1.0 / (2.0 * pot.m_s))
-
-
-def _eta_zeroth_order(pot: Potential, case: AssumptionCase, delta: float,
-                      n_steps: int, constants: PlanConstants) -> float:
-    s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
-    ell = math.log(max(n_steps, 2) / delta)
-    base = ((beta * d ** s) ** (2.0 / (1.0 + s))
-            * (1.0 + (case.warm_start_delta + ell) / d) * ell)
-    return 1.0 / (constants.c_eta_zeroth * base)
-
-
 def _log_a(pot: Potential, case: AssumptionCase, delta: float,
            gradient_scale: float) -> float:
-    """log of the A-factor: A = d + Delta + 1/delta + (case weight) * scale.
+    """log A, A = d + Delta + 1/delta + (case weight) * gradient_scale.
 
-    ``gradient_scale`` is the squared natural gradient scale of the plan
-    (m_s^2 for zeroth order, m_s^2 + M^2 for first order).  The case weight
-    is the functional-inequality constant for LSI/PI and W_2^2 for LC, so
-    delta enters the iteration counts only through this logarithm.
+    The scale is m_s^2, plus M^2 in first order; the weight is the case's
+    constant, or W_2^2 for LC.  delta enters N only through this logarithm.
     """
     weight = case.w2_bound ** 2 if case.tag == "LC" else case.constant
     a = pot.dim + case.warm_start_delta + 1.0 / delta + weight * gradient_scale
     return math.log(a)
 
 
-def _n_first_order(pot: Potential, case: AssumptionCase, m_trunc: float,
-                   delta: float, constants: PlanConstants) -> int:
-    """Outer-iteration count for the first-order plan, by assumption case.
+def _n_eta_first_order(pot: Potential, case: AssumptionCase, m_trunc: float,
+                       delta: float, constants: PlanConstants) -> tuple[int, float]:
+    """(N, eta) of the first-order plan at level M, from its one rate.
 
-    LSI: N ~ C_LSI (beta sqrt(d) log^(3/2) A + (beta + M^2) log^2 A).
-    PI:  N ~ C_PI ((beta^2 d^s log A + beta^2 log^2 A)^(1/(1+s)) + M^2 log A)
-         * (Delta + log(1/delta)).
-    LC:  N ~ (same bracket) * W_2^2 / delta^2.
+    R(L) = (beta^2 d^s L + beta^2 L^2)^(1/(1+s)) + M^2 L.  N ~ C_PI R(log A)
+    (Delta + log(1/delta)) under PI, R(log A) W_2^2 / delta^2 under LC and
+    C_LSI (beta sqrt(d) log^(3/2) A + (beta + M^2) log^2 A) under LSI; then
+    1/eta = c_eta_first R(log(N/delta)), within the prox's eta <= 1/(2 m_s).
     """
     s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
+
+    def rate(ell: float) -> float:
+        return ((beta ** 2 * d ** s * ell + beta ** 2 * ell ** 2) ** (1.0 / (1.0 + s))
+                + m_trunc ** 2 * ell)
+
     ell = _log_a(pot, case, delta, pot.m_s ** 2 + m_trunc ** 2)
     if case.tag == "LSI":
         val = case.constant * (beta * math.sqrt(d) * ell ** 1.5
                                + (beta + m_trunc ** 2) * ell ** 2)
+    elif case.tag == "PI":
+        val = case.constant * rate(ell) * (case.warm_start_delta + math.log(1.0 / delta))
     else:
-        bracket = ((beta ** 2 * d ** s * ell + beta ** 2 * ell ** 2) ** (1.0 / (1.0 + s))
-                   + m_trunc ** 2 * ell)
-        if case.tag == "PI":
-            val = case.constant * bracket * (case.warm_start_delta
-                                             + math.log(1.0 / delta))
-        else:
-            val = bracket * case.w2_bound ** 2 / delta ** 2
-    return max(int(math.ceil(constants.c_n * val)), 1)
+        val = rate(ell) * case.w2_bound ** 2 / delta ** 2
+    n_steps = max(int(math.ceil(constants.c_n * val)), 1)
+    eta = 1.0 / (constants.c_eta_first * rate(math.log(max(n_steps, 2) / delta)))
+    return n_steps, min(eta, 1.0 / (2.0 * pot.m_s))
 
 
-def _n_zeroth_order(pot: Potential, case: AssumptionCase, delta: float,
-                    constants: PlanConstants) -> int:
-    """Outer-iteration count for the zeroth-order plan, by assumption case.
+def _n_eta_zeroth_order(pot: Potential, case: AssumptionCase, delta: float,
+                        constants: PlanConstants) -> tuple[int, float]:
+    """(N, eta) of the zeroth-order plan, from its one rate.
 
-    All cases share the factor (beta d^s)^(2/(1+s)) (1 + (Delta + log A)/d);
-    LSI multiplies by C_LSI log^2 A, PI by C_PI (Delta + log(1/delta)) log A,
-    LC by W_2^2 log A / delta^2.
+    F(L) = (beta d^s)^(2/(1+s)) (1 + (Delta + L)/d).  N ~ F(log A) log A times
+    C_LSI log A (LSI), C_PI (Delta + log(1/delta)) (PI) or W_2^2 / delta^2
+    (LC); then 1/eta = c_eta_zeroth F(L) L at L = log(N/delta).
     """
     s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
+
+    def rate(ell: float) -> float:
+        return (beta * d ** s) ** (2.0 / (1.0 + s)) * (1.0 + (case.warm_start_delta + ell) / d)
+
     ell = _log_a(pot, case, delta, pot.m_s ** 2)
-    factor = ((beta * d ** s) ** (2.0 / (1.0 + s))
-              * (1.0 + (case.warm_start_delta + ell) / d))
     if case.tag == "LSI":
-        val = case.constant * factor * ell ** 2
+        val = case.constant * rate(ell) * ell ** 2
     elif case.tag == "PI":
-        val = case.constant * factor * (case.warm_start_delta
-                                        + math.log(1.0 / delta)) * ell
+        val = case.constant * rate(ell) * (case.warm_start_delta + math.log(1.0 / delta)) * ell
     else:
-        val = factor * ell * case.w2_bound ** 2 / delta ** 2
-    return max(int(math.ceil(constants.c_n * val)), 1)
-
-
-def _estimator_draws_per_call(b: float) -> float:
-    """Expected W draws of one acceptance call when W is identically 0.
-
-    An attempt draws its n-th W when J >= n and the first n - 1 factors
-    (each 1/2) stay above the coin: sum_n P(J >= n) 2^(1-n) = 2(1 - e^-B)
-    draws per attempt, and a call takes e^B attempts on average.
-    """
-    return 2.0 * math.expm1(b)
+        val = rate(ell) * ell * case.w2_bound ** 2 / delta ** 2
+    n_steps = max(int(math.ceil(constants.c_n * val)), 1)
+    ell = math.log(max(n_steps, 2) / delta)
+    return n_steps, 1.0 / (constants.c_eta_zeroth * (rate(ell) * ell))
 
 
 def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
           delta: float, constants: PlanConstants, levels: list[float]) -> Schedule:
     """The planner both modes share: the cheapest plan over ``levels``.
 
-    Each truncation level M is priced in turn: the mode's outer count N and
-    step size eta at M, the batch size phi at M with the step's tail share,
-    the gradient bound G, then the queries of N steps.  A level whose batch
-    size phi cannot reach is skipped; a plan with no level left is refused.
+    Each truncation level M is priced in turn: the mode's (N, eta) at M,
+    the batch size phi at M with the step's tail share, the gradient bound G,
+    then the queries of N steps.  A level whose batch size phi cannot reach
+    is skipped; a plan with no level left is refused.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -210,12 +185,8 @@ def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
     best: Schedule | None = None
     last_error: Exception | None = None
     for m_trunc in levels:
-        if first:
-            n_steps = _n_first_order(pot, case, m_trunc, delta, constants)
-            eta = _eta_first_order(pot, m_trunc, delta, n_steps, constants)
-        else:
-            n_steps = _n_zeroth_order(pot, case, delta, constants)
-            eta = _eta_zeroth_order(pot, case, delta, n_steps, constants)
+        n_steps, eta = (_n_eta_first_order(pot, case, m_trunc, delta, constants) if first
+                        else _n_eta_zeroth_order(pot, case, delta, constants))
         try:
             n_batch = phi(noise, m_trunc, _tail_budget(mode, delta, n_steps),
                           cap=constants.phi_cap)
@@ -225,11 +196,12 @@ def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
         g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
         # per outer step: at most k_iters prox batches (first order; a row may
         # run fewer), then the rejection loop's W draws, each one gradient
-        # batch or two value batches, every batch of size n_batch
+        # batch or two value batches, every batch of size n_batch; with W = 0
+        # a call makes e^B attempts of sum_n P(J >= n) 2^(1-n) = 2(1 - e^-B) draws
         k_iters = (default_k_iters(g_bound, m_trunc, pot.m_s, relaxation(pot, eta)[1])
                    if first else 0)
         w_batches = 1 if first else 2
-        per_step = n_batch * (k_iters + w_batches * _estimator_draws_per_call(b))
+        per_step = n_batch * (k_iters + w_batches * (2.0 * math.expm1(b)))
         sched = Schedule(
             mode=mode, eta=eta, n_steps=n_steps, m_trunc=m_trunc, n_batch=n_batch,
             g_bound=g_bound, k_iters=k_iters, b=b, delta=delta, case=case,
@@ -250,9 +222,8 @@ def plan_first_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
 
     The truncation level M is chosen by scanning a geometric grid upward
     from the noise's exact first moment and keeping the candidate whose
-    planned query count is smallest; each candidate is priced by resolving
-    the eta <-> N pair and inverting the tail bound for the batch size.
-    Exact oracles, whose first moment is 0, use M = 0 and n_batch = 1.
+    planned query count is smallest.  Exact oracles, whose first moment is
+    0, use M = 0 and n_batch = 1.
     """
     base = noise.m1(pot.dim)
     levels = ([base * constants.m_grid_ratio ** i for i in range(constants.m_grid_points)]

@@ -22,14 +22,16 @@ import numpy as np
 from .errors import DimensionError
 from .kstwo import kstwo_sf
 
+MIN_SAMPLES = 100  # the fewest samples a 1-D check takes; a config may give no fewer
 
-def _as_1d_samples(samples, min_n: int = 100) -> np.ndarray:
+
+def _as_1d_samples(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim > 1 and arr.size != arr.shape[0]:
         raise DimensionError("1-D check requires scalar samples; pass a coordinate")
     arr = arr.ravel()
-    if arr.size < min_n:
-        raise ValueError(f"need at least {min_n} samples, got {arr.size}")
+    if arr.size < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples contain non-finite values")
     return arr

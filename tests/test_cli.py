@@ -245,6 +245,19 @@ _REJECTED = [
      "potential.params.threshold: expected a finite number, got inf"),
     ({"experiment": "sampler_e2e", "delta": 10 ** 400},
      "delta: expected a finite number, got an integer past the floats"),
+    # a count below what its suite's 1-D checks take validated, then failed
+    # the run after the work; an int leaf past np.intp validated, then died
+    # in numpy
+    ({"experiment": "lower_bound", "trials": 99},
+     "trials: lower_bound needs at least 100, got 99"),
+    ({"experiment": "tilt_exactness", "samples": 5},
+     "samples: tilt_exactness needs at least 100, got 5"),
+    ({"experiment": "sampler_e2e", "chains": 5},
+     "chains: sampler_e2e needs at least 100, got 5"),
+    ({"experiment": "sampler_e2e", "chains": 10 ** 30},
+     "chains: expected an integer <= 9223372036854775807, got a larger one"),
+    ({"experiment": "sampler_e2e", "potential": {"name": "huber", "params": {"dim": 10 ** 20}}},
+     "potential.params.dim: expected an integer <= 9223372036854775807, got a larger one"),
 ]
 
 
@@ -296,6 +309,14 @@ def test_noise_takes_no_tail_bound_constant(monkeypatch):
             with pytest.raises(ConfigError) as exc:
                 build(raw)
             assert exc.value.errors == [f"noise: unexpected key {key!r}"]
+
+
+def test_seeds_take_any_nonnegative_integer(monkeypatch):
+    # SeedSequence takes integers of any size, so no ceiling applies to seeds
+    monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
+    raw = {"experiment": "fors_unit", "seeds": [10 ** 30, 0]}
+    for build in (validate_config, lambda raw: ExperimentConfig(**raw)):
+        assert build(raw).seeds == (10 ** 30, 0)
 
 
 # errors raised below the catalog function name the parameter too

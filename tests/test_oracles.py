@@ -257,6 +257,57 @@ def test_eps_tail_monotone(label, n, m, bump):
         assert eps_tail(noise, n + 1, m) <= base + 1e-15
 
 
+# polymoment k 1-200 and subweibull zeta 0.2-100, sigma log-uniform in 1e-2-1e2:
+# tails whose bound terms leave the float range
+_HEAVY_TAILS = st.builds(
+    lambda poly, k, zeta, sigma: (NoiseModel.polymoment(k, sigma) if poly
+                                  else NoiseModel.subweibull(zeta, sigma)),
+    st.booleans(), st.integers(1, 200), st.floats(0.2, 100.0),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise=_HEAVY_TAILS, n=st.integers(1, 2 ** 40), more=st.integers(1, 2 ** 20),
+       m=st.floats(1e-3, 1e4), bump=st.floats(0.0, 1e3))
+def test_eps_tail_is_returned_and_monotone_on_heavy_tails(noise, n, more, m, bump):
+    # a bound past the float range is returned (as 0 or inf), never raised
+    if noise.family == "subweibull" and noise.zeta != 2.0:
+        n, more = 1, 0  # n > 1 is refused for these
+    base = eps_tail(noise, n, m)
+    assert 0.0 <= base <= math.inf
+    assert eps_tail(noise, n, m + bump) <= base
+    assert eps_tail(noise, n + more, m) <= base
+
+
+def _polymoment_tail_in_logs(k, sigma, n, m):
+    return math.exp(math.lgamma(2 * k + 1) + 2 * k * math.log(sigma)
+                    - k * math.log(n) - 2 * k * math.log(m))
+
+
+@pytest.mark.parametrize("k, sigma, n, m", [
+    (100, 1.0, 1, 10.0),              # (2k)! past the floats
+    (85, 1.0, 1, 66.0),               # n^k M^(2k) past them
+    (70, 3.0, 2978, 2.9164918463),    # the same, at a batch size phi tries
+    (74, 0.0032, 1, 0.0093),          # sigma^(2k) below them
+])
+def test_eps_tail_polymoment_in_logs_past_the_normal_floats(k, sigma, n, m):
+    assert eps_tail(NoiseModel.polymoment(k, sigma), n, m) == pytest.approx(
+        _polymoment_tail_in_logs(k, sigma, n, m), rel=1e-12)
+
+
+def test_eps_tail_terms_past_the_floats(monkeypatch):
+    # (2k)! is never built past the floats: at k = 10^9 it would take gigabytes
+    factorial = math.factorial
+
+    def small_factorial(m):
+        assert m <= 170, f"factorial({m}) is past the floats"
+        return factorial(m)
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    assert eps_tail(NoiseModel.polymoment(10 ** 9, 1.0), 2, 1.0) == math.inf
+    assert eps_tail(NoiseModel.subweibull(60.0, 1.0), 1, 1e6) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # phi: frozen values and minimality
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from forsample.constants import DEFAULT_CONSTANTS, PlanConstants
@@ -102,6 +104,47 @@ def test_zeroth_order_iteration_count_matches_formula(case, pot):
     sched = plan_zeroth_order(pot, NoiseModel.exact(), case, _DELTA)
     expect = _expect_n_zeroth(pot, case, _DELTA, DEFAULT_CONSTANTS.c_n)
     assert sched.n_steps == expect
+
+
+def _expect_eta_first(pot, n_steps, m, delta, c_eta):
+    s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
+    ell = math.log(max(n_steps, 2) / delta)
+    rate = (beta ** 2 * d ** s * ell + beta ** 2 * ell ** 2) ** (1 / (1 + s)) + m ** 2 * ell
+    return min(1 / (c_eta * rate), 1 / (2 * pot.m_s))
+
+
+def _expect_eta_zeroth(pot, case, n_steps, delta, c_eta):
+    s, beta, d = pot.holder_s, pot.holder_beta, pot.dim
+    ell = math.log(max(n_steps, 2) / delta)
+    rate = (beta * d ** s) ** (2 / (1 + s)) * (1 + (case.warm_start_delta + ell) / d)
+    return 1 / (c_eta * rate * ell)
+
+
+# the noisy arm plans at a truncation level M > 0 in first order
+_STEP_NOISES = {"exact": NoiseModel.exact(), "noisy": NoiseModel.subgaussian(0.5)}
+
+
+@pytest.mark.parametrize("noise", sorted(_STEP_NOISES))
+@pytest.mark.parametrize("case", _CASES, ids=lambda c: c.tag)
+@pytest.mark.parametrize("pot", [_POT, make_power_potential(p=1.5, dim=2)],
+                         ids=["gaussian", "power"])
+def test_first_order_step_size_matches_formula(case, pot, noise):
+    sched = plan_first_order(pot, _STEP_NOISES[noise], case, _DELTA)
+    assert (sched.m_trunc > 0) == (noise == "noisy")
+    expect = _expect_eta_first(pot, sched.n_steps, sched.m_trunc, _DELTA,
+                               DEFAULT_CONSTANTS.c_eta_first)
+    assert sched.eta == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("noise", sorted(_STEP_NOISES))
+@pytest.mark.parametrize("case", _CASES, ids=lambda c: c.tag)
+@pytest.mark.parametrize("pot", [_POT, make_power_potential(p=1.5, dim=2)],
+                         ids=["gaussian", "power"])
+def test_zeroth_order_step_size_matches_formula(case, pot, noise):
+    sched = plan_zeroth_order(pot, _STEP_NOISES[noise], case, _DELTA)
+    expect = _expect_eta_zeroth(pot, case, sched.n_steps, _DELTA,
+                                DEFAULT_CONSTANTS.c_eta_zeroth)
+    assert sched.eta == pytest.approx(expect, rel=1e-12)
 
 
 def test_exact_first_order_plan_frozen_values():
@@ -260,6 +303,39 @@ def test_plan_grid_digest():
     assert (plans, refusals) == (3282, 1758)
     assert digest.hexdigest() == (
         "28674b6bd5e2baafdeee422096b3d5681770bcfdf5435c470d3326b57bef058b")
+
+
+# polymoment k 1-200 and subweibull zeta 0.2-100, sigma log-uniform in 1e-2-1e2
+_HEAVY_TAILS = st.builds(
+    lambda poly, k, zeta, sigma: (NoiseModel.polymoment(k, sigma) if poly
+                                  else NoiseModel.subweibull(zeta, sigma)),
+    st.booleans(), st.integers(1, 200), st.floats(0.2, 100.0),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise=_HEAVY_TAILS)
+# plans whose M scan meets bound terms past the float range
+@example(noise=NoiseModel.polymoment(25, 1.0))
+@example(noise=NoiseModel.polymoment(30, 0.15))
+@example(noise=NoiseModel.polymoment(85, 1.0))
+@example(noise=NoiseModel.subweibull(60.0, 1.0))
+# n^k M^(2k) past the floats at a batch size phi tries; the bound there is 0.47
+@example(noise=NoiseModel.polymoment(70, 3.0))
+def test_planners_plan_or_refuse_on_heavy_tails(noise):
+    for planner in (plan_first_order, plan_zeroth_order):
+        try:
+            sched = planner(_POT, noise, _LSI, _DELTA)
+        except InfeasibleScheduleError:
+            continue
+        assert 1 <= sched.n_batch <= DEFAULT_CONSTANTS.phi_cap
+        target = _tail_budget(sched.mode, sched.delta, sched.n_steps) / 10.0
+        assert eps_tail(noise, sched.n_batch, sched.m_trunc) <= target
+        if noise.family == "polymoment":  # the bound taken in logs, independently
+            k, n, m = noise.k, sched.n_batch, sched.m_trunc
+            log_tail = (math.lgamma(2 * k + 1) + 2 * k * math.log(noise.sigma_2k)
+                        - k * math.log(n) - 2 * k * math.log(m))
+            assert log_tail <= math.log(target) + 1e-9
 
 
 # ---------------------------------------------------------------------------
