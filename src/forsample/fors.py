@@ -22,13 +22,14 @@ slot with ``propose(slots, rng)`` and draws the n-th W, in one ``draw_w``
 call, for the attempts still alive after n - 1 draws; each engine owns its
 caps and charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows``
 (one acceptance per slot, which a ``renew`` hook may start again) caps each
-slot, ``fors_sample_many`` (iid collector for one target) caps totals over
-its samples, and ``fors_attempt_batch`` (fixed attempt count, for the
-acceptance-law diagnostic) has no cap.  The iid engines send all-zero slots
-in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and the sample
-count, so a per-row array of a round holds at most 2^16 floats (512 KB);
-``fors_sample_many`` sizes its last round at the attempts its remaining need
-takes, plus three standard errors.
+slot, its attempts by round stamps (a slot's attempts are the rounds since
+its acceptance started), ``fors_sample_many`` (iid collector for one target)
+caps totals over its samples, and ``fors_attempt_batch`` (fixed attempt
+count, for the acceptance-law diagnostic) has no cap.  The iid engines send
+all-zero slots in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and
+the sample count, so a per-row array of a round holds at most 2^16 floats
+(512 KB); ``fors_sample_many`` sizes its last round at the attempts its
+remaining need takes, plus three standard errors.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from .oracles import QueryLedger
 
 _POISSON_INVERSION_MAX_LAM = 30.0
+_GUIDE = 1024  # guide-table buckets of the row Poisson draw; a power of two
 # attempts per round of the iid engines: of 2^15, 2^16 and 2^17, the fastest
 # on the criterion-4 tilt job list (B = 3, 2 vCPUs), where it peaks at 139 MB
 _ROUND_ROWS = 2 ** 16
@@ -69,19 +71,34 @@ def _poisson_cdf_list(lam: float) -> list[float]:
     return _poisson_cdf_table(lam).tolist()
 
 
+@lru_cache(maxsize=64)
+def _poisson_guide_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    top = np.append(_poisson_cdf_table(lam)[:-1] * _GUIDE, np.inf)
+    return top, np.searchsorted(top, np.arange(_GUIDE), side="left")
+
+
 def poisson_inversion(lam: float, rng: np.random.Generator,
                       size: int | None = None):
     """Exact Poisson(lam) draws by CDF inversion of one uniform each.
 
-    ``size=None`` returns one int; ``bisect_left`` on the table's float list
-    is ``searchsorted(side="left")``, so n scalar draws equal one size-n draw.
+    A draw is ``min(searchsorted(cdf, r, side="left"), len(cdf) - 1)``;
+    ``size=None`` returns one int by ``bisect_left`` on the table's float
+    list, so n scalar draws equal one size-n draw.  Rows start at a guide
+    table (Chen & Asau 1974; Devroye 1986, III.2.4) and stay exact: G =
+    ``_GUIDE`` is a power of two, so s = rG and G cdf carry no rounding, and
+    a row with s in [b, b + 1) draws guide[b] = searchsorted(G cdf, b) unless
+    G cdf[guide[b]] < s, when it is searched.  The last entry, +inf, clips.
     """
     if size is None:
         cdf = _poisson_cdf_list(float(lam))
         return min(bisect_left(cdf, rng.random()), len(cdf) - 1)
-    cdf = _poisson_cdf_table(float(lam))
-    j = np.searchsorted(cdf, rng.random(size), side="left")
-    return np.minimum(j, len(cdf) - 1)
+    top, guide = _poisson_guide_table(float(lam))
+    s = rng.random(size) * _GUIDE
+    j = guide[s.astype(np.intp)]
+    short = (top[j] < s).nonzero()[0]
+    if short.size:
+        j[short] = np.searchsorted(top, s[short], side="left")
+    return j
 
 
 @dataclass(frozen=True)
@@ -266,8 +283,9 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     ledger = ledger if ledger is not None else QueryLedger()
     out: np.ndarray | None = None
     active = np.arange(n_slots)
-    attempts = np.zeros(n_slots, dtype=np.int64)
-    w_spent = np.zeros(n_slots, dtype=np.int64)
+    started = np.zeros(n_slots, dtype=np.int64)  # the round each acceptance started
+    oldest = 0  # at most the earliest start among the active slots
+    w_spent = np.zeros(n_slots, dtype=np.int64)  # the running acceptance's W draws
     top = 0  # at least the largest count in w_spent
 
     def draw_w(slots, xs, rng):
@@ -285,21 +303,25 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
 
     coin = _coin_rounds(propose_rows, draw_w, cfg.b, rng, ledger)
     next(coin)
+    rounds = 0
     while active.size:
-        attempts[active] += 1
-        over = attempts[active] > cfg.max_attempts
-        if over.any():
-            raise BudgetExhaustedError("attempt budget exhausted", attempts=cfg.max_attempts,
-                                       chain=int(active[over][0]))
+        if rounds - oldest >= cfg.max_attempts:  # a slot's attempts: rounds since it started
+            over = started[active] <= rounds - cfg.max_attempts
+            if over.any():
+                raise BudgetExhaustedError("attempt budget exhausted", attempts=cfg.max_attempts,
+                                           chain=int(active[np.argmax(over)]))
+            oldest = int(started[active].min())
         xs, acc = coin.send(active)
         if out is None:
             out = np.empty((n_slots, xs.shape[1]))
-        done, rows = active[acc], xs[acc]
+        done, rows = active.compress(acc), xs.compress(acc, axis=0)
         out[done] = rows
-        active = active[~acc]
+        w_spent[done] = 0
+        active = active.compress(~acc)
+        rounds += 1
         if renew is not None and done.size:
             again = renew(done, rows)
-            attempts[again] = w_spent[again] = 0
+            started[again] = rounds
             active = np.concatenate((active, again))
     return out
 
@@ -346,7 +368,7 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
             raise BudgetExhaustedError("attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
         xs, acc = coin.send(shared[:k])
-        got.append(xs[acc])
+        got.append(xs.compress(acc, axis=0))
         n_got += int(acc.sum())
         acc_est = max(n_got / total_attempts, 1e-4)
     return np.concatenate(got, axis=0)[:n_samples]

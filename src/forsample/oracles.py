@@ -129,13 +129,22 @@ class NoiseModel:
                 special.gammaln((dim + 1) / 2.0) - special.gammaln(dim / 2.0))
             return self.sigma_g / math.sqrt(dim) * chi_mean
         if self.family == "subweibull":
-            # radius sigma_g * (E/2)^(1/zeta), E ~ Exp(1)
-            return self.sigma_g * 2.0 ** (-1.0 / self.zeta) * math.gamma(1.0 + 1.0 / self.zeta)
+            return self._weibull_moment(1.0)
         if self.family == "polymoment":
             a = self._pareto_index
             return self._pareto_xm * a / (a - 1.0)
         # twopoint: |noise| = m_shift*p w.p. (1-p) and m_shift*(1-p) w.p. p
         return 2.0 * self.p * (1.0 - self.p) * self.m_shift
+
+    def _weibull_moment(self, p: float) -> float:
+        # E R^p of the radius R = sigma_g * (E/2)^(1/zeta), E ~ Exp(1); in logs
+        # where a term leaves the floats (Gamma(1 + p/zeta) past p/zeta ~ 171)
+        try:
+            return self.sigma_g ** p * 2.0 ** (-p / self.zeta) * math.gamma(1.0 + p / self.zeta)
+        except OverflowError:
+            a = p / self.zeta
+            log_moment = p * math.log(self.sigma_g) - a * math.log(2.0) + math.lgamma(1.0 + a)
+            return math.exp(log_moment) if log_moment <= _LOG_FLOAT_MAX else math.inf
 
     def second_moment(self) -> float:
         """Exact E||noise||^2 of a single draw (used in tests and fallbacks)."""
@@ -144,7 +153,7 @@ class NoiseModel:
         if self.family == "subgaussian":
             return self.sigma_g ** 2
         if self.family == "subweibull":
-            return self.sigma_g ** 2 * 2.0 ** (-2.0 / self.zeta) * math.gamma(1.0 + 2.0 / self.zeta)
+            return self._weibull_moment(2.0)
         if self.family == "polymoment":
             a = self._pareto_index
             if a <= 2:

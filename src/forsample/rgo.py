@@ -43,9 +43,14 @@ def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
     """Points and velocities of the interpolation path, one row per time r."""
     t = (np.pi / 2) * r
     a = np.sin(t)[:, None]
-    c = np.cos(t)[:, None]
-    gamma = a * xs + (1 - a) * xh + c * z
-    gamma_dot = (np.pi / 2) * (c * (xs - xh) - a * z)
+    c = np.cos(t, out=t)[:, None]
+    gamma = a * xs
+    gamma += (1 - a) * xh
+    gamma += c * z
+    gamma_dot = xs - xh
+    gamma_dot *= c
+    gamma_dot -= a * z
+    gamma_dot *= np.pi / 2
     return gamma, gamma_dot
 
 
@@ -71,7 +76,7 @@ def _clip(w: np.ndarray, b: float, ledger: QueryLedger) -> np.ndarray:
     ``w_clipped`` counts the draws with |W| >= b."""
     np.maximum(w, -b, out=w)
     np.minimum(w, b, out=w)
-    ledger.w_clipped += int(np.count_nonzero(w == b) + np.count_nonzero(w == -b))
+    ledger.w_clipped += int(np.count_nonzero(np.abs(w) == b))
     return w
 
 
@@ -98,9 +103,14 @@ class _RowEstimator:
         self.xhat_rows[slots] = xhat_rows
         self.u_rows[slots] = (x0_rows - xhat_rows) / self.eta
 
+    @staticmethod
+    def _tilt_rows(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        return table if len(table) == 1 else table.take(slots, axis=0)  # one tilt broadcasts
+
     def propose_rows(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        xh = self.xhat_rows[slots]
-        return xh + math.sqrt(self.eta) * rng.standard_normal(xh.shape)
+        xs = math.sqrt(self.eta) * rng.standard_normal((slots.size, self.xhat_rows.shape[1]))
+        xs += self._tilt_rows(self.xhat_rows, slots)
+        return xs
 
 
 class _FirstOrderRows(_RowEstimator):
@@ -110,10 +120,10 @@ class _FirstOrderRows(_RowEstimator):
                     rng: np.random.Generator) -> np.ndarray:
         r = rng.random(xs.shape[0])
         z = math.sqrt(self.eta) * rng.standard_normal(xs.shape)
-        gamma, gamma_dot = _path_rows(xs, self.xhat_rows[slots], z, r)
+        gamma, gamma_dot = _path_rows(xs, self._tilt_rows(self.xhat_rows, slots), z, r)
         g = self.oracle.draw_batch_rows(gamma, self.n_batch)
-        w = np.einsum("kd,kd->k", gamma_dot, self.u_rows[slots] - g)
-        return _clip(w, self.b, self.oracle.ledger)
+        u_g = np.subtract(self._tilt_rows(self.u_rows, slots), g, out=g)
+        return _clip(np.einsum("kd,kd->k", gamma_dot, u_g), self.b, self.oracle.ledger)
 
 
 class _ZerothOrderRows(_RowEstimator):
@@ -121,11 +131,11 @@ class _ZerothOrderRows(_RowEstimator):
 
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        xh = self.xhat_rows[slots]
-        z = xh + math.sqrt(self.eta) * rng.standard_normal(xs.shape)
+        z = math.sqrt(self.eta) * rng.standard_normal(xs.shape)
+        z += self._tilt_rows(self.xhat_rows, slots)
         v = self.oracle.draw_batch_rows(xs, self.n_batch)
-        v_prime = self.oracle.draw_batch_rows(z, self.n_batch)
-        w = v_prime - v + np.einsum("kd,kd->k", self.u_rows[slots], xs - z)
+        w = self.oracle.draw_batch_rows(z, self.n_batch) - v
+        w += np.einsum("kd,kd->k", self.u_rows.take(slots, axis=0), np.subtract(xs, z, out=z))
         return _clip(w, self.b, self.oracle.ledger)
 
 

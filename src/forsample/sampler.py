@@ -185,12 +185,13 @@ def _plan(mode: str, pot: Potential, noise: NoiseModel, case: AssumptionCase,
     best: Schedule | None = None
     last_error: Exception | None = None
     for m_trunc in levels:
-        n_steps, eta = (_n_eta_first_order(pot, case, m_trunc, delta, constants) if first
-                        else _n_eta_zeroth_order(pot, case, delta, constants))
         try:
+            n_steps, eta = (_n_eta_first_order(pot, case, m_trunc, delta, constants) if first
+                            else _n_eta_zeroth_order(pot, case, delta, constants))
             n_batch = phi(noise, m_trunc, _tail_budget(mode, delta, n_steps),
                           cap=constants.phi_cap)
-        except (UnsupportedCombinationError, ValueError) as err:
+        except (UnsupportedCombinationError, ValueError, OverflowError) as err:
+            # OverflowError: N or eta past the floats, at an M that heavy tails push there
             last_error = err
             continue
         g_bound = gradient_norm_bound(pot, case.warm_start_delta, n_steps, delta)
@@ -304,7 +305,7 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
         # chains that finished a step start their next: Y ~ N(X, eta I), its tilt
         steps[slots] += 1
         left = steps[slots] < sched.n_steps
-        slots, xs = slots[left], xs[left]
+        slots, xs = slots.compress(left), xs.compress(left, axis=0)
         if slots.size:
             y = xs + math.sqrt(eta) * rng.standard_normal(xs.shape)
             xhat = (approx_prox_rows_budgeted(pot, oracle, y, prox_cfg, sched.m_trunc)[0]

@@ -10,12 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from forsample.errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from forsample.fors import (
     EstimatorSource,
     FORSConfig,
+    _poisson_cdf_table,
     _scalar_coin,
     fors_accept_rows,
     fors_attempt_batch,
@@ -91,6 +94,57 @@ def test_poisson_inversion_scalar_and_array_forms():
     assert isinstance(poisson_inversion(1.0, make_rng(0)), int)
     arr = poisson_inversion(1.0, make_rng(0), size=8)
     assert arr.shape == (8,) and arr.dtype.kind == "i"
+
+
+class _Uniforms:
+    """Stand-in rng whose one row draw is the given uniforms."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def _inverted_by_search(lam, r):
+    cdf = _poisson_cdf_table(lam)
+    return np.minimum(np.searchsorted(cdf, r, side="left"), len(cdf) - 1)
+
+
+def _edge_uniforms(lam):
+    # every table entry and bucket edge b/1024 below 1, each with both float
+    # neighbours, 0, the largest uniform, and a sweep across the top bucket
+    cdf = _poisson_cdf_table(lam)
+    points = np.concatenate((cdf, np.arange(1024) / 1024))
+    points = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                             [0.0, 1.0 - 2.0 ** -53], np.linspace(1023 / 1024, 1.0, 4097)))
+    return points[(points >= 0.0) & (points < 1.0)]
+
+
+@pytest.mark.parametrize("lam", [2.0, 6.0, 30.0])
+def test_row_poisson_draws_are_the_table_search_at_its_edges(lam):
+    # the guide table starts each row's search without changing its result:
+    # 2B for B = 1 and 3, and the largest rate the table takes
+    r = _edge_uniforms(lam)
+    np.testing.assert_array_equal(poisson_inversion(lam, _Uniforms(r), size=r.size),
+                                  _inverted_by_search(lam, r))
+
+
+@pytest.mark.parametrize("size", [0, 1, 4, 2 ** 16])
+@pytest.mark.parametrize("lam", [2.0, 6.0, 30.0])
+def test_row_poisson_draws_are_the_table_search_at_every_size(lam, size):
+    j = poisson_inversion(lam, make_rng(17, size), size=size)
+    assert j.shape == (size,) and j.dtype == np.intp
+    np.testing.assert_array_equal(j, _inverted_by_search(lam, make_rng(17, size).random(size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.0, 30.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_poisson_draws_are_the_table_search_at_any_rate(lam, seed):
+    r = np.concatenate((_edge_uniforms(lam), make_rng(seed).random(2_000)))
+    np.testing.assert_array_equal(poisson_inversion(lam, _Uniforms(r), size=r.size),
+                                  _inverted_by_search(lam, r))
 
 
 def test_poisson_inversion_rejects_large_rate():
@@ -414,6 +468,30 @@ def test_accept_rows_budget_error_names_slot():
     assert exc.value.chain is not None
 
 
+def test_accept_rows_attempt_cap_names_the_first_slot_over_it():
+    # W = B/2 accepts an attempt with chance e^-1/2 and every slot is renewed:
+    # at this seed the slots' acceptances started in rounds 4 to 7, and
+    # before round 8 slots 4 and 3, in that order of the round, have made
+    # three attempts each since round 4; the refusal names slot 4
+    rounds, started = [0], {}
+
+    def propose(slots, rng):
+        rounds[0] += 1
+        return _zero_rows(slots, rng)
+
+    def renew(slots, rows):
+        started.update(dict.fromkeys(slots.tolist(), rounds[0]))
+        return slots
+
+    ledger = QueryLedger()
+    with pytest.raises(BudgetExhaustedError) as exc:
+        fors_accept_rows(propose, _ConstantRows(0.5), FORSConfig(b=1.0, max_attempts=3), 8,
+                         make_rng(67), ledger=ledger, renew=renew)
+    assert (exc.value.chain, exc.value.attempts) == (4, 3)
+    assert started == {0: 5, 1: 7, 2: 5, 3: 4, 4: 4, 5: 7, 6: 6, 7: 7}
+    assert (rounds[0], ledger.fors_attempts, ledger.w_draws) == (7, 56, 78)
+
+
 def test_accept_rows_ledger_accounting():
     ledger = QueryLedger()
     fors_accept_rows(_zero_rows,
@@ -550,6 +628,25 @@ def test_renewal_restarts_both_caps(n_slots):
                      renew=renew)
     assert (done == 40).all() and ledger.fors_attempts == 40 * n_slots
     assert source.drawn.min() > 30
+
+
+def test_a_finished_slot_at_the_w_cap_refuses_no_other():
+    # W = +B accepts every attempt after its J ~ Poisson(1/2) draws.  Slot 0
+    # accepts in round 0 after exactly max_w_per_call = 2 draws and is not
+    # renewed; slots 1-3 run on for five more acceptances each, within the cap
+    source = _CountingRows(0.25, 4)
+    done = np.zeros(4, dtype=np.int64)
+
+    def renew(slots, rows):
+        done[slots] += 1
+        return slots[(slots != 0) & (done[slots] < 6)]
+
+    cfg = FORSConfig(b=0.25, max_attempts=1, max_w_per_call=2)
+    ledger = QueryLedger()
+    fors_accept_rows(_zero_rows, source, cfg, 4, make_rng(79), ledger=ledger, renew=renew)
+    assert done.tolist() == [1, 6, 6, 6]
+    assert source.drawn.tolist() == [2, 6, 5, 4]
+    assert (ledger.fors_attempts, ledger.w_draws) == (19, 17)
 
 
 def test_sample_many_w_draw_budget_is_a_total():

@@ -396,7 +396,7 @@ def test_name_read_is_detected():
 def test_poisson_tables_are_read_only_in_fors():
     # the acceptance coin is written in fors alone: no other module binds the
     # Poisson(2B) table it draws J from
-    tables = {"_poisson_cdf_list", "_poisson_cdf_table"}
+    tables = {"_poisson_cdf_list", "_poisson_cdf_table", "_poisson_guide_table"}
     found = [f"{path.name}:{line}" for path in MODULES if path.name != "fors.py"
              for line in _names_read(path.read_text(), tables)]
     assert found == []

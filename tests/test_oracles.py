@@ -96,6 +96,21 @@ def test_second_moment_matches_monte_carlo(label, dim):
     assert abs(sq.mean() - noise.second_moment()) <= 5 * se
 
 
+@pytest.mark.parametrize("zeta, sigma", [(1 / 172, 1.0), (0.0058, 1e-2), (0.005, 1.0),
+                                         (1e-3, 1e2), (1e-3, 1e-2)])
+def test_subweibull_moments_past_gammas_float_range(zeta, sigma):
+    # E R^p = sigma^p 2^(-p/zeta) Gamma(1 + p/zeta) with Gamma past the floats:
+    # a float, finite where the product is, inf past the floats
+    noise = NoiseModel.subweibull(zeta, sigma)
+    for p, moment in ((1.0, noise.m1()), (2.0, noise.second_moment())):
+        log_moment = p * math.log(sigma) - p / zeta * math.log(2.0) + math.lgamma(1.0 + p / zeta)
+        assert type(moment) is float
+        if log_moment < 709.0:
+            assert moment == pytest.approx(math.exp(log_moment), rel=1e-12)
+        else:
+            assert moment == math.inf
+
+
 # radius CDFs: Pareto(a = 2k + 1, x_m) and sigma_g * (E / 2)^(1 / zeta)
 def _radius_cdf(noise):
     if noise.family == "polymoment":

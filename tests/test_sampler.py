@@ -305,11 +305,12 @@ def test_plan_grid_digest():
         "28674b6bd5e2baafdeee422096b3d5681770bcfdf5435c470d3326b57bef058b")
 
 
-# polymoment k 1-200 and subweibull zeta 0.2-100, sigma log-uniform in 1e-2-1e2
+# polymoment k 1-200 and subweibull zeta 1e-3-100, zeta and sigma log-uniform,
+# sigma in 1e-2-1e2
 _HEAVY_TAILS = st.builds(
     lambda poly, k, zeta, sigma: (NoiseModel.polymoment(k, sigma) if poly
                                   else NoiseModel.subweibull(zeta, sigma)),
-    st.booleans(), st.integers(1, 200), st.floats(0.2, 100.0),
+    st.booleans(), st.integers(1, 200), st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e),
     st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
 
 
@@ -322,6 +323,9 @@ _HEAVY_TAILS = st.builds(
 @example(noise=NoiseModel.subweibull(60.0, 1.0))
 # n^k M^(2k) past the floats at a batch size phi tries; the bound there is 0.47
 @example(noise=NoiseModel.polymoment(70, 3.0))
+# Gamma(1 + 1/zeta) past the floats (m1 is inf), and M^2 past them at a finite m1
+@example(noise=NoiseModel.subweibull(0.005, 1.0))
+@example(noise=NoiseModel.subweibull(0.008, 100.0))
 def test_planners_plan_or_refuse_on_heavy_tails(noise):
     for planner in (plan_first_order, plan_zeroth_order):
         try:
