@@ -371,6 +371,12 @@ class QueryLedger:
         return {label: getattr(self, label) for label in self.__dataclass_fields__}
 
 
+def _fresh(rows: Array, xs: Array) -> Array:
+    # exact noise adds nothing: the potential's rows stand, copied only when
+    # they share the query points' memory (a formula such as ``lambda xs: xs``)
+    return rows.copy() if np.may_share_memory(rows, xs) else rows
+
+
 class GradientOracle:
     """Metered stochastic gradient access: grad f(x) + noise.
 
@@ -396,13 +402,19 @@ class GradientOracle:
         return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack; meters k*n queries."""
+        """Row-wise batch means at a (k, d) stack; meters k*n queries.
+
+        The result is a new array, which callers may update in place.
+        """
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
+        exact = self.noise.family == "exact"
+        if not exact:
+            noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
         self.ledger.grad_queries += n * xs.shape[0]
-        return check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows") + noise
+        g = check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows")
+        return _fresh(g, xs) if exact else g + noise
 
 
 class ValueOracle:
@@ -420,9 +432,14 @@ class ValueOracle:
         return float(self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0])
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
+        """Row-wise batch means at a (k, d) stack, as a new (k,) array;
+        meters k*n queries."""
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         self.ledger.value_queries += n * xs.shape[0]
-        noise = self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0]
-        return check_shape(self.potential.value_rows(xs), xs.shape[:1], "value_rows") + noise
+        exact = self.noise.family == "exact"
+        if not exact:
+            noise = self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0]
+        v = check_shape(self.potential.value_rows(xs), xs.shape[:1], "value_rows")
+        return _fresh(v, xs) if exact else v + noise

@@ -499,3 +499,20 @@ def test_row_formulas_of_the_wrong_shape_are_rejected():
     assert GradientOracle(lists, NoiseModel.exact(), make_rng(0)).draw_batch_rows(
         xs, 1).shape == (3, 1)
     assert lists.value_at_rows(xs).dtype == np.float64
+
+
+def test_exact_draws_are_new_arrays_the_caller_may_update():
+    # exact noise adds nothing, so the draw is the potential's own rows; a
+    # formula that hands back its input (or a view of it) is copied, and the
+    # query points stay as they were when the caller updates the draw in place
+    ident = Potential(dim=1, value_rows=lambda xs: xs[:, 0], grad_rows=lambda xs: xs,
+                      holder_s=1.0, holder_beta=1.0)
+    xs = np.array([[1.0], [-2.0], [-0.0]])
+    before = xs.copy()
+    g = GradientOracle(ident, NoiseModel.exact(), make_rng(0)).draw_batch_rows(xs, 1)
+    v = ValueOracle(ident, NoiseModel.exact(), make_rng(0)).draw_batch_rows(xs, 1)
+    g *= 3.0
+    v *= 3.0
+    np.testing.assert_array_equal(xs, before)
+    np.testing.assert_array_equal(g, 3.0 * before)
+    np.testing.assert_array_equal(v, 3.0 * before[:, 0])
