@@ -17,19 +17,23 @@ its remaining W are never drawn.  The coin is written twice, in two kernels
 that reject this way and hold no budget.  The scalar one, ``_scalar_coin``,
 flips one attempt over a W-draw callable: ``fors_sample`` charges its cap
 there, and ``lowerbound.proximal_adapter`` passes its path-integral W.  The
-row kernel, ``_coin_rounds``, is the one round step: it proposes a row per
-slot with ``propose(slots, rng)`` and draws the n-th W, in one ``draw_w``
-call, for the attempts still alive after n - 1 draws; each engine owns its
-caps and charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows``
-(one acceptance per slot, which a ``renew`` hook may start again) caps each
-slot, its attempts by round stamps (a slot's attempts are the rounds since
-its acceptance started), ``fors_sample_many`` (iid collector for one target)
-caps totals over its samples, and ``fors_attempt_batch`` (fixed attempt
-count, for the acceptance-law diagnostic) has no cap.  The iid engines send
+row kernel, ``_CoinLanes``, runs attempts on lanes, one in flight per lane:
+each tick proposes a row with ``propose(slots, rng)`` for the lanes whose
+attempt just ended, settles those with J = 0, and draws the next W of every
+attempt in flight in one ``draw_w`` call; each engine owns its caps and
+charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows`` (one
+acceptance per slot, which a ``renew`` hook may start again) keeps a lane
+per slot and caps each slot: its attempts by a count per acceptance, its W
+draws by tick stamps (an acceptance in flight draws one W a tick, so its
+draws are the ticks since it started), each checked only when a bound could
+pass the cap.  ``fors_sample_many`` (iid collector for one target) caps
+totals over its samples, and ``fors_attempt_batch`` (fixed attempt count,
+for the acceptance-law diagnostic) has no cap.  The iid engines send
 all-zero slots in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and
-the sample count, so a per-row array of a round holds at most 2^16 floats
-(512 KB); ``fors_sample_many`` sizes its last round at the attempts its
-remaining need takes, plus three standard errors.
+the sample count, a round only when none is in flight, so a per-row array
+of a round holds at most 2^16 floats (512 KB); ``fors_sample_many`` sizes
+its last round at the attempts its remaining need takes, plus three
+standard errors.
 """
 
 from __future__ import annotations
@@ -210,50 +214,93 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
         "attempt budget exhausted", attempts=cfg.max_attempts, w_draws=w_draws)
 
 
-def _coin_rounds(propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                 draw_w: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray],
-                 b: float, rng: np.random.Generator, ledger: QueryLedger):
-    """The row engines' round step, as a generator of ``(xs, mask)`` rounds.
+_NO_LANES = np.empty(0, dtype=np.int64)
 
-    Prime with ``next``, then ``send(slots)`` per round: the int64 slot of
-    each attempt of the round, distinct, or all 0 with one shared target.
-    The round proposes ``xs = propose(slots, rng)``, one row per slot, draws
-    each row's J ~ Poisson(2B) and coin u, then runs sub-rounds n = 1, 2,
-    ...: sub-round n draws the n-th W of each row still alive (J >= n and
-    running product >= u) in one ``draw_w(slots, xs, rng)`` call, validates
-    it (shape, finiteness, the closed range [-B, B]) and multiplies
-    (B + W)/(2B) into the row's product.  Each factor is at most 1, so a row
-    whose product fell below u is rejected without its remaining draws; the
-    mask u < prod is the one the full product gives.  As a generator it
-    keeps a round's arrays alive until the next round replaces them, so the
-    next round does not page-fault them in again.
+
+class _CoinLanes:
+    """The row kernel: the coin on lanes, each holding one attempt at a time.
+
+    Lane i's attempts are for slot i, or for slot 0 on every lane when
+    ``shared``.  ``tick(new)`` starts an attempt on each lane of ``new``
+    (distinct, none in flight): ``propose(slots, rng)`` returns one row per
+    lane, each draws its J ~ Poisson(2B) and coin u, and an attempt with
+    J = 0 accepts at once.  Then one ``draw_w(slots, xs, rng)`` call draws
+    the next W of every attempt in flight, in ``live`` order (the lanes that
+    were in flight, then the new ones), validates it (shape, finiteness, the
+    closed range [-B, B]) and multiplies (B + W)/(2B) into the attempt's
+    product.  Each factor is at most 1, so an attempt whose product fell
+    below u is rejected without its remaining draws, and one that has drawn
+    its J accepts if u < product, the decision the full product gives.  A
+    tick returns its (accepted, rejected) lanes; ``xs`` holds each lane's
+    last proposal, and an attempt in flight draws one W every tick.
     """
-    out = None
-    while True:
-        slots = yield out
-        xs = propose(slots, rng)
-        if xs.ndim != 2 or xs.shape[:1] != slots.shape:
-            raise DimensionError(f"proposal returned rows of shape {xs.shape} "
-                                 f"for slots of shape {slots.shape}")
-        k = slots.size
-        js = poisson_inversion(2 * b, rng, size=k)
-        u = rng.random(k)
-        ledger.fors_attempts += k
-        prods = np.ones(k)
-        live = js.nonzero()[0]
-        n = 1
-        while live.size:
-            ws = np.asarray(draw_w(slots[live], xs[live], rng))
-            ledger.w_draws += live.size
+
+    def __init__(self, propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+                 draw_w: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray],
+                 b: float, rng: np.random.Generator, ledger: QueryLedger,
+                 n_lanes: int, shared: bool = False):
+        self.propose, self.draw_w, self.b, self.rng, self.ledger = propose, draw_w, b, rng, ledger
+        self.zeros = np.zeros(n_lanes, dtype=np.int64) if shared else None
+        self.xs: np.ndarray | None = None
+        self.u, self.prods = np.empty(n_lanes), np.empty(n_lanes)
+        self.last = np.empty(n_lanes, dtype=np.int64)  # the tick of an attempt's J-th draw
+        self.live = _NO_LANES
+        self.ticks = 0
+
+    def _slots(self, lanes: np.ndarray) -> np.ndarray:
+        return lanes if self.zeros is None else self.zeros[:lanes.size]
+
+    def tick(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b, rng, t = self.b, self.rng, self.ticks
+        live, accepted, rejected = self.live, _NO_LANES, _NO_LANES
+        if new.size:
+            rows = self.propose(self._slots(new), rng)
+            if rows.ndim != 2 or rows.shape[:1] != new.shape:
+                raise DimensionError(f"proposal returned rows of shape {rows.shape} "
+                                     f"for slots of shape {new.shape}")
+            if self.xs is None:
+                self.xs = np.empty((self.u.size, rows.shape[1]))
+            self.xs[new] = rows
+            js = poisson_inversion(2 * b, rng, size=new.size)
+            self.u[new] = rng.random(new.size)
+            self.last[new] = js + (t - 1)
+            self.ledger.fors_attempts += new.size
+            drawing = js.astype(bool)
+            accepted = new.compress(~drawing)  # u < 1, the empty product
+            live = np.concatenate((live, new.compress(drawing)))
+        if live.size:
+            ws = np.asarray(self.draw_w(self._slots(live), self.xs.take(live, axis=0), rng))
+            self.ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
             if not np.logical_and.reduce(np.abs(ws) <= b):  # also false for NaN
                 raise EstimatorRangeError(f"row estimator draw outside [-{b}, {b}]")
-            p = prods[live] * ((b + ws) / (2 * b))
-            prods[live] = p
-            n += 1
-            live = live[(js[live] >= n) & (p >= u[live])]
-        out = xs, u < prods
+            # a new attempt's product is 1, and 1 * factor is the factor
+            p = (b + ws) / (2 * b)
+            p[:self.live.size] *= self.prods.take(self.live)
+            self.prods[live] = p
+            u = self.u.take(live)
+            at_j = self.last.take(live) == t
+            acc = at_j & (u < p)
+            ended = at_j | (p < u)
+            if ended.any():
+                accepted = np.concatenate((accepted, live.compress(acc)))
+                rejected = live.compress(ended ^ acc)
+                live = live.compress(~ended)
+        self.live = live
+        self.ticks = t + 1
+        return accepted, rejected
+
+    def round(self, k: int) -> np.ndarray:
+        """Attempts on lanes 0..k-1, run until none is in flight: their
+        acceptance mask."""
+        mask = np.zeros(k, dtype=bool)
+        new = np.arange(k)
+        while True:
+            mask[self.tick(new)[0]] = True
+            if not self.live.size:
+                return mask
+            new = _NO_LANES
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -271,59 +318,57 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     the source receive the slot indices so heterogeneous problems (one per
     chain) batch together.  Law-equivalent to calling ``fors_sample`` per
     slot, including both budget caps, which this engine counts per slot: it
-    refuses, naming the slot, before the attempt or the W draw that would
-    pass one.  W draws stop at the rejection, as in ``fors_sample``.  The
-    row dimension comes from the proposals, so ``n_slots`` must be >= 1.
-    ``renew(slots, rows)``, if given, gets each round's accepted slots and
-    rows, may move their targets, and returns the slots to run again, as
-    fresh acceptances in the next round.  Slots share ``rng``, so their
-    count shifts every stream.  The result holds the last accepted rows.
+    refuses before the attempt or the W draw that would pass one, naming
+    the first slot over in the tick's order.  Each slot is a lane: a tick
+    starts a new attempt for every slot whose last one was rejected or that
+    ``renew`` started again, and one call draws a W for every attempt in
+    flight.  W draws stop at the rejection,
+    as in ``fors_sample``.  The row dimension comes from the proposals, so
+    ``n_slots`` must be >= 1.  ``renew(slots, rows)``, if given, gets each
+    tick's accepted slots and rows, may move their targets, and returns the
+    slots to run again, as fresh acceptances from the next tick.  Slots
+    share ``rng``, so their count shifts every stream.  The result holds the
+    last accepted rows.
     """
     _check_count("n_slots", n_slots, 1)
     ledger = ledger if ledger is not None else QueryLedger()
-    out: np.ndarray | None = None
-    active = np.arange(n_slots)
-    started = np.zeros(n_slots, dtype=np.int64)  # the round each acceptance started
-    oldest = 0  # at most the earliest start among the active slots
-    w_spent = np.zeros(n_slots, dtype=np.int64)  # the running acceptance's W draws
-    top = 0  # at least the largest count in w_spent
+    tries = np.zeros(n_slots, dtype=np.int64)  # the running acceptance's attempts
+    top = 0  # at least the largest count in tries
+    started = np.zeros(n_slots, dtype=np.int64)  # the tick each acceptance started
+    oldest = 0  # at most the earliest start among the acceptances in flight
 
     def draw_w(slots, xs, rng):
-        # a round's slots are distinct, so a call adds at most 1 to a count
-        nonlocal top
-        if top >= cfg.max_w_per_call:
-            over = w_spent[slots] >= cfg.max_w_per_call
+        # an acceptance in flight draws one W a tick: its draws are the ticks since it started
+        nonlocal oldest
+        if lanes.ticks - oldest >= cfg.max_w_per_call:
+            stamps = started.take(slots)
+            over = stamps <= lanes.ticks - cfg.max_w_per_call
             if over.any():
                 raise BudgetExhaustedError("W-draw budget exhausted", w_draws=cfg.max_w_per_call,
                                            chain=int(slots[np.argmax(over)]))
-            top = int(w_spent.max())
-        w_spent[slots] += 1
-        top += 1
+            oldest = int(stamps.min())
         return source.draw_w_rows(slots, xs, rng)
 
-    coin = _coin_rounds(propose_rows, draw_w, cfg.b, rng, ledger)
-    next(coin)
-    rounds = 0
-    while active.size:
-        if rounds - oldest >= cfg.max_attempts:  # a slot's attempts: rounds since it started
-            over = started[active] <= rounds - cfg.max_attempts
-            if over.any():
-                raise BudgetExhaustedError("attempt budget exhausted", attempts=cfg.max_attempts,
-                                           chain=int(active[np.argmax(over)]))
-            oldest = int(started[active].min())
-        xs, acc = coin.send(active)
-        if out is None:
-            out = np.empty((n_slots, xs.shape[1]))
-        done, rows = active.compress(acc), xs.compress(acc, axis=0)
-        out[done] = rows
-        w_spent[done] = 0
-        active = active.compress(~acc)
-        rounds += 1
+    lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, n_slots)
+    new = np.arange(n_slots)
+    while new.size or lanes.live.size:
+        if new.size:  # a tick adds at most 1 to a count
+            if top >= cfg.max_attempts:
+                over = tries.take(new) >= cfg.max_attempts
+                if over.any():
+                    raise BudgetExhaustedError("attempt budget exhausted",
+                                               attempts=cfg.max_attempts,
+                                               chain=int(new[np.argmax(over)]))
+                top = int(tries.max())
+            tries[new] += 1
+            top += 1
+        done, new = lanes.tick(new)
+        tries[done] = 0
         if renew is not None and done.size:
-            again = renew(done, rows)
-            started[again] = rounds
-            active = np.concatenate((active, again))
-    return out
+            again = renew(done, lanes.xs.take(done, axis=0))
+            started[again] = lanes.ticks
+            new = np.concatenate((new, again))
+    return lanes.xs  # a slot's last proposal is the row it last accepted
 
 
 def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
@@ -334,8 +379,9 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
 
     ``propose_rows(slots, rng)`` returns one row from q per slot; every slot
     is 0.  Attempts run in rounds sized from the acceptance seen so far
-    until enough are accepted; output order is acceptance order, which for
-    iid attempts is itself iid.  The caps of ``cfg`` hold as totals, counted
+    until enough are accepted; a round starts when none of the last is in
+    flight.  Output order is the order of the attempts, which for iid
+    attempts is itself iid.  The caps of ``cfg`` hold as totals, counted
     here, over the ``n_samples`` calls this stands for.  The row dimension
     comes from the proposals, so ``n_samples`` must be >= 1.
     """
@@ -354,9 +400,7 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         w_spent += slots.size
         return source.draw_w_rows(slots, xs, rng)
 
-    shared = np.zeros(_ROUND_ROWS, dtype=np.int64)
-    coin = _coin_rounds(propose_rows, draw_w, cfg.b, rng, ledger)
-    next(coin)
+    lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, _ROUND_ROWS, shared=True)
     while n_got < n_samples:
         need = n_samples - n_got
         # need acceptances take need/p attempts, standard error
@@ -367,8 +411,8 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         if k <= 0:
             raise BudgetExhaustedError("attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
-        xs, acc = coin.send(shared[:k])
-        got.append(xs.compress(acc, axis=0))
+        acc = lanes.round(k)
+        got.append(lanes.xs[:k].compress(acc, axis=0))
         n_got += int(acc.sum())
         acc_est = max(n_got / total_attempts, 1e-4)
     return np.concatenate(got, axis=0)[:n_samples]
@@ -384,20 +428,19 @@ def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator],
                        ledger: QueryLedger | None = None) -> np.ndarray:
     """Simulate a fixed number of independent acceptance attempts.
 
-    ``propose_rows`` is as in ``fors_sample_many``.  Returns the boolean
-    acceptance mask, one entry per attempt, for checking the per-attempt
-    acceptance law against exp(E[W] - B).  No points are collected.  No
-    budget cap applies: the attempt count is the argument.
+    ``propose_rows`` is as in ``fors_sample_many``, and so are the rounds.
+    Returns the boolean acceptance mask, one entry per attempt, for checking
+    the per-attempt acceptance law against exp(E[W] - B).  No points are
+    collected.  No budget cap applies: the attempt count is the argument.
     """
     _check_count("n_attempts", n_attempts, 0)
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
-    shared = np.zeros(min(n_attempts, _ROUND_ROWS), dtype=np.int64)
-    coin = _coin_rounds(propose_rows, source.draw_w_rows, cfg.b, rng, ledger)
-    next(coin)
+    lanes = _CoinLanes(propose_rows, source.draw_w_rows, cfg.b, rng, ledger,
+                       min(n_attempts, _ROUND_ROWS), shared=True)
     for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)
-        mask[done:done + k] = coin.send(shared[:k])[1]
+        mask[done:done + k] = lanes.round(k)
     return mask
 
 

@@ -402,19 +402,15 @@ class GradientOracle:
         return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack; meters k*n queries.
-
-        The result is a new array, which callers may update in place.
-        """
+        """Row-wise batch means at a (k, d) stack, as a new array; meters k*n queries."""
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        exact = self.noise.family == "exact"
-        if not exact:
-            noise = self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng)
+        noise = (None if self.noise.family == "exact" else
+                 self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng))
         self.ledger.grad_queries += n * xs.shape[0]
         g = check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows")
-        return _fresh(g, xs) if exact else g + noise
+        return _fresh(g, xs) if noise is None else g + noise
 
 
 class ValueOracle:
@@ -432,14 +428,12 @@ class ValueOracle:
         return float(self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0])
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack, as a new (k,) array;
-        meters k*n queries."""
+        """Row-wise batch means at a (k, d) stack, as a new (k,) array; meters k*n queries."""
         xs = as_rows(xs, self.potential.dim)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         self.ledger.value_queries += n * xs.shape[0]
-        exact = self.noise.family == "exact"
-        if not exact:
-            noise = self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0]
+        noise = (None if self.noise.family == "exact" else
+                 self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0])
         v = check_shape(self.potential.value_rows(xs), xs.shape[:1], "value_rows")
-        return _fresh(v, xs) if exact else v + noise
+        return _fresh(v, xs) if noise is None else v + noise

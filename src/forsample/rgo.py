@@ -21,9 +21,11 @@ The step is written once, over rows: ``tilt_source`` builds it for a stack
 of tilts, one per row of (x0, xhat), picking the estimator by the oracle's
 type (a GradientOracle draws first-order W, a ValueOracle zeroth-order W).
 The source draws the proposal (``propose_rows``) and the W
-(``draw_w_rows``) for ``fors.fors_accept_rows``; the sampler ``recenter``s
-a chain's tilt as soon as the chain accepts, so chains do not step in
-lockstep.  ``sample_tilt_many`` collects iid samples from one tilt.
+(``draw_w_rows``) for ``fors.fors_accept_rows``, whose lanes (one per chain)
+share each tick's calls; the sampler ``recenter``s a chain's tilt in the
+tick the chain accepts, and its next step's first attempt joins the next
+tick, so chains do not step in lockstep.  ``sample_tilt_many`` collects iid
+samples from one tilt.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class _ZerothOrderRows(_RowEstimator):
         z += self._tilt_rows(self.xhat_rows, slots)
         v = self.oracle.draw_batch_rows(xs, self.n_batch)
         w = self.oracle.draw_batch_rows(z, self.n_batch) - v
-        w += np.einsum("kd,kd->k", self.u_rows.take(slots, axis=0), np.subtract(xs, z, out=z))
+        w += np.einsum("kd,kd->k", self._tilt_rows(self.u_rows, slots), np.subtract(xs, z, out=z))
         return _clip(w, self.b, self.oracle.ledger)
 
 

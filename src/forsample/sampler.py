@@ -274,7 +274,7 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
     own number of prox iterations, at most ``sched.k_iters``, and the ledger
     counts those run) or at Y itself (zeroth order).  The chains share
     ``rng``, so their count shifts every stream, but do not step in
-    lockstep: a chain starts its next step the round after it accepts.
+    lockstep: a chain starts its next step in the tick after it accepts.
     A BudgetExhaustedError names the chain and its own step.  Returns the
     (chains, dim) final states and the ledger, whose ``outer_steps`` counts
     the steps all chains finished.  The oracle type must match the mode:

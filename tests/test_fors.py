@@ -470,26 +470,38 @@ def test_accept_rows_budget_error_names_slot():
 
 def test_accept_rows_attempt_cap_names_the_first_slot_over_it():
     # W = B/2 accepts an attempt with chance e^-1/2 and every slot is renewed:
-    # at this seed the slots' acceptances started in rounds 4 to 7, and
-    # before round 8 slots 4 and 3, in that order of the round, have made
-    # three attempts each since round 4; the refusal names slot 4
-    rounds, started = [0], {}
+    # at this seed every slot's running acceptance began in a later proposal
+    # call than its first, and before the tenth call slots 7 and 3, in that
+    # order of the tick, are both due their fourth attempt; the refusal
+    # names slot 7.  With a cap of 4 the run is the same up to there, and
+    # the tenth call opens with both slots' fourth attempts
+    def run(max_attempts):
+        calls, tries, started = [], np.zeros(8, dtype=np.int64), {}
 
-    def propose(slots, rng):
-        rounds[0] += 1
-        return _zero_rows(slots, rng)
+        def propose(slots, rng):
+            tries[slots] += 1
+            calls.append(list(zip(slots.tolist(), tries[slots].tolist())))
+            started.update((s, len(calls)) for s, k in calls[-1] if k == 1)
+            return _zero_rows(slots, rng)
 
-    def renew(slots, rows):
-        started.update(dict.fromkeys(slots.tolist(), rounds[0]))
-        return slots
+        def renew(slots, rows):
+            tries[slots] = 0
+            return slots
 
-    ledger = QueryLedger()
-    with pytest.raises(BudgetExhaustedError) as exc:
-        fors_accept_rows(propose, _ConstantRows(0.5), FORSConfig(b=1.0, max_attempts=3), 8,
-                         make_rng(67), ledger=ledger, renew=renew)
-    assert (exc.value.chain, exc.value.attempts) == (4, 3)
-    assert started == {0: 5, 1: 7, 2: 5, 3: 4, 4: 4, 5: 7, 6: 6, 7: 7}
-    assert (rounds[0], ledger.fors_attempts, ledger.w_draws) == (7, 56, 78)
+        ledger = QueryLedger()
+        try:
+            fors_accept_rows(propose, _ConstantRows(0.5),
+                             FORSConfig(b=1.0, max_attempts=max_attempts), 8,
+                             make_rng(132), ledger=ledger, renew=renew)
+        except BudgetExhaustedError as err:
+            return err, calls, started, ledger
+        raise AssertionError("no refusal")
+
+    exc, calls, started, ledger = run(3)
+    assert (exc.chain, exc.attempts) == (7, 3)
+    assert started == {0: 8, 1: 7, 2: 9, 3: 7, 4: 8, 5: 6, 6: 6, 7: 5}
+    assert (len(calls), ledger.fors_attempts, ledger.w_draws) == (9, 45, 70)
+    assert run(4)[1][9][:2] == [(7, 4), (3, 4)]
 
 
 def test_accept_rows_ledger_accounting():
@@ -609,6 +621,46 @@ def test_renewed_slots_keep_the_law(inst):
         assert p > 1e-3
 
 
+def test_one_w_call_a_tick_carries_every_attempt_in_flight():
+    # Each proposal row carries its attempt's id, so the source sees which
+    # attempts draw.  A tick is a proposal call and the draw call after it,
+    # or a draw call alone.  Every slot runs from the first tick to its last
+    # acceptance, in each tick drawing one W or settling a J = 0 attempt, so
+    # the ticks are the largest per-slot count of both, and an attempt draws
+    # in consecutive calls.
+    n_slots, renewals = 64, 4
+    owner, events, drew = [], [], {}
+    done = np.zeros(n_slots, dtype=np.int64)
+
+    def propose(slots, rng):
+        events.append("p")
+        owner.extend(slots.tolist())
+        return np.arange(len(owner) - slots.size, len(owner), dtype=float)[:, None]
+
+    class _Tagged:
+        def draw_w_rows(self, slots, xs, rng):
+            events.append("w")
+            assert np.unique(slots).size == slots.size
+            for attempt in xs[:, 0].astype(int).tolist():
+                drew.setdefault(attempt, []).append(events.count("w"))
+            return rng.uniform(-1.0, 1.0, slots.size)
+
+    def renew(slots, rows):
+        done[slots] += 1
+        return slots[done[slots] <= renewals]
+
+    fors_accept_rows(propose, _Tagged(), FORSConfig(b=1.0), n_slots, make_rng(45), renew=renew)
+    assert (done == renewals + 1).all()
+    ticks = "".join(events).replace("pw", "t").replace("p", "t").replace("w", "t")
+    calls = events.count("w")
+    w = np.bincount([owner[a] for a, seen in drew.items() for _ in seen], minlength=n_slots)
+    j0 = np.bincount([owner[a] for a in range(len(owner)) if a not in drew],
+                     minlength=n_slots)
+    assert j0.sum() > 0 and w.sum() > 4 * calls
+    assert calls <= len(ticks) == (w + j0).max()
+    assert all(seen == list(range(seen[0], seen[0] + len(seen))) for seen in drew.values())
+
+
 @pytest.mark.parametrize("n_slots", [1, 4])
 def test_renewal_restarts_both_caps(n_slots):
     # W = +B accepts every attempt, after its J ~ Poisson(2) draws.  Each
@@ -632,8 +684,9 @@ def test_renewal_restarts_both_caps(n_slots):
 
 def test_a_finished_slot_at_the_w_cap_refuses_no_other():
     # W = +B accepts every attempt after its J ~ Poisson(1/2) draws.  Slot 0
-    # accepts in round 0 after exactly max_w_per_call = 2 draws and is not
-    # renewed; slots 1-3 run on for five more acceptances each, within the cap
+    # accepts in tick 1 after exactly max_w_per_call = 2 draws and is not
+    # renewed; slots 1-3 run on for five more acceptances each, within the
+    # cap, while slot 0's stamp is the oldest
     source = _CountingRows(0.25, 4)
     done = np.zeros(4, dtype=np.int64)
 
@@ -645,8 +698,8 @@ def test_a_finished_slot_at_the_w_cap_refuses_no_other():
     ledger = QueryLedger()
     fors_accept_rows(_zero_rows, source, cfg, 4, make_rng(79), ledger=ledger, renew=renew)
     assert done.tolist() == [1, 6, 6, 6]
-    assert source.drawn.tolist() == [2, 6, 5, 4]
-    assert (ledger.fors_attempts, ledger.w_draws) == (19, 17)
+    assert source.drawn.tolist() == [2, 2, 7, 9]
+    assert (ledger.fors_attempts, ledger.w_draws) == (19, 20)
 
 
 def test_sample_many_w_draw_budget_is_a_total():

@@ -141,7 +141,7 @@ _POLYMOMENT = NoiseModel.polymoment(k=1, sigma_2k=0.5)
 _SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
 
 PINNED = {
-    "fors_accept_rows": (_accept_rows, "dbdadae2f96405b4"),
+    "fors_accept_rows": (_accept_rows, "9bcef8592dfe3f7e"),
     "fors_sample": (_scalar_loop, "a31284b6ca0f9912"),
     "fors_sample_many": (_sample_many, "bf610e7459aae012"),
     "fors_attempt_batch": (_attempt_batch, "8006b6ba2a7569ce"),
@@ -149,7 +149,7 @@ PINNED = {
                                "b0aaf23b9163f558"),
     "sample_tilt_many_zeroth": (partial(_sample_tilt_many, ValueOracle),
                                 "03da7d391b4601b6"),
-    "run_proximal_sampler": (_sampler, "6babecdcf9d3012d"),
+    "run_proximal_sampler": (_sampler, "b34b0aa9547c4cf6"),
     "approx_prox_rows": (_prox_rows, "cac88e1e40ddfd20"),
     # radius noise in one dimension: a fair sign per draw
     "noise_polymoment_d1": (partial(_noise_rows, _POLYMOMENT, 1),
@@ -158,7 +158,7 @@ PINNED = {
                             "f3c58c6e5df0d75f"),
     # the prox stage's 1-D radius noise, drawn one iteration at a time
     "run_proximal_sampler_subweibull_d1": (partial(_sampler, _SUBWEIBULL),
-                                           "9dbf6114920c7430"),
+                                           "fedc5e3e73b67f2d"),
     # the lower bound: one tape row per trial
     "coupled_run_sgld": (partial(_coupled, sgld_adapter(0.1)), "e9257b8c74edc6a3"),
     "coupled_run_proximal": (partial(_coupled, proximal_adapter(0.25, 1.0)),
