@@ -222,7 +222,8 @@ class _CoinLanes:
 
     Lane i's attempts are for slot i, or for slot 0 on every lane when
     ``shared``.  ``tick(new)`` starts an attempt on each lane of ``new``
-    (distinct, none in flight): ``propose(slots, rng)`` returns one row per
+    (distinct, none in flight; the first tick's ``new`` is ``every``, all
+    lanes in order): ``propose(slots, rng)`` returns one row per
     lane, each draws its J ~ Poisson(2B) and coin u, and an attempt with
     J = 0 accepts at once.  Then one ``draw_w(slots, xs, rng)`` call draws
     the next W of every attempt in flight, in ``live`` order (the lanes that
@@ -241,9 +242,10 @@ class _CoinLanes:
                  n_lanes: int, shared: bool = False):
         self.propose, self.draw_w, self.b, self.rng, self.ledger = propose, draw_w, b, rng, ledger
         self.zeros = np.zeros(n_lanes, dtype=np.int64) if shared else None
-        self.xs: np.ndarray | None = None
-        self.u, self.prods = np.empty(n_lanes), np.empty(n_lanes)
-        self.last = np.empty(n_lanes, dtype=np.int64)  # the tick of an attempt's J-th draw
+        self.every = np.arange(n_lanes)  # the first tick starts every lane
+        # each lane's row, coin and product, and the tick of its J-th draw
+        self.xs = self.u = self.last = None
+        self.prods = np.empty(n_lanes)
         self.live = _NO_LANES
         self.ticks = 0
 
@@ -258,12 +260,12 @@ class _CoinLanes:
             if rows.ndim != 2 or rows.shape[:1] != new.shape:
                 raise DimensionError(f"proposal returned rows of shape {rows.shape} "
                                      f"for slots of shape {new.shape}")
-            if self.xs is None:
-                self.xs = np.empty((self.u.size, rows.shape[1]))
-            self.xs[new] = rows
             js = poisson_inversion(2 * b, rng, size=new.size)
-            self.u[new] = rng.random(new.size)
-            self.last[new] = js + (t - 1)
+            coins = rng.random(new.size)
+            if new is self.every:  # every lane starts, in lane order: new tables
+                self.xs, self.u, self.last = rows.astype(float), coins, js + (t - 1)
+            else:
+                self.xs[new], self.u[new], self.last[new] = rows, coins, js + (t - 1)
             self.ledger.fors_attempts += new.size
             drawing = js.astype(bool)
             accepted = new.compress(~drawing)  # u < 1, the empty product
@@ -291,11 +293,11 @@ class _CoinLanes:
         self.ticks = t + 1
         return accepted, rejected
 
-    def round(self, k: int) -> np.ndarray:
-        """Attempts on lanes 0..k-1, run until none is in flight: their
+    def round(self) -> np.ndarray:
+        """An attempt on every lane, run until none is in flight: the
         acceptance mask."""
-        mask = np.zeros(k, dtype=bool)
-        new = np.arange(k)
+        mask = np.zeros(self.every.size, dtype=bool)
+        new = self.every
         while True:
             mask[self.tick(new)[0]] = True
             if not self.live.size:
@@ -350,7 +352,7 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         return source.draw_w_rows(slots, xs, rng)
 
     lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, n_slots)
-    new = np.arange(n_slots)
+    new = lanes.every
     while new.size or lanes.live.size:
         if new.size:  # a tick adds at most 1 to a count
             if top >= cfg.max_attempts:
@@ -400,7 +402,6 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         w_spent += slots.size
         return source.draw_w_rows(slots, xs, rng)
 
-    lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, _ROUND_ROWS, shared=True)
     while n_got < n_samples:
         need = n_samples - n_got
         # need acceptances take need/p attempts, standard error
@@ -411,8 +412,9 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         if k <= 0:
             raise BudgetExhaustedError("attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
-        acc = lanes.round(k)
-        got.append(lanes.xs[:k].compress(acc, axis=0))
+        lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, k, shared=True)
+        acc = lanes.round()
+        got.append(lanes.xs.compress(acc, axis=0))
         n_got += int(acc.sum())
         acc_est = max(n_got / total_attempts, 1e-4)
     return np.concatenate(got, axis=0)[:n_samples]
@@ -436,11 +438,10 @@ def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator],
     _check_count("n_attempts", n_attempts, 0)
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
-    lanes = _CoinLanes(propose_rows, source.draw_w_rows, cfg.b, rng, ledger,
-                       min(n_attempts, _ROUND_ROWS), shared=True)
     for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)
-        mask[done:done + k] = lanes.round(k)
+        mask[done:done + k] = _CoinLanes(propose_rows, source.draw_w_rows, cfg.b, rng,
+                                         ledger, k, shared=True).round()
     return mask
 
 
