@@ -324,13 +324,12 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     the first slot over in the tick's order.  Each slot is a lane: a tick
     starts a new attempt for every slot whose last one was rejected or that
     ``renew`` started again, and one call draws a W for every attempt in
-    flight.  W draws stop at the rejection,
-    as in ``fors_sample``.  The row dimension comes from the proposals, so
-    ``n_slots`` must be >= 1.  ``renew(slots, rows)``, if given, gets each
-    tick's accepted slots and rows, may move their targets, and returns the
-    slots to run again, as fresh acceptances from the next tick.  Slots
-    share ``rng``, so their count shifts every stream.  The result holds the
-    last accepted rows.
+    flight.  W draws stop at the rejection, as in ``fors_sample``.  The row
+    dimension comes from the proposals, so ``n_slots`` must be >= 1.
+    ``renew(slots, rows)``, if given, gets each tick's accepted slots and
+    rows, may move their targets, and returns the slots to run again, as
+    fresh acceptances from the next tick.  Slots share ``rng``, so their
+    count shifts every stream.  The result holds the last accepted rows.
     """
     _check_count("n_slots", n_slots, 1)
     ledger = ledger if ledger is not None else QueryLedger()
