@@ -22,9 +22,8 @@ from .errors import (BudgetExhaustedError, BudgetViolationError, ConfigError,
                      DimensionError, EstimatorRangeError, ForsampleError,
                      InfeasibleScheduleError, NumericError,
                      UnsupportedCombinationError)
-from .fors import (FORSConfig, FORSResult, EstimatorSource, fors_accept_rows,
-                   fors_sample, fors_sample_many, poisson_inversion,
-                   wdraw_tail_check)
+from .fors import (FORSConfig, FORSResult, fors_accept_rows, fors_sample,
+                   fors_sample_many, poisson_inversion, wdraw_tail_check)
 from .lowerbound import (AdversarialOraclePair, CoupledRunResult, PsiFunction,
                          coupled_run, f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (NOISE_FAMILIES, GradientOracle, NoiseModel, QueryLedger,

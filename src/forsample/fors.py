@@ -13,27 +13,32 @@ proportional to q(x) * exp(E[W|x]) exactly.
 
 Each factor (B + W_j)/(2B) is at most 1, so the running product only
 decreases and an attempt can be rejected as soon as it falls below the coin;
-its remaining W are never drawn.  The coin is written twice, in two kernels
-that reject this way and hold no budget.  The scalar one, ``_scalar_coin``,
-flips one attempt over a W-draw callable: ``fors_sample`` charges its cap
-there, and ``lowerbound.proximal_adapter`` passes its path-integral W.  The
-row kernel, ``_CoinLanes``, runs attempts on lanes, one in flight per lane:
-each tick proposes a row with ``propose(slots, rng)`` for the lanes whose
-attempt just ended, settles those with J = 0, and draws the next W of every
-attempt in flight in one ``draw_w`` call; each engine owns its caps and
-charges W draws in the ``draw_w`` it passes.  ``fors_accept_rows`` (one
-acceptance per slot, which a ``renew`` hook may start again) keeps a lane
-per slot and caps each slot: its attempts by a count per acceptance, its W
+its remaining W are never drawn.
+
+Every engine takes a proposal, a W-draw callable and one QueryLedger, in
+which it counts its attempts (``fors_attempts``) and W draws (``w_draws``).
+``fors_sample`` draws one point with ``proposal(rng)`` and ``source(x,
+rng)``; the row engines propose with ``propose_rows(slots, rng)`` and draw
+with ``draw_w_rows(slots, xs, rng)``, one W per row of ``xs``.  The coin is
+written twice, in two kernels that reject this way and hold no budget.  The
+scalar one, ``_scalar_coin``, flips one attempt over a W-draw callable:
+``fors_sample`` charges its cap there, and ``lowerbound.proximal_adapter``
+passes its path-integral W.  The row kernel, ``_CoinLanes``, runs attempts
+on lanes, lane i for slot i, one in flight per lane: each tick proposes a
+row for the lanes whose attempt just ended, settles those with J = 0, and
+draws the next W of every attempt in flight in one call; each engine owns
+its caps and charges W draws in the callable it passes.
+``fors_accept_rows`` (one acceptance per slot, which a ``renew`` hook may
+start again) caps each slot: its attempts by a count per acceptance, its W
 draws by tick stamps (an acceptance in flight draws one W a tick, so its
 draws are the ticks since it started), each checked only when a bound could
 pass the cap.  ``fors_sample_many`` (iid collector for one target) caps
 totals over its samples, and ``fors_attempt_batch`` (fixed attempt count,
-for the acceptance-law diagnostic) has no cap.  The iid engines send
-all-zero slots in rounds of at most ``_ROUND_ROWS`` attempts, whatever B and
-the sample count, a round only when none is in flight, so a per-row array
-of a round holds at most 2^16 floats (512 KB); ``fors_sample_many`` sizes
-its last round at the attempts its remaining need takes, plus three
-standard errors.
+for the acceptance-law diagnostic) has no cap.  The iid engines run rounds
+of at most ``_ROUND_ROWS`` lanes, whatever B and the sample count, a round
+only when none is in flight, so a per-row array of a round holds at most
+2^16 floats (512 KB); ``fors_sample_many`` sizes its last round at the
+attempts its remaining need takes, plus three standard errors.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -122,31 +127,6 @@ class FORSConfig:
             raise ValueError("budget caps must be positive")
 
 
-class EstimatorSource:
-    """Wraps a per-point W sampler and meters its draws.
-
-    ``draw_w(x, rng) -> float`` must return values in [-B, B]; the loop
-    validates the range on every draw and raises EstimatorRangeError on a
-    violation rather than clipping silently.
-    """
-
-    def __init__(self, draw_w: Callable[[Array, np.random.Generator], float],
-                 ledger: QueryLedger | None = None):
-        self._draw_w = draw_w
-        self.ledger = ledger if ledger is not None else QueryLedger()
-
-    def draw(self, x: Array, rng: np.random.Generator) -> float:
-        self.ledger.w_draws += 1
-        return float(self._draw_w(x, rng))
-
-
-class RowEstimatorSource(Protocol):
-    """Vectorized counterpart: one W per row of a point stack."""
-
-    def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
 class FORSResult:
     point: Array
@@ -183,19 +163,19 @@ def _scalar_coin(b: float) -> Callable[..., bool]:
 
 
 def fors_sample(proposal: Callable[[np.random.Generator], Array],
-                source: EstimatorSource, cfg: FORSConfig,
+                source: Callable[[Array, np.random.Generator], float], cfg: FORSConfig,
                 rng: np.random.Generator,
                 ledger: QueryLedger | None = None) -> FORSResult:
     """Draw one exact sample from the proposal ``proposal(rng)`` tilted by W.
 
-    ``rng`` draws the proposals, Poisson counts and coins; the source may
-    share it or hold its own.  The source's ledger meters W draws and
-    ``ledger`` the attempts: pass one QueryLedger to both for unified
-    accounting.  Raises BudgetExhaustedError, carrying the partial
-    accounting, when the attempt or the per-call W-draw cap is hit.
+    ``source(x, rng)`` returns one W at x, which must lie in [-B, B]: the
+    coin raises EstimatorRangeError otherwise.  ``rng`` draws the proposals,
+    Poisson counts and coins and is passed to the source.  ``ledger`` counts
+    the attempts and the W draws.  Raises BudgetExhaustedError, carrying the
+    partial accounting, when the attempt or the per-call W-draw cap is hit.
     """
     ledger = ledger if ledger is not None else QueryLedger()
-    flip, random, draw = _scalar_coin(cfg.b), rng.random, source.draw
+    flip, random = _scalar_coin(cfg.b), rng.random
     w_draws = 0
 
     def draw_w(x):
@@ -203,7 +183,8 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
         if w_draws >= cfg.max_w_per_call:
             raise BudgetExhaustedError("W-draw budget exhausted", attempts=attempt, w_draws=w_draws)
         w_draws += 1
-        return draw(x, rng)
+        ledger.w_draws += 1
+        return float(source(x, rng))
 
     for attempt in range(1, cfg.max_attempts + 1):
         ledger.fors_attempts += 1
@@ -215,17 +196,18 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
 
 
 _NO_LANES = np.empty(0, dtype=np.int64)
+_ProposeRows = Callable[[np.ndarray, np.random.Generator], np.ndarray]
+_DrawWRows = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
 
 
 class _CoinLanes:
     """The row kernel: the coin on lanes, each holding one attempt at a time.
 
-    Lane i's attempts are for slot i, or for slot 0 on every lane when
-    ``shared``.  ``tick(new)`` starts an attempt on each lane of ``new``
-    (distinct, none in flight; the first tick's ``new`` is ``every``, all
-    lanes in order): ``propose(slots, rng)`` returns one row per
-    lane, each draws its J ~ Poisson(2B) and coin u, and an attempt with
-    J = 0 accepts at once.  Then one ``draw_w(slots, xs, rng)`` call draws
+    Lane i's attempts are for slot i.  ``tick(new)`` starts an attempt on
+    each lane of ``new`` (distinct, none in flight; the first tick's ``new``
+    is ``every``, all lanes in order): ``propose(new, rng)`` returns one row
+    per lane, each draws its J ~ Poisson(2B) and coin u, and an attempt with
+    J = 0 accepts at once.  Then one ``draw_w(live, xs, rng)`` call draws
     the next W of every attempt in flight, in ``live`` order (the lanes that
     were in flight, then the new ones), validates it (shape, finiteness, the
     closed range [-B, B]) and multiplies (B + W)/(2B) into the attempt's
@@ -236,12 +218,9 @@ class _CoinLanes:
     last proposal, and an attempt in flight draws one W every tick.
     """
 
-    def __init__(self, propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                 draw_w: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray],
-                 b: float, rng: np.random.Generator, ledger: QueryLedger,
-                 n_lanes: int, shared: bool = False):
+    def __init__(self, propose: _ProposeRows, draw_w: _DrawWRows, b: float,
+                 rng: np.random.Generator, ledger: QueryLedger, n_lanes: int):
         self.propose, self.draw_w, self.b, self.rng, self.ledger = propose, draw_w, b, rng, ledger
-        self.zeros = np.zeros(n_lanes, dtype=np.int64) if shared else None
         self.every = np.arange(n_lanes)  # the first tick starts every lane
         # each lane's row, coin and product, and the tick of its J-th draw
         self.xs = self.u = self.last = None
@@ -249,14 +228,11 @@ class _CoinLanes:
         self.live = _NO_LANES
         self.ticks = 0
 
-    def _slots(self, lanes: np.ndarray) -> np.ndarray:
-        return lanes if self.zeros is None else self.zeros[:lanes.size]
-
     def tick(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b, rng, t = self.b, self.rng, self.ticks
         live, accepted, rejected = self.live, _NO_LANES, _NO_LANES
         if new.size:
-            rows = self.propose(self._slots(new), rng)
+            rows = self.propose(new, rng)
             if rows.ndim != 2 or rows.shape[:1] != new.shape:
                 raise DimensionError(f"proposal returned rows of shape {rows.shape} "
                                      f"for slots of shape {new.shape}")
@@ -271,7 +247,7 @@ class _CoinLanes:
             accepted = new.compress(~drawing)  # u < 1, the empty product
             live = np.concatenate((live, new.compress(drawing)))
         if live.size:
-            ws = np.asarray(self.draw_w(self._slots(live), self.xs.take(live, axis=0), rng))
+            ws = np.asarray(self.draw_w(live, self.xs.take(live, axis=0), rng))
             self.ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
@@ -310,15 +286,14 @@ def _check_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                     source: RowEstimatorSource, cfg: FORSConfig, n_slots: int,
-                     rng: np.random.Generator, ledger: QueryLedger | None = None,
+def fors_accept_rows(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
+                     n_slots: int, rng: np.random.Generator, ledger: QueryLedger | None = None,
                      renew: Callable[..., np.ndarray] | None = None) -> np.ndarray:
     """Run one FORS acceptance per slot, vectorized across slots.
 
     Each slot owns its own (possibly distinct) target; ``propose_rows`` and
-    the source receive the slot indices so heterogeneous problems (one per
-    chain) batch together.  Law-equivalent to calling ``fors_sample`` per
+    ``draw_w_rows`` receive the slot indices so heterogeneous problems (one
+    per chain) batch together.  Law-equivalent to calling ``fors_sample`` per
     slot, including both budget caps, which this engine counts per slot: it
     refuses before the attempt or the W draw that would pass one, naming
     the first slot over in the tick's order.  Each slot is a lane: a tick
@@ -348,7 +323,7 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
                 raise BudgetExhaustedError("W-draw budget exhausted", w_draws=cfg.max_w_per_call,
                                            chain=int(slots[np.argmax(over)]))
             oldest = int(stamps.min())
-        return source.draw_w_rows(slots, xs, rng)
+        return draw_w_rows(slots, xs, rng)
 
     lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, n_slots)
     new = lanes.every
@@ -372,16 +347,16 @@ def fors_accept_rows(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     return lanes.xs  # a slot's last proposal is the row it last accepted
 
 
-def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                     source: RowEstimatorSource, cfg: FORSConfig, n_samples: int,
-                     rng: np.random.Generator,
+def fors_sample_many(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
+                     n_samples: int, rng: np.random.Generator,
                      ledger: QueryLedger | None = None) -> np.ndarray:
     """Collect ``n_samples`` iid accepted points from one shared target.
 
-    ``propose_rows(slots, rng)`` returns one row from q per slot; every slot
-    is 0.  Attempts run in rounds sized from the acceptance seen so far
+    Attempts run in rounds of lanes, sized from the acceptance seen so far
     until enough are accepted; a round starts when none of the last is in
-    flight.  Output order is the order of the attempts, which for iid
+    flight.  The slots that ``propose_rows`` and ``draw_w_rows`` receive are
+    the round's lane indices, and a source for the one shared target
+    ignores them.  Output order is the order of the attempts, which for iid
     attempts is itself iid.  The caps of ``cfg`` hold as totals, counted
     here, over the ``n_samples`` calls this stands for.  The row dimension
     comes from the proposals, so ``n_samples`` must be >= 1.
@@ -394,12 +369,12 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
     attempt_cap, w_cap = cfg.max_attempts * n_samples, cfg.max_w_per_call * n_samples
 
     def draw_w(slots, xs, rng):
-        # every slot is the one shared target: the live rows' draws add up
+        # every lane draws for the one shared target: the live rows' draws add up
         nonlocal w_spent
         if w_spent + slots.size > w_cap:
-            raise BudgetExhaustedError("W-draw budget exhausted", chain=0, w_draws=w_spent)
+            raise BudgetExhaustedError("W-draw budget exhausted", w_draws=w_spent)
         w_spent += slots.size
-        return source.draw_w_rows(slots, xs, rng)
+        return draw_w_rows(slots, xs, rng)
 
     while n_got < n_samples:
         need = n_samples - n_got
@@ -411,7 +386,7 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
         if k <= 0:
             raise BudgetExhaustedError("attempt budget exhausted", attempts=total_attempts)
         total_attempts += k
-        lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, k, shared=True)
+        lanes = _CoinLanes(propose_rows, draw_w, cfg.b, rng, ledger, k)
         acc = lanes.round()
         got.append(lanes.xs.compress(acc, axis=0))
         n_got += int(acc.sum())
@@ -423,24 +398,23 @@ def fors_sample_many(propose_rows: Callable[[np.ndarray, np.random.Generator], n
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def fors_attempt_batch(propose_rows: Callable[[np.ndarray, np.random.Generator], np.ndarray],
-                       source: RowEstimatorSource, cfg: FORSConfig,
+def fors_attempt_batch(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
                        n_attempts: int, rng: np.random.Generator,
                        ledger: QueryLedger | None = None) -> np.ndarray:
     """Simulate a fixed number of independent acceptance attempts.
 
-    ``propose_rows`` is as in ``fors_sample_many``, and so are the rounds.
-    Returns the boolean acceptance mask, one entry per attempt, for checking
-    the per-attempt acceptance law against exp(E[W] - B).  No points are
-    collected.  No budget cap applies: the attempt count is the argument.
+    Slots and rounds are as in ``fors_sample_many``.  Returns the boolean
+    acceptance mask, one entry per attempt, for checking the per-attempt
+    acceptance law against exp(E[W] - B).  No points are collected.  No
+    budget cap applies: the attempt count is the argument.
     """
     _check_count("n_attempts", n_attempts, 0)
     ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
     for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)
-        mask[done:done + k] = _CoinLanes(propose_rows, source.draw_w_rows, cfg.b, rng,
-                                         ledger, k, shared=True).round()
+        mask[done:done + k] = _CoinLanes(propose_rows, draw_w_rows, cfg.b, rng,
+                                         ledger, k).round()
     return mask
 
 

@@ -28,8 +28,8 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, PlanConstants
 from .core import CATALOG, AssumptionCase, GaussianReference, potential_from_config
 from .errors import ConfigError
-from .fors import (FORSConfig, EstimatorSource, fors_attempt_batch,
-                   fors_sample, fors_sample_many, wdraw_tail_check)
+from .fors import (FORSConfig, fors_attempt_batch, fors_sample, fors_sample_many,
+                   wdraw_tail_check)
 from .lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                          f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
@@ -454,14 +454,16 @@ class DiscreteWInstance:
         # kept only for perfbench/workloads.py's scalar loop; propose_rows draws alike
         return self.propose_rows(np.zeros(k, dtype=np.int64), rng)
 
-    def scalar_source(self, ledger: QueryLedger | None = None) -> EstimatorSource:
+    def scalar_source(self, ledger: QueryLedger | None = None
+                      ) -> Callable[[np.ndarray, np.random.Generator], float]:
+        # fors_sample meters the draws: ledger is unread, kept for perfbench's call
         cdfs, values = self._w_cdf.tolist(), self.w_values.tolist()
         last = self.w_probs.shape[1] - 1
 
         def draw_w(x, rng):
             i = int(x[0])
             return values[i][min(bisect_left(cdfs[i], rng.random()), last)]
-        return EstimatorSource(draw_w, ledger=ledger)
+        return draw_w
 
     def draw_w_rows(self, slots, xs, rng) -> np.ndarray:
         idx = xs[:, 0].astype(int)
@@ -505,12 +507,12 @@ def _fors_unit_seed(seed: int, samples: int) -> dict:
         ledger = QueryLedger()
         rng = make_rng(seed, 100 + len(result["instances"]))
         cfg = FORSConfig(b=inst.b)
-        pts = fors_sample_many(inst.propose_rows, inst, cfg, samples, rng,
+        pts = fors_sample_many(inst.propose_rows, inst.draw_w_rows, cfg, samples, rng,
                                ledger=ledger)
         counts = np.bincount(pts[:, 0].astype(int), minlength=inst.n_points)
         _, p_value = chi2_discrete(counts, inst.law())
         # acceptance-rate law over a fixed attempt count (clean binomial)
-        mask = fors_attempt_batch(inst.propose_rows, inst, cfg, samples, rng,
+        mask = fors_attempt_batch(inst.propose_rows, inst.draw_w_rows, cfg, samples, rng,
                                   ledger=ledger)
         acc_freq = float(mask.mean())
         acc_exact = inst.acceptance()
@@ -544,7 +546,7 @@ def run_fors_unit(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger)
     n_calls = 10_000
     rng = make_rng(cfg.seeds[0], 999)
     draw_counts = []
-    source = flat.scalar_source(merged)
+    source = flat.scalar_source()
     fors_cfg = FORSConfig(b=flat.b)
     one = np.zeros(1, dtype=np.int64)
     for _ in range(n_calls):

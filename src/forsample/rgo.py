@@ -182,5 +182,5 @@ def sample_tilt_many(oracle, x0, xhat, eta: float, cfg: FORSConfig, n_samples: i
     if n_samples == 0:
         return np.empty((0, x0.shape[0]))
     oracle.ledger.rgo_calls += n_samples
-    return fors_sample_many(source.propose_rows, source, cfg, n_samples, rng,
+    return fors_sample_many(source.propose_rows, source.draw_w_rows, cfg, n_samples, rng,
                             ledger=oracle.ledger)

@@ -316,7 +316,7 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
 
     renew(np.arange(chains), x)
     try:
-        x = fors_accept_rows(source.propose_rows, source, cfg, chains, rng,
+        x = fors_accept_rows(source.propose_rows, source.draw_w_rows, cfg, chains, rng,
                              ledger=ledger, renew=renew)
     except BudgetExhaustedError as err:
         err.step = int(steps[err.chain])

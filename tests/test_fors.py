@@ -16,7 +16,6 @@ from scipy import stats
 
 from forsample.errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from forsample.fors import (
-    EstimatorSource,
     FORSConfig,
     _poisson_cdf_table,
     _scalar_coin,
@@ -219,7 +218,7 @@ def test_w_equal_b_accepts_every_first_attempt():
     # drops below the acceptance uniform and the first attempt wins.
     cfg = FORSConfig(b=1.0)
     ledger = QueryLedger()
-    source = EstimatorSource(lambda x, rng: 1.0, ledger=ledger)
+    source = lambda x, rng: 1.0
     total_w = 0
     for i in range(50):
         res = fors_sample(_zero_proposal, source, cfg, make_rng(7, i), ledger=ledger)
@@ -235,14 +234,14 @@ def test_w_equal_minus_b_short_circuits_after_one_draw():
     # consumes none: w_draws == attempts - 1 exactly.
     cfg = FORSConfig(b=1.0)
     for i in range(200):
-        source = EstimatorSource(lambda x, rng: -1.0)
+        source = lambda x, rng: -1.0
         res = fors_sample(_zero_proposal, source, cfg, make_rng(13, i))
         assert res.w_draws == res.attempts - 1
 
 
 def test_point_passes_through_proposal():
     cfg = FORSConfig(b=1.0)
-    source = EstimatorSource(lambda x, rng: 1.0)
+    source = lambda x, rng: 1.0
     res = fors_sample(lambda rng: np.array([2.5, -3.0]), source, cfg, make_rng(3))
     assert res.point.shape == (2,)
     assert np.array_equal(res.point, [2.5, -3.0])
@@ -250,18 +249,18 @@ def test_point_passes_through_proposal():
 
 def test_out_of_range_w_raises():
     cfg = FORSConfig(b=1.0)
-    source = EstimatorSource(lambda x, rng: 2.0)
+    source = lambda x, rng: 2.0
     with pytest.raises(EstimatorRangeError):
         fors_sample(_zero_proposal, source, cfg, make_rng(0))
     for bad in (float("nan"), math.inf, -math.inf):
-        source = EstimatorSource(lambda x, rng: bad)
+        source = lambda x, rng: bad
         with pytest.raises(EstimatorRangeError):
             fors_sample(_zero_proposal, source, cfg, make_rng(0))
 
 
 def test_attempt_budget_error_carries_accounting():
     cfg = FORSConfig(b=1.0, max_attempts=3)
-    source = EstimatorSource(lambda x, rng: -1.0)
+    source = lambda x, rng: -1.0
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_sample(_zero_proposal, source, cfg, make_rng(1))
     assert exc.value.attempts == 3
@@ -270,11 +269,28 @@ def test_attempt_budget_error_carries_accounting():
 
 def test_w_draw_budget_error_carries_accounting():
     cfg = FORSConfig(b=1.0, max_w_per_call=1)
-    source = EstimatorSource(lambda x, rng: 1.0)
+    source = lambda x, rng: 1.0
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_sample(_zero_proposal, source, cfg, make_rng(0))
     assert exc.value.attempts == 1
     assert exc.value.w_draws == 1
+
+
+def test_scalar_loop_meters_its_draws_in_the_ledger():
+    # the source is a plain callable: the loop counts attempts and W draws
+    # in the one ledger it is given, on success and on either refusal
+    ledger = QueryLedger()
+    results = [fors_sample(_zero_proposal, lambda x, rng: 0.0, FORSConfig(b=1.0),
+                           make_rng(17, i), ledger=ledger) for i in range(200)]
+    assert ledger.w_draws == sum(r.w_draws for r in results) > 0
+    assert ledger.fors_attempts == sum(r.attempts for r in results)
+    for cfg, w in ((FORSConfig(b=1.0, max_attempts=3), -1.0),
+                   (FORSConfig(b=1.0, max_w_per_call=1), 1.0)):
+        ledger = QueryLedger()
+        with pytest.raises(BudgetExhaustedError) as exc:
+            fors_sample(_zero_proposal, lambda x, rng: w, cfg, make_rng(1), ledger=ledger)
+        assert ledger.w_draws == exc.value.w_draws > 0
+        assert ledger.fors_attempts == exc.value.attempts
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def test_w_draw_budget_error_carries_accounting():
 def test_acceptance_rate_w_zero_is_exp_minus_b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
-        _zero_rows, _ConstantRows(0.0), cfg,
+        _zero_rows, _ConstantRows(0.0).draw_w_rows, cfg,
         200_000, make_rng(21))
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / mask.size)
@@ -294,7 +310,7 @@ def test_acceptance_rate_w_zero_is_exp_minus_b():
 def test_acceptance_rate_w_minus_b_is_exp_minus_2b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
-        _zero_rows, _ConstantRows(-1.0), cfg,
+        _zero_rows, _ConstantRows(-1.0).draw_w_rows, cfg,
         200_000, make_rng(22))
     p = math.exp(-2.0)
     se = math.sqrt(p * (1 - p) / mask.size)
@@ -308,7 +324,7 @@ def test_row_coin_draws_lazily_on_the_flat_instance():
     flat = discrete_instances()[0]
     ledger = QueryLedger()
     n = 100_000
-    fors_attempt_batch(flat.propose_rows, flat, FORSConfig(b=flat.b), n,
+    fors_attempt_batch(flat.propose_rows, flat.draw_w_rows, FORSConfig(b=flat.b), n,
                        make_rng(23), ledger=ledger)
     steps = np.arange(1, 60)
     tail = stats.poisson.sf(steps - 1, 2 * flat.b) * 0.5 ** (steps - 1)
@@ -333,7 +349,7 @@ def test_row_engines_refuse_counts_by_name(engine, arg, counts):
         rng, ledger = make_rng(24), QueryLedger()
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=f"^{arg} must be >= "):
-            engine(flat.propose_rows, flat, FORSConfig(b=flat.b), count, rng,
+            engine(flat.propose_rows, flat.draw_w_rows, FORSConfig(b=flat.b), count, rng,
                    ledger=ledger)
         assert rng.bit_generator.state == before
         assert ledger.as_dict() == QueryLedger().as_dict()
@@ -342,7 +358,7 @@ def test_row_engines_refuse_counts_by_name(engine, arg, counts):
 def test_zero_attempts_are_an_empty_mask():
     flat = discrete_instances()[0]
     ledger = QueryLedger()
-    mask = fors_attempt_batch(flat.propose_rows, flat, FORSConfig(b=flat.b), 0,
+    mask = fors_attempt_batch(flat.propose_rows, flat.draw_w_rows, FORSConfig(b=flat.b), 0,
                               make_rng(24), ledger=ledger)
     assert mask.shape == (0,) and mask.dtype == bool
     assert ledger.fors_attempts == 0
@@ -369,7 +385,7 @@ def _propose3(slots, rng):
 
 def test_sample_many_matches_discrete_law():
     cfg = FORSConfig(b=1.0)
-    out = fors_sample_many(_propose3, _DeterministicTilt(), cfg, 40_000, make_rng(31))
+    out = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, cfg, 40_000, make_rng(31))
     assert out.shape == (40_000, 1)
     counts = np.bincount(out[:, 0].astype(int), minlength=3)
     _, p = chi2_discrete(counts, discrete_law_oracle(_Q3, _M3))
@@ -378,7 +394,7 @@ def test_sample_many_matches_discrete_law():
 
 def test_scalar_loop_matches_discrete_law():
     cfg = FORSConfig(b=1.0)
-    source = EstimatorSource(lambda x, rng: float(_M3[int(x[0])]))
+    source = lambda x, rng: float(_M3[int(x[0])])
     rng = make_rng(32)
     draws = [fors_sample(lambda r: np.array([float(r.choice(3, p=_Q3))]),
                          source, cfg, rng).point[0]
@@ -402,16 +418,17 @@ def test_noisy_w_law_depends_only_on_conditional_mean():
     def propose(slots, rng):
         return rng.choice(3, size=slots.size, p=q).astype(float)[:, None]
 
-    out = fors_sample_many(propose, _NoisyTilt(), FORSConfig(b=1.0), 40_000, make_rng(33))
+    out = fors_sample_many(propose, _NoisyTilt().draw_w_rows, FORSConfig(b=1.0), 40_000,
+                           make_rng(33))
     counts = np.bincount(out[:, 0].astype(int), minlength=3)
     _, p = chi2_discrete(counts, discrete_law_oracle(q, means))
     assert p > 1e-3
 
 
 def test_sample_many_is_reproducible():
-    a = fors_sample_many(_propose3, _DeterministicTilt(), FORSConfig(b=1.0),
+    a = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, FORSConfig(b=1.0),
                          2_000, make_rng(34))
-    b = fors_sample_many(_propose3, _DeterministicTilt(), FORSConfig(b=1.0),
+    b = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, FORSConfig(b=1.0),
                          2_000, make_rng(34))
     assert np.array_equal(a, b)
 
@@ -419,7 +436,7 @@ def test_sample_many_is_reproducible():
 def test_sample_many_budget_error():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample_many(_zero_rows, _ConstantRows(-1.0),
+        fors_sample_many(_zero_rows, _ConstantRows(-1.0).draw_w_rows,
                          cfg, 2_000, make_rng(35))
     assert exc.value.attempts == 2_000
 
@@ -446,7 +463,7 @@ def test_accept_rows_heterogeneous_slots():
             return np.where(slots % 2 == 0, even, odd)
 
     n_slots = 20_000
-    out = fors_accept_rows(propose, _SlotTilt(), FORSConfig(b=1.0), n_slots,
+    out = fors_accept_rows(propose, _SlotTilt().draw_w_rows, FORSConfig(b=1.0), n_slots,
                            make_rng(37))
     assert out.shape == (n_slots, 1)
     even_vals = out[0::2, 0].astype(int)
@@ -463,7 +480,7 @@ def test_accept_rows_budget_error_names_slot():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_accept_rows(_zero_rows,
-                         _ConstantRows(-1.0), cfg, 64, make_rng(38))
+                         _ConstantRows(-1.0).draw_w_rows, cfg, 64, make_rng(38))
     assert exc.value.attempts == 1
     assert exc.value.chain is not None
 
@@ -490,7 +507,7 @@ def test_accept_rows_attempt_cap_names_the_first_slot_over_it():
 
         ledger = QueryLedger()
         try:
-            fors_accept_rows(propose, _ConstantRows(0.5),
+            fors_accept_rows(propose, _ConstantRows(0.5).draw_w_rows,
                              FORSConfig(b=1.0, max_attempts=max_attempts), 8,
                              make_rng(132), ledger=ledger, renew=renew)
         except BudgetExhaustedError as err:
@@ -507,7 +524,7 @@ def test_accept_rows_attempt_cap_names_the_first_slot_over_it():
 def test_accept_rows_ledger_accounting():
     ledger = QueryLedger()
     fors_accept_rows(_zero_rows,
-                     _ConstantRows(1.0), FORSConfig(b=1.0), 500, make_rng(39),
+                     _ConstantRows(1.0).draw_w_rows, FORSConfig(b=1.0), 500, make_rng(39),
                      ledger=ledger)
     assert ledger.fors_attempts == 500  # W = +B accepts every slot first try
     assert ledger.w_draws > 0
@@ -518,12 +535,12 @@ def test_accept_rows_ledger_accounting():
 # ---------------------------------------------------------------------------
 
 _ROW_ENGINES = {
-    "accept_rows": lambda propose, source, cfg, rng: fors_accept_rows(
-        propose, source, cfg, 64, rng),
-    "sample_many": lambda propose, source, cfg, rng: fors_sample_many(
-        propose, source, cfg, 100, rng),
-    "attempt_batch": lambda propose, source, cfg, rng: fors_attempt_batch(
-        propose, source, cfg, 2_000, rng),
+    "accept_rows": lambda propose, draw_w, cfg, rng: fors_accept_rows(
+        propose, draw_w, cfg, 64, rng),
+    "sample_many": lambda propose, draw_w, cfg, rng: fors_sample_many(
+        propose, draw_w, cfg, 100, rng),
+    "attempt_batch": lambda propose, draw_w, cfg, rng: fors_attempt_batch(
+        propose, draw_w, cfg, 2_000, rng),
 }
 
 _BAD_DRAWS = {
@@ -548,7 +565,7 @@ class _BadRows:
 def test_row_engines_reject_bad_draws(engine, draws):
     # the range is the closed [-B, B] of the scalar loop, with no slack
     with pytest.raises(EstimatorRangeError):
-        _ROW_ENGINES[engine](_zero_rows, _BadRows(_BAD_DRAWS[draws]),
+        _ROW_ENGINES[engine](_zero_rows, _BadRows(_BAD_DRAWS[draws]).draw_w_rows,
                              FORSConfig(b=1.0), make_rng(40))
 
 
@@ -559,7 +576,7 @@ def test_row_engines_reject_a_proposal_with_the_wrong_row_count(engine):
 
     with pytest.raises(DimensionError,
                        match=r"rows of shape \(\d+, 1\) for slots of shape \(\d+,\)"):
-        _ROW_ENGINES[engine](one_short, _ConstantRows(1.0), FORSConfig(b=1.0),
+        _ROW_ENGINES[engine](one_short, _ConstantRows(1.0).draw_w_rows, FORSConfig(b=1.0),
                              make_rng(40))
 
 
@@ -568,7 +585,7 @@ def test_row_engines_reject_a_one_dimensional_proposal(engine):
     # a (k,) array has the right row count, but no row is a point
     with pytest.raises(DimensionError,
                        match=r"rows of shape \(\d+,\) for slots of shape \(\d+,\)"):
-        _ROW_ENGINES[engine](lambda s, r: np.zeros(s.size), _ConstantRows(1.0),
+        _ROW_ENGINES[engine](lambda s, r: np.zeros(s.size), _ConstantRows(1.0).draw_w_rows,
                              FORSConfig(b=1.0), make_rng(40))
 
 
@@ -594,7 +611,7 @@ def test_accept_rows_w_draw_budget_names_slot():
         source = _CountingRows(-b, n_slots)
         cfg = FORSConfig(b=b, max_w_per_call=3)
         with pytest.raises(BudgetExhaustedError) as exc:
-            fors_accept_rows(_zero_rows, source, cfg, n_slots, make_rng(41))
+            fors_accept_rows(_zero_rows, source.draw_w_rows, cfg, n_slots, make_rng(41))
         assert exc.value.chain is not None
         assert exc.value.w_draws == 3
         assert source.drawn[exc.value.chain] == 3
@@ -613,7 +630,7 @@ def test_renewed_slots_keep_the_law(inst):
         done[slots] += 1
         return slots[done[slots] <= renewals]
 
-    out = fors_accept_rows(inst.propose_rows, inst, FORSConfig(b=inst.b), n_slots,
+    out = fors_accept_rows(inst.propose_rows, inst.draw_w_rows, FORSConfig(b=inst.b), n_slots,
                            make_rng(43), renew=renew)
     assert (done == renewals + 1).all() and out.shape == (n_slots, 1)
     for counts in seen:
@@ -649,7 +666,8 @@ def test_one_w_call_a_tick_carries_every_attempt_in_flight():
         done[slots] += 1
         return slots[done[slots] <= renewals]
 
-    fors_accept_rows(propose, _Tagged(), FORSConfig(b=1.0), n_slots, make_rng(45), renew=renew)
+    fors_accept_rows(propose, _Tagged().draw_w_rows, FORSConfig(b=1.0), n_slots, make_rng(45),
+                     renew=renew)
     assert (done == renewals + 1).all()
     ticks = "".join(events).replace("pw", "t").replace("p", "t").replace("w", "t")
     calls = events.count("w")
@@ -676,7 +694,7 @@ def test_renewal_restarts_both_caps(n_slots):
 
     cfg = FORSConfig(b=1.0, max_attempts=1, max_w_per_call=30)
     ledger = QueryLedger()
-    fors_accept_rows(_zero_rows, source, cfg, n_slots, make_rng(44), ledger=ledger,
+    fors_accept_rows(_zero_rows, source.draw_w_rows, cfg, n_slots, make_rng(44), ledger=ledger,
                      renew=renew)
     assert (done == 40).all() and ledger.fors_attempts == 40 * n_slots
     assert source.drawn.min() > 30
@@ -696,7 +714,8 @@ def test_a_finished_slot_at_the_w_cap_refuses_no_other():
 
     cfg = FORSConfig(b=0.25, max_attempts=1, max_w_per_call=2)
     ledger = QueryLedger()
-    fors_accept_rows(_zero_rows, source, cfg, 4, make_rng(79), ledger=ledger, renew=renew)
+    fors_accept_rows(_zero_rows, source.draw_w_rows, cfg, 4, make_rng(79), ledger=ledger,
+                     renew=renew)
     assert done.tolist() == [1, 6, 6, 6]
     assert source.drawn.tolist() == [2, 2, 7, 9]
     assert (ledger.fors_attempts, ledger.w_draws) == (19, 20)
@@ -706,10 +725,21 @@ def test_sample_many_w_draw_budget_is_a_total():
     cfg = FORSConfig(b=1.0, max_w_per_call=3)
     ledger = QueryLedger()
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample_many(_zero_rows, _ConstantRows(-1.0),
+        fors_sample_many(_zero_rows, _ConstantRows(-1.0).draw_w_rows,
                          cfg, 100, make_rng(42), ledger=ledger)
     assert exc.value.w_draws <= 300
     assert ledger.w_draws == exc.value.w_draws
+
+
+@pytest.mark.parametrize("cfg", [FORSConfig(b=1.0, max_attempts=1),
+                                 FORSConfig(b=1.0, max_w_per_call=3)],
+                         ids=["attempts", "w_draws"])
+def test_sample_many_refusals_name_no_chain(cfg):
+    # both caps are totals over the samples, and no lane is the target
+    with pytest.raises(BudgetExhaustedError) as exc:
+        fors_sample_many(_zero_rows, _ConstantRows(-1.0).draw_w_rows, cfg, 100,
+                         make_rng(42))
+    assert exc.value.chain is None
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +780,7 @@ def test_per_call_draw_count_is_poisson():
     # count is exactly one Poisson(2B) variable.  At B = 1 the 99th
     # percentile of Poisson(2) is 6: CDF(5) = 0.98344 < 0.99 <= CDF(6).
     cfg = FORSConfig(b=1.0)
-    source = EstimatorSource(lambda x, rng: 1.0)
+    source = lambda x, rng: 1.0
     counts = np.array([
         fors_sample(_zero_proposal, source, cfg, make_rng(11, i)).w_draws
         for i in range(10_000)])
@@ -785,13 +815,43 @@ def test_sample_many_rounds_stay_within_round_rows():
     spy = _RowSpy()
     ledger = QueryLedger()
     n = 100_000
-    out = fors_sample_many(spy.propose_rows, spy, FORSConfig(b=spy.flat.b), n,
+    out = fors_sample_many(spy.propose_rows, spy.draw_w_rows, FORSConfig(b=spy.flat.b), n,
                            make_rng(24), ledger=ledger)
     assert out.shape == (n, 1)
     assert max(spy.rows) <= _ROUND_ROWS
     # the flat instance accepts with probability e^-1, so n samples need
-    # n e attempts; a last round sized at 1.5x its need spends about 1.017 n e
+    # n e attempts; rounds sized at need/p plus three standard errors spend
+    # about 1.0013 n e
     assert ledger.fors_attempts <= 1.005 * n * math.e
+
+
+class _SlotSpy(_RowSpy):
+    """The flat instance, recording the slots of each call."""
+
+    def propose_rows(self, slots, rng):
+        self.rows.append(("p", slots.copy()))
+        return self.flat.propose_rows(slots, rng)
+
+    def draw_w_rows(self, slots, xs, rng):
+        self.rows.append(("w", slots.copy()))
+        return self.flat.draw_w_rows(slots, xs, rng)
+
+
+@pytest.mark.parametrize("engine", [fors_sample_many, fors_attempt_batch])
+def test_iid_engines_hand_lane_indices_as_slots(engine):
+    # a round proposes on every lane 0..k-1 at once, and each W call draws
+    # for distinct lanes of that round
+    spy = _SlotSpy()
+    engine(spy.propose_rows, spy.draw_w_rows, FORSConfig(b=spy.flat.b), 3_000,
+           make_rng(26))
+    rounds = [slots for kind, slots in spy.rows if kind == "p"]
+    assert rounds and all(np.array_equal(s, np.arange(s.size)) for s in rounds)
+    k = 0
+    for kind, slots in spy.rows:
+        if kind == "p":
+            k = slots.size
+        else:
+            assert np.unique(slots).size == slots.size and 0 <= slots.min() <= slots.max() < k
 
 
 def test_attempt_batch_rounds_stay_within_round_rows():
@@ -799,7 +859,7 @@ def test_attempt_batch_rounds_stay_within_round_rows():
     spy = _RowSpy()
     ledger = QueryLedger()
     n = 200_000
-    mask = fors_attempt_batch(spy.propose_rows, spy, FORSConfig(b=spy.flat.b), n,
+    mask = fors_attempt_batch(spy.propose_rows, spy.draw_w_rows, FORSConfig(b=spy.flat.b), n,
                               make_rng(25), ledger=ledger)
     assert mask.shape == (n,) and ledger.fors_attempts == n
     assert max(spy.rows) <= _ROUND_ROWS

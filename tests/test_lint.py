@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports or parameters, no unread planner constant
 or module-level name, no dataclass field that only its own validation reads,
 no function, class or method without a caller, one place that builds the tilt
-estimators, every random draw from a Generator, and no assert statement in src."""
+estimators and one that builds and meters the acceptance lanes, every random
+draw from a Generator, and no assert statement in src."""
 
 import ast
 from collections import Counter
@@ -59,10 +60,9 @@ def test_cli_knows_no_config_section():
 # parameters a caller's contract fixes though the body has no use for them:
 # (module, function, parameter)
 _CALLBACK_CONTRACTS = {
-    ("fors.py", "RowEstimatorSource.draw_w_rows", "slots"),
-    ("fors.py", "RowEstimatorSource.draw_w_rows", "xs"),
-    ("fors.py", "RowEstimatorSource.draw_w_rows", "rng"),
     ("harness.py", "DiscreteWInstance.draw_w_rows", "slots"),
+    # perfbench/workloads.py passes a ledger; fors_sample meters the draws
+    ("harness.py", "DiscreteWInstance.scalar_source", "ledger"),
     ("lowerbound.py", "proximal_adapter.run", "budget"),
 }
 
@@ -361,18 +361,64 @@ def test_every_definition_has_a_caller():
     assert sorted(kept - orphans) == []
 
 
+def _calls(source: str, names) -> list[int]:
+    """Line of each call of a name or attribute in ``names``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_call_is_detected():
+    source = ("lanes = _CoinLanes(p, w)\nfors._CoinLanes(p, w).round()\n"
+              "kind = _CoinLanes\nmake(_CoinLanes)\n")
+    assert _calls(source, {"_CoinLanes"}) == [1, 2]
+
+
+def _built_in(names) -> list[str]:
+    return [f"{path.parent.name}/{path.name}:{line}" for path in MODULES + BENCH + TESTS
+            for line in _calls(path.read_text(), names)]
+
+
 def test_tilt_estimators_are_built_only_in_rgo():
     # rgo.tilt_source is the one place that picks and builds an estimator
-    found = []
-    for path in MODULES + BENCH + TESTS:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("_FirstOrderRows", "_ZerothOrderRows", "_RowEstimator"):
-                    found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
+    found = _built_in({"_FirstOrderRows", "_ZerothOrderRows", "_RowEstimator"})
     assert [f for f in found if f.split(":")[0] != "forsample/rgo.py"] == []
     assert len(found) == 2
+
+
+def test_coin_lanes_are_built_only_in_fors():
+    # the row kernel runs under fors's three row engines and nowhere else
+    found = _built_in({"_CoinLanes"})
+    assert [f for f in found if f.split(":")[0] != "forsample/fors.py"] == []
+    assert len(found) == 3
+
+
+_METERED = {"fors_attempts", "w_draws"}
+
+
+def _increments(source: str, attrs) -> list[int]:
+    """Line of each augmented assignment to an attribute named in ``attrs``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute)
+                  and n.target.attr in attrs)
+
+
+def test_increment_is_detected():
+    source = ("ledger.w_draws += 1\nw_draws += 1\nself.ledger.fors_attempts += k\n"
+              "ledger.w_clipped += 2\nledger.w_draws = 0\n")
+    assert _increments(source, _METERED) == [1, 3]
+
+
+def test_attempts_and_w_draws_are_metered_only_in_fors():
+    # the engines count their own attempts and W draws, so one rule meters them
+    found = [f"{path.parent.name}/{path.name}:{line}" for path in MODULES + BENCH
+             for line in _increments(path.read_text(), _METERED)]
+    assert [f for f in found if f.split(":")[0] != "forsample/fors.py"] == []
 
 
 def _names_read(source: str, names) -> list[int]:

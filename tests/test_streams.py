@@ -56,7 +56,7 @@ def _tilt(noise_sigma: float = 0.5):
 def _accept_rows():
     inst = _spread()
     ledger = QueryLedger()
-    out = fors_accept_rows(inst.propose_rows, inst, FORSConfig(b=inst.b), 257,
+    out = fors_accept_rows(inst.propose_rows, inst.draw_w_rows, FORSConfig(b=inst.b), 257,
                            make_rng(5, 1), ledger=ledger)
     return _digest(out, ledger)
 
@@ -66,7 +66,7 @@ def _scalar_loop():
     # attempts and W draws, and the shared ledger
     inst = _spread()
     ledger = QueryLedger()
-    source = inst.scalar_source(ledger)
+    source = inst.scalar_source()
     cfg, rng = FORSConfig(b=inst.b), make_rng(5, 20)
     calls = [fors_sample(lambda r: inst.proposal_rows(1, r)[0], source, cfg, rng,
                          ledger=ledger) for _ in range(2_000)]
@@ -77,7 +77,7 @@ def _scalar_loop():
 def _sample_many():
     inst = _spread()
     ledger = QueryLedger()
-    out = fors_sample_many(inst.propose_rows, inst, FORSConfig(b=inst.b), 3_000,
+    out = fors_sample_many(inst.propose_rows, inst.draw_w_rows, FORSConfig(b=inst.b), 3_000,
                            make_rng(5, 2), ledger=ledger)
     return _digest(out, ledger)
 
@@ -85,7 +85,7 @@ def _sample_many():
 def _attempt_batch():
     inst = _spread()
     ledger = QueryLedger()
-    mask = fors_attempt_batch(inst.propose_rows, inst, FORSConfig(b=inst.b), 5_000,
+    mask = fors_attempt_batch(inst.propose_rows, inst.draw_w_rows, FORSConfig(b=inst.b), 5_000,
                               make_rng(5, 3), ledger=ledger)
     return _digest(mask, ledger)
 
