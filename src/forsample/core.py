@@ -243,8 +243,8 @@ class Potential:
     """A potential f with gradient access and smoothness metadata.
 
     The potential is written once, as row formulas over a (k, dim) stack of
-    points; the single-point forms ``value_at``/``grad_at`` are their
-    one-row calls.
+    points.  ``value_at_rows``/``grad_at_rows`` are the validated entry: a
+    single point is the one-row stack ``[x]``.
 
     Parameters
     ----------
@@ -277,12 +277,6 @@ class Potential:
     def m_s(self) -> float:
         """Effective smoothness scale beta^(1/(1+s))."""
         return self.holder_beta ** (1.0 / (1.0 + self.holder_s))
-
-    def value_at(self, x) -> float:
-        return float(self.value_at_rows(as_vector(x, self.dim)[None])[0])
-
-    def grad_at(self, x) -> Array:
-        return self.grad_at_rows(as_vector(x, self.dim)[None])[0]
 
     def value_at_rows(self, xs: Array) -> Array:
         xs = as_rows(xs, self.dim)

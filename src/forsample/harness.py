@@ -34,7 +34,7 @@ from .lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                          f_psi, proximal_adapter, sgld_adapter)
 from .oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                       eps_tail, make_rng, phi)
-from .prox import ProxConfig, approx_prox, approx_prox_rows, prox_residual_bound
+from .prox import ProxConfig, approx_prox_rows, prox_residual, prox_residual_bound
 from .rgo import sample_tilt_many
 from .sampler import (MODES, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)
@@ -643,7 +643,7 @@ def _tilt_arm(seed: int, mode: str, noise: NoiseModel, samples: int,
         # proposal centered at the proximal point of x0, found with the same
         # noisy oracle the estimator uses
         prox_cfg = ProxConfig(eta=TILT_ETA, n_batch=n_batch, k_iters=25)
-        xhat = approx_prox(pot, oracle, [TILT_X0], prox_cfg)
+        xhat = approx_prox_rows(pot, oracle, [[TILT_X0]], prox_cfg)[0]
     else:
         oracle = ValueOracle(pot, noise, rng)
         xhat = [TILT_X0]
@@ -721,7 +721,7 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
         starts = np.zeros((cfg.trials, 1))
         ends = approx_prox_rows(pot, oracle, starts, ncfg)
         merged.merge(oracle.ledger)
-        residuals = np.abs(ends + eta * pot.grad_at_rows(ends) - starts)[:, 0]
+        residuals = prox_residual(pot, ends, starts, eta)
         fail_rate = float((residuals > bound).mean())
         eps = eps_tail(noise, ncfg.n_batch, m_trunc)
         se = math.sqrt(max(eps * (1 - eps), 1.0 / cfg.trials) / cfg.trials)
@@ -754,7 +754,8 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
 def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     pot = potential_from_config(**cfg.potential)
     case = AssumptionCase(**cfg.case)
-    mu0_mean = math.sqrt(case.warm_start_delta)  # N(m,1) start has Delta = m^2
+    # N(m 1, I) against N(0, I) in d dimensions has Delta = d m^2
+    mu0_mean = math.sqrt(case.warm_start_delta / pot.dim)
     mu0 = gaussian_initializer(np.full(pot.dim, mu0_mean), 1.0)
     arms = [NoiseModel.exact(), NoiseModel(**cfg.noise)]
     first = cfg.mode == "first_order"

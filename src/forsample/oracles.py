@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Array, Potential, as_rows, as_vector, check_shape
+from .core import Array, Potential
 from .errors import DimensionError, UnsupportedCombinationError
 
 # the NoiseModel fields each family reads and their ranges; the rest keep defaults
@@ -397,19 +397,15 @@ class GradientOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    def draw_batch(self, x, n: int) -> Array:
-        """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
-        return self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0]
-
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack, as a new array; meters k*n queries."""
-        xs = as_rows(xs, self.potential.dim)
+        """Row-wise batch means at a (k, d) stack, as a new array; meters k*n
+        queries, once the gradient rows are read and the noise is drawn."""
+        g = self.potential.grad_at_rows(xs)
         if n < 1:
             raise ValueError("batch size must be >= 1")
         noise = (None if self.noise.family == "exact" else
-                 self.noise.sample_batch_rows(xs.shape[0], n, self.potential.dim, self.rng))
-        self.ledger.grad_queries += n * xs.shape[0]
-        g = check_shape(self.potential.grad_rows(xs), xs.shape, "grad_rows")
+                 self.noise.sample_batch_rows(g.shape[0], n, self.potential.dim, self.rng))
+        self.ledger.grad_queries += n * g.shape[0]
         return _fresh(g, xs) if noise is None else g + noise
 
 
@@ -423,17 +419,13 @@ class ValueOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
 
-    def draw_batch(self, x, n: int) -> float:
-        """Mean of n independent draws at x: the one-row ``draw_batch_rows``."""
-        return float(self.draw_batch_rows(as_vector(x, self.potential.dim)[None], n)[0])
-
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
-        """Row-wise batch means at a (k, d) stack, as a new (k,) array; meters k*n queries."""
-        xs = as_rows(xs, self.potential.dim)
+        """Row-wise batch means at a (k, d) stack, as a new (k,) array; meters
+        k*n queries, once the values are read and the noise is drawn."""
+        v = self.potential.value_at_rows(xs)
         if n < 1:
             raise ValueError("batch size must be >= 1")
-        self.ledger.value_queries += n * xs.shape[0]
         noise = (None if self.noise.family == "exact" else
-                 self.noise.sample_batch_rows(xs.shape[0], n, 1, self.rng)[:, 0])
-        v = check_shape(self.potential.value_rows(xs), xs.shape[:1], "value_rows")
+                 self.noise.sample_batch_rows(v.shape[0], n, 1, self.rng)[:, 0])
+        self.ledger.value_queries += n * v.shape[0]
         return _fresh(v, xs) if noise is None else v + noise

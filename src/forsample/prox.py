@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, Potential, as_rows, as_vector
+from .core import Array, Potential, as_rows
 from .errors import DimensionError, InfeasibleScheduleError, NumericError
 from .oracles import GradientOracle
 
@@ -121,29 +121,19 @@ class ProxConfig:
             raise ValueError("n_batch and k_iters must be positive")
 
 
-def approx_prox(potential: Potential, oracle: GradientOracle, x0: Array,
-                cfg: ProxConfig) -> Array:
-    """Approximate proximal point of the potential at x0.
-
-    Consumes exactly cfg.n_batch * cfg.k_iters gradient queries (metered by
-    the oracle's ledger).  Raises InfeasibleScheduleError if the step-size
-    condition fails and NumericError on a non-finite iterate.  The one-row
-    case of ``approx_prox_rows``.
-    """
-    return approx_prox_rows(potential, oracle, as_vector(x0, potential.dim)[None],
-                            cfg)[0]
-
-
 def approx_prox_rows(potential: Potential, oracle: GradientOracle,
                      x0_rows: np.ndarray, cfg: ProxConfig,
                      start: np.ndarray | None = None) -> np.ndarray:
-    """Row-vectorized approx_prox: one independent proximal run per row.
+    """Approximate proximal points of the potential, one independent run per
+    row of the (k, d) stack x0_rows.
 
     Runs cfg.k_iters iterations of the relaxed map (module docstring) on
     every row, from ``start`` (the rows of an earlier call's iterate, to
     continue it) or from x0 itself.  Each iteration is one
-    ``draw_batch_rows`` query, after which the oracle's ledger counts the
-    iteration's rows in ``prox_iters``.  Each iterate is checked for
+    ``draw_batch_rows`` query of cfg.n_batch draws a row, after which the
+    oracle's ledger counts the iteration's rows in ``prox_iters``.  Raises
+    InfeasibleScheduleError if the step-size condition fails and
+    NumericError on a non-finite iterate.  Each iterate is checked for
     finiteness once: by the oracle's row validation when it is queried at
     the next step, and after the loop for the last one.
     """
@@ -227,15 +217,16 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def prox_residual(potential: Potential, xhat: Array, x0: Array,
-                  eta: float) -> float:
-    """|| xhat + eta grad f(xhat) - x0 ||, via the analytic gradient.
+def prox_residual(potential: Potential, xhat_rows: Array, x0_rows: Array,
+                  eta: float) -> np.ndarray:
+    """|| xhat + eta grad f(xhat) - x0 || of each row, via the analytic gradient.
 
     Verification helper; touches no ledger.
     """
-    xhat = as_vector(xhat, potential.dim)
-    x0 = as_vector(x0, potential.dim)
-    return float(np.linalg.norm(xhat + eta * potential.grad_at(xhat) - x0))
+    xhat_rows = as_rows(xhat_rows, potential.dim)
+    residual = xhat_rows + eta * potential.grad_at_rows(xhat_rows)
+    residual -= as_rows(x0_rows, potential.dim)
+    return _norms(residual)
 
 
 def prox_residual_bound(eta: float, m_s: float, m_trunc: float) -> float:

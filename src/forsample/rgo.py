@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .core import Array, as_vector
+from .core import as_vector
 from .errors import DimensionError
 from .fors import FORSConfig, fors_sample_many
 from .oracles import GradientOracle, QueryLedger, ValueOracle
@@ -42,7 +42,12 @@ from .oracles import GradientOracle, QueryLedger, ValueOracle
 
 def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
                r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and velocities of the interpolation path, one row per time r."""
+    """Points and velocities of the interpolation path, one row per time r.
+
+    gamma(r) = a_r x + (1 - a_r) xhat + b_r z with a_r = sin(pi r / 2) and
+    b_r = cos(pi r / 2); the velocity is the literal r-derivative
+    a'_r (x - xhat) + b'_r z.  Endpoints: gamma(0) = xhat + z, gamma(1) = x.
+    """
     t = (np.pi / 2) * r
     a = np.sin(t)[:, None]
     c = np.cos(t, out=t)[:, None]
@@ -54,23 +59,6 @@ def _path_rows(xs: np.ndarray, xh: np.ndarray, z: np.ndarray,
     gamma_dot -= a * z
     gamma_dot *= np.pi / 2
     return gamma, gamma_dot
-
-
-def path_gamma(x: Array, xhat: Array, z: Array, r: float) -> tuple[Array, Array]:
-    """Point and velocity of the interpolation path at time r in [0, 1].
-
-    gamma(r) = a_r x + (1 - a_r) xhat + b_r z with a_r = sin(pi r / 2) and
-    b_r = cos(pi r / 2); the velocity is the literal r-derivative
-    a'_r (x - xhat) + b'_r z.  Endpoints: gamma(0) = xhat + z, gamma(1) = x.
-    This is the one-row case of the formula every first-order W draw uses.
-    """
-    if not (0.0 <= r <= 1.0):
-        raise ValueError("path time r must lie in [0, 1]")
-    x = as_vector(x)
-    xhat = as_vector(xhat, x.shape[0])
-    z = as_vector(z, x.shape[0])
-    gamma, gamma_dot = _path_rows(x[None], xhat[None], z[None], np.array([r]))
-    return gamma[0], gamma_dot[0]
 
 
 def _clip(w: np.ndarray, b: float, ledger: QueryLedger) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PlanConstants
-from .core import AssumptionCase, Potential
+from .core import AssumptionCase, Potential, as_vector
 from .errors import BudgetExhaustedError, InfeasibleScheduleError, UnsupportedCombinationError
 from .fors import FORSConfig, fors_accept_rows
 from .oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, phi
@@ -250,10 +250,13 @@ def plan_zeroth_order(pot: Potential, noise: NoiseModel, case: AssumptionCase,
 # ---------------------------------------------------------------------------
 
 def gaussian_initializer(mean, variance: float = 1.0) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """Initial law N(mean, variance * I) as a (k, rng) -> rows callable."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not (variance > 0):
-        raise ValueError("variance must be positive")
+    """Initial law N(mean, variance * I) as a (k, rng) -> rows callable.
+
+    The mean is a finite vector (a number is a 1-D one) and the variance a
+    finite positive number."""
+    mean = as_vector(mean)
+    if not (0 < variance < math.inf):
+        raise ValueError(f"variance must be finite and positive, got {variance!r}")
     std = math.sqrt(variance)
 
     def draw(k: int, rng: np.random.Generator) -> np.ndarray:

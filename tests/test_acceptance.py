@@ -18,7 +18,7 @@ from forsample.harness import (ExperimentConfig, run_delta_scaling,
                                run_fors_unit, run_lower_bound, run_prox_check,
                                run_sampler_e2e, run_tilt_exactness)
 from forsample.oracles import GradientOracle, NoiseModel, make_rng
-from forsample.rgo import path_gamma
+from forsample.rgo import _path_rows
 from forsample.sampler import (gaussian_initializer, plan_first_order,
                                run_proximal_sampler)
 
@@ -142,27 +142,25 @@ def test_criterion_9_numerical_hygiene():
         pot = potential_from_config(name, params)
         for _ in range(5):
             x = rng.normal(1.0, 0.5, size=pot.dim)  # stay away from kinks
-            grad = pot.grad_at(x)
+            grad = pot.grad_at_rows([x])[0]
             fd = np.empty_like(grad)
             for i in range(pot.dim):
                 e = np.zeros(pot.dim)
                 e[i] = h
-                fd[i] = (pot.value_at(x + e) - pot.value_at(x - e)) / (2 * h)
+                plus, minus = pot.value_at_rows([x + e, x - e])
+                fd[i] = (plus - minus) / (2 * h)
             rel = np.max(np.abs(fd - grad)) / max(np.max(np.abs(grad)), 1.0)
             worst = max(worst, rel)
     checks["grad_fd"] = bool(worst < 1e-5)
 
     # path derivative versus finite differences and the unit-circle identity
-    x = np.array([1.0, -2.0])
-    xhat = np.array([0.5, 0.5])
-    z = np.array([0.2, -0.1])
+    x, xhat, z = (np.tile(v, (3, 1)) for v in ([1.0, -2.0], [0.5, 0.5], [0.2, -0.1]))
     worst_path = 0.0
     for r in np.linspace(0.01, 0.99, 9):
-        pos_hi, _ = path_gamma(x, xhat, z, r + 1e-6)
-        pos_lo, _ = path_gamma(x, xhat, z, r - 1e-6)
-        _, vel = path_gamma(x, xhat, z, r)
-        fd_vel = (pos_hi - pos_lo) / 2e-6
-        worst_path = max(worst_path, float(np.max(np.abs(fd_vel - vel))))
+        # rows at r + 1e-6, r - 1e-6 and r
+        pos, vel = _path_rows(x, xhat, z, r + np.array([1e-6, -1e-6, 0.0]))
+        fd_vel = (pos[0] - pos[1]) / 2e-6
+        worst_path = max(worst_path, float(np.max(np.abs(fd_vel - vel[2]))))
         a, b = math.sin(math.pi * r / 2), math.cos(math.pi * r / 2)
         assert a * a + b * b == pytest.approx(1.0, abs=1e-12)
     checks["path_fd"] = worst_path < 1e-4

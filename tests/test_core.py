@@ -53,21 +53,21 @@ def test_as_rows_rejects_bad_shapes():
 
 def test_gaussian_point_values():
     pot = make_gaussian_potential([0.0], precision=1.0)
-    assert pot.value_at([1.0]) == pytest.approx(0.5)
-    assert pot.grad_at([1.0])[0] == pytest.approx(1.0)
+    assert pot.value_at_rows([[1.0]])[0] == pytest.approx(0.5)
+    assert pot.grad_at_rows([[1.0]])[0, 0] == pytest.approx(1.0)
 
 
 def test_gaussian_shifted_mean_gradient():
     # gradient of the half-quadratic centered at 0.3 is x - 0.3
     pot = make_gaussian_potential([0.3], precision=1.0)
     for x in (-1.0, 0.0, 0.3, 2.5):
-        assert pot.grad_at([x])[0] == pytest.approx(x - 0.3)
+        assert pot.grad_at_rows([[x]])[0, 0] == pytest.approx(x - 0.3)
 
 
 def test_gaussian_precision_two_in_2d():
     pot = make_gaussian_potential([0.0, 0.0], precision=2.0)
-    assert pot.value_at([1.0, 1.0]) == pytest.approx(2.0)
-    np.testing.assert_allclose(pot.grad_at([1.0, 1.0]), [2.0, 2.0])
+    assert pot.value_at_rows([[1.0, 1.0]])[0] == pytest.approx(2.0)
+    np.testing.assert_allclose(pot.grad_at_rows([[1.0, 1.0]])[0], [2.0, 2.0])
 
 
 def test_gaussian_metadata():
@@ -84,7 +84,7 @@ def test_aniso_gaussian_metadata_uses_extremes():
     assert pot.holder_beta == 4.0
     # C_LSI = C_PI = the largest variance, 1 / the smallest precision
     assert pot.reference.variances.max() == 1.0
-    np.testing.assert_allclose(pot.grad_at([1.0, 1.0]), [1.0, 4.0])
+    np.testing.assert_allclose(pot.grad_at_rows([[1.0, 1.0]])[0], [1.0, 4.0])
 
 
 @pytest.mark.parametrize("mean", [[0.3], [0.1, -0.2, 2.0]], ids=["d1", "d3"])
@@ -114,7 +114,7 @@ def test_potential_validation_errors():
     with pytest.raises(ValueError):
         make_gaussian_potential([0.0], precision=-1.0)
     with pytest.raises(DimensionError):
-        pot.grad_at([1.0, 2.0])
+        pot.grad_at_rows([[1.0, 2.0]])
 
 
 # closed forms at hand-picked rows: (factory, kwargs, rows, values, gradients)
@@ -152,21 +152,10 @@ def test_rows_match_closed_forms(factory, kwargs, rows, values, grads):
                                rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("factory,kwargs", [(f, kw) for f, kw, *_ in _CLOSED_FORMS],
-                         ids=_CLOSED_FORM_IDS)
-def test_single_point_forms_are_one_row_of_a_stack(factory, kwargs):
-    pot = factory(**kwargs)
-    xs = np.random.default_rng(3).standard_normal((20, pot.dim))
-    values, grads = pot.value_at_rows(xs), pot.grad_at_rows(xs)
-    for i, row in enumerate(xs):
-        assert pot.value_at(row) == values[i]
-        np.testing.assert_array_equal(pot.grad_at(row), grads[i])
-
-
 def test_potential_takes_only_row_formulas_by_keyword():
     rows = {"value_rows": lambda xs: np.zeros(len(xs)), "grad_rows": np.zeros_like}
     pot = Potential(dim=1, holder_s=1.0, holder_beta=1.0, **rows)
-    assert pot.value_at([0.4]) == 0.0
+    assert pot.value_at_rows([[0.4]])[0] == 0.0
     with pytest.raises(TypeError):
         # the scalar value/grad fields are gone
         Potential(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros(1),
@@ -191,12 +180,13 @@ def test_gradient_matches_finite_differences(factory, kwargs):
     h = 1e-5
     for _ in range(100):
         x = rng.standard_normal(pot.dim)
-        g = pot.grad_at(x)
+        g = pot.grad_at_rows([x])[0]
         fd = np.empty(pot.dim)
         for i in range(pot.dim):
             e = np.zeros(pot.dim)
             e[i] = h
-            fd[i] = (pot.value_at(x + e) - pot.value_at(x - e)) / (2 * h)
+            plus, minus = pot.value_at_rows([x + e, x - e])
+            fd[i] = (plus - minus) / (2 * h)
         denom = max(float(np.linalg.norm(g)), 1.0)
         assert np.linalg.norm(fd - g) / denom <= 1e-5
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from forsample import harness
 from forsample.core import make_gaussian_potential
 from forsample.errors import ConfigError, DimensionError
 from forsample.fors import FORSConfig
@@ -16,6 +17,7 @@ from forsample.harness import (SUITES, TILT_B, TILT_ETA, TILT_X0, DiscreteWInsta
                                tilt_reference, write_report)
 from forsample.oracles import NoiseModel, ValueOracle, make_rng
 from forsample.rgo import sample_tilt_many
+from forsample.sampler import gaussian_initializer
 from forsample.verify import discrete_law_oracle, ks_test
 
 
@@ -275,6 +277,24 @@ def test_sampler_e2e_reports_on_every_catalog_potential(potential):
     clipped = [entry["ledger"]["w_clipped"] for entry in report.per_seed]
     assert [row["w_clipped"] for row in report.rows] == clipped
     assert report.merged_ledger["w_clipped"] == sum(clipped)
+
+
+def test_sampler_e2e_start_spends_the_warm_start_delta(monkeypatch):
+    # N(m 1, I) against the standard Gaussian N(0, I) in d dimensions has
+    # log(1 + chi^2) = |m 1|^2 = d m^2, which the start sets to Delta
+    means = []
+    monkeypatch.setattr(harness, "gaussian_initializer",
+                        lambda mean, variance: means.append(mean) or
+                        gaussian_initializer(mean, variance))
+    delta = 0.7
+    for d in (1, 3):
+        run_experiment(ExperimentConfig(
+            experiment="sampler_e2e", chains=100, delta=0.2, seeds=(0,),
+            potential={"name": "gaussian", "params": {"mean": [0.0] * d}},
+            case={"tag": "LSI", "constant": 1.0, "warm_start_delta": delta}))
+    assert means[0].tolist() == [math.sqrt(delta)]
+    assert means[1].tolist() == [math.sqrt(delta / 3)] * 3
+    assert float(means[1] @ means[1]) == pytest.approx(delta, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -258,13 +258,9 @@ def test_fors_round_size_is_one_constant():
     assert _large_literals((SRC / "fors.py").read_text(), "_ROUND_ROWS") == []
 
 
-# top-level definitions kept without a caller in src or perfbench: the one-row
-# cases of row kernels and the references the tests check them against
-_NO_CALLER_KEPT = {
-    ("core.py", "holder_spot_check"),
-    ("prox.py", "prox_residual"),
-    ("rgo.py", "path_gamma"),
-}
+# top-level definitions kept without a caller in src or perfbench: the check
+# the tests run on each potential's declared Hölder metadata
+_NO_CALLER_KEPT = {("core.py", "holder_spot_check")}
 
 
 def _registered(node) -> bool:
@@ -279,13 +275,6 @@ _NO_CALLER_METHODS_KEPT = {
         "the density a test integrates to check the closed-form cdf",
     ("core.py", "PowerReference.pdf"):
         "the density a test integrates to check the closed-form cdf and variance",
-    ("core.py", "Potential.value_at"):
-        "one-row reference the row kernel is compared against; criterion 9 "
-        "differentiates it",
-    ("oracles.py", "GradientOracle.draw_batch"):
-        "one-row reference the row draws are compared against",
-    ("oracles.py", "ValueOracle.draw_batch"):
-        "one-row reference the row draws are compared against",
 }
 
 
@@ -357,7 +346,7 @@ def test_every_definition_has_a_caller():
     orphans = set(_without_caller(MODULES, MODULES + BENCH))
     kept = _NO_CALLER_KEPT | set(_NO_CALLER_METHODS_KEPT)
     assert sorted(orphans - kept) == []
-    # a kept one-row case that gains a caller leaves the list
+    # a kept definition that gains a caller leaves the list
     assert sorted(kept - orphans) == []
 
 

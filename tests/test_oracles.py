@@ -387,8 +387,8 @@ def test_phi_minimality(label, m, delta):
 def test_exact_gradient_oracle_and_ledger():
     pot = make_gaussian_potential([0.0], precision=1.0)
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(0, 1))
-    out = oracle.draw_batch([2.0], 7)
-    assert out[0] == pytest.approx(2.0)
+    out = oracle.draw_batch_rows([[2.0]], 7)
+    assert out[0, 0] == pytest.approx(2.0)
     assert oracle.ledger.grad_queries == 7
     rows = oracle.draw_batch_rows(np.array([[1.0], [3.0]]), 5)
     np.testing.assert_allclose(rows[:, 0], [1.0, 3.0])
@@ -404,7 +404,7 @@ def test_gradient_oracle_unbiasedness(label):
         x = rng_pts.standard_normal(2)
         oracle = GradientOracle(pot, noise, make_rng(9, 1, point_idx))
         draws = oracle.draw_batch_rows(np.tile(x, (100_000, 1)), 1)
-        err = draws - pot.grad_at(x)
+        err = draws - pot.grad_at_rows([x])[0]
         se = err.std(axis=0) / math.sqrt(draws.shape[0])
         assert np.all(np.abs(err.mean(axis=0)) <= 5 * se)
 
@@ -425,21 +425,6 @@ def test_gradient_oracle_determinism():
                                   b.draw_batch_rows(xs, 3))
 
 
-def test_single_draw_equals_batch_of_one():
-    # the single-point draw is the one-row draw: same noise, same value,
-    # same ledger
-    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
-    x = np.array([0.3, -1.2])
-    for oracle_cls in (GradientOracle, ValueOracle):
-        a = oracle_cls(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
-        b = oracle_cls(pot, NoiseModel.subgaussian(1.0), make_rng(6, 0))
-        for n in (1, 1, 5):
-            np.testing.assert_array_equal(a.draw_batch(x, n),
-                                          b.draw_batch_rows(x[None], n)[0])
-        assert a.ledger.as_dict() == b.ledger.as_dict()
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
 def test_twopoint_oracle_requires_1d():
     pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
     with pytest.raises(DimensionError):
@@ -449,21 +434,21 @@ def test_twopoint_oracle_requires_1d():
 def test_value_oracle_exact_and_noisy():
     pot = make_gaussian_potential([0.0], precision=1.0)
     oracle = ValueOracle(pot, NoiseModel.exact(), make_rng(0, 2))
-    assert oracle.draw_batch([1.0], 1) == pytest.approx(0.5)
-    assert oracle.draw_batch([1.0], 4) == pytest.approx(0.5)
+    assert oracle.draw_batch_rows([[1.0]], 1)[0] == pytest.approx(0.5)
+    assert oracle.draw_batch_rows([[1.0]], 4)[0] == pytest.approx(0.5)
     assert oracle.ledger.value_queries == 5
 
     noisy = ValueOracle(pot, NoiseModel.subgaussian(1.0), make_rng(0, 3))
     vals = noisy.draw_batch_rows(np.zeros((200_000, 1)), 1)
     se = vals.std() / math.sqrt(vals.size)
-    assert abs(vals.mean() - pot.value_at([0.0])) <= 4 * se
+    assert abs(vals.mean() - pot.value_at_rows([[0.0]])[0]) <= 4 * se
 
 
 def test_batch_size_must_be_positive():
     pot = make_gaussian_potential([0.0], precision=1.0)
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(0, 4))
     with pytest.raises(ValueError):
-        oracle.draw_batch([0.0], 0)
+        oracle.draw_batch_rows([[0.0]], 0)
 
 
 def test_ledger_merge_adds_counters():
@@ -482,8 +467,7 @@ def test_row_formulas_of_the_wrong_shape_are_rejected():
     pot = Potential(dim=1, value_rows=lambda xs: xs.copy(),
                     grad_rows=lambda xs: xs[:, 0], holder_s=1.0, holder_beta=1.0)
     xs = np.zeros((3, 1))
-    for call in (lambda: pot.grad_at([0.0]),
-                 lambda: pot.grad_at_rows(xs),
+    for call in (lambda: pot.grad_at_rows(xs),
                  lambda: GradientOracle(pot, NoiseModel.exact(),
                                         make_rng(0)).draw_batch_rows(xs, 1)):
         with pytest.raises(DimensionError, match="grad_rows returned shape"):
@@ -499,6 +483,21 @@ def test_row_formulas_of_the_wrong_shape_are_rejected():
     assert GradientOracle(lists, NoiseModel.exact(), make_rng(0)).draw_batch_rows(
         xs, 1).shape == (3, 1)
     assert lists.value_at_rows(xs).dtype == np.float64
+
+
+@pytest.mark.parametrize("oracle_cls", [GradientOracle, ValueOracle])
+def test_unanswered_queries_are_not_metered(oracle_cls):
+    # the oracle reads the formula before it draws the noise and counts the
+    # queries: a formula of the wrong shape moves neither the ledger nor the
+    # oracle's stream
+    pot = Potential(dim=1, value_rows=lambda xs: xs.copy(),
+                    grad_rows=lambda xs: xs[:, 0], holder_s=1.0, holder_beta=1.0)
+    oracle = oracle_cls(pot, NoiseModel.subgaussian(0.5), make_rng(0))
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(DimensionError, match="returned shape"):
+        oracle.draw_batch_rows(np.zeros((3, 1)), 2)
+    assert oracle.ledger == QueryLedger()
+    assert oracle.rng.bit_generator.state == state
 
 
 def test_exact_draws_are_new_arrays_the_caller_may_update():

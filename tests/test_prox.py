@@ -20,7 +20,6 @@ from forsample.errors import DimensionError, InfeasibleScheduleError, NumericErr
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, eps_tail, make_rng
 from forsample.prox import (
     ProxConfig,
-    approx_prox,
     approx_prox_rows,
     approx_prox_rows_budgeted,
     default_k_iters,
@@ -49,9 +48,9 @@ def _cfg(k_iters=20, n_batch=1):
 
 def test_exact_quadratic_converges_to_prox_point():
     pot = _quad()
-    xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(20))
-    assert abs(float(xhat[0]) - _FIXED_POINT) < 1e-10
-    assert prox_residual(pot, xhat, [0.0], _ETA) < 1e-10
+    xhat = approx_prox_rows(pot, _exact_oracle(pot), [[0.0]], _cfg(20))
+    assert abs(float(xhat[0, 0]) - _FIXED_POINT) < 1e-10
+    assert prox_residual(pot, xhat, [[0.0]], _ETA)[0] < 1e-10
 
 
 def test_exact_contraction_ratio():
@@ -63,7 +62,7 @@ def test_exact_contraction_ratio():
     assert relaxation(pot, _ETA) == (0.8, 0.2)
     errors = []
     for k in range(1, 6):
-        xhat = approx_prox(pot, _exact_oracle(pot), [0.0], _cfg(k))
+        xhat = approx_prox_rows(pot, _exact_oracle(pot), [[0.0]], _cfg(k))[0]
         errors.append(abs(float(xhat[0]) - _FIXED_POINT))
     ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
     assert all(r == pytest.approx(0.2, rel=1e-11) for r in ratios)
@@ -87,7 +86,7 @@ def test_stiff_quadratic_converges_at_the_step_cap():
     # the relaxed map contracts by 5/7 and reaches the prox point 1/6
     pot = make_aniso_gaussian_potential([0.0, 0.0], [1.0, 100.0])
     cfg = ProxConfig(eta=1.0 / (2.0 * pot.m_s), n_batch=1, k_iters=40)
-    xhat = approx_prox(pot, _exact_oracle(pot), [1.0, 1.0], cfg)
+    xhat = approx_prox_rows(pot, _exact_oracle(pot), [[1.0, 1.0]], cfg)[0]
     assert xhat == pytest.approx([1 / 1.05, 1 / 6], abs=1e-5)
 
 
@@ -95,18 +94,18 @@ def test_flat_potential_keeps_x0():
     pot = Potential(dim=2, value_rows=lambda xs: np.zeros(len(xs)),
                     grad_rows=np.zeros_like, holder_s=1.0, holder_beta=1.0,
                     name="flat")
-    xhat = approx_prox(pot, _exact_oracle(pot), [0.4, -0.6], _cfg(10))
+    xhat = approx_prox_rows(pot, _exact_oracle(pot), [[0.4, -0.6]], _cfg(10))[0]
     assert np.array_equal(xhat, [0.4, -0.6])
 
 
 def test_residual_helper_values():
     pot = _quad()
     # at the analytic prox point the residual vanishes
-    assert prox_residual(pot, [_FIXED_POINT], [0.0], _ETA) < 1e-12
+    assert prox_residual(pot, [[_FIXED_POINT]], [[0.0]], _ETA)[0] < 1e-12
     # at xhat = x0 it is eta * |grad f(x0)|
-    assert prox_residual(pot, [0.0], [0.0], _ETA) == pytest.approx(_ETA * _THETA)
+    assert prox_residual(pot, [[0.0]], [[0.0]], _ETA)[0] == pytest.approx(_ETA * _THETA)
     # hand value: |0.7 + 0.5 * (0.7 - 1) - (-0.3)| = 0.85
-    assert prox_residual(pot, [0.7], [-0.3], 0.5) == pytest.approx(0.85)
+    assert prox_residual(pot, [[0.7]], [[-0.3]], 0.5)[0] == pytest.approx(0.85)
     assert prox_residual_bound(0.5, 1.0, 2.0) == pytest.approx(15.0)
 
 
@@ -114,8 +113,6 @@ def test_step_condition_enforced():
     pot = _quad()  # m_s = 1, so eta must stay at or below 0.5
     bad = ProxConfig(eta=0.6, n_batch=1, k_iters=5)
     with pytest.raises(InfeasibleScheduleError, match=r"1/\(2 m_s\)"):
-        approx_prox(pot, _exact_oracle(pot), [0.0], bad)
-    with pytest.raises(InfeasibleScheduleError):
         approx_prox_rows(pot, _exact_oracle(pot), [[0.0]], bad)
 
 
@@ -137,22 +134,11 @@ def test_query_accounting():
     ledger = QueryLedger()
     oracle = GradientOracle(pot, NoiseModel.subgaussian(0.2), make_rng(83),
                             ledger=ledger)
-    approx_prox(pot, oracle, [0.0], _cfg(k_iters=7, n_batch=3))
+    approx_prox_rows(pot, oracle, [[0.0]], _cfg(k_iters=7, n_batch=3))
     assert ledger.grad_queries == 21
     approx_prox_rows(pot, oracle, np.zeros((5, 1)),
                      _cfg(k_iters=7, n_batch=3))
     assert ledger.grad_queries == 21 + 5 * 21
-
-
-def test_rows_engine_matches_scalar_bit_exact():
-    pot = _quad()
-    noise = NoiseModel.subgaussian(0.3)
-    cfg = _cfg(k_iters=12, n_batch=2)
-    scalar = approx_prox(pot, GradientOracle(pot, noise, make_rng(84)),
-                         [0.0], cfg)
-    rows = approx_prox_rows(pot, GradientOracle(pot, noise, make_rng(84)),
-                            [[0.0]], cfg)
-    assert np.array_equal(rows[0], scalar)
 
 
 def test_zero_rows_make_no_queries():
@@ -424,7 +410,8 @@ def test_prox_point_has_the_smaller_gradient(potential, coords, share):
     p = _exact_prox(pot, y[None], eta)[0]
     slack = 8 * np.finfo(float).eps * (1 + np.abs(y).sum() + np.abs(p).sum())
     tol = pot.holder_beta * slack ** pot.holder_s
-    assert np.linalg.norm(pot.grad_at(p)) <= np.linalg.norm(pot.grad_at(y)) + tol
+    gp, gy = pot.grad_at_rows([p, y])
+    assert np.linalg.norm(gp) <= np.linalg.norm(gy) + tol
 
 
 def test_config_validation():
@@ -463,7 +450,7 @@ def test_non_finite_iterate_raises():
     # range on the first step, which the iterate guard must catch
     pot = _blowup(_flat_overflow)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="at step 1$"):
-        approx_prox(pot, _exact_oracle(pot), [9.5e307], _cfg(3))
+        approx_prox_rows(pot, _exact_oracle(pot), [[9.5e307]], _cfg(3))
 
 
 @pytest.mark.parametrize("grad,start,k_iters,step", [
@@ -475,7 +462,7 @@ def test_non_finite_iterate_names_the_step(grad, start, k_iters, step):
     pot = _blowup(grad)
     with np.errstate(over="ignore"), \
             pytest.raises(NumericError, match=f"at step {step}$"):
-        approx_prox(pot, _exact_oracle(pot), [start], _cfg(k_iters))
+        approx_prox_rows(pot, _exact_oracle(pot), [[start]], _cfg(k_iters))
 
 
 @pytest.mark.parametrize("rows", [3, 2048])
@@ -497,7 +484,7 @@ def test_oracle_shape_error_is_not_a_blow_up():
     pot = _quad()
     oracle = _exact_oracle(make_gaussian_potential([0.0, 0.0]))
     with pytest.raises(DimensionError, match="row dimension"):
-        approx_prox(pot, oracle, [0.0], _cfg(3))
+        approx_prox_rows(pot, oracle, [[0.0]], _cfg(3))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from forsample.errors import DimensionError
 from forsample.fors import FORSConfig, fors_sample_many
 from forsample.oracles import (GradientOracle, NoiseModel, QueryLedger, ValueOracle,
                                make_rng)
-from forsample.rgo import path_gamma, sample_tilt_many, tilt_source
+from forsample.rgo import _path_rows, sample_tilt_many, tilt_source
 from forsample.verify import ks_test
 
 
@@ -43,8 +43,8 @@ def test_path_endpoints():
     x = np.array([1.5, -0.5])
     xhat = np.array([0.2, 0.1])
     z = np.array([-0.7, 0.4])
-    g1, _ = path_gamma(x, xhat, z, 1.0)
-    g0, _ = path_gamma(x, xhat, z, 0.0)
+    (g1, g0), _ = _path_rows(np.tile(x, (2, 1)), np.tile(xhat, (2, 1)),
+                             np.tile(z, (2, 1)), np.array([1.0, 0.0]))
     assert np.allclose(g1, x, atol=1e-12)
     assert np.allclose(g0, xhat + z, atol=1e-12)
 
@@ -60,24 +60,13 @@ def test_path_velocity_matches_finite_differences():
     rng = make_rng(61)
     h = 1e-5
     for _ in range(20):
-        x, xhat, z = rng.standard_normal((3, 3))
+        x, xhat, z = (np.tile(v, (3, 1)) for v in rng.standard_normal((3, 3)))
         r = float(rng.uniform(h, 1.0 - h))
-        _, dot = path_gamma(x, xhat, z, r)
-        plus, _ = path_gamma(x, xhat, z, r + h)
-        minus, _ = path_gamma(x, xhat, z, r - h)
+        # rows at r, r + h and r - h
+        (_, plus, minus), (dot, _, _) = _path_rows(x, xhat, z, r + np.array([0.0, h, -h]))
         fd = (plus - minus) / (2 * h)
         denom = max(float(np.linalg.norm(dot)), 1.0)
         assert float(np.linalg.norm(fd - dot)) / denom < 1e-5
-
-
-def test_path_validation():
-    x = np.zeros(2)
-    with pytest.raises(ValueError):
-        path_gamma(x, x, x, -0.1)
-    with pytest.raises(ValueError):
-        path_gamma(x, x, x, 1.1)
-    with pytest.raises(DimensionError):
-        path_gamma(x, np.zeros(3), x, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from scipy import stats
 from forsample.constants import DEFAULT_CONSTANTS, PlanConstants
 from forsample.core import (AssumptionCase, make_gaussian_potential, make_power_potential,
                             potential_from_config)
-from forsample.errors import (BudgetExhaustedError, InfeasibleScheduleError,
-                             UnsupportedCombinationError)
+from forsample.errors import (BudgetExhaustedError, DimensionError,
+                              InfeasibleScheduleError, UnsupportedCombinationError)
 from forsample import sampler
 from forsample.oracles import (GradientOracle, NoiseModel, ValueOracle, eps_tail,
                                make_rng, phi)
@@ -375,6 +375,20 @@ def test_gaussian_initializer():
     assert np.allclose(rows.var(axis=0), 4.0, rtol=0.1)
     with pytest.raises(ValueError):
         gaussian_initializer([0.0], 0.0)
+
+
+def test_gaussian_initializer_refuses_what_it_cannot_draw():
+    # a (1, 2) mean drew (k, 2) rows whose columns were one draw, and a nan
+    # mean or an infinite variance drew non-finite rows
+    for mean in ([[0.0, 0.0]], [math.nan], [0.0, math.inf]):
+        with pytest.raises(DimensionError):
+            gaussian_initializer(mean)
+    for variance in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="variance"):
+            gaussian_initializer([0.0], variance)
+    # a number is a 1-D mean, drawn as before
+    rows = gaussian_initializer(1.5, 4.0)(5, make_rng(96))
+    assert np.array_equal(rows, 1.5 + 2.0 * make_rng(96).standard_normal((5, 1)))
 
 
 # ---------------------------------------------------------------------------

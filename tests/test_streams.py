@@ -22,7 +22,7 @@ from forsample.harness import discrete_instances
 from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                                   proximal_adapter, sgld_adapter)
 from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, ValueOracle, make_rng
-from forsample.prox import ProxConfig, approx_prox, approx_prox_rows
+from forsample.prox import ProxConfig, approx_prox_rows
 from forsample.rgo import sample_tilt_many, tilt_source
 from forsample.sampler import Schedule, gaussian_initializer, run_proximal_sampler
 
@@ -207,7 +207,7 @@ def test_scalar_prox_is_pinned():
     pot, _, noise = _tilt()
     cfg = ProxConfig(eta=0.25, n_batch=3, k_iters=7)
     oracle = GradientOracle(pot, noise, make_rng(5, 16))
-    xhat = approx_prox(pot, oracle, [0.8, -0.4], cfg)
+    xhat = approx_prox_rows(pot, oracle, [[0.8, -0.4]], cfg)[0]
     assert xhat.tolist() == [0.6988202224425142, -0.39340651868250887]
     assert oracle.ledger.grad_queries == 21
 
