@@ -86,21 +86,16 @@ def _poisson_guide_table(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return top, np.searchsorted(top, np.arange(_GUIDE), side="left")
 
 
-def poisson_inversion(lam: float, rng: np.random.Generator,
-                      size: int | None = None):
-    """Exact Poisson(lam) draws by CDF inversion of one uniform each.
+def poisson_inversion(lam: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` exact Poisson(lam) draws by CDF inversion of one uniform each.
 
-    A draw is ``min(searchsorted(cdf, r, side="left"), len(cdf) - 1)``;
-    ``size=None`` returns one int by ``bisect_left`` on the table's float
-    list, so n scalar draws equal one size-n draw.  Rows start at a guide
-    table (Chen & Asau 1974; Devroye 1986, III.2.4) and stay exact: G =
-    ``_GUIDE`` is a power of two, so s = rG and G cdf carry no rounding, and
-    a row with s in [b, b + 1) draws guide[b] = searchsorted(G cdf, b) unless
-    G cdf[guide[b]] < s, when it is searched.  The last entry, +inf, clips.
+    A draw is ``min(searchsorted(cdf, r, side="left"), len(cdf) - 1)``.  Rows
+    start at a guide table (Chen & Asau 1974; Devroye 1986, III.2.4) and stay
+    exact: G = ``_GUIDE`` is a power of two, so s = rG and G cdf carry no
+    rounding, and a row with s in [b, b + 1) draws guide[b] =
+    searchsorted(G cdf, b) unless G cdf[guide[b]] < s, when it is searched.
+    The last entry, +inf, clips.
     """
-    if size is None:
-        cdf = _poisson_cdf_list(float(lam))
-        return min(bisect_left(cdf, rng.random()), len(cdf) - 1)
     top, guide = _poisson_guide_table(float(lam))
     s = rng.random(size) * _GUIDE
     j = guide[s.astype(np.intp)]
@@ -142,7 +137,7 @@ def _scalar_coin(b: float) -> Callable[..., bool]:
     EstimatorRangeError.
     """
     b2 = 2 * b
-    # poisson_inversion(2B, rng)'s scalar path, with its table bound once
+    # J by bisection of the table that poisson_inversion(2B, ...) searches
     cdf = _poisson_cdf_list(float(b2))
     j_top = len(cdf) - 1
 
@@ -164,8 +159,7 @@ def _scalar_coin(b: float) -> Callable[..., bool]:
 
 def fors_sample(proposal: Callable[[np.random.Generator], Array],
                 source: Callable[[Array, np.random.Generator], float], cfg: FORSConfig,
-                rng: np.random.Generator,
-                ledger: QueryLedger | None = None) -> FORSResult:
+                rng: np.random.Generator, ledger: QueryLedger) -> FORSResult:
     """Draw one exact sample from the proposal ``proposal(rng)`` tilted by W.
 
     ``source(x, rng)`` returns one W at x, which must lie in [-B, B]: the
@@ -174,7 +168,6 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
     the attempts and the W draws.  Raises BudgetExhaustedError, carrying the
     partial accounting, when the attempt or the per-call W-draw cap is hit.
     """
-    ledger = ledger if ledger is not None else QueryLedger()
     flip, random = _scalar_coin(cfg.b), rng.random
     w_draws = 0
 
@@ -206,16 +199,17 @@ class _CoinLanes:
     Lane i's attempts are for slot i.  ``tick(new)`` starts an attempt on
     each lane of ``new`` (distinct, none in flight; the first tick's ``new``
     is ``every``, all lanes in order): ``propose(new, rng)`` returns one row
-    per lane, each draws its J ~ Poisson(2B) and coin u, and an attempt with
-    J = 0 accepts at once.  Then one ``draw_w(live, xs, rng)`` call draws
-    the next W of every attempt in flight, in ``live`` order (the lanes that
-    were in flight, then the new ones), validates it (shape, finiteness, the
-    closed range [-B, B]) and multiplies (B + W)/(2B) into the attempt's
-    product.  Each factor is at most 1, so an attempt whose product fell
-    below u is rejected without its remaining draws, and one that has drawn
-    its J accepts if u < product, the decision the full product gives.  A
-    tick returns its (accepted, rejected) lanes; ``xs`` holds each lane's
-    last proposal, and an attempt in flight draws one W every tick.
+    per lane, as wide as the first tick's (DimensionError otherwise), each
+    draws its J ~ Poisson(2B) and coin u, and an attempt with J = 0 accepts
+    at once.  Then one ``draw_w(live, xs, rng)`` call draws the next W of
+    every attempt in flight, in ``live`` order (the lanes that were in
+    flight, then the new ones), validates it (shape, finiteness, the closed
+    range [-B, B]) and multiplies (B + W)/(2B) into the attempt's product.
+    Each factor is at most 1, so an attempt whose product fell below u is
+    rejected without its remaining draws, and one that has drawn its J
+    accepts if u < product, the decision the full product gives.  A tick
+    returns its (accepted, rejected) lanes; ``xs`` holds each lane's last
+    proposal, and an attempt in flight draws one W every tick.
     """
 
     def __init__(self, propose: _ProposeRows, draw_w: _DrawWRows, b: float,
@@ -233,9 +227,11 @@ class _CoinLanes:
         live, accepted, rejected = self.live, _NO_LANES, _NO_LANES
         if new.size:
             rows = self.propose(new, rng)
-            if rows.ndim != 2 or rows.shape[:1] != new.shape:
-                raise DimensionError(f"proposal returned rows of shape {rows.shape} "
-                                     f"for slots of shape {new.shape}")
+            width = rows.shape[1:] if new is self.every else self.xs.shape[1:]
+            if rows.ndim != 2 or rows.shape != new.shape + width:
+                raise DimensionError(f"proposal returned rows of shape {rows.shape} for slots "
+                                     f"of shape {new.shape} and lanes of shape "
+                                     f"{self.every.shape + width}")
             js = poisson_inversion(2 * b, rng, size=new.size)
             coins = rng.random(new.size)
             if new is self.every:  # every lane starts, in lane order: new tables
@@ -287,7 +283,7 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 
 def fors_accept_rows(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
-                     n_slots: int, rng: np.random.Generator, ledger: QueryLedger | None = None,
+                     n_slots: int, rng: np.random.Generator, ledger: QueryLedger,
                      renew: Callable[..., np.ndarray] | None = None) -> np.ndarray:
     """Run one FORS acceptance per slot, vectorized across slots.
 
@@ -307,7 +303,6 @@ def fors_accept_rows(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: F
     count shifts every stream.  The result holds the last accepted rows.
     """
     _check_count("n_slots", n_slots, 1)
-    ledger = ledger if ledger is not None else QueryLedger()
     tries = np.zeros(n_slots, dtype=np.int64)  # the running acceptance's attempts
     top = 0  # at least the largest count in tries
     started = np.zeros(n_slots, dtype=np.int64)  # the tick each acceptance started
@@ -349,7 +344,7 @@ def fors_accept_rows(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: F
 
 def fors_sample_many(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
                      n_samples: int, rng: np.random.Generator,
-                     ledger: QueryLedger | None = None) -> np.ndarray:
+                     ledger: QueryLedger) -> np.ndarray:
     """Collect ``n_samples`` iid accepted points from one shared target.
 
     Attempts run in rounds of lanes, sized from the acceptance seen so far
@@ -362,7 +357,6 @@ def fors_sample_many(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: F
     comes from the proposals, so ``n_samples`` must be >= 1.
     """
     _check_count("n_samples", n_samples, 1)
-    ledger = ledger if ledger is not None else QueryLedger()
     got: list[np.ndarray] = []
     n_got = total_attempts = w_spent = 0
     acc_est = math.exp(-cfg.b)  # pessimistic-ish initial guess, refined as we go
@@ -400,7 +394,7 @@ def fors_sample_many(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: F
 
 def fors_attempt_batch(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: FORSConfig,
                        n_attempts: int, rng: np.random.Generator,
-                       ledger: QueryLedger | None = None) -> np.ndarray:
+                       ledger: QueryLedger) -> np.ndarray:
     """Simulate a fixed number of independent acceptance attempts.
 
     Slots and rounds are as in ``fors_sample_many``.  Returns the boolean
@@ -409,7 +403,6 @@ def fors_attempt_batch(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg:
     budget cap applies: the attempt count is the argument.
     """
     _check_count("n_attempts", n_attempts, 0)
-    ledger = ledger if ledger is not None else QueryLedger()
     mask = np.empty(n_attempts, dtype=bool)
     for done in range(0, n_attempts, _ROUND_ROWS):
         k = min(n_attempts - done, _ROUND_ROWS)

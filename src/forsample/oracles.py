@@ -1,8 +1,8 @@
 """Stochastic gradient/value oracles, tail bounds, and query accounting.
 
 An oracle wraps a potential with an additive mean-zero noise model and
-meters every draw.  Batch draws average n independent samples.  For each
-noise family the module provides:
+meters every draw in its own ledger.  Batch draws average n independent
+samples.  For each noise family the module provides:
 
 * ``m1`` : the exact first absolute moment E||noise|| of one draw,
 * ``eps_tail(noise, n, M)`` : a valid upper bound on the normalized
@@ -371,61 +371,58 @@ class QueryLedger:
         return {label: getattr(self, label) for label in self.__dataclass_fields__}
 
 
+class _Oracle:
+    """Metered access to a potential: its noise model, its private stream
+    ``rng`` and its own ledger, which counts every query it answers.
+
+    A draw reads the potential's rows, refuses n < 1, draws the noise
+    (``_draw_noise``) and counts k*n queries, in that order.
+    """
+
+    def __init__(self, potential: Potential, noise: NoiseModel, rng: np.random.Generator):
+        self.potential = potential
+        self.noise = noise
+        self.rng = rng
+        self.ledger = QueryLedger()
+
+    def _draw_noise(self, k: int, n: int, dim: int) -> Array | None:
+        """(k, dim) n-sample batch-mean noise, or None for exact noise."""
+        if n < 1:
+            raise ValueError("batch size must be >= 1")
+        return (None if self.noise.family == "exact" else
+                self.noise.sample_batch_rows(k, n, dim, self.rng))
+
+
 def _fresh(rows: Array, xs: Array) -> Array:
     # exact noise adds nothing: the potential's rows stand, copied only when
     # they share the query points' memory (a formula such as ``lambda xs: xs``)
     return rows.copy() if np.may_share_memory(rows, xs) else rows
 
 
-class GradientOracle:
-    """Metered stochastic gradient access: grad f(x) + noise.
+class GradientOracle(_Oracle):
+    """Metered stochastic gradient access: grad f(x) + noise."""
 
-    Parameters
-    ----------
-    potential : Potential
-    noise : NoiseModel
-    rng : numpy Generator, the oracle's private stream.
-    ledger : QueryLedger, optional; a fresh one is created when omitted.
-    """
-
-    def __init__(self, potential: Potential, noise: NoiseModel,
-                 rng: np.random.Generator, ledger: QueryLedger | None = None):
+    def __init__(self, potential: Potential, noise: NoiseModel, rng: np.random.Generator):
         if noise.family == "twopoint" and potential.dim != 1:
             raise DimensionError("twopoint noise requires a 1-D potential")
-        self.potential = potential
-        self.noise = noise
-        self.rng = rng
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        super().__init__(potential, noise, rng)
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
         """Row-wise batch means at a (k, d) stack, as a new array; meters k*n
-        queries, once the gradient rows are read and the noise is drawn."""
+        queries."""
         g = self.potential.grad_at_rows(xs)
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        noise = (None if self.noise.family == "exact" else
-                 self.noise.sample_batch_rows(g.shape[0], n, self.potential.dim, self.rng))
+        noise = self._draw_noise(g.shape[0], n, self.potential.dim)
         self.ledger.grad_queries += n * g.shape[0]
         return _fresh(g, xs) if noise is None else g + noise
 
 
-class ValueOracle:
+class ValueOracle(_Oracle):
     """Metered stochastic value access: f(x) + scalar noise."""
-
-    def __init__(self, potential: Potential, noise: NoiseModel,
-                 rng: np.random.Generator, ledger: QueryLedger | None = None):
-        self.potential = potential
-        self.noise = noise
-        self.rng = rng
-        self.ledger = ledger if ledger is not None else QueryLedger()
 
     def draw_batch_rows(self, xs: Array, n: int) -> Array:
         """Row-wise batch means at a (k, d) stack, as a new (k,) array; meters
-        k*n queries, once the values are read and the noise is drawn."""
+        k*n queries."""
         v = self.potential.value_at_rows(xs)
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        noise = (None if self.noise.family == "exact" else
-                 self.noise.sample_batch_rows(v.shape[0], n, 1, self.rng)[:, 0])
+        noise = self._draw_noise(v.shape[0], n, 1)
         self.ledger.value_queries += n * v.shape[0]
-        return _fresh(v, xs) if noise is None else v + noise
+        return _fresh(v, xs) if noise is None else v + noise[:, 0]

@@ -65,10 +65,10 @@ class _ConstantRows:
 
 def test_poisson_inversion_quantile_semantics():
     # lam = 2: CDF(0) = e^{-2} = 0.13534, CDF(5) = 0.98344, CDF(6) = 0.99547
-    assert poisson_inversion(2.0, _FixedUniform([0.13])) == 0
-    assert poisson_inversion(2.0, _FixedUniform([0.14])) == 1
-    assert poisson_inversion(2.0, _FixedUniform([0.9834])) == 5
-    assert poisson_inversion(2.0, _FixedUniform([0.99])) == 6
+    assert poisson_inversion(2.0, _FixedUniform([0.13]), size=1) == 0
+    assert poisson_inversion(2.0, _FixedUniform([0.14]), size=1) == 1
+    assert poisson_inversion(2.0, _FixedUniform([0.9834]), size=1) == 5
+    assert poisson_inversion(2.0, _FixedUniform([0.99]), size=1) == 6
 
 
 def test_poisson_inversion_matches_analytic_pmf():
@@ -87,12 +87,6 @@ def test_poisson_inversion_moments():
     draws = poisson_inversion(3.5, rng, size=200_000)
     assert draws.mean() == pytest.approx(3.5, abs=3 * math.sqrt(3.5 / 200_000))
     assert draws.var() == pytest.approx(3.5, rel=0.05)
-
-
-def test_poisson_inversion_scalar_and_array_forms():
-    assert isinstance(poisson_inversion(1.0, make_rng(0)), int)
-    arr = poisson_inversion(1.0, make_rng(0), size=8)
-    assert arr.shape == (8,) and arr.dtype.kind == "i"
 
 
 class _Uniforms:
@@ -149,11 +143,11 @@ def test_row_poisson_draws_are_the_table_search_at_any_rate(lam, seed):
 def test_poisson_inversion_rejects_large_rate():
     rng = make_rng(0)
     with pytest.raises(ValueError):
-        poisson_inversion(31.0, rng)
+        poisson_inversion(31.0, rng, size=1)
     with pytest.raises(ValueError):
-        poisson_inversion(0.0, rng)
+        poisson_inversion(0.0, rng, size=1)
     with pytest.raises(ValueError):
-        poisson_inversion(-1.0, rng)
+        poisson_inversion(-1.0, rng, size=1)
 
 
 def test_config_validation():
@@ -235,14 +229,14 @@ def test_w_equal_minus_b_short_circuits_after_one_draw():
     cfg = FORSConfig(b=1.0)
     for i in range(200):
         source = lambda x, rng: -1.0
-        res = fors_sample(_zero_proposal, source, cfg, make_rng(13, i))
+        res = fors_sample(_zero_proposal, source, cfg, make_rng(13, i), QueryLedger())
         assert res.w_draws == res.attempts - 1
 
 
 def test_point_passes_through_proposal():
     cfg = FORSConfig(b=1.0)
     source = lambda x, rng: 1.0
-    res = fors_sample(lambda rng: np.array([2.5, -3.0]), source, cfg, make_rng(3))
+    res = fors_sample(lambda rng: np.array([2.5, -3.0]), source, cfg, make_rng(3), QueryLedger())
     assert res.point.shape == (2,)
     assert np.array_equal(res.point, [2.5, -3.0])
 
@@ -251,18 +245,18 @@ def test_out_of_range_w_raises():
     cfg = FORSConfig(b=1.0)
     source = lambda x, rng: 2.0
     with pytest.raises(EstimatorRangeError):
-        fors_sample(_zero_proposal, source, cfg, make_rng(0))
+        fors_sample(_zero_proposal, source, cfg, make_rng(0), QueryLedger())
     for bad in (float("nan"), math.inf, -math.inf):
         source = lambda x, rng: bad
         with pytest.raises(EstimatorRangeError):
-            fors_sample(_zero_proposal, source, cfg, make_rng(0))
+            fors_sample(_zero_proposal, source, cfg, make_rng(0), QueryLedger())
 
 
 def test_attempt_budget_error_carries_accounting():
     cfg = FORSConfig(b=1.0, max_attempts=3)
     source = lambda x, rng: -1.0
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample(_zero_proposal, source, cfg, make_rng(1))
+        fors_sample(_zero_proposal, source, cfg, make_rng(1), QueryLedger())
     assert exc.value.attempts == 3
     assert exc.value.w_draws == 3
 
@@ -271,7 +265,7 @@ def test_w_draw_budget_error_carries_accounting():
     cfg = FORSConfig(b=1.0, max_w_per_call=1)
     source = lambda x, rng: 1.0
     with pytest.raises(BudgetExhaustedError) as exc:
-        fors_sample(_zero_proposal, source, cfg, make_rng(0))
+        fors_sample(_zero_proposal, source, cfg, make_rng(0), QueryLedger())
     assert exc.value.attempts == 1
     assert exc.value.w_draws == 1
 
@@ -301,7 +295,7 @@ def test_acceptance_rate_w_zero_is_exp_minus_b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
         _zero_rows, _ConstantRows(0.0).draw_w_rows, cfg,
-        200_000, make_rng(21))
+        200_000, make_rng(21), QueryLedger())
     p = math.exp(-1.0)
     se = math.sqrt(p * (1 - p) / mask.size)
     assert abs(mask.mean() - p) <= 3 * se
@@ -311,7 +305,7 @@ def test_acceptance_rate_w_minus_b_is_exp_minus_2b():
     cfg = FORSConfig(b=1.0)
     mask = fors_attempt_batch(
         _zero_rows, _ConstantRows(-1.0).draw_w_rows, cfg,
-        200_000, make_rng(22))
+        200_000, make_rng(22), QueryLedger())
     p = math.exp(-2.0)
     se = math.sqrt(p * (1 - p) / mask.size)
     assert abs(mask.mean() - p) <= 3 * se
@@ -385,7 +379,8 @@ def _propose3(slots, rng):
 
 def test_sample_many_matches_discrete_law():
     cfg = FORSConfig(b=1.0)
-    out = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, cfg, 40_000, make_rng(31))
+    out = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, cfg, 40_000, make_rng(31),
+                           QueryLedger())
     assert out.shape == (40_000, 1)
     counts = np.bincount(out[:, 0].astype(int), minlength=3)
     _, p = chi2_discrete(counts, discrete_law_oracle(_Q3, _M3))
@@ -397,7 +392,7 @@ def test_scalar_loop_matches_discrete_law():
     source = lambda x, rng: float(_M3[int(x[0])])
     rng = make_rng(32)
     draws = [fors_sample(lambda r: np.array([float(r.choice(3, p=_Q3))]),
-                         source, cfg, rng).point[0]
+                         source, cfg, rng, QueryLedger()).point[0]
              for _ in range(4_000)]
     counts = np.bincount(np.asarray(draws, dtype=int), minlength=3)
     _, p = chi2_discrete(counts, discrete_law_oracle(_Q3, _M3))
@@ -419,7 +414,7 @@ def test_noisy_w_law_depends_only_on_conditional_mean():
         return rng.choice(3, size=slots.size, p=q).astype(float)[:, None]
 
     out = fors_sample_many(propose, _NoisyTilt().draw_w_rows, FORSConfig(b=1.0), 40_000,
-                           make_rng(33))
+                           make_rng(33), QueryLedger())
     counts = np.bincount(out[:, 0].astype(int), minlength=3)
     _, p = chi2_discrete(counts, discrete_law_oracle(q, means))
     assert p > 1e-3
@@ -427,9 +422,9 @@ def test_noisy_w_law_depends_only_on_conditional_mean():
 
 def test_sample_many_is_reproducible():
     a = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, FORSConfig(b=1.0),
-                         2_000, make_rng(34))
+                         2_000, make_rng(34), QueryLedger())
     b = fors_sample_many(_propose3, _DeterministicTilt().draw_w_rows, FORSConfig(b=1.0),
-                         2_000, make_rng(34))
+                         2_000, make_rng(34), QueryLedger())
     assert np.array_equal(a, b)
 
 
@@ -437,7 +432,7 @@ def test_sample_many_budget_error():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_sample_many(_zero_rows, _ConstantRows(-1.0).draw_w_rows,
-                         cfg, 2_000, make_rng(35))
+                         cfg, 2_000, make_rng(35), QueryLedger())
     assert exc.value.attempts == 2_000
 
 
@@ -464,7 +459,7 @@ def test_accept_rows_heterogeneous_slots():
 
     n_slots = 20_000
     out = fors_accept_rows(propose, _SlotTilt().draw_w_rows, FORSConfig(b=1.0), n_slots,
-                           make_rng(37))
+                           make_rng(37), QueryLedger())
     assert out.shape == (n_slots, 1)
     even_vals = out[0::2, 0].astype(int)
     odd_vals = out[1::2, 0].astype(int) - 1
@@ -480,7 +475,7 @@ def test_accept_rows_budget_error_names_slot():
     cfg = FORSConfig(b=1.0, max_attempts=1)
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_accept_rows(_zero_rows,
-                         _ConstantRows(-1.0).draw_w_rows, cfg, 64, make_rng(38))
+                         _ConstantRows(-1.0).draw_w_rows, cfg, 64, make_rng(38), QueryLedger())
     assert exc.value.attempts == 1
     assert exc.value.chain is not None
 
@@ -536,11 +531,11 @@ def test_accept_rows_ledger_accounting():
 
 _ROW_ENGINES = {
     "accept_rows": lambda propose, draw_w, cfg, rng: fors_accept_rows(
-        propose, draw_w, cfg, 64, rng),
+        propose, draw_w, cfg, 64, rng, QueryLedger()),
     "sample_many": lambda propose, draw_w, cfg, rng: fors_sample_many(
-        propose, draw_w, cfg, 100, rng),
+        propose, draw_w, cfg, 100, rng, QueryLedger()),
     "attempt_batch": lambda propose, draw_w, cfg, rng: fors_attempt_batch(
-        propose, draw_w, cfg, 2_000, rng),
+        propose, draw_w, cfg, 2_000, rng, QueryLedger()),
 }
 
 _BAD_DRAWS = {
@@ -589,6 +584,22 @@ def test_row_engines_reject_a_one_dimensional_proposal(engine):
                              FORSConfig(b=1.0), make_rng(40))
 
 
+def test_accept_rows_refuses_a_proposal_that_changes_width():
+    # (k, 1) rows for a (4, 2) lane table would broadcast, one draw filling
+    # both columns of each row
+    calls = []
+
+    def narrowing(slots, rng):
+        calls.append(slots.size)
+        return rng.random((slots.size, 2 if len(calls) == 1 else 1))
+
+    with pytest.raises(DimensionError, match=r"rows of shape \(\d+, 1\) for slots of shape "
+                                             r"\(\d+,\) and lanes of shape \(4, 2\)"):
+        fors_accept_rows(narrowing, _ConstantRows(-0.9).draw_w_rows, FORSConfig(b=1.0), 4,
+                         make_rng(46), QueryLedger())
+    assert len(calls) == 2
+
+
 class _CountingRows(_ConstantRows):
     """Constant W that counts the draws made for each slot."""
 
@@ -611,7 +622,8 @@ def test_accept_rows_w_draw_budget_names_slot():
         source = _CountingRows(-b, n_slots)
         cfg = FORSConfig(b=b, max_w_per_call=3)
         with pytest.raises(BudgetExhaustedError) as exc:
-            fors_accept_rows(_zero_rows, source.draw_w_rows, cfg, n_slots, make_rng(41))
+            fors_accept_rows(_zero_rows, source.draw_w_rows, cfg, n_slots, make_rng(41),
+                             QueryLedger())
         assert exc.value.chain is not None
         assert exc.value.w_draws == 3
         assert source.drawn[exc.value.chain] == 3
@@ -631,7 +643,7 @@ def test_renewed_slots_keep_the_law(inst):
         return slots[done[slots] <= renewals]
 
     out = fors_accept_rows(inst.propose_rows, inst.draw_w_rows, FORSConfig(b=inst.b), n_slots,
-                           make_rng(43), renew=renew)
+                           make_rng(43), QueryLedger(), renew=renew)
     assert (done == renewals + 1).all() and out.shape == (n_slots, 1)
     for counts in seen:
         _, p = chi2_discrete(counts, inst.law())
@@ -667,7 +679,7 @@ def test_one_w_call_a_tick_carries_every_attempt_in_flight():
         return slots[done[slots] <= renewals]
 
     fors_accept_rows(propose, _Tagged().draw_w_rows, FORSConfig(b=1.0), n_slots, make_rng(45),
-                     renew=renew)
+                     QueryLedger(), renew=renew)
     assert (done == renewals + 1).all()
     ticks = "".join(events).replace("pw", "t").replace("p", "t").replace("w", "t")
     calls = events.count("w")
@@ -738,7 +750,7 @@ def test_sample_many_refusals_name_no_chain(cfg):
     # both caps are totals over the samples, and no lane is the target
     with pytest.raises(BudgetExhaustedError) as exc:
         fors_sample_many(_zero_rows, _ConstantRows(-1.0).draw_w_rows, cfg, 100,
-                         make_rng(42))
+                         make_rng(42), QueryLedger())
     assert exc.value.chain is None
 
 
@@ -782,7 +794,7 @@ def test_per_call_draw_count_is_poisson():
     cfg = FORSConfig(b=1.0)
     source = lambda x, rng: 1.0
     counts = np.array([
-        fors_sample(_zero_proposal, source, cfg, make_rng(11, i)).w_draws
+        fors_sample(_zero_proposal, source, cfg, make_rng(11, i), QueryLedger()).w_draws
         for i in range(10_000)])
     assert counts.mean() == pytest.approx(2.0, abs=3 * math.sqrt(2.0 / 10_000))
     assert float(np.quantile(counts, 0.99)) == 6.0
@@ -843,7 +855,7 @@ def test_iid_engines_hand_lane_indices_as_slots(engine):
     # for distinct lanes of that round
     spy = _SlotSpy()
     engine(spy.propose_rows, spy.draw_w_rows, FORSConfig(b=spy.flat.b), 3_000,
-           make_rng(26))
+           make_rng(26), QueryLedger())
     rounds = [slots for kind, slots in spy.rows if kind == "p"]
     assert rounds and all(np.array_equal(s, np.arange(s.size)) for s in rounds)
     k = 0

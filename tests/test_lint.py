@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports or parameters, no unread planner constant
 or module-level name, no dataclass field that only its own validation reads,
 no function, class or method without a caller, one place that builds the tilt
-estimators and one that builds and meters the acceptance lanes, every random
-draw from a Generator, and no assert statement in src."""
+estimators and one that builds and meters the acceptance lanes, ledgers built
+only by the oracles and the harness, every random draw from a Generator, and
+no assert statement in src."""
 
 import ast
 from collections import Counter
@@ -385,6 +386,14 @@ def test_coin_lanes_are_built_only_in_fors():
     found = _built_in({"_CoinLanes"})
     assert [f for f in found if f.split(":")[0] != "forsample/fors.py"] == []
     assert len(found) == 3
+
+
+def test_ledgers_are_built_only_by_the_oracles_and_the_harness():
+    # an oracle builds its own ledger and the harness its suite and instance
+    # ledgers; every engine counts into the ledger it is handed
+    found = [f"{path.name}:{line}" for path in MODULES
+             for line in _calls(path.read_text(), {"QueryLedger"})]
+    assert [f for f in found if f.split(":")[0] not in ("oracles.py", "harness.py")] == []
 
 
 _METERED = {"fors_attempts", "w_draws"}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from forsample.core import (AssumptionCase, Potential, make_aniso_gaussian_potential,
                             make_gaussian_potential, potential_from_config)
 from forsample.errors import DimensionError, InfeasibleScheduleError, NumericError
-from forsample.oracles import GradientOracle, NoiseModel, QueryLedger, eps_tail, make_rng
+from forsample.oracles import GradientOracle, NoiseModel, eps_tail, make_rng
 from forsample.prox import (
     ProxConfig,
     approx_prox_rows,
@@ -131,14 +131,12 @@ def test_noisy_runs_meet_residual_guarantee():
 
 def test_query_accounting():
     pot = _quad()
-    ledger = QueryLedger()
-    oracle = GradientOracle(pot, NoiseModel.subgaussian(0.2), make_rng(83),
-                            ledger=ledger)
+    oracle = GradientOracle(pot, NoiseModel.subgaussian(0.2), make_rng(83))
     approx_prox_rows(pot, oracle, [[0.0]], _cfg(k_iters=7, n_batch=3))
-    assert ledger.grad_queries == 21
+    assert oracle.ledger.grad_queries == 21
     approx_prox_rows(pot, oracle, np.zeros((5, 1)),
                      _cfg(k_iters=7, n_batch=3))
-    assert ledger.grad_queries == 21 + 5 * 21
+    assert oracle.ledger.grad_queries == 21 + 5 * 21
 
 
 def test_zero_rows_make_no_queries():

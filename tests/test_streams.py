@@ -16,7 +16,7 @@ import pytest
 
 from forsample.constants import DEFAULT_CONSTANTS
 from forsample.core import AssumptionCase, make_gaussian_potential
-from forsample.fors import (FORSConfig, fors_accept_rows, fors_attempt_batch,
+from forsample.fors import (FORSConfig, _scalar_coin, fors_accept_rows, fors_attempt_batch,
                             fors_sample, fors_sample_many, poisson_inversion)
 from forsample.harness import discrete_instances
 from forsample.lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
@@ -214,11 +214,17 @@ def test_scalar_prox_is_pinned():
 
 @pytest.mark.parametrize("lam", [2.0, 6.0, 30.0])
 def test_scalar_poisson_draws_equal_one_row_draw(lam):
-    # the scalar form bisects the same table with the same uniforms
-    rng = make_rng(5, 19)
-    scalar = [poisson_inversion(lam, rng) for _ in range(2_000)]
-    assert all(type(j) is int for j in scalar)
-    assert scalar == poisson_inversion(lam, make_rng(5, 19), size=2_000).tolist()
+    # the scalar coin bisects the row draw's table: with W = B every factor
+    # is 1, so a flip draws all its J and accepts, and fed the row draw's
+    # uniforms (then u = 1/2) its W-draw counts are the row draw's J
+    b = lam / 2
+    flip = _scalar_coin(b)
+    counts = []
+    for r in make_rng(5, 19).random(2_000).tolist():
+        drawn = []
+        assert flip(iter((r, 0.5)).__next__, lambda x: drawn.append(x) or b, None)
+        counts.append(len(drawn))
+    assert counts == poisson_inversion(lam, make_rng(5, 19), size=2_000).tolist()
 
 
 @pytest.mark.parametrize("key", [(5,), (5, 20), (7, 3, 1)])
