@@ -102,14 +102,15 @@ def _sample_tilt_many(oracle_cls):
     return _digest(out, QueryLedger(**loop), QueryLedger(**queries))
 
 
-def _sampler(noise=NoiseModel.subgaussian(0.5)):
+def _sampler(noise=NoiseModel.subgaussian(0.5), k_iters=5, mode="first_order", start=2.0):
     pot = make_gaussian_potential([0.0])
-    sched = Schedule(mode="first_order", eta=0.05, n_steps=6, m_trunc=0.5,
-                     n_batch=4, g_bound=10.0, k_iters=5, b=1.0,
+    sched = Schedule(mode=mode, eta=0.05, n_steps=6, m_trunc=0.5,
+                     n_batch=4, g_bound=10.0, k_iters=k_iters, b=1.0,
                      delta=0.05, case=AssumptionCase("LSI", constant=1.0),
                      constants=DEFAULT_CONSTANTS, planned_queries=0)
-    oracle = GradientOracle(pot, noise, make_rng(5, 8))
-    x, ledger = run_proximal_sampler(pot, oracle, sched, gaussian_initializer([2.0]),
+    oracle_cls = GradientOracle if mode == "first_order" else ValueOracle
+    oracle = oracle_cls(pot, noise, make_rng(5, 8))
+    x, ledger = run_proximal_sampler(pot, oracle, sched, gaussian_initializer([start]),
                                      64, make_rng(5, 9))
     return _digest(x, ledger)
 
@@ -139,6 +140,7 @@ def _coupled(adapter):
 
 _POLYMOMENT = NoiseModel.polymoment(k=1, sigma_2k=0.5)
 _SUBWEIBULL = NoiseModel.subweibull(zeta=1.0, sigma_g=0.5)
+_SUBWEIBULL_HALF = NoiseModel.subweibull(zeta=0.5, sigma_g=0.5)
 
 PINNED = {
     "fors_accept_rows": (_accept_rows, "9bcef8592dfe3f7e"),
@@ -168,6 +170,24 @@ PINNED = {
                             "2aecae1878d334c7"),
     "noise_subweibull_d3": (partial(_noise_rows, _SUBWEIBULL, 3),
                             "29e6e5e3af4e917a"),
+    # subweibull zeta != 1: the radius power 1/zeta is not the identity
+    "noise_subweibull_half_d1": (partial(_noise_rows, _SUBWEIBULL_HALF, 1),
+                                 "8257c3d2fccdcdac"),
+    "noise_subweibull_half_d3": (partial(_noise_rows, _SUBWEIBULL_HALF, 3),
+                                 "fab27acc89189258"),
+    # a cap of one prox iteration, the stage's first call alone; from 40 the
+    # first steps' rows would run two
+    "run_proximal_sampler_cap1": (partial(_sampler, _SUBWEIBULL, 1, start=40.0),
+                                  "d64c1ae4c38d5005"),
+    # from 400 the rows run two or three iterations: a call per level past one
+    "run_proximal_sampler_far": (partial(_sampler, _SUBWEIBULL, 5, start=400.0),
+                                 "60d2debaff02324a"),
+    # exact noise: the potential's rows stand, with no noise drawn
+    "run_proximal_sampler_exact": (partial(_sampler, NoiseModel.exact()),
+                                   "a9fe83ad9243de75"),
+    # zeroth order: two value queries per W, no prox stage
+    "run_proximal_sampler_zeroth": (partial(_sampler, mode="zeroth_order", k_iters=0),
+                                    "f1bbf96d9f3c345b"),
 }
 
 
