@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -53,16 +54,8 @@ def as_rows(x, dim: int | None = None) -> Array:
         raise DimensionError(f"expected a (k, d) array, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionError(f"expected row dimension {dim}, got {arr.shape[1]}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise DimensionError("row array has non-finite entries")
-    return arr
-
-
-def check_shape(arr, shape: tuple, what: str) -> Array:
-    """``arr`` as a float64 array of ``shape``; a wrong one would broadcast silently."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != shape:
-        raise DimensionError(f"{what} returned shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -273,18 +266,24 @@ class Potential:
         if not (self.holder_beta > 0):
             raise ValueError("holder_beta must be positive")
 
-    @property
+    @cached_property
     def m_s(self) -> float:
         """Effective smoothness scale beta^(1/(1+s))."""
         return self.holder_beta ** (1.0 / (1.0 + self.holder_s))
 
     def value_at_rows(self, xs: Array) -> Array:
         xs = as_rows(xs, self.dim)
-        return check_shape(self.value_rows(xs), xs.shape[:1], "value_rows")
+        v = np.asarray(self.value_rows(xs), dtype=np.float64)
+        if v.shape != xs.shape[:1]:
+            raise DimensionError(f"value_rows returned shape {v.shape}, expected {xs.shape[:1]}")
+        return v
 
     def grad_at_rows(self, xs: Array) -> Array:
         xs = as_rows(xs, self.dim)
-        return check_shape(self.grad_rows(xs), xs.shape, "grad_rows")
+        g = np.asarray(self.grad_rows(xs), dtype=np.float64)
+        if g.shape != xs.shape:
+            raise DimensionError(f"grad_rows returned shape {g.shape}, expected {xs.shape}")
+        return g
 
 
 CASE_TAGS = ("LSI", "PI", "LC")

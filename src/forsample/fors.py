@@ -56,7 +56,7 @@ from .errors import BudgetExhaustedError, DimensionError, EstimatorRangeError
 from .oracles import QueryLedger
 
 _POISSON_INVERSION_MAX_LAM = 30.0
-_GUIDE = 1024  # guide-table buckets of the row Poisson draw; a power of two
+_GUIDE = np.array(1024)  # guide-table buckets of the row Poisson draw; a power of two
 # attempts per round of the iid engines: of 2^15, 2^16 and 2^17, the fastest
 # on the criterion-4 tilt job list (B = 3, 2 vCPUs), where it peaks at 139 MB
 _ROUND_ROWS = 2 ** 16
@@ -189,6 +189,7 @@ def fors_sample(proposal: Callable[[np.random.Generator], Array],
 
 
 _NO_LANES = np.empty(0, dtype=np.int64)
+_ONE = np.array(1)  # 0-d, as _GUIDE: a ufunc takes it faster than a Python int
 _ProposeRows = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 _DrawWRows = Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
 
@@ -216,10 +217,10 @@ class _CoinLanes:
                  rng: np.random.Generator, ledger: QueryLedger, n_lanes: int):
         self.propose, self.draw_w, self.b, self.rng, self.ledger = propose, draw_w, b, rng, ledger
         self.every = np.arange(n_lanes)  # the first tick starts every lane
-        # each lane's row, coin and product, and the tick of its J-th draw
+        # each lane's row, coin and the tick of its J-th draw
         self.xs = self.u = self.last = None
-        self.prods = np.empty(n_lanes)
         self.live = _NO_LANES
+        self.prods = np.empty(0)  # the products of the attempts in flight, in live order
         self.ticks = 0
 
     def tick(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,35 +233,36 @@ class _CoinLanes:
                 raise DimensionError(f"proposal returned rows of shape {rows.shape} for slots "
                                      f"of shape {new.shape} and lanes of shape "
                                      f"{self.every.shape + width}")
-            js = poisson_inversion(2 * b, rng, size=new.size)
+            last = poisson_inversion(2 * b, rng, size=new.size) + (t - 1)  # of the J-th draw
             coins = rng.random(new.size)
             if new is self.every:  # every lane starts, in lane order: new tables
-                self.xs, self.u, self.last = rows.astype(float), coins, js + (t - 1)
+                self.xs, self.u, self.last = rows.astype(float), coins, last
             else:
-                self.xs[new], self.u[new], self.last[new] = rows, coins, js + (t - 1)
+                self.xs[new], self.u[new], self.last[new] = rows, coins, last
             self.ledger.fors_attempts += new.size
-            drawing = js.astype(bool)
-            accepted = new.compress(~drawing)  # u < 1, the empty product
+            drawing = last >= t
+            accepted = new.compress(~drawing)  # J = 0: u < 1, the empty product
             live = np.concatenate((live, new.compress(drawing)))
         if live.size:
             ws = np.asarray(self.draw_w(live, self.xs.take(live, axis=0), rng))
             self.ledger.w_draws += live.size
             if ws.shape != live.shape:
                 raise EstimatorRangeError(f"row source returned shape {ws.shape}")
-            if not np.logical_and.reduce(np.abs(ws) <= b):  # also false for NaN
+            if not np.maximum.reduce(np.abs(ws)) <= b:  # also false for NaN
                 raise EstimatorRangeError(f"row estimator draw outside [-{b}, {b}]")
             # a new attempt's product is 1, and 1 * factor is the factor
             p = (b + ws) / (2 * b)
-            p[:self.live.size] *= self.prods.take(self.live)
-            self.prods[live] = p
+            p[:self.prods.size] *= self.prods
             u = self.u.take(live)
             at_j = self.last.take(live) == t
-            acc = at_j & (u < p)
             ended = at_j | (p < u)
-            if ended.any():
+            if np.logical_or.reduce(ended):
+                acc = at_j & (u < p)
                 accepted = np.concatenate((accepted, live.compress(acc)))
                 rejected = live.compress(ended ^ acc)
-                live = live.compress(~ended)
+                going = (~ended).nonzero()[0]  # one index for two takes
+                live, p = live.take(going), p.take(going)
+            self.prods = p
         self.live = live
         self.ticks = t + 1
         return accepted, rejected
@@ -331,7 +333,7 @@ def fors_accept_rows(propose_rows: _ProposeRows, draw_w_rows: _DrawWRows, cfg: F
                                                attempts=cfg.max_attempts,
                                                chain=int(new[np.argmax(over)]))
                 top = int(tries.max())
-            tries[new] += 1
+            tries[new] += _ONE
             top += 1
         done, new = lanes.tick(new)
         tries[done] = 0

@@ -46,6 +46,7 @@ NOISE_FAMILIES = tuple(_FAMILY_FIELDS)
 
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
+_HALF = np.array(0.5)  # 0-d: a ufunc takes it faster than a float
 # the constants of the subgaussian/subweibull batch tail bound in eps_tail,
 # C_TAIL * exp(-C_RATE * n * (M / sigma_g)^zeta): properties of the bound,
 # not of the noise drawn, so no config sets them
@@ -163,17 +164,17 @@ class NoiseModel:
 
     # -- sampling ------------------------------------------------------------
 
-    def _radii(self, size: int, rng: np.random.Generator) -> Array:
-        # in place, in the order sigma_g * (E / 2)^(1/zeta) and x_m * U^(-1/a)
+    def _radii(self, shape: tuple, rng: np.random.Generator) -> Array:
+        # in place, in the order sigma_g * (E / 2)^(1/zeta) and x_m * U^(-1/a);
+        # the draws of exponential(0.5) are those of exponential(1.0) halved
         if self.family == "subweibull":
-            r = rng.exponential(1.0, size)
-            r /= 2.0
+            r = rng.exponential(0.5, shape)
             r **= 1.0 / self.zeta
             r *= self.sigma_g
             return r
         if self.family == "polymoment":
             # Pareto tail index a = 2k+1: R = x_m * U^(-1/a)
-            r = rng.random(size)
+            r = rng.random(shape)
             r **= -1.0 / self._pareto_index
             r *= self._pareto_xm
             return r
@@ -205,21 +206,20 @@ class NoiseModel:
         rows_per_chunk = max(1, _CHUNK // max(1, n * dim))
         out = None if 0 < k <= rows_per_chunk else np.empty((k, dim))
         for lo in range(0, k, rows_per_chunk):
-            hi = min(k, lo + rows_per_chunk)
-            kk = hi - lo
+            kk = min(k - lo, rows_per_chunk)
             if dim == 1:
                 # the unit sphere of R^1 is {-1, +1}: a fair sign from one
                 # uniform, exact since P(u >= 1/2) = 1/2 on numpy's 2^-53 grid
-                radii = self._radii(kk * n, rng).reshape(kk, n)
+                radii = self._radii((kk, n), rng)
                 signs = rng.random((kk, n))
-                signs -= 0.5
+                signs -= _HALF
                 np.copysign(radii, signs, out=radii)
                 dirs = None
             else:
                 dirs = rng.standard_normal((kk, n, dim))
                 norms = np.sqrt(np.add.reduce(dirs * dirs, axis=2, keepdims=True))
                 np.divide(dirs, norms, out=dirs, where=norms > 0)
-                radii = self._radii(kk * n, rng).reshape(kk, n, 1)
+                radii = self._radii((kk, n, 1), rng)
             means = _row_means(radii, dirs)
             if self.family == "polymoment" and not np.isfinite(means).all():
                 # a uniform of exactly 0.0 (probability 2^-53 a draw) gives the
@@ -229,7 +229,7 @@ class NoiseModel:
                 means = _row_means(radii, dirs)
             if out is None:
                 return means  # one chunk: its means are the rows
-            out[lo:hi] = means
+            out[lo:lo + kk] = means
         return out
 
 

@@ -162,7 +162,7 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
         g -= x0_rows
         g *= theta
         x -= g
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError(f"non-finite prox iterate at step {cfg.k_iters}")
     return x
 
@@ -182,7 +182,7 @@ def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
     ``prox_iters``.  A cap of 1 leaves nothing to size.
     """
     x = approx_prox_rows(potential, oracle, x0_rows,
-                         ProxConfig(cfg.eta, cfg.n_batch, 1))
+                         cfg if cfg.k_iters == 1 else ProxConfig(cfg.eta, cfg.n_batch, 1))
     if cfg.k_iters == 1:
         return x, np.ones(x.shape[0], dtype=int)
     x0_rows = np.asarray(x0_rows, dtype=np.float64)  # validated by the call
@@ -200,12 +200,12 @@ def approx_prox_rows_budgeted(potential: Potential, oracle: GradientOracle,
     done = 1  # every row has run one iteration
     # the distinct k_i, in increasing order (np.unique would import numpy.ma,
     # tens of milliseconds, on its first call)
-    for k in np.flatnonzero(np.bincount(ks)).tolist():
+    for k in np.bincount(ks).nonzero()[0].tolist():
         if k > done:
-            rows = np.flatnonzero(ks >= k)
-            x[rows] = approx_prox_rows(potential, oracle, x0_rows[rows],
+            rows = (ks >= k).nonzero()[0]
+            x[rows] = approx_prox_rows(potential, oracle, x0_rows.take(rows, axis=0),
                                        ProxConfig(cfg.eta, cfg.n_batch, k - done),
-                                       start=x[rows])
+                                       start=x.take(rows, axis=0))
             done = k
     return x, ks
 

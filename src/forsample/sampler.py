@@ -303,14 +303,17 @@ def run_proximal_sampler(pot: Potential, oracle, sched: Schedule,
         return x, ledger
     source = tilt_source(oracle, x, np.zeros_like(x), eta, sched.b, sched.n_batch)
     steps = np.full(chains, -1)  # steps each chain finished; renew starts step 0
+    # 0-d arrays: a ufunc takes them faster than Python numbers
+    sd, one, n_steps = np.array(math.sqrt(eta)), np.array(1), np.array(sched.n_steps)
 
     def renew(slots: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # chains that finished a step start their next: Y ~ N(X, eta I), its tilt
-        steps[slots] += 1
-        left = steps[slots] < sched.n_steps
-        slots, xs = slots.compress(left), xs.compress(left, axis=0)
+        finished = steps.take(slots) + one
+        steps[slots] = finished
+        left = (finished < n_steps).nonzero()[0]  # one index for two takes
+        slots, xs = slots.take(left), xs.take(left, axis=0)
         if slots.size:
-            y = xs + math.sqrt(eta) * rng.standard_normal(xs.shape)
+            y = xs + sd * rng.standard_normal(xs.shape)
             xhat = (approx_prox_rows_budgeted(pot, oracle, y, prox_cfg, sched.m_trunc)[0]
                     if first else y)
             source.recenter(slots, y, xhat)

@@ -43,8 +43,9 @@ def test_as_rows_rejects_bad_shapes():
         as_rows(np.zeros(4))
     with pytest.raises(DimensionError):
         as_rows(np.zeros((4, 2)), dim=3)
-    with pytest.raises(DimensionError):
-        as_rows(np.full((2, 2), np.nan))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionError):
+            as_rows(np.full((2, 2), bad))
 
 
 # ---------------------------------------------------------------------------

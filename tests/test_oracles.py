@@ -444,6 +444,23 @@ def test_value_oracle_exact_and_noisy():
     assert abs(vals.mean() - pot.value_at_rows([[0.0]])[0]) <= 4 * se
 
 
+@pytest.mark.parametrize("oracle_cls", [GradientOracle, ValueOracle])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rows", [1, 10_000])
+def test_oracles_refuse_non_finite_rows(oracle_cls, bad, rows):
+    # one non-finite entry, in the last row, is refused before any noise is
+    # drawn or any query counted
+    pot = make_gaussian_potential([0.0, 0.0], precision=1.0)
+    oracle = oracle_cls(pot, NoiseModel.subgaussian(0.5), make_rng(0, 6))
+    xs = np.zeros((rows, 2))
+    xs[-1, 1] = bad
+    state = oracle.rng.bit_generator.state
+    with pytest.raises(DimensionError):
+        oracle.draw_batch_rows(xs, 3)
+    assert oracle.ledger == QueryLedger()
+    assert oracle.rng.bit_generator.state == state
+
+
 def test_batch_size_must_be_positive():
     pot = make_gaussian_potential([0.0], precision=1.0)
     oracle = GradientOracle(pot, NoiseModel.exact(), make_rng(0, 4))

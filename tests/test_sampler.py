@@ -534,3 +534,44 @@ def test_chains_validation():
     with pytest.raises(ValueError):
         run_proximal_sampler(_POT, oracle, sched, gaussian_initializer([0.0], 1.0),
                              0, make_rng(1))
+
+
+def _package_calls_of_a_light_run() -> int:
+    """The Python calls into forsample of one fixed few-chain run: 1-D
+    Gaussian, subweibull (zeta = 1) noise, 200 steps of one prox iteration
+    and one-draw batches, 4 chains."""
+    import sys
+    from pathlib import Path
+
+    import forsample
+
+    package = str(Path(forsample.__file__).parent)
+    pot = make_gaussian_potential([0.0])
+    sched = sampler.Schedule(mode="first_order", eta=0.05, n_steps=200, m_trunc=0.5,
+                             n_batch=1, g_bound=10.0, k_iters=1, b=1.0, delta=0.05,
+                             case=AssumptionCase("LSI", constant=1.0),
+                             constants=DEFAULT_CONSTANTS, planned_queries=0)
+    oracle = GradientOracle(pot, NoiseModel.subweibull(zeta=1.0, sigma_g=0.5), make_rng(7, 1))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_proximal_sampler(pot, oracle, sched, gaussian_initializer([1.0]), 4, make_rng(7, 2))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_calls_per_chain_step_of_a_light_run():
+    # The run's streams are pinned, so its count of package calls is exact:
+    # a layer added to the few-chain hot path moves it and must say so here.
+    # A first run fills the process's table caches, which a later run reads.
+    _package_calls_of_a_light_run()
+    calls = _package_calls_of_a_light_run()
+    # 24,364 calls (30.455 per chain-step) before the hot-path pass
+    assert (calls, calls / 800) == (20_361, 25.45125)
