@@ -96,22 +96,19 @@ class _RowEstimator:
         self.b = b
         self.bounds = (np.array(-b), np.array(b))
         self.n_batch = n_batch
-        self.one = len(xhat_rows) == 1  # one tilt broadcasts
 
     def recenter(self, slots: np.ndarray, x0_rows: np.ndarray, xhat_rows: np.ndarray) -> None:
         """Move the tilts of ``slots`` to centers x0_rows, proposals xhat_rows."""
         self.xhat_rows[slots] = xhat_rows
         self.u_rows[slots] = (x0_rows - xhat_rows) / self.eta
 
-    def _tilts(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The xhat and u rows of the slots' tilts."""
-        if self.one:
-            return self.xhat_rows, self.u_rows
-        return self.xhat_rows.take(slots, axis=0), self.u_rows.take(slots, axis=0)
+    @staticmethod
+    def _tilt_rows(table: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        return table if len(table) == 1 else table.take(slots, axis=0)  # one tilt broadcasts
 
     def propose_rows(self, slots: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         xs = self.sd * rng.standard_normal((slots.size, self.xhat_rows.shape[1]))
-        xs += self.xhat_rows if self.one else self.xhat_rows.take(slots, axis=0)
+        xs += self._tilt_rows(self.xhat_rows, slots)
         return xs
 
 
@@ -122,10 +119,9 @@ class _FirstOrderRows(_RowEstimator):
                     rng: np.random.Generator) -> np.ndarray:
         r = rng.random(xs.shape[0])
         z = self.sd * rng.standard_normal(xs.shape)
-        xh, u = self._tilts(slots)
-        gamma, gamma_dot = _path_rows(xs, xh, z, r)
+        gamma, gamma_dot = _path_rows(xs, self._tilt_rows(self.xhat_rows, slots), z, r)
         g = self.oracle.draw_batch_rows(gamma, self.n_batch)
-        u_g = np.subtract(u, g, out=g)
+        u_g = np.subtract(self._tilt_rows(self.u_rows, slots), g, out=g)
         return _clip(np.einsum("kd,kd->k", gamma_dot, u_g), self.bounds, self.oracle.ledger)
 
 
@@ -134,12 +130,11 @@ class _ZerothOrderRows(_RowEstimator):
 
     def draw_w_rows(self, slots: np.ndarray, xs: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-        xh, u = self._tilts(slots)
         z = self.sd * rng.standard_normal(xs.shape)
-        z += xh
+        z += self._tilt_rows(self.xhat_rows, slots)
         v = self.oracle.draw_batch_rows(xs, self.n_batch)
         w = self.oracle.draw_batch_rows(z, self.n_batch) - v
-        w += np.einsum("kd,kd->k", u, np.subtract(xs, z, out=z))
+        w += np.einsum("kd,kd->k", self._tilt_rows(self.u_rows, slots), np.subtract(xs, z, out=z))
         return _clip(w, self.bounds, self.oracle.ledger)
 
 
