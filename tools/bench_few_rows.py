@@ -178,6 +178,7 @@ def per_call(roots: dict, rounds: int) -> dict:
                 lo, mid, hi = _quartiles(runs)
                 row[f"{side}_us"] = round(mid * 1e6, 3)
                 row[f"{side}_iqr_us"] = round((hi - lo) * 1e6, 3)
+                row[f"{side}_runs_us"] = [round(t * 1e6, 3) for t in runs]
             row["change_pct"] = round(100 * (row["change_us"] / row["parent_us"] - 1), 1)
             table.setdefault(name, {})[width] = row
     return table
