@@ -34,8 +34,8 @@ from .rgo import sample_tilt_many, tilt_source
 from .sampler import (Schedule, gaussian_initializer, plan_first_order,
                       plan_zeroth_order, run_proximal_sampler)
 from .verify import (TVEstimate, chi2_discrete, discrete_law_oracle,
-                     empirical_tv_1d, empirical_tv_two_sample, equal_mass_edges,
-                     gaussian_tv_exact, ks_test, scaling_slope, seeds_pass_rule)
+                     empirical_tv_1d, empirical_tv_two_sample, gaussian_tv_exact,
+                     ks_test, scaling_slope, seeds_pass_rule)
 
 __version__ = "0.1.0"
 

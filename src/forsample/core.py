@@ -9,9 +9,9 @@ Catalog constructors return well-known families with exact metadata and
 their reference law, one analytic 1-D law per coordinate, which the
 statistical verification tools test samples against.
 
-The reference laws take the normal CDF and quantile and gamma functions
-from ``scipy.special``, imported inside the methods that call them, and
-invert the other CDFs by bisection: importing this module loads no scipy.
+The reference laws take the normal CDF and gamma functions from
+``scipy.special``, imported inside the methods that call them: importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -60,17 +60,15 @@ def as_rows(x, dim: int | None = None) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# reference densities (1-D analytic forms with pdf/cdf/ppf)
+# reference densities (1-D analytic forms with pdf/cdf)
 # ---------------------------------------------------------------------------
 
 class Reference:
     """A law on R^dim with independent coordinates; ``marginal(i)`` is the
     law of coordinate i.
 
-    cdf and ppf are 1-D operations and refuse a dim > 1 law.  A law gives
-    its 1-D ``_cdf``; ``_ppf`` inverts it by bisection from the bracket
-    [-_bracket, _bracket] and, as ``scipy.special.ndtri`` does, returns -inf
-    at q = 0, inf at q = 1 and nan for q off [0, 1].
+    cdf is a 1-D operation and refuses a dim > 1 law; a law gives its 1-D
+    ``_cdf``.
     """
 
     def __post_init__(self):
@@ -87,40 +85,10 @@ class Reference:
             raise DimensionError(f"coordinate {i} of a {self.dim}-D reference")
         return slice(i, i + 1)
 
-    def _need_1d(self) -> None:
-        if self.dim != 1:
-            raise DimensionError("cdf/ppf are 1-D operations; use marginal(i)")
-
     def cdf(self, t):
-        self._need_1d()
+        if self.dim != 1:
+            raise DimensionError("cdf is a 1-D operation; use marginal(i)")
         return self._cdf(t)
-
-    def ppf(self, q):
-        self._need_1d()
-        return self._ppf(q)
-
-    def _ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = np.array([self._invert(float(v)) for v in np.atleast_1d(q)])
-        return out if q.ndim else float(out[0])
-
-    def _invert(self, q: float) -> float:
-        if not 0 < q < 1:
-            return -math.inf if q == 0 else math.inf if q == 1 else math.nan
-        # expand the bracket until it contains q, then bisect it to 1e-12 (or
-        # until no float lies between its ends); a q above cdf(inf), which
-        # rounding can leave below 1, has no float quantile and gets inf
-        lo, hi = -self._bracket, self._bracket
-        while self._cdf(lo) > q:
-            lo *= 2
-        with np.errstate(over="ignore"):  # the cdf of a huge finite hi
-            while self._cdf(hi) < q and hi < math.inf:
-                hi *= 2
-        while True:
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-12 or not lo < mid < hi:
-                return mid
-            lo, hi = (mid, hi) if self._cdf(mid) < q else (lo, mid)
 
 
 @dataclass(frozen=True)
@@ -149,10 +117,6 @@ class GaussianReference(Reference):
         from scipy.special import ndtr
         return ndtr((t - self.mean[0]) / math.sqrt(self.variances[0]))
 
-    def _ppf(self, q):
-        from scipy.special import ndtri
-        return ndtri(q) * math.sqrt(self.variances[0]) + self.mean[0]
-
 
 @dataclass(frozen=True)
 class HuberReference(Reference):
@@ -160,7 +124,6 @@ class HuberReference(Reference):
 
     threshold: float
     dim: int = 1
-    _bracket = 10.0
 
     def __post_init__(self):
         if not (self.threshold > 0):
@@ -198,7 +161,6 @@ class PowerReference(Reference):
 
     p: float
     dim: int = 1
-    _bracket = 20.0
 
     def __post_init__(self):
         if not (1.0 < self.p <= 2.0):

@@ -1,11 +1,11 @@
 """Statistical verification tools: TV estimates, KS tests, exact discrete laws.
 
 Total variation against an analytic 1-D reference is estimated by binning
-into equal-mass cells of the reference (edges from its quantile function),
-so every cell holds exactly 1/bins of the analytic mass and the estimate is
-half the L1 error of the empirical cell masses.  The plug-in estimator is
-upward biased by at most sqrt(bins / (2 n)) in expectation, which reports
-carry alongside the point estimate.
+into equal-mass cells of the reference, read off its cdf, so every cell
+holds exactly 1/bins of the analytic mass and the estimate is half the L1
+error of the empirical cell masses.  The plug-in estimator is upward biased
+by at most sqrt(bins / (2 n)) in expectation, which reports carry alongside
+the point estimate.
 
 The KS and chi-square tests and the exact Gaussian TV equal scipy.stats's bit
 for bit from ``scipy.special`` alone (the KS tail is ported in ``kstwo``),
@@ -49,28 +49,29 @@ class TVEstimate:
         return math.sqrt(self.bins / (2.0 * self.n_samples))
 
 
-def equal_mass_edges(reference, bins: int) -> np.ndarray:
-    """Interior bin edges at the reference quantiles i/bins, i=1..bins-1."""
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    qs = np.arange(1, bins) / bins
-    edges = np.asarray([float(reference.ppf(q)) for q in qs])
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("reference quantiles are not strictly increasing")
-    return edges
+def _cdf_values(cdf, arr: np.ndarray) -> np.ndarray:
+    """``cdf(arr)``; ValueError unless finite, in [0, 1] and of arr's shape."""
+    f = np.asarray(cdf(arr), dtype=float)
+    if f.shape != arr.shape or not np.all(np.isfinite(f)) or f.min() < 0 or f.max() > 1:
+        raise ValueError(f"cdf must return finite values in [0, 1] of shape {arr.shape}")
+    return f
+
+
+def _cell_counts(samples: np.ndarray, cdf, bins: int) -> np.ndarray:
+    """Samples per equal-mass cell of F = ``cdf``: x is in cell
+    ceil(bins F(x)) - 1, clipped to [0, bins - 1], which is the cell of the
+    edges F^-1(i/bins) that holds x, an x at an edge in the cell below it."""
+    cells = np.ceil(bins * _cdf_values(cdf, samples)) - 1
+    return np.bincount(np.clip(cells, 0, bins - 1).astype(np.intp), minlength=bins)
 
 
 def empirical_tv_1d(samples, reference, bins: int = 50) -> TVEstimate:
-    """Plug-in TV between 1-D samples and an analytic reference density.
-
-    ``reference`` needs a ppf method (the catalog references all have one).
-    Bins are equal-mass under the reference, so the analytic mass per cell
-    is exactly 1/bins.
-    """
+    """Plug-in TV between 1-D samples and an analytic reference density,
+    binned by the equal-mass cells of its ``cdf`` (checked as in ``ks_test``)."""
     arr = _as_1d_samples(samples)
-    edges = equal_mass_edges(reference, bins)
-    counts = np.bincount(np.searchsorted(edges, arr), minlength=bins)
-    emp = counts / arr.size
+    if bins < 2:
+        raise ValueError("need at least 2 bins")
+    emp = _cell_counts(arr, reference.cdf, bins) / arr.size
     tv = 0.5 * float(np.abs(emp - 1.0 / bins).sum())
     return TVEstimate(value=tv, bins=bins, n_samples=arr.size)
 
@@ -110,9 +111,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     and of the sample's shape.
     """
     arr = np.sort(_as_1d_samples(samples))
-    f, n = np.asarray(cdf(arr), dtype=float), arr.size
-    if f.shape != arr.shape or not np.all(np.isfinite(f)) or f.min() < 0 or f.max() > 1:
-        raise ValueError(f"cdf must return finite values in [0, 1] of shape {arr.shape}")
+    f, n = _cdf_values(cdf, arr), arr.size
     d_plus = (np.arange(1.0, n + 1) / n - f).max()
     d_minus = (f - np.arange(0.0, n) / n).max()
     d = float(d_plus if d_plus > d_minus else d_minus)
