@@ -189,8 +189,10 @@ class NoiseModel:
         uses the exact stability shortcut N(0, sigma^2/n).  A norm-radius
         draw is a radius from the family law times a uniform direction on
         the unit sphere; in one dimension the direction is a fair sign,
-        drawn from one uniform per draw.
+        drawn from one uniform per draw.  n < 1 is refused before any draw.
         """
+        if n < 1:
+            raise ValueError("batch size must be >= 1")
         if self.family == "exact":
             return np.zeros((k, dim))
         if self.family == "subgaussian":
@@ -386,11 +388,11 @@ class _Oracle:
         self.ledger = QueryLedger()
 
     def _draw_noise(self, k: int, n: int, dim: int) -> Array | None:
-        """(k, dim) n-sample batch-mean noise, or None for exact noise."""
-        if n < 1:
-            raise ValueError("batch size must be >= 1")
-        return (None if self.noise.family == "exact" else
-                self.noise.sample_batch_rows(k, n, dim, self.rng))
+        """(k, dim) n-sample batch-mean noise, or None for exact noise; the
+        noise model refuses n < 1."""
+        if self.noise.family == "exact" and n >= 1:
+            return None
+        return self.noise.sample_batch_rows(k, n, dim, self.rng)
 
 
 def _fresh(rows: Array, xs: Array) -> Array:

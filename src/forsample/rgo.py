@@ -93,7 +93,6 @@ class _RowEstimator:
         self.u_rows = (x0_rows - xhat_rows) / eta
         self.eta = np.array(eta)
         self.sd = np.array(math.sqrt(eta))
-        self.b = b
         self.bounds = (np.array(-b), np.array(b))
         self.n_batch = n_batch
 

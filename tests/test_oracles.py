@@ -223,6 +223,18 @@ def test_twopoint_draw_support_and_mean():
         noise.sample_batch_rows(2, 1, 3, make_rng(0, 0))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_noise_draw_refuses_batches_below_one(family, n):
+    # every family refuses before it draws: no NaN rows, zeros or
+    # ZeroDivisionError, and the stream does not move
+    rng = make_rng(0, 7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="batch size"):
+        FAMILIES[family].sample_batch_rows(3, n, 1, rng)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # eps_tail: frozen values and monotonicity
 # ---------------------------------------------------------------------------

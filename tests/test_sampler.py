@@ -498,10 +498,11 @@ class _StuckAfterOneStep:
     chain 0 once it has taken a step, where W = -B accepts only when
     J ~ Poisson(2B) is 0: e^-30 at B = 15."""
 
-    def __init__(self, source, chains):
+    def __init__(self, source, chains, b):
         self.source = source
         self.propose_rows = source.propose_rows
         self.moves = np.zeros(chains, dtype=np.int64)
+        self.b = b
 
     def recenter(self, slots, x0_rows, xhat_rows):
         self.moves[slots] += 1
@@ -509,15 +510,15 @@ class _StuckAfterOneStep:
 
     def draw_w_rows(self, slots, xs, rng):
         stuck = (slots == 0) & (self.moves[slots] > 1)
-        return np.where(stuck, -self.source.b, self.source.b)
+        return np.where(stuck, -self.b, self.b)
 
 
 def test_budget_error_names_the_chain_and_its_own_step(monkeypatch):
-    real = sampler.tilt_source
-    monkeypatch.setattr(sampler, "tilt_source",
-                        lambda *args: _StuckAfterOneStep(real(*args), 8))
     sched = replace(plan_first_order(_POT, NoiseModel.exact(), _LSI, _DELTA),
                     n_steps=3, b=15.0)
+    real = sampler.tilt_source
+    monkeypatch.setattr(sampler, "tilt_source",
+                        lambda *args: _StuckAfterOneStep(real(*args), 8, sched.b))
     oracle = GradientOracle(_POT, NoiseModel.exact(), make_rng(93, 2))
     with pytest.raises(BudgetExhaustedError) as exc:
         run_proximal_sampler(_POT, oracle, sched, gaussian_initializer([0.0], 1.0),
