@@ -10,7 +10,9 @@ the same states.  The script writes one JSON file stamped with the machine
 and the versions:
 
 * ``per_call``: seconds per call of each row kernel at 4, 10^4 and 2^16 rows,
-  the median over the rounds of each process's fastest repeat: both oracles'
+  each width timed in a fresh process, so that no width's timing depends on
+  what an earlier width allocated; the median over the rounds of each
+  process's fastest repeat: both oracles'
   ``draw_batch_rows`` under exact, subgaussian, subweibull (zeta = 1) and
   polymoment noise, ``core.as_rows``, one first-order ``draw_w_rows`` and one
   prox stage call (``approx_prox_rows_budgeted``) at caps 1 and 2;
@@ -67,7 +69,8 @@ def _noise(family: str):
             "polymoment": NoiseModel.polymoment(k=1, sigma_2k=0.5)}[family]
 
 
-def worker_calls() -> dict:
+def worker_calls(width: int) -> dict:
+    """Seconds per call of each row kernel at ``width`` rows."""
     import numpy as np
     from forsample.core import as_rows, make_gaussian_potential
     from forsample.oracles import GradientOracle, ValueOracle, make_rng
@@ -75,28 +78,23 @@ def worker_calls() -> dict:
     from forsample.rgo import tilt_source
 
     pot = make_gaussian_potential([0.0])
+    xs = make_rng(1, width).standard_normal((width, 1))
+    slots = np.arange(width)
     out: dict = {}
-    for width in WIDTHS:
-        xs = make_rng(1, width).standard_normal((width, 1))
-        slots = np.arange(width)
-
-        def put(name, call):
-            out.setdefault(name, {})[str(width)] = _best(call)
-
-        for family in FAMILIES:
-            for cls in (GradientOracle, ValueOracle):
-                oracle = cls(pot, _noise(family), make_rng(2, width))
-                put(f"{cls.__name__}.draw_batch_rows/{family}",
-                    lambda o=oracle: o.draw_batch_rows(xs, 1))
-        put("core.as_rows", lambda: as_rows(xs, 1))
-        oracle = GradientOracle(pot, _noise("subweibull"), make_rng(3, width))
-        source = tilt_source(oracle, xs + 0.1, xs.copy(), 0.05, 1.0, 1)
-        rng = make_rng(4, width)
-        put("rgo.draw_w_rows/first_order", lambda: source.draw_w_rows(slots, xs, rng))
-        for cap in (1, 2):
-            cfg = ProxConfig(eta=0.05, n_batch=1, k_iters=cap)
-            put(f"prox.stage/cap{cap}",
-                lambda cfg=cfg: approx_prox_rows_budgeted(pot, oracle, xs, cfg, 0.5))
+    for family in FAMILIES:
+        for cls in (GradientOracle, ValueOracle):
+            oracle = cls(pot, _noise(family), make_rng(2, width))
+            out[f"{cls.__name__}.draw_batch_rows/{family}"] = _best(
+                lambda o=oracle: o.draw_batch_rows(xs, 1))
+    out["core.as_rows"] = _best(lambda: as_rows(xs, 1))
+    oracle = GradientOracle(pot, _noise("subweibull"), make_rng(3, width))
+    source = tilt_source(oracle, xs + 0.1, xs.copy(), 0.05, 1.0, 1)
+    rng = make_rng(4, width)
+    out["rgo.draw_w_rows/first_order"] = _best(lambda: source.draw_w_rows(slots, xs, rng))
+    for cap in (1, 2):
+        cfg = ProxConfig(eta=0.05, n_batch=1, k_iters=cap)
+        out[f"prox.stage/cap{cap}"] = _best(
+            lambda cfg=cfg: approx_prox_rows_budgeted(pot, oracle, xs, cfg, 0.5))
     return out
 
 
@@ -145,11 +143,20 @@ def worker_counts(seed: int = 41) -> dict:
 # driver
 # ---------------------------------------------------------------------------
 
-def _run_worker(root: Path, kind: str) -> dict:
+def _run_worker(root: Path, kind: str, *args: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run([sys.executable, __file__, "--worker", kind], env=env,
+    out = subprocess.run([sys.executable, __file__, "--worker", kind, *args], env=env,
                          capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def _calls(root: Path) -> dict:
+    """Seconds per call, by kernel and width, one fresh worker per width."""
+    out: dict = {}
+    for width in WIDTHS:
+        for name, seconds in _run_worker(root, "calls", "--width", str(width)).items():
+            out.setdefault(name, {})[str(width)] = seconds
+    return out
 
 
 def _alternate(roots: dict, rounds: int, run) -> dict:
@@ -168,7 +175,7 @@ def _quartiles(values: list) -> tuple[float, float, float]:
 
 
 def per_call(roots: dict, rounds: int) -> dict:
-    got = _alternate(roots, rounds, lambda side, root: _run_worker(root, "calls"))
+    got = _alternate(roots, rounds, lambda side, root: _calls(root))
     table: dict = {}
     for name in got["change"][0]:
         for width in got["change"][0][name]:
@@ -245,6 +252,7 @@ def _seeds(text: str) -> list[int]:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--worker", choices=("calls", "counts"), help=argparse.SUPPRESS)
+    ap.add_argument("--width", type=int, help=argparse.SUPPRESS)
     ap.add_argument("--parent", type=Path, help="checkout of the commit to compare with")
     ap.add_argument("--rounds", type=int, default=6, help="alternating processes per side")
     ap.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
@@ -252,7 +260,8 @@ def main(argv=None) -> None:
     ap.add_argument("--out", type=Path, default=REPO / "BENCH_few_rows.json")
     args = ap.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker_calls() if args.worker == "calls" else worker_counts()))
+        print(json.dumps(worker_calls(args.width) if args.worker == "calls"
+                         else worker_counts()))
         return
     if args.parent is None:
         ap.error("--parent is required")
