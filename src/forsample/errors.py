@@ -12,7 +12,7 @@ class DimensionError(ForsampleError, ValueError):
 
 
 class UnsupportedCombinationError(ForsampleError, ValueError):
-    """A noise-model/parameter combination with no known tail bound."""
+    """A noise model and level whose tail bound no batch size up to the cap meets."""
 
 
 class EstimatorRangeError(ForsampleError, ValueError):

@@ -7,7 +7,10 @@ samples.  For each noise family the module provides:
 * ``m1`` : the exact first absolute moment E||noise|| of one draw,
 * ``eps_tail(noise, n, M)`` : a valid upper bound on the normalized
   truncation tail (1/M) * E[||g - E g|| * 1{||g - E g|| > M}] of the
-  n-sample batch mean, nonincreasing in both M and n,
+  n-sample batch mean, nonincreasing in both M and n and returned for every
+  family, n and M: subweibull noise with zeta != 2 takes Chebyshev and, for
+  zeta >= 1, a dimension-free Chernoff bound (Pinelis 1994), and twopoint
+  noise Hoeffding and Chebyshev, each proved where it is written,
 * ``phi(noise, M, delta)`` : the smallest batch size n whose tail bound is
   at most delta / 10.
 
@@ -47,9 +50,9 @@ NOISE_FAMILIES = tuple(_FAMILY_FIELDS)
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
 _HALF = np.array(0.5)  # 0-d: a ufunc takes it faster than a float
-# the constants of the subgaussian/subweibull batch tail bound in eps_tail,
-# C_TAIL * exp(-C_RATE * n * (M / sigma_g)^zeta): properties of the bound,
-# not of the noise drawn, so no config sets them
+# the constants of the subgaussian (zeta = 2) batch tail bound in eps_tail,
+# C_TAIL * exp(-C_RATE * n * (M / sigma_g)^2): properties of the bound, not
+# of the noise drawn, so no config sets them
 C_TAIL = 2.0
 C_RATE = 0.25
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x whose exp(x) is a float
@@ -262,9 +265,9 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
 
     Returns a bound on (1/M) * E[||gbar - E gbar|| * 1{||gbar - E gbar|| > M}]
     for the mean gbar of n draws.  Nonincreasing in M and in n (to 1e-12 where
-    the polymoment bound turns to logs), and returned for every n >= 1 and M >= 0.
-    The one refusal, which ``phi`` passes on: subWeibull with zeta != 2 has
-    no batch formula, so n > 1 raises UnsupportedCombinationError.
+    the polymoment bound turns to logs), and returned for every n >= 1 and
+    M >= 0, in every dimension.  Subweibull noise with zeta != 2 and twopoint
+    noise take proved bounds (``_subweibull_tail``, ``_twopoint_tail``).
     """
     if n < 1 or int(n) != n:
         raise ValueError("batch size n must be a positive integer")
@@ -278,8 +281,7 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         return math.inf
 
     if noise.family == "twopoint":
-        # bounded support: |batch noise| <= m_shift always
-        return 0.0 if m_level >= noise.m_shift else noise.m1() / m_level
+        return _twopoint_tail(noise, n, m_level)
 
     if noise.family == "polymoment":
         # (2k)! sigma^(2k) / (n^k M^(2k)), in logs where a term leaves the normal floats
@@ -296,30 +298,133 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
                     - k * math.log(n) - 2 * k * math.log(m_level))
         return math.exp(log_tail) if log_tail <= _LOG_FLOAT_MAX else math.inf
 
-    # subgaussian is subweibull with zeta = 2
-    zeta = 2.0 if noise.family == "subgaussian" else noise.zeta
-    if zeta != 2.0 and n > 1:
-        raise UnsupportedCombinationError(
-            "subweibull noise with zeta != 2 has no batch tail bound for n > 1; "
-            "increase the truncation level M instead of the batch size")
-    # Markov, valid for any M and n: tail <= E||gbar|| / M <= sqrt(E||noise||^2 / n) / M;
-    # a term past the floats keeps its default, inf or exp(-inf) = 0
+    if noise.family == "subweibull" and noise.zeta != 2.0:
+        return _subweibull_tail(noise, n, m_level)
+    # subgaussian, and subweibull with zeta = 2: Markov, valid for any M and n,
+    # tail <= E||gbar|| / M <= sqrt(E||noise||^2 / n) / M, and the exponential
+    # term; a term past the floats keeps its default, inf or exp(-inf) = 0
     expo = 0.0
     try:
-        expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** zeta)
+        expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** 2.0)
         markov = math.sqrt(noise.second_moment() / n) / m_level
     except OverflowError:
         markov = math.inf
     return min(markov, expo) if m_level >= noise.sigma_g else markov
 
 
+def _twopoint_tail(noise: NoiseModel, n: int, m_level: float) -> float:
+    """eps_tail of twopoint noise: the least of three bounds at M < m_shift.
+
+    One draw is m (p - b), b ~ Bernoulli(p), m = m_shift: it lies in an
+    interval of length m, so Z = |gbar| < m and the tail is 0 at M >= m.
+    Below, with t = M / m:
+    * m1 / M, since E Z <= E|noise| (Jensen);
+    * Chebyshev, E Z^2 / M^2 = p (1 - p) / (n t^2);
+    * Hoeffding, P(Z > s) <= 2 exp(-h(s)), h(s) = 2 n s^2 / m^2.  h is
+      convex, h(s) >= h(M) + h'(M) (s - M), so in
+      E[Z 1{Z > M}] / M = P(Z > M) + (1/M) int_M^inf P(Z > s) ds the
+      integral is at most 2 exp(-h(M)) / h'(M), and the tail at most
+      2 exp(-2 n t^2) (1 + 1 / (4 n t^2)).
+    Each is nonincreasing in n and M.
+    """
+    if m_level >= noise.m_shift:
+        return 0.0
+    bound = noise.m1() / m_level
+    t2 = (m_level / noise.m_shift) ** 2  # 0 only where the other two are past the floats
+    if t2 > 0:
+        chebyshev = noise.p * (1.0 - noise.p) / (n * t2)
+        hoeffding = 2.0 * math.exp(-2.0 * n * t2) * (1.0 + 1.0 / (4.0 * n * t2))
+        bound = min(bound, chebyshev, hoeffding)
+    return bound
+
+
+def _subweibull_tail(noise: NoiseModel, n: int, m_level: float) -> float:
+    """eps_tail of subweibull noise with zeta != 2, proved for every n and d.
+
+    A draw is X = R U: U uniform on the unit sphere, independent of the
+    radius R = sigma (E/2)^(1/zeta), E ~ Exp(1), so E X = 0 and
+    P(R > t) = exp(-2 (t/sigma)^zeta).  Write Z = ||gbar||, S = n gbar,
+    r = M/sigma and T = E[Z 1{Z > M}] / M = P(Z > M) + (1/M) int_M^inf P(Z > t) dt.
+    The bound is the least of:
+
+    1. Markov and Chebyshev, for every zeta: Z 1{Z > M} <= min(Z, Z^2 / M)
+       and E Z^2 = E R^2 / n (independent mean-zero summands), so with
+       q = sqrt(E R^2 / n) / M, T <= min(q, q^2).
+    2. For zeta >= 1, an exponential term C(n).  For n >= 2 it is the
+       Chernoff bound below; at n = 1 it is max(single draw, C(2)): a bound
+       at n = 1 because it is at least the single-draw value, and at least
+       C(2), so it never rises from n = 1 to n = 2.
+       * Single draw: Z = R, and the exponent 2 (t/sigma)^zeta is convex for
+         zeta >= 1, so the integral is at most exp(-2 r^zeta) over the
+         exponent's slope at M: T <= exp(-2 r^zeta) (1 + 1/(2 zeta r^zeta)).
+       * Chernoff: in a Hilbert space, for lambda >= 0 (Pinelis, Ann.
+         Probab. 22 (1994), the bound for (2, D)-smooth spaces at D = 1),
+         P(||S|| >= n t) <= 2 exp(-lambda n t) (1 + psi)^n,
+         psi = E[exp(lambda R) - 1 - lambda R].  If log(1 + psi) <= L(lambda),
+         P(Z >= t) <= 2 exp(-n (lambda t - L)) for t >= M, whose integral
+         over t > M is that value at M over n lambda, so at any fixed lambda
+         T <= 2 exp(-n (lambda M - L)) (1 + 1/(n lambda M)).  Two choices of
+         L, each at its maximizing lambda, with b the scale below and
+         x = lambda b in (0, 1):
+         - zeta >= 1: y^(1/zeta) is concave, so it lies below its tangent
+           at 1 and R <= sigma (1 - 1/zeta) + b E with b = sigma / (2 zeta).
+           Then 1 + psi <= E exp(lambda R) <= exp(2 (zeta - 1) x) / (1 - x),
+           and with v = M/b - 2 (zeta - 1) = 2 zeta r - 2 (zeta - 1) > 1 the
+           exponent peaks at x = 1 - 1/v: lambda M - L = v - 1 - log v and
+           lambda M = 2 zeta r (1 - 1/v).
+         - zeta = 1: R ~ Exp(mean b), b = sigma / 2, so psi = x^2 / (1 - x)
+           exactly and log(1 + psi) <= psi; with u = M/b = 2 r the exponent
+           peaks at x = 1 - 1/s, s = sqrt(1 + u): lambda M - L = (s - 1)^2
+           and lambda M = u (1 - 1/s).  It is the better one at small u.
+       Each value is nonincreasing in n and M: its exponent sup_lambda
+       (lambda M - L) is nonnegative and nondecreasing in M, and its
+       maximizer lambda does not fall as M grows (the sup is convex in M).
+
+    Zeta < 1 has no moment generating function and takes item 1 alone.
+    A term past the floats is 0 or inf as its limit is.
+    """
+    zeta = noise.zeta
+    q = math.sqrt(noise.second_moment() / n) / m_level
+    bound = min(q, q * q)
+    if zeta < 1.0:
+        return bound
+    r = m_level / noise.sigma_g
+    if n == 1:
+        try:
+            rz = r ** zeta
+        except OverflowError:
+            rz = math.inf
+        single = math.exp(-2.0 * rz) * (1.0 + 1.0 / (2.0 * zeta * rz)) if rz > 0 else math.inf
+        return min(bound, max(single, _pinelis_chernoff(zeta, 2, r)))
+    return min(bound, _pinelis_chernoff(zeta, n, r))
+
+
+def _pinelis_chernoff(zeta: float, n: int, r: float) -> float:
+    """The Chernoff term of ``_subweibull_tail`` at zeta >= 1, r = M / sigma:
+    the least of 2 exp(-n J) (1 + 1/(n lambda M)) over its forms of L."""
+    best = math.inf
+    v = 2.0 * zeta * r - 2.0 * (zeta - 1.0)
+    if v == math.inf:
+        return 0.0
+    if v > 1.0:
+        best = 2.0 * math.exp(-n * (v - 1.0 - math.log(v))) * (
+            1.0 + 1.0 / (n * 2.0 * zeta * r * (1.0 - 1.0 / v)))
+    if zeta == 1.0:
+        u = 2.0 * r
+        s = math.sqrt(1.0 + u)
+        slope = u * (1.0 - 1.0 / s)
+        if slope > 0.0:
+            best = min(best, 2.0 * math.exp(-n * (s - 1.0) ** 2) * (1.0 + 1.0 / (n * slope)))
+    return best
+
+
 def phi(noise: NoiseModel, m_level: float, delta: float, cap: int = 10 ** 9) -> int:
     """Smallest batch size n with eps_tail(noise, n, M) <= delta / 10.
 
     Found by doubling then bisection directly on ``eps_tail`` so minimality
-    holds for the implemented bound, not a paraphrase of it.  Raises
-    UnsupportedCombinationError when no n <= cap works; for subweibull
-    zeta != 2 past n = 1, that is eps_tail's own refusal.
+    holds for the implemented bound, not a paraphrase of it; that needs the
+    bound nonincreasing in n, which it is for every family.  Raises
+    UnsupportedCombinationError when no n <= cap works, the one refusal.
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")

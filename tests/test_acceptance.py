@@ -94,12 +94,18 @@ def test_criterion_5_prox_residual():
 
 def test_criterion_6_end_to_end_sampler():
     report = run_sampler_e2e(ExperimentConfig(experiment="sampler_e2e"))
+    # the paper's headline noise, subexponential (subweibull zeta 1), on seeds 0-3
+    subexp = run_sampler_e2e(ExperimentConfig(
+        experiment="sampler_e2e", seeds=(0, 1, 2, 3),
+        noise={"family": "subweibull", "zeta": 1.0, "sigma_g": 0.2}))
     oks = {k: report.verdicts[k] for k in ("tv_exact", "tv_subgaussian")}
-    worst = max(r["tv"] for r in report.per_seed)
-    ok = all(oks.values()) and report.wall_clock_seconds < 900
+    oks["tv_subweibull"] = subexp.verdicts["tv_subweibull"]
+    worst = max(r["tv"] for r in report.per_seed + subexp.per_seed)
+    seconds = report.wall_clock_seconds + subexp.wall_clock_seconds
+    ok = all(oks.values()) and seconds < 900
     detail = (f"TV <= 0.05 + bias on 1e4 chains for exact and subgaussian "
-              f"arms {oks}, worst TV {worst:.4f}, "
-              f"{report.wall_clock_seconds:.1f}s (< 15 min)")
+              f"arms and a subexponential arm (seeds 0-3) {oks}, worst TV "
+              f"{worst:.4f}, {seconds:.1f}s (< 15 min)")
     assert _verdict(6, ok, detail)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, special, stats
 
 from forsample import oracles
 from forsample.core import Potential, make_gaussian_potential
@@ -261,11 +261,90 @@ def test_eps_tail_input_validation():
     assert eps_tail(noise, 1, 0.0) == math.inf
 
 
-def test_eps_tail_subweibull_batching_unsupported():
-    noise = NoiseModel.subweibull(zeta=1.0, sigma_g=1.0)
-    eps_tail(noise, 1, 2.0)   # n = 1 fine
-    with pytest.raises(UnsupportedCombinationError):
-        eps_tail(noise, 2, 2.0)
+def test_eps_tail_subweibull_batches():
+    # every n has a finite bound, none above the one-draw bound
+    for zeta in (0.5, 1.0, 1.5, 3.0):
+        noise = NoiseModel.subweibull(zeta=zeta, sigma_g=1.0)
+        one = eps_tail(noise, 1, 2.0)
+        assert 0.0 < one < math.inf
+        for n in (2, 3, 10, 10 ** 6):
+            assert 0.0 <= eps_tail(noise, n, 2.0) <= one
+
+
+def _single_draw_tail(zeta, sigma, m):
+    # (1/M) E[R 1{R > M}], R = sigma (E/2)^(1/zeta): with a = 1 + 1/zeta,
+    # sigma 2^(-1/zeta) Gamma(a, 2 (M/sigma)^zeta) / M (upper incomplete gamma)
+    a = 1.0 + 1.0 / zeta
+    return (sigma * 2.0 ** (-1.0 / zeta) * special.gamma(a)
+            * special.gammaincc(a, 2.0 * (m / sigma) ** zeta) / m)
+
+
+@pytest.mark.parametrize("zeta", [0.1, 0.2, 0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("sigma", [0.2, 1.0])
+def test_eps_tail_subweibull_one_draw_covers_its_closed_form(zeta, sigma):
+    # at n = 1 the batch mean is one draw, whose tail has a closed form; the
+    # bound is that value at zeta = 1, so it may sit an ulp below it there
+    noise = NoiseModel.subweibull(zeta=zeta, sigma_g=sigma)
+    for r in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
+        exact = _single_draw_tail(zeta, sigma, r * sigma)
+        assert eps_tail(noise, 1, r * sigma) >= exact * (1.0 - 1e-12), (r, exact)
+
+
+def _laplace_mean_tail(n, m, sigma):
+    # in 1-D the zeta = 1 batch sum is G1 - G2, G ~ Gamma(n, b), b = sigma/2;
+    # (1/M) E[|gbar| 1{|gbar| > M}] = 2 E[D 1{D > nM}] / (n M), D = G1 - G2,
+    # with E[(G1 - g) 1{G1 > g + nM}] = n b Q(n + 1, c) - g Q(n, c), c = (g + nM)/b
+    b, a = sigma / 2.0, n * m
+
+    def integrand(g):
+        c = (g + a) / b
+        return stats.gamma.pdf(g, n, scale=b) * (n * b * special.gammaincc(n + 1, c)
+                                                 - g * special.gammaincc(n, c))
+
+    value, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
+    return 2.0 * value / (n * m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64])
+def test_eps_tail_subexponential_covers_the_exact_1d_batch_tail(n):
+    sigma = 0.2
+    noise = NoiseModel.subweibull(zeta=1.0, sigma_g=sigma)
+    for r in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+        # n = 1 is the single-draw value, so the margin is the quadrature's error
+        exact = _laplace_mean_tail(n, r * sigma, sigma)
+        assert eps_tail(noise, n, r * sigma) >= exact * (1.0 - 1e-9), (r, exact)
+
+
+@pytest.mark.parametrize("zeta, sigma", [(1.0, 0.2), (1.5, 0.5), (3.0, 0.5), (0.5, 0.2)])
+def test_eps_tail_subweibull_covers_a_3d_monte_carlo_tail(zeta, sigma):
+    # the bound holds in every dimension; 10^5 seeded batch means at d = 3
+    noise = NoiseModel.subweibull(zeta=zeta, sigma_g=sigma)
+    rng = make_rng(2026, 36)
+    for n in (1, 2, 4, 8):
+        z = np.linalg.norm(noise.sample_batch_rows(100_000, n, 3, rng), axis=1)
+        for r in (0.25, 0.5, 1.0, 2.0, 3.0, 4.0):
+            m = r * sigma
+            empirical = float(np.mean(z * (z > m))) / m
+            assert eps_tail(noise, n, m) >= empirical, (n, r, empirical)
+
+
+def _twopoint_tail(p, m_shift, n, m):
+    # gbar = m_shift (p - K/n), K ~ Binomial(n, p), enumerated
+    k = np.arange(n + 1)
+    z = np.abs(m_shift * (p - k / n))
+    return float(np.sum(stats.binom.pmf(k, n, p) * z * (z > m))) / m
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+def test_eps_tail_twopoint_covers_the_exact_batch_tail(p):
+    noise = NoiseModel("twopoint", p=p, m_shift=1.5)
+    levels = np.linspace(0.02, 1.6, 40)
+    for n in range(1, 65):
+        for m in levels:
+            exact = _twopoint_tail(p, 1.5, n, m)
+            assert eps_tail(noise, n, m) >= exact * (1.0 - 1e-12), (n, m, exact)
+    # below m_shift a batch helps: m1/M at n = 1, far less at n = 64
+    assert eps_tail(noise, 64, 0.5) < eps_tail(noise, 1, 0.5) / 10.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,12 +355,9 @@ def test_eps_tail_subweibull_batching_unsupported():
        bump=st.floats(min_value=0.01, max_value=5.0))
 def test_eps_tail_monotone(label, n, m, bump):
     noise = FAMILIES[label]
-    if noise.family == "subweibull" and noise.zeta != 2.0:
-        n = 1
     base = eps_tail(noise, n, m)
     assert eps_tail(noise, n, m + bump) <= base + 1e-15
-    if not (noise.family == "subweibull" and noise.zeta != 2.0):
-        assert eps_tail(noise, n + 1, m) <= base + 1e-15
+    assert eps_tail(noise, n + 1, m) <= base + 1e-15
 
 
 # polymoment k 1-200 and subweibull zeta 0.2-100, sigma log-uniform in 1e-2-1e2:
@@ -298,8 +374,6 @@ _HEAVY_TAILS = st.builds(
        m=st.floats(1e-3, 1e4), bump=st.floats(0.0, 1e3))
 def test_eps_tail_is_returned_and_monotone_on_heavy_tails(noise, n, more, m, bump):
     # a bound past the float range is returned (as 0 or inf), never raised
-    if noise.family == "subweibull" and noise.zeta != 2.0:
-        n, more = 1, 0  # n > 1 is refused for these
     base = eps_tail(noise, n, m)
     assert 0.0 <= base <= math.inf
     assert eps_tail(noise, n, m + bump) <= base
@@ -366,10 +440,11 @@ def test_phi_subgaussian_linear_in_log_inverse_delta():
     assert float(np.abs(resid).max()) <= 1.0   # ceil rounding only
 
 
-def test_phi_subweibull_refuses_when_one_draw_is_not_enough():
+def test_phi_subweibull_batches_when_one_draw_is_not_enough():
     noise = NoiseModel.subweibull(zeta=1.0, sigma_g=1.0)
-    with pytest.raises(UnsupportedCombinationError):
-        phi(noise, 2.0, 1e-6)
+    n = phi(noise, 2.0, 1e-6)
+    assert n > 1
+    assert eps_tail(noise, n, 2.0) <= 1e-7 < eps_tail(noise, n - 1, 2.0)
     # a high enough truncation level brings it back to n = 1
     assert phi(noise, 80.0, 1e-6) == 1
 
@@ -381,7 +456,7 @@ def test_phi_respects_cap():
 
 
 @settings(max_examples=40, deadline=None)
-@given(label=st.sampled_from(["subgaussian", "polymoment"]),
+@given(label=st.sampled_from(["subgaussian", "subweibull", "polymoment", "twopoint"]),
        m=st.floats(min_value=0.8, max_value=5.0),
        delta=st.floats(min_value=1e-3, max_value=0.5))
 def test_phi_minimality(label, m, delta):

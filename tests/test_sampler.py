@@ -233,17 +233,28 @@ def test_planned_query_formulas():
 
 
 def test_infeasible_noise_raises():
-    # one-draw subweibull batches cannot meet the tail budget, and each mode
-    # has a single level (zeroth order pins M = B/3), so planning must fail
-    # loudly, the one refusal naming mode, family and delta
-    noise = NoiseModel.subweibull(1.0, 0.2)
+    # polymoment batches up to a cap of 100 cannot meet the tail budget, and
+    # each mode has a single level (zeroth order pins M = B/3), so planning
+    # must fail loudly, the one refusal naming mode, family and delta
+    noise = NoiseModel.polymoment(1, 0.15)
     for planner in (plan_first_order, plan_zeroth_order):
         with pytest.raises(InfeasibleScheduleError) as exc:
-            planner(_POT, noise, _LSI, _DELTA, PlanConstants(m_grid_points=1))
+            planner(_POT, noise, _LSI, _DELTA, PlanConstants(m_grid_points=1, phi_cap=100))
         mode = planner.__name__.removeprefix("plan_")
         assert str(exc.value).startswith(
-            f"no feasible {mode} plan for subweibull noise at delta=0.05: ")
+            f"no feasible {mode} plan for polymoment noise at delta=0.05: ")
         assert isinstance(exc.value.__cause__, UnsupportedCombinationError)
+
+
+def test_zeroth_order_plans_subexponential_noise():
+    # with a batch tail bound for subexponential noise, zeroth order, pinned
+    # at M = B/3 = 1, meets the tail share
+    noise = NoiseModel.subweibull(1.0, 0.2)
+    sched = plan_zeroth_order(_POT, noise, _LSI, 0.2)
+    assert (sched.m_trunc, sched.n_steps, sched.n_batch, sched.planned_queries) == (
+        1.0, 36, 1, 2749)
+    assert eps_tail(noise, sched.n_batch, sched.m_trunc) <= _tail_budget(
+        sched.mode, sched.delta, sched.n_steps) / 10.0
 
 
 def test_plan_delta_validation():
@@ -300,9 +311,9 @@ def test_plan_grid_digest():
                     out = json.dumps(asdict(sched), sort_keys=True)
                     plans += 1
                 digest.update(out.encode() + b"\n")
-    assert (plans, refusals) == (3282, 1758)
+    assert (plans, refusals) == (4262, 778)
     assert digest.hexdigest() == (
-        "28674b6bd5e2baafdeee422096b3d5681770bcfdf5435c470d3326b57bef058b")
+        "eb45d7c06338645caf3ad18e489bb385a4121a0d45ff83d451720b68c2053619")
 
 
 # polymoment k 1-200 and subweibull zeta 1e-3-100, zeta and sigma log-uniform,
