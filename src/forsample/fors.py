@@ -23,7 +23,8 @@ with ``draw_w_rows(slots, xs, rng)``, one W per row of ``xs``.  The coin is
 written twice, in two kernels that reject this way and hold no budget.  The
 scalar one, ``_scalar_coin``, flips one attempt over a W-draw callable:
 ``fors_sample`` charges its cap there, and ``lowerbound.proximal_adapter``
-passes its path-integral W.  The row kernel, ``_CoinLanes``, runs attempts
+passes its path-integral W; only perfbench's ``coupled_scalar`` job and the
+tests call ``fors_sample``.  The row kernel, ``_CoinLanes``, runs attempts
 on lanes, lane i for slot i, one in flight per lane: each tick proposes a
 row for the lanes whose attempt just ended, settles those with J = 0, and
 draws the next W of every attempt in flight in one call; each engine owns

@@ -28,7 +28,7 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, PlanConstants
 from .core import CATALOG, AssumptionCase, GaussianReference, potential_from_config
 from .errors import ConfigError
-from .fors import (FORSConfig, fors_attempt_batch, fors_sample, fors_sample_many,
+from .fors import (FORSConfig, fors_accept_rows, fors_attempt_batch, fors_sample_many,
                    wdraw_tail_check)
 from .lowerbound import (AdversarialOraclePair, PsiFunction, coupled_run,
                          f_psi, proximal_adapter, sgld_adapter)
@@ -451,12 +451,13 @@ class DiscreteWInstance:
         return idx.astype(float)[:, None]
 
     def proposal_rows(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        # kept only for perfbench/workloads.py's scalar loop; propose_rows draws alike
+        # kept for perfbench's coupled_scalar and a stream pin; propose_rows draws alike
         return self.propose_rows(np.zeros(k, dtype=np.int64), rng)
 
     def scalar_source(self, ledger: QueryLedger | None = None
                       ) -> Callable[[np.ndarray, np.random.Generator], float]:
-        # fors_sample meters the draws: ledger is unread, kept for perfbench's call
+        # the scalar engine's W source, kept with proposal_rows; that engine
+        # meters the draws, so ledger is unread, kept for perfbench's call
         cdfs, values = self._w_cdf.tolist(), self.w_values.tolist()
         last = self.w_probs.shape[1] - 1
 
@@ -540,20 +541,17 @@ def run_fors_unit(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger)
             per_seed.append(res)
     per_seed.sort(key=lambda r: r["seed"])
 
-    # W-draw tail bound over repeated scalar calls of the flat instance
+    # W draws per acceptance of the flat instance, one a slot (criterion 3)
     flat = discrete_instances()[0]
-    delta = 0.01
-    n_calls = 10_000
-    rng = make_rng(cfg.seeds[0], 999)
-    draw_counts = []
-    source = flat.scalar_source()
-    fors_cfg = FORSConfig(b=flat.b)
-    one = np.zeros(1, dtype=np.int64)
-    for _ in range(n_calls):
-        res = fors_sample(lambda r: flat.propose_rows(one, r)[0], source,
-                          fors_cfg, rng, ledger=merged)
-        draw_counts.append(res.w_draws)
-    tail = wdraw_tail_check(flat.b, delta, draw_counts)
+    draw_counts = np.zeros(10_000, dtype=np.int64)
+
+    def draw_w_rows(slots, xs, rng):
+        draw_counts[slots] += 1  # the slots of one tick are distinct
+        return flat.draw_w_rows(slots, xs, rng)
+
+    fors_accept_rows(flat.propose_rows, draw_w_rows, FORSConfig(b=flat.b), draw_counts.size,
+                     make_rng(cfg.seeds[0], 999), merged)
+    tail = wdraw_tail_check(flat.b, 0.01, draw_counts)
 
     verdicts = {}
     names = [i.name for i in discrete_instances()]

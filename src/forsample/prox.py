@@ -135,15 +135,15 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
     InfeasibleScheduleError if the step-size condition fails and
     NumericError on a non-finite iterate.  Each iterate is checked for
     finiteness once: by the oracle's row validation when it is queried at
-    the next step, and after the loop for the last one.
+    the next step, and after the loop for the last one.  So is x0: as the
+    step-0 query (its DimensionError passes on) or, given ``start``, in X_1.
     """
     limit = 1.0 / (2.0 * potential.m_s)
     if cfg.eta > limit * (1 + 1e-12):
         raise InfeasibleScheduleError(
             f"prox step size {cfg.eta} violates eta <= 1/(2 m_s) = {limit}")
     theta, _ = relaxation(potential, cfg.eta)
-    x0_rows = as_rows(x0_rows, potential.dim)
-    # a non-finite start fails the oracle's row check at step 0
+    x0_rows = np.asarray(x0_rows, dtype=np.float64)
     x = np.array(x0_rows if start is None else start, dtype=np.float64)
     if x.shape != x0_rows.shape:
         raise DimensionError(f"start of shape {x.shape} for x0 of shape "
@@ -152,8 +152,8 @@ def approx_prox_rows(potential: Potential, oracle: GradientOracle,
         try:
             g = oracle.draw_batch_rows(x, cfg.n_batch)
         except DimensionError as err:
-            if np.isfinite(x).all():
-                raise  # a shape error, not a blow-up
+            if (k == 0 and start is None) or np.isfinite(x).all():
+                raise  # a bad x0 or a shape error, not a blow-up
             raise NumericError(f"non-finite prox iterate at step {k}") from err
         oracle.ledger.prox_iters += x.shape[0]
         # x -= theta (eta g + x - x0), in place, in that order

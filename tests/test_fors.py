@@ -787,16 +787,39 @@ def test_wdraw_tail_check_validation():
         wdraw_tail_check(1.0, 1.0, [1])
 
 
-def test_per_call_draw_count_is_poisson():
-    # With W = +B the first attempt always accepts, so the per-call W-draw
-    # count is exactly one Poisson(2B) variable.  At B = 1 the 99th
-    # percentile of Poisson(2) is 6: CDF(5) = 0.98344 < 0.99 <= CDF(6).
-    cfg = FORSConfig(b=1.0)
+def _scalar_counts(cfg, n):
     source = lambda x, rng: 1.0
-    counts = np.array([
+    return np.array([
         fors_sample(_zero_proposal, source, cfg, make_rng(11, i), QueryLedger()).w_draws
-        for i in range(10_000)])
+        for i in range(n)])
+
+
+def _slot_counts(cfg, n):
+    # criterion 3's form: one acceptance a slot, W draws counted per slot
+    counts = np.zeros(n, dtype=np.int64)
+
+    def draw_w_rows(slots, xs, rng):
+        counts[slots] += 1
+        return np.ones(slots.size)
+
+    ledger = QueryLedger()
+    fors_accept_rows(_zero_rows, draw_w_rows, cfg, n, make_rng(11), ledger)
+    assert ledger.fors_attempts == n and ledger.w_draws == counts.sum()
+    return counts
+
+
+@pytest.mark.parametrize("draw_counts", [_scalar_counts, _slot_counts])
+def test_per_call_draw_count_is_poisson(draw_counts):
+    # With W = +B the first attempt always accepts, so the per-call (or
+    # per-slot) W-draw count is exactly one Poisson(2B) variable.  At B = 1
+    # the 99th percentile of Poisson(2) is 6: CDF(5) = 0.98344 < 0.99 <= CDF(6).
+    cfg = FORSConfig(b=1.0)
+    counts = draw_counts(cfg, 10_000)
     assert counts.mean() == pytest.approx(2.0, abs=3 * math.sqrt(2.0 / 10_000))
+    pmf = stats.poisson.pmf(np.arange(8), 2.0)
+    _, p_value = chi2_discrete(np.bincount(np.minimum(counts, 8), minlength=9),
+                               np.append(pmf, 1.0 - pmf.sum()))
+    assert p_value > 1e-3
     assert float(np.quantile(counts, 0.99)) == 6.0
     report = wdraw_tail_check(1.0, 0.01, counts)
     assert report.passed and report.quantile == 6.0

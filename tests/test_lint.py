@@ -446,6 +446,15 @@ def test_poisson_tables_are_read_only_in_fors():
     assert found == []
 
 
+def test_the_scalar_engine_is_named_only_in_fors_and_lowerbound():
+    # every src acceptance but the lower bound's proximal adapter runs on
+    # lanes; fors_sample is left to perfbench's scalar job and the tests
+    found = [f"{path.name}:{line}" for path in MODULES
+             if path.name not in ("fors.py", "lowerbound.py")
+             for line in _names_read(path.read_text(), {"fors_sample", "_scalar_coin"})]
+    assert found == []
+
+
 # dataclass fields kept though no code outside their own __post_init__
 # loads them as an attribute, each with its reason
 _UNREAD_FIELDS_KEPT = {

@@ -485,6 +485,42 @@ def test_oracle_shape_error_is_not_a_blow_up():
         approx_prox_rows(pot, oracle, [[0.0]], _cfg(3))
 
 
+@pytest.mark.parametrize("x0,start,error,match", [
+    # without a start, x0 is the step-0 query: the oracle's row check refuses it
+    ([[np.inf]], None, DimensionError, "row array has non-finite entries$"),
+    ([1.0], None, DimensionError, r"expected a \(k, d\) array, got shape \(1,\)$"),
+    # with one, a non-finite x0 enters the step-1 iterate
+    ([[np.nan]], [[1.0]], NumericError, "at step 1$"),
+    ([[np.inf]], [[1.0]], NumericError, "at step 1$"),
+    ([[1.0]], [[np.inf]], NumericError, "at step 0$"),
+])
+def test_a_bad_x0_or_start_is_found_by_the_oracles_row_check(x0, start, error, match):
+    pot = _quad()
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+        approx_prox_rows(pot, _exact_oracle(pot), x0, _cfg(3), start=start)
+
+
+def test_each_iteration_checks_its_rows_once(monkeypatch):
+    # the oracle's query is the one row check of an iteration; x0 has no
+    # check of its own
+    import forsample.core as core
+    import forsample.prox as prox
+    calls = []
+    check = core.as_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    for module in (core, prox):
+        monkeypatch.setattr(module, "as_rows", counted)
+    pot = _quad()
+    oracle = _exact_oracle(pot)
+    x = approx_prox_rows(pot, oracle, np.zeros((4, 1)), _cfg(3))
+    x = approx_prox_rows(pot, oracle, np.zeros((4, 1)), _cfg(2), start=x)
+    assert len(calls) == 5
+
+
 # ---------------------------------------------------------------------------
 # each prox iteration is one oracle query
 # ---------------------------------------------------------------------------
