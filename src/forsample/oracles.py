@@ -8,9 +8,10 @@ samples.  For each noise family the module provides:
 * ``eps_tail(noise, n, M)`` : a valid upper bound on the normalized
   truncation tail (1/M) * E[||g - E g|| * 1{||g - E g|| > M}] of the
   n-sample batch mean, nonincreasing in both M and n and returned for every
-  family, n and M: subweibull noise with zeta != 2 takes Chebyshev and, for
-  zeta >= 1, a dimension-free Chernoff bound (Pinelis 1994), and twopoint
-  noise Hoeffding and Chebyshev, each proved where it is written,
+  family, n and M: Markov and Chebyshev for every family, proved once in
+  ``eps_tail``, and each family's own term: for subweibull noise with
+  zeta >= 1, zeta != 2, a dimension-free Chernoff bound (Pinelis 1994), and
+  for twopoint noise Hoeffding, each proved where it is written,
 * ``phi(noise, M, delta)`` : the smallest batch size n whose tail bound is
   at most delta / 10.
 
@@ -263,11 +264,23 @@ def _row_means(radii: Array, dirs: Array | None) -> Array:
 def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
     """Upper bound on the batch-mean truncation tail at level M = m_level.
 
-    Returns a bound on (1/M) * E[||gbar - E gbar|| * 1{||gbar - E gbar|| > M}]
+    Returns a bound on T = (1/M) * E[Z * 1{Z > M}], Z = ||gbar - E gbar||,
     for the mean gbar of n draws.  Nonincreasing in M and in n (to 1e-12 where
     the polymoment bound turns to logs), and returned for every n >= 1 and
-    M >= 0, in every dimension.  Subweibull noise with zeta != 2 and twopoint
-    noise take proved bounds (``_subweibull_tail``, ``_twopoint_tail``).
+    M >= 0, in every dimension.  The bound is the least of:
+
+    * Markov and Chebyshev, for every family: Z * 1{Z > M} <= min(Z, Z^2 / M),
+      and E Z^2 = E||noise||^2 / n for independent mean-zero draws (the cross
+      terms vanish), so with q = sqrt(E||noise||^2 / n) / M, T <= min(q, q^2);
+    * the family's own term: the (2k)! moment bound for polymoment noise
+      (``_polymoment_tail``), the Chernoff and single-draw terms for
+      subweibull noise with zeta != 2 (``_subweibull_tail``), m1/M and
+      Hoeffding for twopoint noise (``_twopoint_tail``), and for subgaussian
+      noise and subweibull zeta = 2 the term C_TAIL * exp(-C_RATE * n *
+      (M / sigma_g)^2) at M >= sigma_g, checked against the exact Gaussian
+      batch tail for d and n up to 256, not proved.
+
+    A term past the floats is 0 or inf as its limit is.
     """
     if n < 1 or int(n) != n:
         raise ValueError("batch size n must be a positive integer")
@@ -279,47 +292,54 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         return 0.0
     if m_level == 0:
         return math.inf
+    try:
+        mean_square = noise.second_moment() / n  # E Z^2
+    except OverflowError:
+        mean_square = math.inf
+    markov_chebyshev = min(math.sqrt(mean_square) / m_level,
+                           mean_square / m_level / m_level)
 
     if noise.family == "twopoint":
-        return _twopoint_tail(noise, n, m_level)
-
+        return min(markov_chebyshev, _twopoint_tail(noise, n, m_level))
     if noise.family == "polymoment":
-        # (2k)! sigma^(2k) / (n^k M^(2k)), in logs where a term leaves the normal floats
-        k = noise.k
-        try:
-            s2k, m2k = noise.sigma_2k ** (2 * k), m_level ** (2 * k)
-            num = (math.factorial(2 * k) if k <= 85 else math.inf) * s2k
-            den = (n ** k if k * (n.bit_length() - 1) < 1024 else math.inf) * m2k
-            if s2k >= 2.0 ** -1022 and m2k >= 2.0 ** -1022 and num < math.inf and den < math.inf:
-                return num / den
-        except OverflowError:
-            pass
-        log_tail = (math.lgamma(2 * k + 1) + 2 * k * math.log(noise.sigma_2k)
-                    - k * math.log(n) - 2 * k * math.log(m_level))
-        return math.exp(log_tail) if log_tail <= _LOG_FLOAT_MAX else math.inf
-
-    if noise.family == "subweibull" and noise.zeta != 2.0:
-        return _subweibull_tail(noise, n, m_level)
-    # subgaussian, and subweibull with zeta = 2: Markov, valid for any M and n,
-    # tail <= E||gbar|| / M <= sqrt(E||noise||^2 / n) / M, and the exponential
-    # term; a term past the floats keeps its default, inf or exp(-inf) = 0
-    expo = 0.0
+        return min(markov_chebyshev, _polymoment_tail(noise, n, m_level))
+    if noise.zeta != 2.0:
+        return min(markov_chebyshev, _subweibull_tail(noise, n, m_level))
+    if m_level < noise.sigma_g:
+        return markov_chebyshev
     try:
         expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** 2.0)
-        markov = math.sqrt(noise.second_moment() / n) / m_level
     except OverflowError:
-        markov = math.inf
-    return min(markov, expo) if m_level >= noise.sigma_g else markov
+        expo = 0.0
+    return min(markov_chebyshev, expo)
+
+
+def _polymoment_tail(noise: NoiseModel, n: int, m_level: float) -> float:
+    """The moment term of polymoment noise, (2k)! sigma^(2k) / (n^k M^(2k)),
+    in logs where a term leaves the normal floats; (2k)! is built only
+    inside them."""
+    k = noise.k
+    try:
+        s2k, m2k = noise.sigma_2k ** (2 * k), m_level ** (2 * k)
+        num = (math.factorial(2 * k) if k <= 85 else math.inf) * s2k
+        den = (n ** k if k * (n.bit_length() - 1) < 1024 else math.inf) * m2k
+        if s2k >= 2.0 ** -1022 and m2k >= 2.0 ** -1022 and num < math.inf and den < math.inf:
+            return num / den
+    except OverflowError:
+        pass
+    log_tail = (math.lgamma(2 * k + 1) + 2 * k * math.log(noise.sigma_2k)
+                - k * math.log(n) - 2 * k * math.log(m_level))
+    return math.exp(log_tail) if log_tail <= _LOG_FLOAT_MAX else math.inf
 
 
 def _twopoint_tail(noise: NoiseModel, n: int, m_level: float) -> float:
-    """eps_tail of twopoint noise: the least of three bounds at M < m_shift.
+    """The twopoint term of ``eps_tail``: 0 at M >= m_shift, else the lesser
+    of two bounds.
 
     One draw is m (p - b), b ~ Bernoulli(p), m = m_shift: it lies in an
     interval of length m, so Z = |gbar| < m and the tail is 0 at M >= m.
     Below, with t = M / m:
     * m1 / M, since E Z <= E|noise| (Jensen);
-    * Chebyshev, E Z^2 / M^2 = p (1 - p) / (n t^2);
     * Hoeffding, P(Z > s) <= 2 exp(-h(s)), h(s) = 2 n s^2 / m^2.  h is
       convex, h(s) >= h(M) + h'(M) (s - M), so in
       E[Z 1{Z > M}] / M = P(Z > M) + (1/M) int_M^inf P(Z > s) ds the
@@ -330,64 +350,53 @@ def _twopoint_tail(noise: NoiseModel, n: int, m_level: float) -> float:
     if m_level >= noise.m_shift:
         return 0.0
     bound = noise.m1() / m_level
-    t2 = (m_level / noise.m_shift) ** 2  # 0 only where the other two are past the floats
+    t2 = (m_level / noise.m_shift) ** 2  # 0 only where Hoeffding is past the floats
     if t2 > 0:
-        chebyshev = noise.p * (1.0 - noise.p) / (n * t2)
-        hoeffding = 2.0 * math.exp(-2.0 * n * t2) * (1.0 + 1.0 / (4.0 * n * t2))
-        bound = min(bound, chebyshev, hoeffding)
+        bound = min(bound, 2.0 * math.exp(-2.0 * n * t2) * (1.0 + 1.0 / (4.0 * n * t2)))
     return bound
 
 
 def _subweibull_tail(noise: NoiseModel, n: int, m_level: float) -> float:
-    """eps_tail of subweibull noise with zeta != 2, proved for every n and d.
+    """The subweibull term of ``eps_tail`` at zeta != 2, proved for every n
+    and d; inf at zeta < 1, which has no moment generating function.
 
     A draw is X = R U: U uniform on the unit sphere, independent of the
     radius R = sigma (E/2)^(1/zeta), E ~ Exp(1), so E X = 0 and
     P(R > t) = exp(-2 (t/sigma)^zeta).  Write Z = ||gbar||, S = n gbar,
     r = M/sigma and T = E[Z 1{Z > M}] / M = P(Z > M) + (1/M) int_M^inf P(Z > t) dt.
-    The bound is the least of:
-
-    1. Markov and Chebyshev, for every zeta: Z 1{Z > M} <= min(Z, Z^2 / M)
-       and E Z^2 = E R^2 / n (independent mean-zero summands), so with
-       q = sqrt(E R^2 / n) / M, T <= min(q, q^2).
-    2. For zeta >= 1, an exponential term C(n).  For n >= 2 it is the
-       Chernoff bound below; at n = 1 it is max(single draw, C(2)): a bound
-       at n = 1 because it is at least the single-draw value, and at least
-       C(2), so it never rises from n = 1 to n = 2.
-       * Single draw: Z = R, and the exponent 2 (t/sigma)^zeta is convex for
-         zeta >= 1, so the integral is at most exp(-2 r^zeta) over the
-         exponent's slope at M: T <= exp(-2 r^zeta) (1 + 1/(2 zeta r^zeta)).
-       * Chernoff: in a Hilbert space, for lambda >= 0 (Pinelis, Ann.
-         Probab. 22 (1994), the bound for (2, D)-smooth spaces at D = 1),
-         P(||S|| >= n t) <= 2 exp(-lambda n t) (1 + psi)^n,
-         psi = E[exp(lambda R) - 1 - lambda R].  If log(1 + psi) <= L(lambda),
-         P(Z >= t) <= 2 exp(-n (lambda t - L)) for t >= M, whose integral
-         over t > M is that value at M over n lambda, so at any fixed lambda
-         T <= 2 exp(-n (lambda M - L)) (1 + 1/(n lambda M)).  Two choices of
-         L, each at its maximizing lambda, with b the scale below and
-         x = lambda b in (0, 1):
-         - zeta >= 1: y^(1/zeta) is concave, so it lies below its tangent
-           at 1 and R <= sigma (1 - 1/zeta) + b E with b = sigma / (2 zeta).
-           Then 1 + psi <= E exp(lambda R) <= exp(2 (zeta - 1) x) / (1 - x),
-           and with v = M/b - 2 (zeta - 1) = 2 zeta r - 2 (zeta - 1) > 1 the
-           exponent peaks at x = 1 - 1/v: lambda M - L = v - 1 - log v and
-           lambda M = 2 zeta r (1 - 1/v).
-         - zeta = 1: R ~ Exp(mean b), b = sigma / 2, so psi = x^2 / (1 - x)
-           exactly and log(1 + psi) <= psi; with u = M/b = 2 r the exponent
-           peaks at x = 1 - 1/s, s = sqrt(1 + u): lambda M - L = (s - 1)^2
-           and lambda M = u (1 - 1/s).  It is the better one at small u.
-       Each value is nonincreasing in n and M: its exponent sup_lambda
-       (lambda M - L) is nonnegative and nondecreasing in M, and its
-       maximizer lambda does not fall as M grows (the sup is convex in M).
-
-    Zeta < 1 has no moment generating function and takes item 1 alone.
-    A term past the floats is 0 or inf as its limit is.
+    For zeta >= 1 the term is an exponential C(n).  For n >= 2 it is the
+    Chernoff bound below; at n = 1 it is max(single draw, C(2)): a bound
+    at n = 1 because it is at least the single-draw value, and at least
+    C(2), so it never rises from n = 1 to n = 2.
+    * Single draw: Z = R, and the exponent 2 (t/sigma)^zeta is convex for
+      zeta >= 1, so the integral is at most exp(-2 r^zeta) over the
+      exponent's slope at M: T <= exp(-2 r^zeta) (1 + 1/(2 zeta r^zeta)).
+    * Chernoff: in a Hilbert space, for lambda >= 0 (Pinelis, Ann.
+      Probab. 22 (1994), the bound for (2, D)-smooth spaces at D = 1),
+      P(||S|| >= n t) <= 2 exp(-lambda n t) (1 + psi)^n,
+      psi = E[exp(lambda R) - 1 - lambda R].  If log(1 + psi) <= L(lambda),
+      P(Z >= t) <= 2 exp(-n (lambda t - L)) for t >= M, whose integral
+      over t > M is that value at M over n lambda, so at any fixed lambda
+      T <= 2 exp(-n (lambda M - L)) (1 + 1/(n lambda M)).  Two choices of
+      L, each at its maximizing lambda, with b the scale below and
+      x = lambda b in (0, 1):
+      - zeta >= 1: y^(1/zeta) is concave, so it lies below its tangent
+        at 1 and R <= sigma (1 - 1/zeta) + b E with b = sigma / (2 zeta).
+        Then 1 + psi <= E exp(lambda R) <= exp(2 (zeta - 1) x) / (1 - x),
+        and with v = M/b - 2 (zeta - 1) = 2 zeta r - 2 (zeta - 1) > 1 the
+        exponent peaks at x = 1 - 1/v: lambda M - L = v - 1 - log v and
+        lambda M = 2 zeta r (1 - 1/v).
+      - zeta = 1: R ~ Exp(mean b), b = sigma / 2, so psi = x^2 / (1 - x)
+        exactly and log(1 + psi) <= psi; with u = M/b = 2 r the exponent
+        peaks at x = 1 - 1/s, s = sqrt(1 + u): lambda M - L = (s - 1)^2
+        and lambda M = u (1 - 1/s).  It is the better one at small u.
+    Each value is nonincreasing in n and M: its exponent sup_lambda
+    (lambda M - L) is nonnegative and nondecreasing in M, and its
+    maximizer lambda does not fall as M grows (the sup is convex in M).
     """
     zeta = noise.zeta
-    q = math.sqrt(noise.second_moment() / n) / m_level
-    bound = min(q, q * q)
     if zeta < 1.0:
-        return bound
+        return math.inf
     r = m_level / noise.sigma_g
     if n == 1:
         try:
@@ -395,8 +404,8 @@ def _subweibull_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         except OverflowError:
             rz = math.inf
         single = math.exp(-2.0 * rz) * (1.0 + 1.0 / (2.0 * zeta * rz)) if rz > 0 else math.inf
-        return min(bound, max(single, _pinelis_chernoff(zeta, 2, r)))
-    return min(bound, _pinelis_chernoff(zeta, n, r))
+        return max(single, _pinelis_chernoff(zeta, 2, r))
+    return _pinelis_chernoff(zeta, n, r)
 
 
 def _pinelis_chernoff(zeta: float, n: int, r: float) -> float:

@@ -240,9 +240,11 @@ def test_noise_draw_refuses_batches_below_one(family, n):
 # ---------------------------------------------------------------------------
 
 def test_eps_tail_polymoment_frozen_value():
-    # (2k)! sigma^{2k} / (n^k M^{2k}) with k=1, sigma=1, n=1, M=10
+    # k=1, sigma=1, n=1, M=10: Chebyshev, E R^2 / (n M^2) = 0.01, is half the
+    # moment term (2k)! sigma^{2k} / (n^k M^{2k}) = 0.02
     noise = NoiseModel.polymoment(k=1, sigma_2k=1.0)
-    assert eps_tail(noise, 1, 10.0) == pytest.approx(0.02)
+    assert eps_tail(noise, 1, 10.0) == pytest.approx(0.01)
+    assert oracles._polymoment_tail(noise, 1, 10.0) == pytest.approx(0.02)
 
 
 def test_eps_tail_exact_and_twopoint():
@@ -315,10 +317,20 @@ def test_eps_tail_subexponential_covers_the_exact_1d_batch_tail(n):
         assert eps_tail(noise, n, r * sigma) >= exact * (1.0 - 1e-9), (r, exact)
 
 
-@pytest.mark.parametrize("zeta, sigma", [(1.0, 0.2), (1.5, 0.5), (3.0, 0.5), (0.5, 0.2)])
-def test_eps_tail_subweibull_covers_a_3d_monte_carlo_tail(zeta, sigma):
+def _shape_and_scale(noise):
+    if noise.family == "polymoment":
+        return f"polymoment{noise.k}-{noise.sigma_2k}"
+    return f"{noise.zeta}-{noise.sigma_g}"
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel.subweibull(1.0, 0.2), NoiseModel.subweibull(1.5, 0.5),
+    NoiseModel.subweibull(3.0, 0.5), NoiseModel.subweibull(0.5, 0.2),
+    NoiseModel.polymoment(1, 0.15), NoiseModel.polymoment(2, 0.15),
+], ids=_shape_and_scale)
+def test_eps_tail_subweibull_covers_a_3d_monte_carlo_tail(noise):
     # the bound holds in every dimension; 10^5 seeded batch means at d = 3
-    noise = NoiseModel.subweibull(zeta=zeta, sigma_g=sigma)
+    sigma = noise.sigma_g or noise.sigma_2k
     rng = make_rng(2026, 36)
     for n in (1, 2, 4, 8):
         z = np.linalg.norm(noise.sample_batch_rows(100_000, n, 3, rng), axis=1)
@@ -345,6 +357,25 @@ def test_eps_tail_twopoint_covers_the_exact_batch_tail(p):
             assert eps_tail(noise, n, m) >= exact * (1.0 - 1e-12), (n, m, exact)
     # below m_shift a batch helps: m1/M at n = 1, far less at n = 64
     assert eps_tail(noise, 64, 0.5) < eps_tail(noise, 1, 0.5) / 10.0
+
+
+def _gaussian_mean_tail(d, n, r):
+    # the subgaussian batch mean is N(0, tau^2 I_d), tau = sigma_g / sqrt(n d),
+    # so Z = tau chi_d and, with a = M / tau = r sqrt(n d),
+    # (1/M) E[Z 1{Z > M}] = sqrt(2) Gamma((d+1)/2) / Gamma(d/2) Q((d+1)/2, a^2/2) / a
+    a = r * math.sqrt(n * d)
+    return (math.sqrt(2.0) * math.exp(special.gammaln((d + 1) / 2.0) - special.gammaln(d / 2.0))
+            * special.gammaincc((d + 1) / 2.0, a * a / 2.0) / a)
+
+
+def test_the_zeta_2_term_covers_the_exact_gaussian_batch_tail():
+    # checked, not proved: C_TAIL exp(-C_RATE n r^2) at r = M / sigma_g >= 1
+    # covers the exact tail in every dimension and batch size tried
+    for d in (1, 2, 3, 8, 16, 64, 256):
+        for n in (1, 2, 3, 8, 64, 256):
+            for r in np.linspace(1.0, 12.0, 111):
+                term = oracles.C_TAIL * math.exp(-oracles.C_RATE * n * r * r)
+                assert _gaussian_mean_tail(d, n, r) <= term, (d, n, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +423,7 @@ def _polymoment_tail_in_logs(k, sigma, n, m):
     (74, 0.0032, 1, 0.0093),          # sigma^(2k) below them
 ])
 def test_eps_tail_polymoment_in_logs_past_the_normal_floats(k, sigma, n, m):
-    assert eps_tail(NoiseModel.polymoment(k, sigma), n, m) == pytest.approx(
+    assert oracles._polymoment_tail(NoiseModel.polymoment(k, sigma), n, m) == pytest.approx(
         _polymoment_tail_in_logs(k, sigma, n, m), rel=1e-12)
 
 
@@ -405,7 +436,9 @@ def test_eps_tail_terms_past_the_floats(monkeypatch):
         return factorial(m)
 
     monkeypatch.setattr(math, "factorial", small_factorial)
-    assert eps_tail(NoiseModel.polymoment(10 ** 9, 1.0), 2, 1.0) == math.inf
+    noise = NoiseModel.polymoment(10 ** 9, 1.0)
+    assert oracles._polymoment_tail(noise, 2, 1.0) == math.inf
+    assert eps_tail(noise, 2, 1.0) == pytest.approx(noise.second_moment() / 2)  # Chebyshev
     assert eps_tail(NoiseModel.subweibull(60.0, 1.0), 1, 1e6) == 0.0
 
 
@@ -414,9 +447,9 @@ def test_eps_tail_terms_past_the_floats(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_phi_polymoment_frozen_value():
-    # invert 2 sigma^2/(n M^2) <= delta/10 at sigma=1, M=1, delta=0.1
+    # invert Chebyshev, sigma^2/(n M^2) <= delta/10, at sigma=1, M=1, delta=0.1
     noise = NoiseModel.polymoment(k=1, sigma_2k=1.0)
-    assert phi(noise, 1.0, 0.1) == 200
+    assert phi(noise, 1.0, 0.1) == 100
 
 
 def test_phi_exact_is_one():
