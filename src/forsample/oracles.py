@@ -9,9 +9,10 @@ samples.  For each noise family the module provides:
   truncation tail (1/M) * E[||g - E g|| * 1{||g - E g|| > M}] of the
   n-sample batch mean, nonincreasing in both M and n and returned for every
   family, n and M: Markov and Chebyshev for every family, proved once in
-  ``eps_tail``, and each family's own term: for subweibull noise with
-  zeta >= 1, zeta != 2, a dimension-free Chernoff bound (Pinelis 1994), and
-  for twopoint noise Hoeffding, each proved where it is written,
+  ``eps_tail``, and each family's own term: for subgaussian noise Gaussian
+  concentration, for subweibull noise with zeta >= 1 a dimension-free
+  Chernoff bound (Pinelis 1994), for polymoment noise the (2k)! moment bound
+  and for twopoint noise Hoeffding, each proved where it is written,
 * ``phi(noise, M, delta)`` : the smallest batch size n whose tail bound is
   at most delta / 10.
 
@@ -51,11 +52,6 @@ NOISE_FAMILIES = tuple(_FAMILY_FIELDS)
 # largest per-call batch drawn in one numpy allocation; bigger requests chunk
 _CHUNK = 4_000_000
 _HALF = np.array(0.5)  # 0-d: a ufunc takes it faster than a float
-# the constants of the subgaussian (zeta = 2) batch tail bound in eps_tail,
-# C_TAIL * exp(-C_RATE * n * (M / sigma_g)^2): properties of the bound, not
-# of the noise drawn, so no config sets them
-C_TAIL = 2.0
-C_RATE = 0.25
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x whose exp(x) is a float
 
 
@@ -69,7 +65,7 @@ class NoiseModel:
     """Additive noise family with declared tail behaviour.
 
     Fields are family-specific (``_FAMILY_FIELDS``); a field its family
-    does not read must keep its default, so subgaussian noise runs zeta = 2.
+    does not read must keep its default.
     """
 
     family: str
@@ -161,8 +157,6 @@ class NoiseModel:
             return self._weibull_moment(2.0)
         if self.family == "polymoment":
             a = self._pareto_index
-            if a <= 2:
-                return math.inf
             return self._pareto_xm ** 2 * a / (a - 2.0)
         return self.p * (1.0 - self.p) * self.m_shift ** 2
 
@@ -272,13 +266,12 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
     * Markov and Chebyshev, for every family: Z * 1{Z > M} <= min(Z, Z^2 / M),
       and E Z^2 = E||noise||^2 / n for independent mean-zero draws (the cross
       terms vanish), so with q = sqrt(E||noise||^2 / n) / M, T <= min(q, q^2);
-    * the family's own term: the (2k)! moment bound for polymoment noise
-      (``_polymoment_tail``), the Chernoff and single-draw terms for
-      subweibull noise with zeta != 2 (``_subweibull_tail``), m1/M and
-      Hoeffding for twopoint noise (``_twopoint_tail``), and for subgaussian
-      noise and subweibull zeta = 2 the term C_TAIL * exp(-C_RATE * n *
-      (M / sigma_g)^2) at M >= sigma_g, checked against the exact Gaussian
-      batch tail for d and n up to 256, not proved.
+    * the family's own term, picked by ``noise.family`` alone: Gaussian
+      concentration for subgaussian noise (``_subgaussian_tail``), the
+      Chernoff and single-draw terms for subweibull noise at every zeta
+      (``_subweibull_tail``), the (2k)! moment bound for polymoment noise
+      (``_polymoment_tail``), and m1/M and Hoeffding for twopoint noise
+      (``_twopoint_tail``), each proved where it is written.
 
     A term past the floats is 0 or inf as its limit is.
     """
@@ -298,20 +291,27 @@ def eps_tail(noise: NoiseModel, n: int, m_level: float) -> float:
         mean_square = math.inf
     markov_chebyshev = min(math.sqrt(mean_square) / m_level,
                            mean_square / m_level / m_level)
+    return min(markov_chebyshev, _FAMILY_TAILS[noise.family](noise, n, m_level))
 
-    if noise.family == "twopoint":
-        return min(markov_chebyshev, _twopoint_tail(noise, n, m_level))
-    if noise.family == "polymoment":
-        return min(markov_chebyshev, _polymoment_tail(noise, n, m_level))
-    if noise.zeta != 2.0:
-        return min(markov_chebyshev, _subweibull_tail(noise, n, m_level))
-    if m_level < noise.sigma_g:
-        return markov_chebyshev
-    try:
-        expo = C_TAIL * math.exp(-C_RATE * n * (m_level / noise.sigma_g) ** 2.0)
-    except OverflowError:
-        expo = 0.0
-    return min(markov_chebyshev, expo)
+
+def _subgaussian_tail(noise: NoiseModel, n: int, m_level: float) -> float:
+    """The subgaussian term of ``eps_tail``: exp(-u^2/2) (1 + 1/(u (u + 1)))
+    with u = sqrt(n) M / sigma - 1, and inf at u <= 0.
+
+    The batch mean is exactly N(0, tau^2 I_d), tau = sigma / sqrt(n d)
+    (``sample_batch_rows`` draws it so), and Z = ||gbar|| is tau-Lipschitz in
+    a standard normal vector, with E Z <= sqrt(E Z^2) = sigma / sqrt(n).  By
+    Gaussian concentration (Boucheron, Lugosi & Massart 2013, Thm 5.6) and
+    tau^2 <= sigma^2 / n, P(Z > s) <= exp(-h(s)) at s >= sigma / sqrt(n) in
+    every dimension, h(s) = n (s - sigma/sqrt(n))^2 / (2 sigma^2).  At u > 0,
+    M > sigma / sqrt(n) and h'(M) > 0; h is convex, so in T = P(Z > M) +
+    (1/M) int_M^inf P(Z > s) ds the integral is at most exp(-h(M)) / h'(M);
+    h(M) = u^2 / 2 and M h'(M) = u (u + 1), which both rise with n and M.
+    """
+    u = math.sqrt(n) * m_level / noise.sigma_g - 1.0
+    if not u > 0.0:
+        return math.inf
+    return math.exp(-0.5 * u * u) * (1.0 + 1.0 / (u * (u + 1.0)))
 
 
 def _polymoment_tail(noise: NoiseModel, n: int, m_level: float) -> float:
@@ -357,8 +357,8 @@ def _twopoint_tail(noise: NoiseModel, n: int, m_level: float) -> float:
 
 
 def _subweibull_tail(noise: NoiseModel, n: int, m_level: float) -> float:
-    """The subweibull term of ``eps_tail`` at zeta != 2, proved for every n
-    and d; inf at zeta < 1, which has no moment generating function.
+    """The subweibull term of ``eps_tail`` at every zeta >= 1, proved for
+    every n and d; inf at zeta < 1, which has no moment generating function.
 
     A draw is X = R U: U uniform on the unit sphere, independent of the
     radius R = sigma (E/2)^(1/zeta), E ~ Exp(1), so E X = 0 and
@@ -425,6 +425,11 @@ def _pinelis_chernoff(zeta: float, n: int, r: float) -> float:
         if slope > 0.0:
             best = min(best, 2.0 * math.exp(-n * (s - 1.0) ** 2) * (1.0 + 1.0 / (n * slope)))
     return best
+
+
+# each family's own term in eps_tail; exact noise returns before the lookup
+_FAMILY_TAILS = {"subgaussian": _subgaussian_tail, "subweibull": _subweibull_tail,
+                 "polymoment": _polymoment_tail, "twopoint": _twopoint_tail}
 
 
 def phi(noise: NoiseModel, m_level: float, delta: float, cap: int = 10 ** 9) -> int:

@@ -314,8 +314,8 @@ def test_int_leaves_must_fit_intp(path, monkeypatch):
 
 
 def test_noise_takes_no_tail_bound_constant(monkeypatch):
-    # the tail bound's constants are fixed: a c_rate of 100 would cut the
-    # crit-6 plan from n_batch 3 to 1 while the oracle drew the same noise
+    # each family's tail term is proved from the noise law alone, so a config
+    # has no constant to set: a tail-bound key is an unexpected key
     monkeypatch.delenv("FORSAMPLE_OUT", raising=False)
     for key in ("c_tail", "c_rate"):
         raw = {"experiment": "sampler_e2e",

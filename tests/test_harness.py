@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 
 from forsample import harness
-from forsample.core import make_gaussian_potential
+from forsample.core import AssumptionCase, make_gaussian_potential
 from forsample.errors import ConfigError, DimensionError
 from forsample.fors import FORSConfig
-from forsample.harness import (SUITES, TILT_B, TILT_ETA, TILT_X0, DiscreteWInstance,
+from forsample.harness import (SCALING_FAMILIES, SCALING_WARM_START, SUITES, TILT_B,
+                               TILT_ETA, TILT_M, TILT_SIGMA, TILT_X0, DiscreteWInstance,
                                ExperimentConfig, ExperimentReport, PartialSink,
                                _json_default, discrete_instances, run_experiment,
                                run_fors_unit, run_lower_bound, run_prox_check,
                                tilt_reference, write_report)
-from forsample.oracles import NoiseModel, ValueOracle, make_rng
+from forsample.oracles import NoiseModel, ValueOracle, make_rng, phi
 from forsample.rgo import sample_tilt_many
-from forsample.sampler import gaussian_initializer
+from forsample.sampler import gaussian_initializer, plan_first_order
 from forsample.verify import discrete_law_oracle, ks_test
 
 
@@ -295,6 +296,60 @@ def test_sampler_e2e_start_spends_the_warm_start_delta(monkeypatch):
     assert means[0].tolist() == [math.sqrt(delta)]
     assert means[1].tolist() == [math.sqrt(delta / 3)] * 3
     assert float(means[1] @ means[1]) == pytest.approx(delta, rel=1e-15)
+
+
+def test_tilt_exactness_smoke():
+    report = run_experiment(ExperimentConfig(experiment="tilt_exactness", seeds=(0,),
+                                             samples=2000))
+    arms = [(r["mode"], r["noise"]) for r in report.per_seed]
+    assert arms == [("first", "exact"), ("first", "subgaussian"),
+                    ("zeroth", "exact"), ("zeroth", "subgaussian")]
+    assert set(report.verdicts) == {f"ks_{mode}_{noise}" for mode, noise in arms}
+    assert len(report.rows) == 4
+    # the noisy arms batch at the tail-bound inversion at M = 1, delta = 0.01
+    n_noisy = phi(NoiseModel.subgaussian(TILT_SIGMA), TILT_M, 0.01)
+    for entry in report.per_seed:
+        led = entry["ledger"]
+        n = n_noisy if entry["noise"] == "subgaussian" else 1
+        assert led["rgo_calls"] == 2000
+        assert led["fors_attempts"] >= led["rgo_calls"]
+        if entry["mode"] == "first":
+            # 25 prox iterations at the proposal's center, then one batch per W
+            assert led["prox_iters"] == 25 and led["value_queries"] == 0
+            assert led["grad_queries"] == n * (led["w_draws"] + led["prox_iters"])
+        else:
+            # one batch at each end of a W's difference
+            assert led["prox_iters"] == led["grad_queries"] == 0
+            assert led["value_queries"] == 2 * n * led["w_draws"]
+    for label, total in report.merged_ledger.items():
+        assert total == sum(entry["ledger"][label] for entry in report.per_seed)
+
+
+def test_delta_scaling_smoke():
+    grid = (0.5, 0.4, 0.3, 0.2)
+    report = run_experiment(ExperimentConfig(experiment="delta_scaling", delta_grid=grid))
+    families = list(SCALING_FAMILIES)
+    assert [e["family"] for e in report.per_seed] == families
+    assert set(report.verdicts) == {f"slope_{label}" for label in families}
+    assert [(r["family"], r["delta"]) for r in report.rows] == [
+        (label, delta) for label in families for delta in grid]
+    # each row runs the plan the first-order planner makes for it
+    pot = make_gaussian_potential([0.0], precision=1.0)
+    case = AssumptionCase("LSI", constant=1.0, warm_start_delta=SCALING_WARM_START ** 2)
+    for row in report.rows:
+        sched = plan_first_order(pot, SCALING_FAMILIES[row["family"]], case, row["delta"])
+        assert (row["n_steps"], row["n_batch"], row["m_trunc"], row["planned_queries"]) == (
+            sched.n_steps, sched.n_batch, sched.m_trunc, sched.planned_queries)
+    for entry in report.per_seed:
+        assert entry["deltas"] == list(grid)
+        assert entry["queries"] == [r["grad_queries_per_chain"] for r in report.rows
+                                    if r["family"] == entry["family"]]
+    # four chains step together: one tilt a chain a step, queries a chain summed
+    led, chains = report.merged_ledger, 4
+    assert led["outer_steps"] == sum(r["n_steps"] for r in report.rows)
+    assert led["rgo_calls"] == chains * led["outer_steps"]
+    assert led["grad_queries"] == chains * sum(r["grad_queries_per_chain"] for r in report.rows)
+    assert led["value_queries"] == 0
 
 
 # ---------------------------------------------------------------------------

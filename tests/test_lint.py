@@ -276,13 +276,15 @@ _NO_CALLER_METHODS_KEPT = {
         "the density a test integrates to check the closed-form cdf",
     ("core.py", "PowerReference.pdf"):
         "the density a test integrates to check the closed-form cdf and variance",
+    ("core.py", "PowerReference.variance"):
+        "the closed-form variance a test checks against the integrated density",
 }
 
 
 def _names_outside_definitions(tree) -> Counter:
-    """Names a tree loads or reads as attributes, with their counts, leaving
-    out each read made inside a definition of that same name: ``A.pdf``
-    calling ``x.pdf()`` is not a caller of ``B.pdf``."""
+    """Names a tree loads (``name``) or reads as attributes (``.name``), with
+    their counts, leaving out each read made inside a definition of that
+    same name: ``A.pdf`` calling ``x.pdf()`` is not a caller of ``B.pdf``."""
     named = Counter()
 
     def visit(node, inside):
@@ -290,10 +292,10 @@ def _names_outside_definitions(tree) -> Counter:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, inside | {child.name})
                 continue
-            name = (child.id if isinstance(child, ast.Name) else
-                    child.attr if isinstance(child, ast.Attribute) else None)
-            if name is not None and name not in inside:
-                named[name] += 1
+            if isinstance(child, ast.Name) and child.id not in inside:
+                named[child.id] += 1
+            elif isinstance(child, ast.Attribute) and child.attr not in inside:
+                named["." + child.attr] += 1
             visit(child, inside)
 
     visit(tree, frozenset())
@@ -301,9 +303,11 @@ def _names_outside_definitions(tree) -> Counter:
 
 
 def _without_caller(paths, callers) -> list[tuple[str, str]]:
-    """(module, name) of each top-level function or class in ``paths``, and
-    (module, "Class.method") of each method but the dunders, that no code in
-    ``callers`` names outside every definition of that name."""
+    """(module, name) of each top-level function or class in ``paths`` that no
+    code in ``callers`` names or reads as an attribute, and (module,
+    "Class.method") of each method but the dunders that no code there reads
+    as an attribute, each outside every definition of that name: a plain
+    name (a parameter, say) is not a method call."""
     trees = {p: ast.parse(p.read_text()) for p in set(paths) | set(callers)}
     named = sum((_names_outside_definitions(trees[p]) for p in callers), Counter())
     found = []
@@ -311,12 +315,12 @@ def _without_caller(paths, callers) -> list[tuple[str, str]]:
         for node in trees[p].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _registered(node):
                 continue
-            if not named[node.name]:
+            if not named[node.name] and not named["." + node.name]:
                 found.append((p.name, node.name))
             if isinstance(node, ast.ClassDef):
                 found += [(p.name, f"{node.name}.{m.name}") for m in node.body
                           if isinstance(m, ast.FunctionDef)
-                          and not m.name.startswith("__") and not named[m.name]]
+                          and not m.name.startswith("__") and not named["." + m.name]]
     return found
 
 
@@ -341,6 +345,15 @@ def test_method_named_like_a_call_inside_its_twin_is_detected(tmp_path):
                    "class B:\n    def pdf(self, t):\n        return t\n"
                    "A(B())\n")
     assert _without_caller([mod], [mod]) == [("mod.py", "A.pdf"), ("mod.py", "B.pdf")]
+
+
+def test_method_named_like_a_plain_name_is_detected(tmp_path):
+    # a parameter named like a method loads that name, but calls no method
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Law:\n    def variance(self):\n        return 1.0\n"
+                   "def scaled(variance):\n    return 2.0 * variance\n"
+                   "scaled(Law())\n")
+    assert _without_caller([mod], [mod]) == [("mod.py", "Law.variance")]
 
 
 def test_every_definition_has_a_caller():

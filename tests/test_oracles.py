@@ -128,6 +128,17 @@ def test_one_dimensional_radius_law(label):
     assert stats.kstest(np.abs(draws), _radius_cdf(noise)).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("n", [1, 7])
+def test_subgaussian_batch_mean_is_exactly_gaussian(dim, n):
+    # the premise of _subgaussian_tail: every coordinate of the batch mean is
+    # N(0, sigma^2 / (n d)), so scaled by sqrt(n d) / sigma it is standard normal
+    noise = NoiseModel.subgaussian(0.7)
+    draws = noise.sample_batch_rows(20_000, n, dim, make_rng(14, 5, dim, n))
+    scaled = draws.ravel() * math.sqrt(n * dim) / noise.sigma_g
+    assert stats.kstest(scaled, stats.norm.cdf).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("label", _RADIUS_FAMILIES)
 def test_one_dimensional_sign_is_fair(label):
     noise = FAMILIES[label]
@@ -326,7 +337,8 @@ def _shape_and_scale(noise):
 @pytest.mark.parametrize("noise", [
     NoiseModel.subweibull(1.0, 0.2), NoiseModel.subweibull(1.5, 0.5),
     NoiseModel.subweibull(3.0, 0.5), NoiseModel.subweibull(0.5, 0.2),
-    NoiseModel.polymoment(1, 0.15), NoiseModel.polymoment(2, 0.15),
+    NoiseModel.subweibull(2.0, 1.0), NoiseModel.polymoment(1, 0.15),
+    NoiseModel.polymoment(2, 0.15),
 ], ids=_shape_and_scale)
 def test_eps_tail_subweibull_covers_a_3d_monte_carlo_tail(noise):
     # the bound holds in every dimension; 10^5 seeded batch means at d = 3
@@ -368,14 +380,17 @@ def _gaussian_mean_tail(d, n, r):
             * special.gammaincc((d + 1) / 2.0, a * a / 2.0) / a)
 
 
-def test_the_zeta_2_term_covers_the_exact_gaussian_batch_tail():
-    # checked, not proved: C_TAIL exp(-C_RATE n r^2) at r = M / sigma_g >= 1
-    # covers the exact tail in every dimension and batch size tried
+def test_the_subgaussian_term_covers_the_exact_gaussian_batch_tail():
+    # the proved term, finite where u = sqrt(n) r - 1 > 0, r = M / sigma_g, so
+    # below r = 1 for n >= 2; it covers the exact tail in every d and n tried
+    noise = NoiseModel.subgaussian(1.0)
     for d in (1, 2, 3, 8, 16, 64, 256):
         for n in (1, 2, 3, 8, 64, 256):
-            for r in np.linspace(1.0, 12.0, 111):
-                term = oracles.C_TAIL * math.exp(-oracles.C_RATE * n * r * r)
-                assert _gaussian_mean_tail(d, n, r) <= term, (d, n, r)
+            start = 1.0 / math.sqrt(n)
+            assert oracles._subgaussian_tail(noise, n, start) == math.inf
+            for r in start * np.geomspace(1.001, 12.0 * math.sqrt(n), 111):
+                term = oracles._subgaussian_tail(noise, n, r)
+                assert _gaussian_mean_tail(d, n, r) <= term < math.inf, (d, n, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,20 +472,22 @@ def test_phi_exact_is_one():
 
 
 def test_phi_subgaussian_frozen_value():
-    assert phi(NoiseModel.subgaussian(0.5), 1.0, 0.01) == 8
+    assert phi(NoiseModel.subgaussian(0.5), 1.0, 0.01) == 6
 
 
-def test_phi_subgaussian_linear_in_log_inverse_delta():
-    # n grows affinely in log(1/delta) with slope 1/C_RATE = 4: the tail
-    # bound is 2 exp(-n/4) at M = sigma_g = 1, so n = ceil(4 log(20/delta))
+def test_phi_subgaussian_inverts_the_closed_form():
+    # at M = sigma_g = 1 the subgaussian term is exp(-u^2/2) (1 + 1/(u (u+1)))
+    # with u = sqrt(n) - 1, and Chebyshev 1/n does not bind below delta = 1e-2
     noise = NoiseModel.subgaussian(1.0)
-    deltas = [10.0 ** -k for k in range(2, 8)]
-    ns = np.asarray([phi(noise, 1.0, d) for d in deltas], dtype=float)
-    logs = np.log(1.0 / np.asarray(deltas))
-    slope, intercept = np.polyfit(logs, ns, 1)
-    assert slope == pytest.approx(4.0, rel=0.05)
-    resid = ns - (slope * logs + intercept)
-    assert float(np.abs(resid).max()) <= 1.0   # ceil rounding only
+
+    def closed_form(n):
+        u = math.sqrt(n) - 1.0
+        return math.exp(-u * u / 2.0) * (1.0 + 1.0 / (u * (u + 1.0))) if u > 0 else math.inf
+
+    for delta in (10.0 ** -k for k in range(2, 8)):
+        n = next(n for n in range(1, 10 ** 4) if closed_form(n) <= delta / 10.0)
+        assert 1.0 / n > delta / 10.0
+        assert phi(noise, 1.0, delta) == n, delta
 
 
 def test_phi_subweibull_batches_when_one_draw_is_not_enough():

@@ -311,9 +311,9 @@ def test_plan_grid_digest():
                     out = json.dumps(asdict(sched), sort_keys=True)
                     plans += 1
                 digest.update(out.encode() + b"\n")
-    assert (plans, refusals) == (4359, 681)
+    assert (plans, refusals) == (4559, 481)
     assert digest.hexdigest() == (
-        "afa70fea5eabc653fa30e08d155399cdb672578f163952725485a6b0e0654910")
+        "0f633b2d237774d104fe6db2818aa837596c27eb7d806772739f5cfde97c4ade")
 
 
 # polymoment k 1-200 and subweibull zeta 1e-3-100, zeta and sigma log-uniform,
