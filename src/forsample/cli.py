@@ -116,7 +116,8 @@ def main(argv=None) -> int:
         for name in sorted(report.verdicts):
             status = "PASS" if report.verdicts[name] else "FAIL"
             print(f"{status} {report.experiment}.{name}")
-        print(f"wall clock: {report.wall_clock_seconds:.1f}s")
+        print(f"wall clock: {report.wall_clock_seconds:.1f}s, "
+              f"cpu: {report.cpu_seconds:.1f}s")
         if cfg.output_dir:
             print(f"report written to {cfg.output_dir}")
         return 0 if report.all_pass else 2

@@ -15,10 +15,11 @@ import inspect
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args
@@ -42,7 +43,7 @@ from .verify import (MIN_SAMPLES, chi2_discrete, discrete_law_oracle, empirical_
                      empirical_tv_two_sample, gaussian_tv_exact, ks_test,
                      scaling_slope, seeds_pass_rule)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # what a field the suite reads takes when it is not given; a suite's declared
 # defaults win over these
@@ -290,6 +291,7 @@ class ExperimentReport:
     verdicts: dict
     rows: list
     wall_clock_seconds: float
+    cpu_seconds: float  # process CPU time, every job thread's included
     schema_version: int = SCHEMA_VERSION
 
     @property
@@ -382,7 +384,7 @@ def _suite(*reads: str, **defaults):
         name = body.__name__.removeprefix("run_")
 
         def run(cfg: ExperimentConfig, sink: PartialSink | None = None) -> ExperimentReport:
-            start = time.perf_counter()
+            start, cpu_start = time.perf_counter(), time.process_time()
             sink = sink if sink is not None else PartialSink()
             merged = QueryLedger()
             per_seed, verdicts = body(cfg, sink, merged)
@@ -391,12 +393,38 @@ def _suite(*reads: str, **defaults):
                 constants=(cfg.constants or DEFAULT_CONSTANTS).as_dict(),
                 per_seed=per_seed,
                 merged_ledger=merged.as_dict(), verdicts=verdicts,
-                rows=sink.rows, wall_clock_seconds=time.perf_counter() - start)
+                rows=sink.rows, wall_clock_seconds=time.perf_counter() - start,
+                cpu_seconds=time.process_time() - cpu_start)
 
         run.__name__ = run.__qualname__ = body.__name__
         SUITES[name] = Suite(run, reads, defaults)
         return run
     return register
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_jobs(fn: Callable, jobs: list[tuple]):
+    """Yield ``fn(*job)`` for each job, in job order, run on a thread pool.
+
+    The pool has one thread per CPU, at most one per job, and runs every job
+    even when it has one thread.  A job owns its streams and ledgers, so the
+    order the jobs run in changes no result.  At the first job (in job
+    order) that raises, the jobs still queued are cancelled, the running
+    ones finish, and its exception propagates.
+    """
+    pool = futures.ThreadPoolExecutor(max_workers=min(len(jobs), _cpus()))
+    try:
+        for future in [pool.submit(fn, *job) for job in jobs]:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +557,9 @@ def _fors_unit_seed(seed: int, samples: int) -> dict:
 @_suite("seeds", "samples")
 def run_fors_unit(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
     per_seed = sink.per_seed
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for res in pool.map(lambda s: _fors_unit_seed(s, cfg.samples),
-                            cfg.seeds):
-            per_seed.append(res)
+    # a seed's instances collect on rounds of up to 2^16 rows, where numpy releases the GIL
+    for res in _map_jobs(_fors_unit_seed, [(seed, cfg.samples) for seed in cfg.seeds]):
+        per_seed.append(res)
     per_seed.sort(key=lambda r: r["seed"])
 
     # W draws per acceptance of the flat instance, one a slot (criterion 3)
@@ -659,13 +686,12 @@ def run_tilt_exactness(cfg: ExperimentConfig, sink: PartialSink,
     arms = [("first", NoiseModel.exact(), 1), ("first", noisy, n_noisy),
             ("zeroth", NoiseModel.exact(), 1), ("zeroth", noisy, n_noisy)]
 
-    jobs = [(seed, mode, noise, n) for seed in cfg.seeds
+    # an arm collects on rounds of up to 2^16 rows, where numpy releases the GIL
+    jobs = [(seed, mode, noise, cfg.samples, n) for seed in cfg.seeds
             for (mode, noise, n) in arms]
     per_seed = sink.per_seed
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for res in pool.map(
-                lambda j: _tilt_arm(j[0], j[1], j[2], cfg.samples, j[3]), jobs):
-            per_seed.append(res)
+    for res in _map_jobs(_tilt_arm, jobs):
+        per_seed.append(res)
     per_seed.sort(key=lambda r: (r["seed"], r["mode"], r["noise"]))
 
     verdicts = {}
@@ -741,6 +767,32 @@ def run_prox_check(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger
 # experiment: sampler_e2e
 # ---------------------------------------------------------------------------
 
+def _e2e_job(cfg: ExperimentConfig, pot, oracle_type, mu0, seed: int, arm_idx: int,
+             noise: NoiseModel, sched) -> tuple[dict, dict, QueryLedger]:
+    """One (seed, arm) run of sampler_e2e: its per-seed entry, row and ledger."""
+    oracle = oracle_type(pot, noise, make_rng(seed, 4, arm_idx))
+    xs, ledger = run_proximal_sampler(pot, oracle, sched, mu0, cfg.chains,
+                                      make_rng(seed, 5, arm_idx))
+    tv = empirical_tv_1d(xs[:, 0], pot.reference.marginal(0))
+    stat, p_value = ks_test(xs[:, 0], pot.reference.marginal(0).cdf)
+    entry = {
+        "seed": seed, "noise": noise.family,
+        "tv": tv.value, "tv_bias_bound": tv.bias_bound,
+        "tv_pass": bool(tv.value <= cfg.delta + tv.bias_bound),
+        "ks_stat": stat, "ks_p": p_value,
+        "schedule": asdict(sched),
+        "ledger": ledger.as_dict(),
+    }
+    row = {"seed": seed, "noise": noise.family, "tv": tv.value,
+           "threshold": cfg.delta + tv.bias_bound,
+           "n_steps": sched.n_steps, "eta": sched.eta,
+           "n_batch": sched.n_batch,
+           "grad_queries": ledger.grad_queries,
+           "value_queries": ledger.value_queries,
+           "w_clipped": ledger.w_clipped}
+    return entry, row, ledger
+
+
 @_suite("potential", "noise", "case", "mode", "delta", "seeds", "chains",
         "constants")
 def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedger):
@@ -753,33 +805,18 @@ def run_sampler_e2e(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
     first = cfg.mode == "first_order"
     plan = plan_first_order if first else plan_zeroth_order
     oracle_type = GradientOracle if first else ValueOracle
+    # a schedule depends on the arm, not on the seed
+    scheds = [plan(pot, noise, case, cfg.delta, cfg.constants) for noise in arms]
 
+    # a (seed, arm) job steps its chains as one array, where numpy releases the GIL
+    jobs = [(seed, arm_idx, noise, sched) for seed in cfg.seeds
+            for arm_idx, (noise, sched) in enumerate(zip(arms, scheds))]
     per_seed = sink.per_seed
-    for seed in cfg.seeds:
-        for arm_idx, noise in enumerate(arms):
-            sched = plan(pot, noise, case, cfg.delta, cfg.constants)
-            oracle = oracle_type(pot, noise, make_rng(seed, 4, arm_idx))
-            xs, ledger = run_proximal_sampler(pot, oracle, sched, mu0,
-                                              cfg.chains, make_rng(seed, 5, arm_idx))
-            tv = empirical_tv_1d(xs[:, 0], pot.reference.marginal(0))
-            stat, p_value = ks_test(xs[:, 0], pot.reference.marginal(0).cdf)
-            merged.merge(ledger)
-            entry = {
-                "seed": seed, "noise": noise.family,
-                "tv": tv.value, "tv_bias_bound": tv.bias_bound,
-                "tv_pass": bool(tv.value <= cfg.delta + tv.bias_bound),
-                "ks_stat": stat, "ks_p": p_value,
-                "schedule": asdict(sched),
-                "ledger": ledger.as_dict(),
-            }
-            per_seed.append(entry)
-            sink.rows.append({"seed": seed, "noise": noise.family, "tv": tv.value,
-                              "threshold": cfg.delta + tv.bias_bound,
-                              "n_steps": sched.n_steps, "eta": sched.eta,
-                              "n_batch": sched.n_batch,
-                              "grad_queries": ledger.grad_queries,
-                              "value_queries": ledger.value_queries,
-                              "w_clipped": ledger.w_clipped})
+    job = functools.partial(_e2e_job, cfg, pot, oracle_type, mu0)
+    for entry, row, ledger in _map_jobs(job, jobs):
+        merged.merge(ledger)
+        per_seed.append(entry)
+        sink.rows.append(row)
 
     verdicts = {}
     for noise in arms:
@@ -818,6 +855,7 @@ def run_delta_scaling(cfg: ExperimentConfig, sink: PartialSink,
 
     slopes = {}
     per_seed = sink.per_seed
+    # serial: a job steps 4 chains in few-row calls, whose Python holds the GIL
     for label, noise in SCALING_FAMILIES.items():
         measured = []
         for j, delta in enumerate(cfg.delta_grid):
@@ -877,6 +915,7 @@ def run_lower_bound(cfg: ExperimentConfig, sink: PartialSink, merged: QueryLedge
     per_seed = sink.per_seed
     verdicts = {"f_psi_closed_form": grid_ok}
     sink.rows.extend(f_rows)
+    # serial: an adapter's coupled trials are scalar Python, which holds the GIL
     for name, adapter in (("sgld", sgld_adapter(step=0.1)),
                           ("proximal", proximal_adapter(eta=0.25, b=1.0))):
         res = coupled_run(adapter, pair, budget, cfg.trials, seed)

@@ -519,7 +519,7 @@ def test_failing_verdict_exits_two(tmp_path, capsys, monkeypatch):
     fake = ExperimentReport(
         experiment="fors_unit", config={}, constants={}, per_seed=[],
         merged_ledger={}, verdicts={"chi2_flat": False, "wdraw_quantile": True},
-        rows=[], wall_clock_seconds=0.0)
+        rows=[], wall_clock_seconds=0.0, cpu_seconds=0.0)
     monkeypatch.setattr("forsample.cli.run_experiment", lambda cfg: fake)
     path = _write_config(tmp_path, "experiment: fors_unit\n")
     assert main(["run", "--config", path]) == 2

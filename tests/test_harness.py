@@ -1,7 +1,10 @@
-"""Experiment harness: discrete instances, reports, dispatch, partial flush."""
+"""Experiment harness: discrete instances, reports, dispatch, the job pool,
+partial flush."""
 
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -143,7 +146,7 @@ def _toy_report(verdicts):
         experiment="toy", config={"experiment": "toy"}, constants={},
         per_seed=[{"seed": 0}], merged_ledger={}, verdicts=verdicts,
         rows=[{"seed": 0, "value": 1.5}, {"seed": 1, "value": 2.5}],
-        wall_clock_seconds=0.1)
+        wall_clock_seconds=0.1, cpu_seconds=0.2)
 
 
 def test_all_pass_property():
@@ -157,7 +160,7 @@ def test_write_report_files(tmp_path):
     assert json_path.name == "toy_report.json"
     assert csv_path.name == "toy_rows.csv"
     payload = json.loads(json_path.read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["all_pass"] is True
     assert json_path.read_text().endswith("\n")
     lines = csv_path.read_text().splitlines()
@@ -219,9 +222,20 @@ def test_fors_unit_reproducible_bit_for_bit():
     cfg = ExperimentConfig(experiment="fors_unit", seeds=(3,), samples=3000)
     a = json.loads(run_experiment(cfg).to_json())
     b = json.loads(run_experiment(cfg).to_json())
-    a.pop("wall_clock_seconds")
-    b.pop("wall_clock_seconds")
+    for payload in (a, b):
+        payload.pop("wall_clock_seconds")
+        payload.pop("cpu_seconds")
     assert a == b
+
+
+def test_report_carries_its_cpu_time():
+    cfg = ExperimentConfig(experiment="fors_unit", seeds=(0,), samples=2000)
+    report = run_experiment(cfg)
+    assert report.cpu_seconds > 0
+    assert json.loads(report.to_json())["cpu_seconds"] == report.cpu_seconds
+    # a timing, kept out of the results
+    assert "cpu_seconds" not in report.verdicts
+    assert all("cpu_seconds" not in entry for entry in report.per_seed)
 
 
 def test_prox_check_runs_without_sink():
@@ -400,6 +414,90 @@ def test_echo_lists_only_the_fields_a_suite_reads():
 
 
 # ---------------------------------------------------------------------------
+# the job pool
+# ---------------------------------------------------------------------------
+
+def _pooled_job(i, seconds):
+    time.sleep(seconds)
+    return i, threading.get_ident()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_jobs_run_on_pool_threads_and_yield_in_job_order(monkeypatch, cpus):
+    monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+    # later jobs finish first when the pool has room for them
+    jobs = [(i, 0.02 * (4 - i)) for i in range(4)]
+    out = list(harness._map_jobs(_pooled_job, jobs))
+    assert [i for i, _ in out] == [0, 1, 2, 3]
+    threads = {ident for _, ident in out}
+    assert threading.get_ident() not in threads
+    assert len(threads) <= cpus
+
+
+def test_the_first_failing_job_cancels_the_queued_ones(monkeypatch):
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    started = []
+
+    def job(i):
+        started.append(i)
+        if i == 1:
+            raise ValueError("job 1")
+        time.sleep(0.2)  # job 3 is queued until job 2 ends
+        return i
+
+    results = []
+    with pytest.raises(ValueError, match="job 1"):
+        for result in harness._map_jobs(job, [(i,) for i in range(4)]):
+            results.append(result)
+    assert results == [0]
+    assert 3 not in started
+
+
+_POOLED = [
+    ("fors_unit", {"seeds": (2, 0, 1), "samples": 2000}),
+    ("tilt_exactness", {"seeds": (0, 1), "samples": 2000}),
+    ("sampler_e2e", {"seeds": (0, 1), "chains": 200, "delta": 0.2}),
+]
+
+
+@pytest.mark.parametrize("experiment, kwargs", _POOLED, ids=[e for e, _ in _POOLED])
+def test_pooled_report_equals_the_one_thread_report(monkeypatch, experiment, kwargs):
+    cfg = ExperimentConfig(experiment=experiment, **kwargs)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        report = run_experiment(cfg)
+        payload = json.loads(report.to_json())
+        payload.pop("wall_clock_seconds")
+        payload.pop("cpu_seconds")
+        reports.append((payload, report.rows))
+    assert reports[0] == reports[1]
+
+
+def test_failing_job_keeps_the_earlier_jobs_in_job_order(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    tilt_arm = harness._tilt_arm
+
+    def failing_arm(seed, mode, noise, samples, n_batch):
+        if (seed, mode) == (1, "zeroth") and noise.family == "exact":
+            raise DimensionError("arm 6 failed")
+        return tilt_arm(seed, mode, noise, samples, n_batch)
+
+    monkeypatch.setattr(harness, "_tilt_arm", failing_arm)
+    cfg = ExperimentConfig(experiment="tilt_exactness", seeds=(0, 1, 2), samples=2000,
+                           output_dir=str(tmp_path))
+    with pytest.raises(DimensionError, match="arm 6 failed"):
+        run_experiment(cfg)
+    assert not (tmp_path / "tilt_exactness_report.json").exists()
+    payload = json.loads((tmp_path / "tilt_exactness_partial.json").read_text())
+    assert payload["error"] == "DimensionError: arm 6 failed"
+    # the six jobs before it, as the serial loop would have left them
+    assert [(r["seed"], r["mode"], r["noise"]) for r in payload["per_seed"]] == [
+        (0, "first", "exact"), (0, "first", "subgaussian"), (0, "zeroth", "exact"),
+        (0, "zeroth", "subgaussian"), (1, "first", "exact"), (1, "first", "subgaussian")]
+
+
+# ---------------------------------------------------------------------------
 # partial flush on mid-sweep failure
 # ---------------------------------------------------------------------------
 
@@ -423,7 +521,7 @@ def test_partial_results_flushed_on_failure(tmp_path):
     payload = json.loads(partial.read_text())
     assert payload["partial"] is True
     assert payload["error"].startswith("DimensionError")
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     # seed 0's exact arm completed before the failure and was preserved
     assert [(r["seed"], r["noise"]) for r in payload["per_seed"]] == [(0, "exact")]
     assert len(payload["rows"]) == 1

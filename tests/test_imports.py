@@ -98,7 +98,8 @@ _THREADS_SCRIPT = """
 
 
 def test_first_scipy_import_inside_the_tilt_pool(tmp_path):
-    # the first run imports scipy.special from its 4-worker thread pool; the
+    # the first run imports scipy.special on a thread of the harness's job
+    # pool, which runs every job off the main thread at any CPU count; the
     # second finds it loaded; KS values and ledgers must agree exactly
     out = _run(_THREADS_SCRIPT, tmp_path)
     assert not out["loaded_before"]

@@ -2,8 +2,8 @@
 or module-level name, no dataclass field that only its own validation reads,
 no function, class or method without a caller, one place that builds the tilt
 estimators and one that builds and meters the acceptance lanes, ledgers built
-only by the oracles and the harness, every random draw from a Generator, and
-no assert statement in src."""
+only by the oracles and the harness, one thread pool, every random draw from a
+Generator, and no assert statement in src."""
 
 import ast
 from collections import Counter
@@ -407,6 +407,20 @@ def test_ledgers_are_built_only_by_the_oracles_and_the_harness():
     found = [f"{path.name}:{line}" for path in MODULES
              for line in _calls(path.read_text(), {"QueryLedger"})]
     assert [f for f in found if f.split(":")[0] not in ("oracles.py", "harness.py")] == []
+
+
+def test_one_thread_pool_in_src():
+    # harness._map_jobs sizes the one pool to the host's CPUs; a suite that
+    # runs independent jobs hands them to it
+    found = [f"{path.name}:{line}" for path in MODULES
+             for line in _calls(path.read_text(),
+                                {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"})]
+    tree = ast.parse((SRC / "harness.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_map_jobs")
+    assert len(found) == 1
+    name, line = found[0].split(":")
+    assert name == "harness.py" and helper.lineno <= int(line) <= helper.end_lineno
 
 
 _METERED = {"fors_attempts", "w_draws"}
